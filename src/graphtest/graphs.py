@@ -282,7 +282,7 @@ class EdgeMarginals:
     def common_ratio(self) -> tuple[list[int], int]:
         """Entries as integer numerators over one shared denominator."""
         den = math.lcm(*(f.denominator for f in self.fractions))
-        nums = [int(f * den) for f in self.fractions]
+        nums = [f.numerator * (den // f.denominator) for f in self.fractions]
         return nums, den
 
     def __eq__(self, other) -> bool:

@@ -8,11 +8,17 @@ a baseline, along with power-curve estimation over a grid of alternatives.
 
 All comparisons that decide rejection are carried out in exact integer or
 rational arithmetic: Monte Carlo and permutation replicates of the statistic
-are held as integer numerators over a common denominator, so ties are real
-ties and results cannot drift with float summation order.
+are integer numerators over a common denominator, computed a block at a time
+by ``statistic.GapKernel``, so ties are real ties and results cannot drift
+with float summation order.
 
-Replication loops draw each replicate from its own generator spawned off the
-caller's generator, so results are identical whatever ``threads`` is set to.
+Monte Carlo replicates are drawn in blocks of about ``BLOCK_CELLS`` count
+cells. Each block takes one generator spawned off the caller's generator and
+draws its whole (B x E) count array with the model's ``edge_count_batches``.
+The blocks are fixed by R and E alone, and ``threads`` only spreads them
+over worker threads, so results are identical whatever it is set to.
+Permutations are drawn from the caller's generator in blocks of rows, which
+consumes it exactly as one draw of all R rows would.
 """
 
 from __future__ import annotations
@@ -28,8 +34,15 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, EnumerationRefusedError
 from .graphs import EdgeMarginals, GraphSample, num_pairs
-from .models import ErdosRenyi, ModifiedErdosRenyi, ModelSpec
-from .statistic import TestStatistic, one_sample_statistic, two_sample_statistic
+from .models import ModelSpec
+from .statistic import (
+    GapKernel,
+    TestStatistic,
+    one_sample_kernel,
+    one_sample_statistic,
+    two_sample_kernel,
+    two_sample_statistic,
+)
 
 __all__ = [
     "TestResult",
@@ -99,94 +112,34 @@ def _resolve_marginals(
         ) from e
 
 
-def _count_sampler(model: ModelSpec) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """Per-sample edge-count draw, bypassing graph objects when edges are independent.
-
-    For independent-edge models the per-pair counts of a size-n sample are
-    independent Binomial(n, p_ij) variables, and the statistic depends on the
-    sample only through those counts, so drawing counts directly is
-    distributionally exact. Dependent-edge models sample actual graphs.
-    """
-    if isinstance(model, ErdosRenyi):
-        probs = np.full(num_pairs(model.v), model.p, dtype=np.float64)
-    elif isinstance(model, ModifiedErdosRenyi):
-        probs = model.pair_probabilities()
-    else:
-        def draw_graphs(n: int, rng: np.random.Generator) -> np.ndarray:
-            return model.sample(n, rng).edge_counts
-
-        return draw_graphs
-
-    def draw_counts(n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.binomial(n, probs)
-
-    return draw_counts
+# Replicates are drawn in blocks of about this many count cells (B x E).
+BLOCK_CELLS = 1 << 16
 
 
-def _run_replications(
+def _map_blocks(
     fn: Callable[[int, np.random.Generator], object],
     R: int,
+    width: int,
     rng: np.random.Generator,
     threads: int,
 ) -> list:
-    """fn(r, child_rng) for r in 0..R-1, with one spawned stream per replicate.
+    """fn(size, child_rng) for consecutive blocks covering R replicates.
 
-    The stream-to-replicate mapping is fixed before any work starts, so the
-    result list does not depend on the number of worker threads.
+    A block holds max(1, BLOCK_CELLS // width) replicates of ``width`` cells
+    each (the last block may be smaller) and draws from its own stream
+    spawned off ``rng``. Blocks and streams are fixed before any work starts,
+    and results come back in block order, so they do not depend on
+    ``threads``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    children = rng.spawn(R)
+    B = max(1, BLOCK_CELLS // width)
+    sizes = [min(B, R - lo) for lo in range(0, R, B)]
+    children = rng.spawn(len(sizes))
     if threads == 1:
-        return [fn(r, children[r]) for r in range(R)]
-    results: list = [None] * R
-    bounds = [R * t // threads for t in range(threads + 1)]
-
-    def run_chunk(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            results[r] = fn(r, children[r])
-
+        return [fn(size, child) for size, child in zip(sizes, children)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(run_chunk, bounds[t], bounds[t + 1])
-            for t in range(threads)
-        ]
-        for fut in futures:
-            fut.result()
-    return results
-
-
-class _ScaledStatistic:
-    """Statistic values as integer numerators over the fixed denominator n*den.
-
-    ``den`` is the common denominator of the null marginals, so the numerator
-    sum(|den*c_ij - n*num_ij|) is an exact integer for any count vector. A
-    vectorized int64 path is used when the worst-case numerator fits well
-    inside int64; otherwise arbitrary-precision Python integers take over.
-    """
-
-    def __init__(self, n: int, marginals: EdgeMarginals):
-        nums, den = marginals.common_ratio()
-        self.n = n
-        self.den = den
-        self.nums = nums
-        self.E = len(nums)
-        self.scaled_targets = [n * w for w in nums]
-        self.fast = n * den * self.E < 2**62
-        if self.fast:
-            self._targets_arr = np.array(self.scaled_targets, dtype=np.int64)
-
-    def numerator(self, counts: np.ndarray) -> int:
-        if self.fast:
-            scaled = self.den * counts.astype(np.int64) - self._targets_arr
-            return int(np.abs(scaled).sum())
-        return sum(
-            abs(self.den * int(c) - t)
-            for c, t in zip(counts, self.scaled_targets)
-        )
-
-    def as_fraction(self, numerator: int) -> Fraction:
-        return Fraction(numerator, self.n * self.den)
+        return list(pool.map(fn, sizes, children))
 
 
 def _quantile_index(alpha: float, R: int) -> int:
@@ -195,33 +148,22 @@ def _quantile_index(alpha: float, R: int) -> int:
     return min(max(k, 1), R)
 
 
-def _null_numerators(
-    null: ModelSpec,
-    scaler: _ScaledStatistic,
-    n: int,
-    R: int,
-    rng: np.random.Generator,
-    threads: int,
-) -> list[int]:
-    draw = _count_sampler(null)
-
-    def one(r: int, child: np.random.Generator) -> int:
-        return scaler.numerator(draw(n, child))
-
-    return _run_replications(one, R, rng, threads)
-
-
 def _critical_numerator(
     null: ModelSpec,
-    scaler: _ScaledStatistic,
+    kernel: GapKernel,
     n: int,
     alpha: float,
     R: int,
     rng: np.random.Generator,
     threads: int,
 ) -> int:
-    values = sorted(_null_numerators(null, scaler, n, R, rng, threads))
-    return values[_quantile_index(alpha, R) - 1]
+    """Order statistic ceil((1-alpha)*R) of R null numerators, in blocks."""
+    def block(size: int, child: np.random.Generator) -> np.ndarray:
+        return kernel(null.edge_count_batches(n, size, child))
+
+    values = np.concatenate(_map_blocks(block, R, num_pairs(null.v), rng, threads))
+    k = _quantile_index(alpha, R) - 1
+    return int(np.partition(values, k)[k])
 
 
 def null_quantile_mc(
@@ -248,9 +190,9 @@ def null_quantile_mc(
         raise ValueError("sample size must be >= 1")
     _check_alpha(alpha)
     marg, _ = _resolve_marginals(null, marginals)
-    scaler = _ScaledStatistic(n, marg)
-    crit = _critical_numerator(null, scaler, n, alpha, R, rng, threads)
-    return float(scaler.as_fraction(crit))
+    kernel = one_sample_kernel(n, marg)
+    crit = _critical_numerator(null, kernel, n, alpha, R, rng, threads)
+    return float(kernel.fraction(crit))
 
 
 def one_sample_test(
@@ -280,9 +222,9 @@ def one_sample_test(
     _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     stat = one_sample_statistic(s, marg)
-    scaler = _ScaledStatistic(s.n, marg)
-    crit = _critical_numerator(null, scaler, s.n, alpha, R, rng, threads)
-    crit_exact = scaler.as_fraction(crit)
+    kernel = one_sample_kernel(s.n, marg)
+    crit = _critical_numerator(null, kernel, s.n, alpha, R, rng, threads)
+    crit_exact = kernel.fraction(crit)
     return TestResult(
         method="one_sample_mc",
         statistic=stat,
@@ -331,19 +273,22 @@ def two_sample_permutation_test(
     obs_num = stat.exact.numerator * ((n * m) // stat.exact.denominator)
 
     pooled = sorted(list(s) + list(t), key=lambda g: g.bits)
-    indicators = np.vstack([g.indicator_row() for g in pooled]).astype(np.int64)
-    totals = indicators.sum(axis=0)
-
-    order = rng.permuted(np.tile(np.arange(N), (R, 1)), axis=1)
-    mask = np.zeros((R, N), dtype=np.int64)
-    np.put_along_axis(mask, order[:, :k], 1, axis=1)
-    counts_small = mask @ indicators
-    counts_big = totals[None, :] - counts_small
-    # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so these
+    indicators = np.vstack([g.indicator_row() for g in pooled]).astype(np.float64)
+    # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so their
     # numerators share the observed denominator n*m.
-    perm_nums = np.abs((N - k) * counts_small - k * counts_big).sum(axis=1)
-
-    count = int((perm_nums > obs_num).sum() if strict else (perm_nums >= obs_num).sum())
+    kernel = two_sample_kernel(k, N - k, s.edge_counts + t.edge_counts)
+    # Every partial sum of mask @ indicators is an integer <= N, exact in float64.
+    assert N < 2**53
+    B = max(1, BLOCK_CELLS // N)
+    count = 0
+    for lo in range(0, R, B):
+        # Row by row, these draws consume the stream as one (R x N) call would.
+        order = rng.permuted(np.tile(np.arange(N), (min(B, R - lo), 1)), axis=1)
+        mask = np.zeros(order.shape, dtype=np.float64)
+        np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
+        perm_nums = kernel((mask @ indicators).astype(np.int64))
+        hits = perm_nums > obs_num if strict else perm_nums >= obs_num
+        count += int(hits.sum())
     p_exact = Fraction(1 + count, 1 + R) if smoothing else Fraction(count, R)
     return TestResult(
         method="two_sample_permutation",
@@ -473,29 +418,29 @@ def power_curve(
     _check_alpha(alpha)
 
     marg, _ = _resolve_marginals(null, marginals)
-    scaler = _ScaledStatistic(n, marg)
+    kernel = one_sample_kernel(n, marg)
     streams = rng.spawn(1 + len(alternatives))
     crit = _critical_numerator(
-        null, scaler, n, alpha, R_quantile, streams[0], threads
+        null, kernel, n, alpha, R_quantile, streams[0], threads
     )
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
-    pair_idx = np.arange(scaler.E)
+    E = num_pairs(null.v)
+    pair_idx = np.arange(E)
 
     points = []
     for alt, stream in zip(alternatives, streams[1:]):
-        draw = _count_sampler(alt)
 
-        def one(r: int, child: np.random.Generator) -> tuple[bool, bool]:
-            counts = draw(n, child)
-            w_reject = scaler.numerator(counts) > crit
+        def block(size: int, child: np.random.Generator) -> tuple[int, int]:
+            counts = alt.edge_count_batches(n, size, child)
+            w_rejects = int((kernel(counts) > crit).sum())
             if bc_table is None:
-                return w_reject, False
-            return w_reject, bool(bc_table[pair_idx, counts].any())
+                return w_rejects, 0
+            return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
 
-        outcomes = _run_replications(one, M, stream, threads)
-        w_power = sum(1 for w, _ in outcomes if w) / M
+        outcomes = _map_blocks(block, M, E, stream, threads)
+        w_power = sum(w for w, _ in outcomes) / M
         bc_power = (
-            sum(1 for _, b in outcomes if b) / M if baseline_bonferroni else None
+            sum(b for _, b in outcomes) / M if baseline_bonferroni else None
         )
         points.append(
             PowerPoint(

@@ -211,6 +211,12 @@ class Ergm:
     def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
         return ergm_mh_sample(self, n, self.mcmc, rng)
 
+    def edge_count_batches(
+        self, n: int, R: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Per-pair edge counts of R samples of size n, drawn one after another (R x E)."""
+        return np.vstack([self.sample(n, rng).edge_counts for _ in range(R)])
+
     def exact_marginals(self) -> EdgeMarginals:
         return self.enumerate().edge_marginals()
 

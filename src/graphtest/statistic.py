@@ -9,13 +9,18 @@ edge frequencies (one side) and reference edge probabilities (other side).
 
 All values are computed in exact rational arithmetic so that equal statistics
 compare equal; Monte Carlo and permutation procedures rely on that to resolve
-ties deterministically.
+ties deterministically. Both closed forms are integer numerators over a fixed
+denominator, computed for whole blocks of count vectors by ``GapKernel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationRefusedError
 from .graphs import (
@@ -28,6 +33,9 @@ from .graphs import (
 
 __all__ = [
     "TestStatistic",
+    "GapKernel",
+    "one_sample_kernel",
+    "two_sample_kernel",
     "mean_distance",
     "one_sample_statistic",
     "two_sample_statistic",
@@ -62,6 +70,63 @@ class TestStatistic:
             raise ValueError("statistic cannot be negative")
 
 
+class GapKernel:
+    """Exact numerators sum_a |scale*c_a - target_a| for every row of a count block.
+
+    Counts lie in [0, max_count] and every target in [0, scale*max_count], so
+    each term is at most scale*max_count. Rows are summed in int64 when
+    scale*max_count*E < 2^62; otherwise the terms are Python integers in an
+    object array. A block with more rows than there are possible counts then
+    gathers its terms from a per-pair table of all of them, so the big-integer
+    work per row is one addition per pair.
+    """
+
+    def __init__(
+        self, scale: int, targets: Sequence[int], max_count: int, denominator: int
+    ):
+        self.scale = scale
+        self.max_count = max_count
+        self.denominator = denominator
+        self.fast = scale * max_count * len(targets) < 2**62
+        self.targets = np.array(targets, dtype=np.int64 if self.fast else object)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        support = np.arange(self.max_count + 1, dtype=object)
+        return np.abs(self.scale * support[None, :] - self.targets[:, None])
+
+    def __call__(self, counts: np.ndarray) -> np.ndarray:
+        """Numerators of a (B x E) integer count block, int64 or object, length B."""
+        if self.fast:
+            return np.abs(self.scale * counts.astype(np.int64) - self.targets).sum(axis=1)
+        if counts.shape[0] <= self.max_count:
+            terms = np.abs(self.scale * counts.astype(object) - self.targets)
+        else:
+            terms = self._table[np.arange(len(self.targets)), counts]
+        return terms.sum(axis=1)
+
+    def fraction(self, numerator) -> Fraction:
+        return Fraction(int(numerator), self.denominator)
+
+
+def one_sample_kernel(n: int, marginals: EdgeMarginals) -> GapKernel:
+    """Kernel for samples of size n: |den*c_a - n*num_a| over n*den.
+
+    ``num_a / den`` are the marginals over their common denominator.
+    """
+    nums, den = marginals.common_ratio()
+    return GapKernel(den, [n * w for w in nums], n, n * den)
+
+
+def two_sample_kernel(n: int, m: int, totals: Sequence[int]) -> GapKernel:
+    """Kernel for the size-n side's counts a, given totals a+b: |m*a - n*b| over n*m.
+
+    |m*a - n*b| = |N*a - n*(a+b)| with N = n+m, so the numerator depends on
+    one side's counts only.
+    """
+    return GapKernel(n + m, [n * int(t) for t in totals], n, n * m)
+
+
 def _check_marginal_dims(sample: GraphSample, marginals: EdgeMarginals) -> None:
     if sample.v != marginals.v:
         raise DimensionMismatchError(
@@ -90,11 +155,8 @@ def one_sample_statistic(
     """
     _check_marginal_dims(sample, null_marginals)
     n = sample.n
-    counts = sample.edge_counts
-    exact = sum(
-        abs(Fraction(int(c), n) - p)
-        for c, p in zip(counts, null_marginals.fractions)
-    )
+    kernel = one_sample_kernel(n, null_marginals)
+    exact = kernel.fraction(kernel(sample.edge_counts[None, :])[0])
     return TestStatistic(
         value=float(exact),
         exact=exact,
@@ -113,11 +175,8 @@ def two_sample_statistic(s: GraphSample, t: GraphSample) -> TestStatistic:
             f"samples have v={s.v} and v={t.v}"
         )
     n, m = s.n, t.n
-    numerator = sum(
-        abs(m * int(a) - n * int(b))
-        for a, b in zip(s.edge_counts, t.edge_counts)
-    )
-    exact = Fraction(numerator, n * m)
+    kernel = two_sample_kernel(n, m, s.edge_counts + t.edge_counts)
+    exact = kernel.fraction(kernel(s.edge_counts[None, :])[0])
     return TestStatistic(
         value=float(exact),
         exact=exact,

@@ -5,10 +5,13 @@ vertices, triples and whole graph spaces, exact Fraction arithmetic. None of
 it shares code paths with the package.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import scipy.stats
 
 from graphtest import Graph, GraphSample, canonical_pairs, num_pairs
 
@@ -94,6 +97,95 @@ def literal_two_sample_max(s: GraphSample, t: GraphSample) -> Fraction:
         if abs(gap) > best:
             best = abs(gap)
     return best
+
+
+def fraction_one_sample(counts, n: int, probs) -> Fraction:
+    """Closed-form one-sample statistic sum |c/n - p| from per-pair counts."""
+    return sum(
+        (abs(Fraction(int(c), n) - p) for c, p in zip(counts, probs)), Fraction(0)
+    )
+
+
+def fraction_two_sample(a, n: int, b, m: int) -> Fraction:
+    """Closed-form two-sample statistic sum |a/n - b/m| from per-pair counts."""
+    return sum(
+        (abs(Fraction(int(x), n) - Fraction(int(y), m)) for x, y in zip(a, b)),
+        Fraction(0),
+    )
+
+
+def all_at_once_permutation_p(
+    s: GraphSample,
+    t: GraphSample,
+    R: int,
+    rng: np.random.Generator,
+    *,
+    strict: bool = False,
+    smoothing: bool = False,
+) -> float:
+    """Permutation p-value with all R permutations drawn by one (R x N) call.
+
+    The pooled graphs are sorted by edge bitset, the first min(n, m) entries
+    of each permuted row form the smaller pseudo-sample, and its per-pair
+    counts come from an int64 (R x N) mask product.
+    """
+    n, m = s.n, t.n
+    N, k = n + m, min(n, m)
+    pairs = canonical_pairs(s.v)
+    pooled = sorted(list(s) + list(t), key=lambda g: g.bits)
+    indicators = np.array(
+        [[int(g.has_edge(i, j)) for i, j in pairs] for g in pooled], dtype=np.int64
+    )
+    a = [sum(int(g.has_edge(i, j)) for g in s) for i, j in pairs]
+    b = [sum(int(g.has_edge(i, j)) for g in t) for i, j in pairs]
+    obs = int(fraction_two_sample(a, n, b, m) * (n * m))
+    order = rng.permuted(np.tile(np.arange(N), (R, 1)), axis=1)
+    mask = np.zeros((R, N), dtype=np.int64)
+    np.put_along_axis(mask, order[:, :k], 1, axis=1)
+    small = mask @ indicators
+    big = indicators.sum(axis=0)[None, :] - small
+    nums = np.abs((N - k) * small - k * big).sum(axis=1)
+    count = int((nums > obs).sum() if strict else (nums >= obs).sum())
+    return float(Fraction(1 + count, 1 + R) if smoothing else Fraction(count, R))
+
+
+def er_half_scaled_null(n: int, E: int) -> Counter:
+    """Exact law of the sum of E i.i.d. |2X - n|, X ~ Bin(n, 1/2).
+
+    That sum is the one-sample statistic of n graphs against ER(1/2), scaled
+    by 2n. Returns integer weights over the total 2^(n*E).
+    """
+    term = Counter()
+    for x in range(n + 1):
+        term[abs(2 * x - n)] += math.comb(n, x)
+    law = Counter({0: 1})
+    for _ in range(E):
+        out = Counter()
+        for s, w in law.items():
+            for t, u in term.items():
+                out[s + t] += w * u
+        law = out
+    return law
+
+
+def order_statistic_interval(
+    law: Counter, alpha: float, R: int, eps: float = 1e-6
+) -> tuple[int, int]:
+    """Atoms bounding the ceil((1-alpha)R)-th smallest of R i.i.d. draws from law.
+
+    The order statistic lies below ``lo`` or above ``hi`` with probability at
+    most eps each: P(X_(k) <= s) = P(Bin(R, F(s)) >= k).
+    """
+    k = min(max(math.ceil((1 - Fraction(alpha)) * R), 1), R)
+    total = sum(law.values())
+    running = 0
+    below = []
+    for s in sorted(law):
+        running += law[s]
+        below.append((s, scipy.stats.binom.sf(k - 1, R, running / total)))
+    lo = next(s for s, P in below if P > eps)
+    hi = next(s for s, P in below if P >= 1 - eps)
+    return lo, hi
 
 
 def rank_with_ties(values) -> list[Fraction]:

@@ -1,6 +1,7 @@
 """Monte Carlo quantile, permutation, binomial and power machinery."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,14 @@ from graphtest import (
     power_curve,
     sample_er,
     two_sample_permutation_test,
+)
+from graphtest.inference import BLOCK_CELLS
+
+from oracles import (
+    all_at_once_permutation_p,
+    er_half_scaled_null,
+    fraction_one_sample,
+    order_statistic_interval,
 )
 
 TestResult.__test__ = False
@@ -200,6 +209,127 @@ class TestPermutationTest:
             two_sample_permutation_test(
                 s, GraphSample([Graph.empty(5)] * 5), R=200, rng=rng
             )
+
+
+class TestPermutationBlocks:
+    def test_blocked_draws_consume_the_stream_like_one_call(self, rng_factory):
+        R, N, B = 23, 17, 5
+        whole = rng_factory(3).permuted(np.tile(np.arange(N), (R, 1)), axis=1)
+        rng = rng_factory(3)
+        blocks = [
+            rng.permuted(np.tile(np.arange(N), (min(B, R - lo), 1)), axis=1)
+            for lo in range(0, R, B)
+        ]
+        assert np.array_equal(np.vstack(blocks), whole)
+
+    # n + m = 400 pooled graphs put 65536 // 400 = 163 permutations in a
+    # block, so R = 500 spans four blocks; 12 + 15 fits R in one.
+    @pytest.mark.parametrize("n,m,R", [(12, 15, 300), (150, 250, 500)])
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_p_values_match_the_all_at_once_int64_formula(
+        self, rng_factory, n, m, R, strict, smoothing
+    ):
+        for seed in range(4):
+            s = sample_er(6, 0.5, n, rng_factory(100 + seed))
+            t = sample_er(6, 0.55, m, rng_factory(200 + seed))
+            result = two_sample_permutation_test(
+                s, t, R=R, rng=rng_factory(seed), strict=strict, smoothing=smoothing
+            )
+            expected = all_at_once_permutation_p(
+                s, t, R, rng_factory(seed), strict=strict, smoothing=smoothing
+            )
+            assert result.p_value == expected
+
+
+class TestReplicateBlocks:
+    # v=40 has E=780 pairs, so a block holds 65536 // 780 = 84 replicates.
+    V = 40
+    B = 84
+
+    def test_block_size(self):
+        assert max(1, BLOCK_CELLS // num_pairs(self.V)) == self.B
+
+    # Replicate counts must be >= 100, so 2B and 2B+1 stand in for B and B+1:
+    # whole blocks only, then a last block of one replicate. The binary float
+    # 0.3 puts the numerators on the Python-integer path.
+    @pytest.mark.parametrize("R", [300, 2 * B, 2 * B + 1])
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_one_sample_test_does_not_depend_on_threads(self, rng_factory, R, p):
+        s = sample_er(self.V, p, 10, rng_factory(1))
+        null = ErdosRenyi(self.V, p)
+        a = one_sample_test(s, null, R=R, rng=rng_factory(2), threads=1)
+        b = one_sample_test(s, null, R=R, rng=rng_factory(2), threads=3)
+        assert a == b
+
+    @pytest.mark.parametrize("M", [300, 2 * B, 2 * B + 1])
+    def test_power_curve_does_not_depend_on_threads(self, rng_factory, M):
+        null = ErdosRenyi(self.V, 0.5)
+        alts = [
+            ErdosRenyi(self.V, 0.53),
+            ModifiedErdosRenyi(self.V, 0.5, 0.8, frozenset({(0, 1), (5, 9)})),
+        ]
+        a = power_curve(
+            null, alts, n=10, M=M, R_quantile=M, rng=rng_factory(5),
+            baseline_bonferroni=True, threads=1,
+        )
+        b = power_curve(
+            null, alts, n=10, M=M, R_quantile=M, rng=rng_factory(5),
+            baseline_bonferroni=True, threads=3,
+        )
+        assert a == b
+
+    def test_critical_value_is_the_order_statistic_of_the_blocks(self, rng_factory):
+        # Block b draws its (size x E) counts from the b-th spawned stream.
+        null = ErdosRenyi(self.V, 0.5)
+        n, R, alpha = 10, 200, 0.1
+        children = rng_factory(7).spawn(3)
+        counts = np.vstack([
+            null.edge_count_batches(n, size, child)
+            for size, child in zip((self.B, self.B, R - 2 * self.B), children)
+        ])
+        marginals = null.exact_marginals().fractions
+        stats = sorted(fraction_one_sample(row, n, marginals) for row in counts)
+        expected = stats[math.ceil((1 - Fraction(alpha)) * R) - 1]
+        got = null_quantile_mc(null, n, alpha, R, rng_factory(7))
+        assert got == float(expected)
+
+    def test_critical_value_lies_in_the_exact_null_interval(self, rng_factory):
+        # n*2*W under ER(1/2) is a sum of 45 i.i.d. |2*Bin(20, 1/2) - 20|.
+        crit = null_quantile_mc(ErdosRenyi(10, 0.5), 20, 0.05, 10_000, rng_factory(43))
+        lo, hi = order_statistic_interval(er_half_scaled_null(20, 45), 0.05, 10_000)
+        scaled = crit * 40
+        assert scaled == round(scaled)
+        assert lo <= scaled <= hi
+
+
+class TestMemoryBound:
+    LIMIT = 16 * 2**20
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_null_quantile(self, rng):
+        # All 20 000 x 780 counts at once would take 125 MB as int64.
+        peak = self.traced_peak(
+            lambda: null_quantile_mc(ErdosRenyi(40, 0.5), 50, 0.05, 20_000, rng)
+        )
+        assert peak < self.LIMIT
+
+    def test_permutation_test(self, rng):
+        # The whole 2000 x 2000 permutation mask would take 32 MB as int64.
+        s = sample_er(10, 0.5, 1000, rng)
+        t = sample_er(10, 0.5, 1000, rng)
+        peak = self.traced_peak(
+            lambda: two_sample_permutation_test(s, t, R=2000, rng=rng)
+        )
+        assert peak < self.LIMIT
 
 
 class TestBinomialPValue:

@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtest import (
     BRUTE_FORCE_MAX_V,
+    EDGE_TRIANGLE,
     DimensionMismatchError,
     EdgeMarginals,
     EnumerationRefusedError,
+    Ergm,
     Graph,
     GraphSample,
     TestStatistic,
@@ -26,8 +29,11 @@ from graphtest import (
     two_sample_brute_force,
     two_sample_statistic,
 )
+from graphtest.statistic import one_sample_kernel, two_sample_kernel
 
 from oracles import (
+    fraction_one_sample,
+    fraction_two_sample,
     literal_one_sample_max,
     literal_two_sample_max,
     random_graph,
@@ -171,6 +177,81 @@ class TestTwoSampleStatistic:
     def test_rejects_mixed_vertex_counts(self, rng):
         with pytest.raises(DimensionMismatchError):
             two_sample_statistic(random_sample(rng, 3, 2), random_sample(rng, 4, 2))
+
+
+class TestGapKernel:
+    """Block numerators against the Fraction closed forms, on both integer paths."""
+
+    @staticmethod
+    def check_one_sample(counts, n, marginals):
+        kernel = one_sample_kernel(n, marginals)
+        nums = kernel(counts)
+        assert len(nums) == len(counts)
+        for row, num in zip(counts, nums):
+            assert kernel.fraction(num) == fraction_one_sample(
+                row, n, marginals.fractions
+            )
+        return kernel
+
+    # int64 holds the numerators while den*n*E < 2^62: the binary floats
+    # 0.3 and 0.1 have den 2^54 and 2^55, so n*E >= 256 forces Python integers.
+    @pytest.mark.parametrize(
+        "marginals,n,fast",
+        [
+            (EdgeMarginals(4, [Fraction(k, 12) for k in (0, 1, 5, 6, 11, 12)]), 5, True),
+            (EdgeMarginals.constant(4, 0.3), 45, False),
+            (EdgeMarginals(4, [0.1, 0.3, 0.7, 1 / 3, 0.5, 0.9]), 45, False),
+        ],
+        ids=["den12", "float0.3", "mixed-floats"],
+    )
+    def test_one_sample_matches_literal_maximization(self, rng, marginals, n, fast):
+        samples = [random_sample(rng, 4, n) for _ in range(6)]
+        counts = np.vstack([s.edge_counts for s in samples])
+        kernel = self.check_one_sample(counts, n, marginals)
+        assert kernel.fast == fast
+        for sample, num in zip(samples, kernel(counts)):
+            assert kernel.fraction(num) == literal_one_sample_max(sample, marginals)
+
+    # Blocks with more rows than the n+1 possible counts gather their big
+    # integer terms from a table; smaller blocks compute them directly.
+    @pytest.mark.parametrize("rows", [1, 3, 80])
+    def test_one_sample_paths_on_random_blocks(self, rng, rows):
+        v, n = 7, 50
+        E = num_pairs(v)
+        counts = rng.integers(0, n + 1, size=(rows, E))
+        small = EdgeMarginals(v, random_marginals(rng, v))
+        assert self.check_one_sample(counts, n, small).fast
+        floats = EdgeMarginals(v, list(rng.random(E)))
+        assert not self.check_one_sample(counts, n, floats).fast
+
+    @pytest.mark.parametrize("rows", [1, 80])
+    def test_one_sample_ergm_enumerated_marginals(self, rng, rows):
+        marginals = Ergm(5, EDGE_TRIANGLE, (0.3, -0.2)).exact_marginals()
+        n = 60
+        counts = rng.integers(0, n + 1, size=(rows, num_pairs(5)))
+        assert not self.check_one_sample(counts, n, marginals).fast
+
+    def test_two_sample_matches_literal_maximization(self, rng):
+        for n, m in ((3, 5), (6, 6), (1, 8)):
+            s = random_sample(rng, 4, n)
+            t = random_sample(rng, 4, m)
+            kernel = two_sample_kernel(n, m, s.edge_counts + t.edge_counts)
+            (num,) = kernel(s.edge_counts[None, :])
+            exact = kernel.fraction(num)
+            assert exact == fraction_two_sample(s.edge_counts, n, t.edge_counts, m)
+            assert exact == literal_two_sample_max(s, t)
+
+    def test_two_sample_block_of_splits(self, rng):
+        # Re-partitions of one pooled sample share the totals, as permutations do.
+        pooled = random_sample(rng, 5, 13)
+        rows = pooled.indicator_matrix().astype(np.int64)
+        totals = rows.sum(axis=0)
+        n, m = 5, 8
+        splits = [rng.permutation(13)[:n] for _ in range(30)]
+        counts = np.vstack([rows[idx].sum(axis=0) for idx in splits])
+        kernel = two_sample_kernel(n, m, totals)
+        for a, num in zip(counts, kernel(counts)):
+            assert kernel.fraction(num) == fraction_two_sample(a, n, totals - a, m)
 
 
 class TestExtremalGraphs:

@@ -24,10 +24,12 @@ consumes it exactly as one draw of all R rows would.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -368,17 +370,25 @@ def bonferroni_edge_test(
 
 
 def _bc_reject_table(n: int, marginals: EdgeMarginals, alpha: float) -> np.ndarray:
-    """Boolean (E, n+1) lookup: does count k at pair a reject at level alpha/E."""
-    E = num_pairs(marginals.v)
-    threshold = Fraction(alpha) / E
-    table = np.zeros((E, n + 1), dtype=bool)
-    for a, p0 in enumerate(marginals.fractions):
+    """Boolean (E, n+1) lookup: does count k at pair a reject at level alpha/E.
+
+    Pairs that share a null probability share one row. The p-value of count
+    k sums the outcome weights no larger than w_k, which is a running sum of
+    the sorted weights; it rejects when that sum over the total is at most
+    alpha/E.
+    """
+    threshold = Fraction(alpha) / num_pairs(marginals.v)
+    rows = {}
+    for p0 in set(marginals.fractions):
         weights, total = _binom_weights(n, p0)
-        for k in range(n + 1):
-            w_k = weights[k]
-            tail = sum(w for w in weights if w <= w_k)
-            table[a, k] = Fraction(tail, total) <= threshold
-    return table
+        ordered = sorted(weights)
+        tails = list(accumulate(ordered))
+        rows[p0] = [
+            tails[bisect_right(ordered, w) - 1] * threshold.denominator
+            <= threshold.numerator * total
+            for w in weights
+        ]
+    return np.array([rows[p0] for p0 in marginals.fractions], dtype=bool)
 
 
 def power_curve(

@@ -10,6 +10,14 @@ Three families are provided:
   to ENUMERATION_MAX_V vertices; beyond that a single-edge-flip
   Metropolis-Hastings chain draws approximate samples.
 
+Every model draws the per-pair edge counts of R independent samples at once
+with ``edge_count_batches``. For ``Ergm`` that runs one chain per sample, and
+all R chains advance together: each proposal step is a handful of NumPy
+operations over the R chains, whose graphs are held as uint64 neighbour
+bitmasks. A flip is accepted when its uniform falls below a threshold table
+built once with ``math.exp``, so every chain makes exactly the decisions of
+the scalar sampler ``ergm_mh_sample`` given the same draws.
+
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
 Parameter values quoted for conventions that count ordered triples differ by
@@ -21,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,6 +70,9 @@ EDGE_TWO_STAR = "edge_two_star"
 
 # Exact enumeration visits 2^E graphs; v=6 means 2^15 = 32768.
 ENUMERATION_MAX_V = 6
+
+# Metropolis-Hastings proposals are drawn about this many at a time.
+MH_BLOCK_CELLS = 1 << 16
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -214,8 +226,13 @@ class Ergm:
     def edge_count_batches(
         self, n: int, R: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-pair edge counts of R samples of size n, drawn one after another (R x E)."""
-        return np.vstack([self.sample(n, rng).edge_counts for _ in range(R)])
+        """Per-pair edge counts of R samples of size n, one MH chain each (R x E).
+
+        The R chains run in lockstep; see ``_mh_lockstep_edge_counts``.
+        """
+        if n < 1:
+            raise ValueError("sample size must be >= 1")
+        return _mh_lockstep_edge_counts(self, n, R, rng)
 
     def exact_marginals(self) -> EdgeMarginals:
         return self.enumerate().edge_marginals()
@@ -286,14 +303,26 @@ def ergm_log_weight(g: Graph, spec: Ergm) -> float:
     return t1 * g.edge_count() + t2 * extra
 
 
-def _enumeration_tables(v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_e, n_t, n_s) for every edge bitset 0..2^E-1, in code order."""
+@lru_cache(maxsize=1)
+def _code_bits(v: int) -> np.ndarray:
+    """Read-only float64 (2^E x E) matrix: bit a of every edge bitset, in code order.
+
+    Enumeration, marginals and density of one model share it; only the last
+    vertex count is kept, because the matrix grows as E * 2^E.
+    """
     E = num_pairs(v)
     codes = np.arange(1 << E, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(E)[None, :]) & 1
+    bits = ((codes[:, None] >> np.arange(E)[None, :]) & 1).astype(np.float64)
+    bits.flags.writeable = False
+    return bits
+
+
+def _enumeration_tables(v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_e, n_t, n_s) for every edge bitset 0..2^E-1, in code order (float64)."""
+    bits = _code_bits(v)
     n_e = bits.sum(axis=1)
 
-    n_t = np.zeros(len(codes), dtype=np.int64)
+    n_t = np.zeros(len(bits))
     for i in range(v):
         for j in range(i + 1, v):
             for k in range(j + 1, v):
@@ -302,11 +331,11 @@ def _enumeration_tables(v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 c = pair_index(v, i, k)
                 n_t += bits[:, a] * bits[:, b] * bits[:, c]
 
-    degrees = np.zeros((len(codes), v), dtype=np.int64)
+    degrees = np.zeros((len(bits), v))
     for idx, (i, j) in enumerate(canonical_pairs(v)):
         degrees[:, i] += bits[:, idx]
         degrees[:, j] += bits[:, idx]
-    n_s = (degrees * (degrees - 1) // 2).sum(axis=1)
+    n_s = (degrees * (degrees - 1) / 2).sum(axis=1)
     return n_e, n_t, n_s
 
 
@@ -332,24 +361,15 @@ class ExactDistribution:
             raise ValueError(f"graph has v={g.v} but distribution has v={self.v}")
         return float(self.probabilities[g.bits])
 
-    def _bit_matrix(self) -> np.ndarray:
-        if not hasattr(self, "_bits"):
-            E = num_pairs(self.v)
-            codes = np.arange(1 << E, dtype=np.int64)
-            self._bits = ((codes[:, None] >> np.arange(E)[None, :]) & 1).astype(
-                np.float64
-            )
-        return self._bits
-
     def edge_marginals(self) -> EdgeMarginals:
-        marg = self.probabilities @ self._bit_matrix()
+        marg = self.probabilities @ _code_bits(self.v)
         # Round-off can push a probability a hair outside [0, 1].
         marg = np.clip(marg, 0.0, 1.0)
         return EdgeMarginals(self.v, list(marg))
 
     def edge_density(self) -> float:
         E = num_pairs(self.v)
-        n_e = self._bit_matrix().sum(axis=1)
+        n_e = _code_bits(self.v).sum(axis=1)
         return float(self.probabilities @ n_e) / E
 
     def top_graphs(self, k: int) -> list[Graph]:
@@ -378,6 +398,27 @@ def ergm_enumerate(spec: Ergm) -> ExactDistribution:
     return ExactDistribution(spec.v, probs)
 
 
+def _mh_thresholds(spec: Ergm) -> list[list[float]]:
+    """Acceptance thresholds T[present][change] of a single-edge flip.
+
+    ``present`` is 1 when the flip removes an edge, and ``change`` is the
+    number of triangles (common neighbours) or two-stars (other endpoint
+    degrees) the edge takes part in. A flip is accepted when its uniform u
+    satisfies u < T: entries are exp(delta) of the log-ratio delta, computed
+    with ``math.exp``, and 2.0 where delta >= 0, so those flips always pass.
+    """
+    t1, t2 = spec.theta
+    top = spec.v - 2 if spec.stats == EDGE_TRIANGLE else 2 * (spec.v - 2)
+
+    def threshold(delta: float) -> float:
+        return 2.0 if delta >= 0 else math.exp(delta)
+
+    return [
+        [threshold(t1 + t2 * c) for c in range(top + 1)],
+        [threshold(-t1 - t2 * c) for c in range(top + 1)],
+    ]
+
+
 def ergm_mh_sample(
     spec: Ergm,
     n: int,
@@ -398,8 +439,8 @@ def ergm_mh_sample(
     v = spec.v
     E = num_pairs(v)
     pairs = canonical_pairs(v)
-    t1, t2 = spec.theta
     triangles = spec.stats == EDGE_TRIANGLE
+    T = _mh_thresholds(spec)
 
     bits = 0
     adj = [0] * v
@@ -407,48 +448,108 @@ def ergm_mh_sample(
 
     retained: list[Graph] = []
     total_sweeps = mcmc.burn_in + n * mcmc.thinning
-    # Pre-draw proposal slots and uniforms in blocks; consumption order is
-    # fixed, so results do not depend on block size.
-    block_sweeps = max(1, 65536 // E)
+    # Proposal slots and uniforms are drawn a block of sweeps at a time, all
+    # slots of a block before its uniforms, so the draws a chain sees depend
+    # on the block size.
+    block_sweeps = max(1, MH_BLOCK_CELLS // E)
 
     sweep = 0
     while sweep < total_sweeps:
         todo = min(block_sweeps, total_sweeps - sweep)
         slots = rng.integers(0, E, size=todo * E)
         unif = rng.random(todo * E)
-        pos = 0
-        for _ in range(todo):
-            for _ in range(E):
-                a = int(slots[pos])
-                u = unif[pos]
-                pos += 1
+        for lo in range(0, todo * E, E):
+            for a, u in zip(slots[lo:lo + E].tolist(), unif[lo:lo + E].tolist()):
                 i, j = pairs[a]
                 present = bits >> a & 1
                 if triangles:
                     change = (adj[i] & adj[j]).bit_count()
                 else:
-                    change = deg[i] + deg[j] - (2 if present else 0)
-                if present:
-                    delta = -t1 - t2 * change
-                else:
-                    delta = t1 + t2 * change
-                if delta >= 0 or u < math.exp(delta):
+                    change = deg[i] + deg[j] - 2 * present
+                if u < T[present][change]:
                     bits ^= 1 << a
-                    if present:
-                        adj[i] &= ~(1 << j)
-                        adj[j] &= ~(1 << i)
-                        deg[i] -= 1
-                        deg[j] -= 1
-                    else:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-                        deg[i] += 1
-                        deg[j] += 1
+                    adj[i] ^= 1 << j
+                    adj[j] ^= 1 << i
+                    step = 1 - 2 * present
+                    deg[i] += step
+                    deg[j] += step
             sweep += 1
             if sweep > mcmc.burn_in:
                 if (sweep - mcmc.burn_in) % mcmc.thinning == 0:
                     retained.append(Graph(v, bits))
     return GraphSample(retained[:n])
+
+
+def _mh_lockstep_edge_counts(
+    spec: Ergm, n: int, R: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-pair edge counts of n draws from each of R chains run in lockstep (R x E).
+
+    Every chain is the chain of ``ergm_mh_sample`` with the model's schedule,
+    and all R take their proposal steps together as NumPy operations. Each
+    chunk of k = max(1, MH_BLOCK_CELLS // (E*R)) sweeps draws a (k*E x R)
+    array of slots, then one of uniforms; chain c takes column c, row by row.
+    With R = 1 that is the scalar sampler's draw order, so its counts are
+    those of ``ergm_mh_sample``.
+
+    A chain's graph is held as neighbour bitmasks of ceil(v/64) uint64 words
+    per vertex; the flip of pair (i, j) toggles bit j of mask i and bit i of
+    mask j. Common neighbours and degrees are popcounts of those masks.
+    """
+    v, E = spec.v, num_pairs(spec.v)
+    mcmc = spec.mcmc
+    pair_i, pair_j = np.array(canonical_pairs(v), dtype=np.intp).T
+    # T[present, change] flattened; key = present*stride + change.
+    T = np.array(_mh_thresholds(spec))
+    stride = T.shape[1]
+    triangles = spec.stats == EDGE_TRIANGLE
+    # Two-stars: change = deg_i + deg_j - 2*present.
+    present_weight = np.intp(stride if triangles else stride - 2)
+    T = T.ravel()
+    one = np.uint64(1)
+    # Word w of vertex x's mask in chain c is masks[w, c*v + x].
+    masks = np.zeros((-(-v // 64), R * v), dtype=np.uint64)
+    flat = masks.reshape(-1)
+    rows = np.arange(R, dtype=np.intp) * v
+    # Word and bit of every pair in its first endpoint's mask, for the tally.
+    tally_words = (pair_j // 64) * (R * v) + (rows[:, None] + pair_i)
+    tally_bits = one << (pair_j % 64).astype(np.uint64)
+    counts = np.zeros((R, E), dtype=np.int64)
+    accept = np.zeros(R, dtype=np.uint64)
+
+    total_sweeps = mcmc.burn_in + n * mcmc.thinning
+    chunk_sweeps = max(1, MH_BLOCK_CELLS // (E * R))
+    sweep = 0
+    while sweep < total_sweeps:
+        todo = min(chunk_sweeps, total_sweeps - sweep)
+        slots = rng.integers(0, E, size=(todo * E, R))
+        unif = rng.random((todo * E, R))
+        for lo in range(0, todo * E, E):
+            i, j = pair_i[slots[lo:lo + E]], pair_j[slots[lo:lo + E]]
+            # Per step (2 x R): the rows of both endpoints, the word of each
+            # endpoint's mask that holds the other endpoint, and its bit there.
+            ends = np.stack((rows + i, rows + j), axis=1)
+            words = np.stack((j // 64, i // 64), axis=1) * (R * v) + ends
+            bits = one << (np.stack((j, i), axis=1) % 64).astype(np.uint64)
+            for end, word, bit, u in zip(ends, words, bits, unif[lo:lo + E]):
+                held = flat.take(word)
+                key = np.bitwise_count(held[0] & bit[0]) * present_weight
+                for m in masks:
+                    pair = m.take(end)
+                    if triangles:
+                        key += np.bitwise_count(pair[0] & pair[1])
+                    else:
+                        degrees = np.bitwise_count(pair)
+                        key += degrees[0]
+                        key += degrees[1]
+                np.less(u, T.take(key), out=accept)
+                held ^= bit * accept
+                flat[word] = held
+            sweep += 1
+            if sweep > mcmc.burn_in:
+                if (sweep - mcmc.burn_in) % mcmc.thinning == 0:
+                    counts += np.bitwise_count(flat.take(tally_words) & tally_bits)
+    return counts
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,74 @@ def order_statistic_interval(
     return lo, hi
 
 
+def lockstep_mh_counts(
+    v: int,
+    triangles: bool,
+    theta,
+    burn_in: int,
+    thinning: int,
+    n: int,
+    R: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-pair edge counts of n draws from each of R single-edge-flip MH chains.
+
+    The draws come in chunks of k = max(1, 2^16 // (E*R)) sweeps: one
+    (k*E x R) array of proposal slots, then one of uniforms. Chain c makes
+    its t-th proposal of a chunk from row t of column c. Every chain starts
+    empty, keeps its graph as neighbour sets, and accepts a flip when the
+    change delta in theta1*edges + theta2*(triangles or two-stars) has
+    delta >= 0 or u < exp(delta). A draw is kept every ``thinning`` sweeps
+    after ``burn_in`` sweeps.
+    """
+    pairs = list(combinations(range(v), 2))
+    E = len(pairs)
+    t1, t2 = theta
+    nbrs = [[set() for _ in range(v)] for _ in range(R)]
+    counts = np.zeros((R, E), dtype=np.int64)
+    total = burn_in + n * thinning
+    k = max(1, 65536 // (E * R))
+    sweep = 0
+    while sweep < total:
+        todo = min(k, total - sweep)
+        slots = rng.integers(0, E, size=(todo * E, R))
+        unif = rng.random((todo * E, R))
+        for s in range(todo):
+            for t in range(s * E, (s + 1) * E):
+                for c in range(R):
+                    i, j = pairs[slots[t, c]]
+                    nb = nbrs[c]
+                    present = j in nb[i]
+                    if triangles:
+                        change = len(nb[i] & nb[j])
+                    else:
+                        change = len(nb[i] - {j}) + len(nb[j] - {i})
+                    delta = -t1 - t2 * change if present else t1 + t2 * change
+                    if delta >= 0 or unif[t, c] < math.exp(delta):
+                        nb[i].symmetric_difference_update({j})
+                        nb[j].symmetric_difference_update({i})
+            sweep += 1
+            if sweep > burn_in and (sweep - burn_in) % thinning == 0:
+                for c in range(R):
+                    for a, (i, j) in enumerate(pairs):
+                        counts[c, a] += j in nbrs[c][i]
+    return counts
+
+
+def bonferroni_reject_row(n: int, p0: Fraction, alpha, E: int) -> list[bool]:
+    """Per-count Bonferroni decisions for one pair, from the binomial pmf.
+
+    Count k rejects when the summed probability of every outcome no more
+    likely than k is at most alpha/E.
+    """
+    pmf = [math.comb(n, x) * p0**x * (1 - p0) ** (n - x) for x in range(n + 1)]
+    threshold = Fraction(alpha) / E
+    return [
+        sum((q for q in pmf if q <= pmf[k]), Fraction(0)) <= threshold
+        for k in range(n + 1)
+    ]
+
+
 def rank_with_ties(values) -> list[Fraction]:
     """Average ranks, 1-based, computed by sorting and grouping."""
     order = sorted(range(len(values)), key=lambda k: values[k])

@@ -180,6 +180,24 @@ class TestTestCommand:
         assert outs[0] == outs[1]
 
 
+    def test_threads_do_not_change_the_ergm_null_csv(self, tmp_path):
+        # v=6 has E=15 pairs, so a block holds 65536 // 15 = 4369 chains and
+        # 2*4369 + 1 replicates take three blocks.
+        sample = tmp_path / "s.txt"
+        write_complete_sample(sample, v=6, n=3)
+        outs = []
+        for threads, name in ((1, "a.csv"), (3, "b.csv")):
+            out = tmp_path / name
+            assert run(
+                "test", "--sample", str(sample), "--null", "ergm",
+                "--stats", "edge-triangle", "--theta1", "0.1", "--theta2", "-0.2",
+                "--burn-in", "1", "--thinning", "1",
+                "--replications", str(2 * 4369 + 1), "--seed", "23",
+                "--threads", str(threads), "--out", str(out),
+            ) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 class TestPowerCommand:
     def test_curve_csv_schema(self, tmp_path, capsys):
         out = tmp_path / "power.csv"

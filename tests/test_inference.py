@@ -31,10 +31,11 @@ from graphtest import (
     sample_er,
     two_sample_permutation_test,
 )
-from graphtest.inference import BLOCK_CELLS
+from graphtest.inference import BLOCK_CELLS, _bc_reject_table
 
 from oracles import (
     all_at_once_permutation_p,
+    bonferroni_reject_row,
     er_half_scaled_null,
     fraction_one_sample,
     order_statistic_interval,
@@ -409,6 +410,20 @@ class TestBonferroniEdgeTest:
         s = sample_er(4, 0.5, 5, rng)
         with pytest.raises(DimensionMismatchError):
             bonferroni_edge_test(s, er_marginals(5, 0.5))
+
+    @pytest.mark.parametrize("n, alpha", [(12, 0.05), (25, 0.3)])
+    def test_reject_table_matches_per_pair_formula(self, n, alpha):
+        # Repeated values share a row; 0.3 is a binary float, 0 and 1 have
+        # one-point nulls.
+        values = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), 0.3,
+                  Fraction(0), Fraction(1), Fraction(1, 3), Fraction(7, 10),
+                  0.3, Fraction(1, 2)]
+        marg = EdgeMarginals(5, values)
+        table = _bc_reject_table(n, marg, alpha)
+        expected = [bonferroni_reject_row(n, p0, alpha, 10) for p0 in marg.fractions]
+        assert table.dtype == bool
+        assert table.tolist() == expected
+        assert table.any() and not table.all()
 
 
 class TestPowerCurve:

@@ -29,7 +29,12 @@ from graphtest import (
     select_modified_pairs,
 )
 
-from oracles import naive_triangle_count, naive_two_star_count, random_graph
+from oracles import (
+    lockstep_mh_counts,
+    naive_triangle_count,
+    naive_two_star_count,
+    random_graph,
+)
 
 
 def logistic(x):
@@ -279,6 +284,63 @@ class TestMcmcSampler:
     def test_model_default_config_used_by_sample(self, rng):
         spec = Ergm(4, EDGE_TRIANGLE, (0.0, 0.0), McmcConfig(burn_in=10, thinning=1))
         assert len(spec.sample(25, rng)) == 25
+
+
+class TestLockstepChains:
+    """``Ergm.edge_count_batches`` runs R chains together; check each one."""
+
+    THETAS = [(0.3, 0.25), (-0.4, -0.5), (0.2, -800.0)]
+
+    def check_against_oracle(self, v, stats, theta, schedule, n, R, seed):
+        spec = Ergm(v, stats, theta, McmcConfig(*schedule))
+        rng = np.random.default_rng(seed)
+        counts = spec.edge_count_batches(n, R, rng)
+        oracle_rng = np.random.default_rng(seed)
+        expected = lockstep_mh_counts(
+            v, stats == EDGE_TRIANGLE, theta, *schedule, n, R, oracle_rng
+        )
+        assert counts.shape == (R, num_pairs(v))
+        assert np.array_equal(counts, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        return counts
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_chunk_matches_oracle(self, stats, theta, seed):
+        self.check_against_oracle(6, stats, theta, (7, 2), 5, 7, seed)
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_several_chunks_match_oracle(self, stats, theta):
+        # E*R = 28*300 puts 65536 // 8400 = 7 sweeps in a chunk; the 5 + 3*3
+        # sweeps take two chunks.
+        self.check_against_oracle(8, stats, theta, (5, 3), 3, 300, 11)
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    def test_two_words_per_vertex_match_oracle(self, stats):
+        # v=66 holds each neighbour mask in two uint64 words.
+        counts = self.check_against_oracle(66, stats, (0.5, -0.05), (2, 1), 2, 3, 5)
+        assert counts.sum() > 0
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    @pytest.mark.parametrize("v", [5, 10, 66])
+    def test_single_chain_is_the_scalar_sampler(self, stats, v):
+        spec = Ergm(v, stats, (0.2, -0.1), McmcConfig(3, 2))
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        counts = spec.edge_count_batches(4, 1, a)
+        assert np.array_equal(counts[0], spec.sample(4, b).edge_counts)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_chain_draws_match_enumeration(self, rng):
+        # One draw per chain: its edge counts are its graph's indicators.
+        spec = Ergm(4, EDGE_TRIANGLE, (0.5, -0.8), McmcConfig(burn_in=20, thinning=1))
+        exact = ergm_enumerate(spec)
+        counts = spec.edge_count_batches(1, 50000, rng)
+        codes = counts @ (1 << np.arange(num_pairs(4)))
+        freq = np.bincount(codes, minlength=64) / len(codes)
+        tv = 0.5 * np.abs(freq - exact.probabilities).sum()
+        assert tv < 0.03
 
 
 class TestEdgeDensitySweep:

@@ -279,18 +279,11 @@ class EdgeMarginals:
     def as_array(self) -> np.ndarray:
         return np.array([float(f) for f in self.fractions], dtype=np.float64)
 
-    @cached_property
-    def _common_ratio(self) -> tuple[tuple[int, ...], int]:
-        den = math.lcm(*(f.denominator for f in self.fractions))
-        return tuple(f.numerator * (den // f.denominator) for f in self.fractions), den
-
     def common_ratio(self) -> tuple[list[int], int]:
-        """Entries as integer numerators over one shared denominator.
-
-        Computed once per instance; every call returns a fresh list.
-        """
-        nums, den = self._common_ratio
-        return list(nums), den
+        """Entries as integer numerators over one shared denominator."""
+        den = math.lcm(*(f.denominator for f in self.fractions))
+        nums = [f.numerator * (den // f.denominator) for f in self.fractions]
+        return nums, den
 
     def __eq__(self, other) -> bool:
         return (

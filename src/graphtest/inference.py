@@ -13,10 +13,12 @@ by ``statistic.GapKernel``, so ties are real ties and results cannot drift
 with float summation order.
 
 Monte Carlo replicates are drawn in blocks of about ``BLOCK_CELLS`` count
-cells. Each block takes one generator spawned off the caller's generator and
+cells; an ERGM block holds at least ``models.MH_MIN_CHAINS`` chains, because
+its lockstep chains gain over one scalar chain only when there are many.
+Each block takes one generator spawned off the caller's generator and
 draws its whole (B x E) count array with the model's ``edge_count_batches``.
-The blocks are fixed by R and E alone, and ``threads`` only spreads them
-over worker threads, so results are identical whatever it is set to.
+The blocks are fixed by R and the model alone, and ``threads`` only spreads
+them over worker threads, so results are identical whatever it is set to.
 Permutations are drawn from the caller's generator in blocks of rows, which
 consumes it exactly as one draw of all R rows would.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, EnumerationRefusedError
 from .graphs import EdgeMarginals, GraphSample, num_pairs
-from .models import ModelSpec
+from .models import MH_MIN_CHAINS, Ergm, ModelSpec
 from .statistic import (
     GapKernel,
     TestStatistic,
@@ -118,24 +120,29 @@ def _resolve_marginals(
 BLOCK_CELLS = 1 << 16
 
 
+def _block_size(model: ModelSpec) -> int:
+    """Replicates per block: max(1, BLOCK_CELLS // E), at least MH_MIN_CHAINS for an ERGM."""
+    B = max(1, BLOCK_CELLS // num_pairs(model.v))
+    return max(B, MH_MIN_CHAINS) if isinstance(model, Ergm) else B
+
+
 def _map_blocks(
     fn: Callable[[int, np.random.Generator], object],
     R: int,
-    width: int,
+    model: ModelSpec,
     rng: np.random.Generator,
     threads: int,
 ) -> list:
     """fn(size, child_rng) for consecutive blocks covering R replicates.
 
-    A block holds max(1, BLOCK_CELLS // width) replicates of ``width`` cells
-    each (the last block may be smaller) and draws from its own stream
-    spawned off ``rng``. Blocks and streams are fixed before any work starts,
-    and results come back in block order, so they do not depend on
-    ``threads``.
+    A block holds ``_block_size(model)`` replicates (the last block may be
+    smaller) and draws from its own stream spawned off ``rng``. Blocks and
+    streams are fixed before any work starts, and results come back in block
+    order, so they do not depend on ``threads``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    B = max(1, BLOCK_CELLS // width)
+    B = _block_size(model)
     sizes = [min(B, R - lo) for lo in range(0, R, B)]
     children = rng.spawn(len(sizes))
     if threads == 1:
@@ -163,7 +170,7 @@ def _critical_numerator(
     def block(size: int, child: np.random.Generator) -> np.ndarray:
         return kernel(null.edge_count_batches(n, size, child))
 
-    values = np.concatenate(_map_blocks(block, R, num_pairs(null.v), rng, threads))
+    values = np.concatenate(_map_blocks(block, R, null, rng, threads))
     k = _quantile_index(alpha, R) - 1
     return int(np.partition(values, k)[k])
 
@@ -223,8 +230,8 @@ def one_sample_test(
         raise ValueError(f"need at least 100 replications, got {R}")
     _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
-    stat = one_sample_statistic(s, marg)
     kernel = one_sample_kernel(s.n, marg)
+    stat = one_sample_statistic(s, marg, kernel=kernel)
     crit = _critical_numerator(null, kernel, s.n, alpha, R, rng, threads)
     crit_exact = kernel.fraction(crit)
     return TestResult(
@@ -434,8 +441,7 @@ def power_curve(
         null, kernel, n, alpha, R_quantile, streams[0], threads
     )
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
-    E = num_pairs(null.v)
-    pair_idx = np.arange(E)
+    pair_idx = np.arange(num_pairs(null.v))
 
     points = []
     for alt, stream in zip(alternatives, streams[1:]):
@@ -447,7 +453,7 @@ def power_curve(
                 return w_rejects, 0
             return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
 
-        outcomes = _map_blocks(block, M, E, stream, threads)
+        outcomes = _map_blocks(block, M, alt, stream, threads)
         w_power = sum(w for w, _ in outcomes) / M
         bc_power = (
             sum(b for _, b in outcomes) / M if baseline_bonferroni else None

@@ -16,7 +16,10 @@ all R chains advance together: each proposal step is a handful of NumPy
 operations over the R chains, whose graphs are held as uint64 neighbour
 bitmasks. A flip is accepted when its uniform falls below a threshold table
 built once with ``math.exp``, so every chain makes exactly the decisions of
-the scalar sampler ``ergm_mh_sample`` given the same draws.
+the scalar sampler ``ergm_mh_sample`` given the same draws. A step costs the
+same few NumPy calls however many chains take it, so the engine pays off
+only for many chains; Monte Carlo blocks of ERGM replicates hold at least
+``MH_MIN_CHAINS`` of them.
 
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
@@ -73,6 +76,16 @@ ENUMERATION_MAX_V = 6
 
 # Metropolis-Hastings proposals are drawn about this many at a time.
 MH_BLOCK_CELLS = 1 << 16
+
+# The lockstep engine prepares flip indices for about this many chain steps
+# at a time, which bounds its working memory beyond the draws and counts.
+MH_GROUP_CELLS = 1 << 14
+
+# A lockstep step costs a fixed ~20 us of NumPy calls, and a scalar step
+# ~1 us (2-core x86_64, v = 10..150), so Monte Carlo blocks of ERGM
+# replicates hold at least this many chains; 64 measured 2-3x faster than the
+# scalar chain at v = 66 and 100.
+MH_MIN_CHAINS = 64
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -494,7 +507,9 @@ def _mh_lockstep_edge_counts(
 
     A chain's graph is held as neighbour bitmasks of ceil(v/64) uint64 words
     per vertex; the flip of pair (i, j) toggles bit j of mask i and bit i of
-    mask j. Common neighbours and degrees are popcounts of those masks.
+    mask j. Common neighbours and degrees are popcounts of those masks. Each
+    step costs a fixed number of NumPy calls whatever R is, so the engine
+    pays off only with many chains (see ``MH_MIN_CHAINS``).
     """
     v, E = spec.v, num_pairs(spec.v)
     mcmc = spec.mcmc
@@ -511,45 +526,57 @@ def _mh_lockstep_edge_counts(
     masks = np.zeros((-(-v // 64), R * v), dtype=np.uint64)
     flat = masks.reshape(-1)
     rows = np.arange(R, dtype=np.intp) * v
-    # Word and bit of every pair in its first endpoint's mask, for the tally.
-    tally_words = (pair_j // 64) * (R * v) + (rows[:, None] + pair_i)
-    tally_bits = one << (pair_j % 64).astype(np.uint64)
     counts = np.zeros((R, E), dtype=np.int64)
     accept = np.zeros(R, dtype=np.uint64)
 
     total_sweeps = mcmc.burn_in + n * mcmc.thinning
     chunk_sweeps = max(1, MH_BLOCK_CELLS // (E * R))
+    # Flip indices are prepared for this many steps at a time.
+    group = max(1, MH_GROUP_CELLS // R)
     sweep = 0
     while sweep < total_sweeps:
         todo = min(chunk_sweeps, total_sweeps - sweep)
         slots = rng.integers(0, E, size=(todo * E, R))
         unif = rng.random((todo * E, R))
-        for lo in range(0, todo * E, E):
-            i, j = pair_i[slots[lo:lo + E]], pair_j[slots[lo:lo + E]]
-            # Per step (2 x R): the rows of both endpoints, the word of each
-            # endpoint's mask that holds the other endpoint, and its bit there.
-            ends = np.stack((rows + i, rows + j), axis=1)
-            words = np.stack((j // 64, i // 64), axis=1) * (R * v) + ends
-            bits = one << (np.stack((j, i), axis=1) % 64).astype(np.uint64)
-            for end, word, bit, u in zip(ends, words, bits, unif[lo:lo + E]):
-                held = flat.take(word)
-                key = np.bitwise_count(held[0] & bit[0]) * present_weight
-                for m in masks:
-                    pair = m.take(end)
-                    if triangles:
-                        key += np.bitwise_count(pair[0] & pair[1])
-                    else:
-                        degrees = np.bitwise_count(pair)
-                        key += degrees[0]
-                        key += degrees[1]
-                np.less(u, T.take(key), out=accept)
-                held ^= bit * accept
-                flat[word] = held
+        for start in range(0, todo * E, E):
+            for lo in range(start, start + E, group):
+                hi = min(lo + group, start + E)
+                i, j = pair_i[slots[lo:hi]], pair_j[slots[lo:hi]]
+                # Per step (2 x R): the rows of both endpoints, the word of
+                # each endpoint's mask that holds the other endpoint, and its
+                # bit there.
+                ends = np.stack((rows + i, rows + j), axis=1)
+                words = np.stack((j // 64, i // 64), axis=1) * (R * v) + ends
+                bits = one << (np.stack((j, i), axis=1) % 64).astype(np.uint64)
+                for end, word, bit, u in zip(ends, words, bits, unif[lo:hi]):
+                    held = flat.take(word)
+                    key = np.bitwise_count(held[0] & bit[0]) * present_weight
+                    for m in masks:
+                        pair = m.take(end)
+                        if triangles:
+                            key += np.bitwise_count(pair[0] & pair[1])
+                        else:
+                            degrees = np.bitwise_count(pair)
+                            key += degrees[0]
+                            key += degrees[1]
+                    np.less(u, T.take(key), out=accept)
+                    held ^= bit * accept
+                    flat[word] = held
             sweep += 1
             if sweep > mcmc.burn_in:
                 if (sweep - mcmc.burn_in) % mcmc.thinning == 0:
-                    counts += np.bitwise_count(flat.take(tally_words) & tally_bits)
+                    counts += _edge_indicators(masks, v, pair_i, pair_j)
     return counts
+
+
+def _edge_indicators(
+    masks: np.ndarray, v: int, pair_i: np.ndarray, pair_j: np.ndarray
+) -> np.ndarray:
+    """(R x E) uint8 edge indicators of chains held as neighbour bitmasks."""
+    # Row c*v + x: vertex x's mask words in chain c, as little-endian bytes.
+    words = np.ascontiguousarray(masks.T, dtype="<u8")
+    adjacency = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return adjacency.reshape(-1, v, adjacency.shape[1])[:, pair_i, pair_j]
 
 
 @dataclass(frozen=True)

@@ -145,17 +145,22 @@ def mean_distance(sample: GraphSample, g: Graph) -> float:
 
 
 def one_sample_statistic(
-    sample: GraphSample, null_marginals: EdgeMarginals
+    sample: GraphSample,
+    null_marginals: EdgeMarginals,
+    *,
+    kernel: GapKernel | None = None,
 ) -> TestStatistic:
     """Sum over canonical pairs of |edge frequency - reference probability|.
 
     Equals the maximum over all graphs of the absolute mean-distance gap
     between the sample and the reference distribution, and is computable in
-    O(v^2 * n) time.
+    O(v^2 * n) time. A caller that already holds
+    ``one_sample_kernel(sample.n, null_marginals)`` may pass it as ``kernel``.
     """
     _check_marginal_dims(sample, null_marginals)
     n = sample.n
-    kernel = one_sample_kernel(n, null_marginals)
+    if kernel is None:
+        kernel = one_sample_kernel(n, null_marginals)
     exact = kernel.fraction(kernel(sample.edge_counts[None, :])[0])
     return TestStatistic(
         value=float(exact),

@@ -280,15 +280,6 @@ class TestEdgeMarginals:
         assert den == 6
         assert nums == [3, 2, 4]
 
-    def test_common_ratio_is_cached_and_returned_as_a_fresh_list(self):
-        m = EdgeMarginals(3, [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
-        nums, _ = m.common_ratio()
-        nums[0] = 99
-        again, den = m.common_ratio()
-        assert (again, den) == ([3, 2, 4], 6)
-        assert again is not nums
-        assert m._common_ratio is m._common_ratio
-
     def test_accessors_ignore_orientation(self):
         m = EdgeMarginals(3, [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
         assert m.fraction(1, 0) == Fraction(1, 4)

@@ -31,7 +31,8 @@ from graphtest import (
     sample_er,
     two_sample_permutation_test,
 )
-from graphtest.inference import BLOCK_CELLS, _bc_reject_table
+from graphtest.inference import BLOCK_CELLS, _bc_reject_table, _block_size
+from graphtest.models import MH_MIN_CHAINS
 
 from oracles import (
     all_at_once_permutation_p,
@@ -133,6 +134,19 @@ class TestOneSampleTest:
         b = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8), threads=3)
         assert a.critical_exact == b.critical_exact
         assert a.reject == b.reject
+
+    def test_null_common_ratio_is_built_once(self, rng, monkeypatch):
+        calls = []
+        common_ratio = EdgeMarginals.common_ratio
+
+        def counted(self):
+            calls.append(self)
+            return common_ratio(self)
+
+        monkeypatch.setattr(EdgeMarginals, "common_ratio", counted)
+        s = sample_er(5, 0.5, 6, rng)
+        one_sample_test(s, ErdosRenyi(5, 0.5), R=100, rng=rng)
+        assert len(calls) == 1
 
     def test_validation(self, rng):
         s = GraphSample([Graph.empty(4)] * 3)
@@ -293,6 +307,32 @@ class TestReplicateBlocks:
         stats = sorted(fraction_one_sample(row, n, marginals) for row in counts)
         expected = stats[math.ceil((1 - Fraction(alpha)) * R) - 1]
         got = null_quantile_mc(null, n, alpha, R, rng_factory(7))
+        assert got == float(expected)
+
+    def test_ergm_blocks_hold_at_least_the_minimum_chain_count(self):
+        assert _block_size(ErdosRenyi(66, 0.5)) == 65536 // 2145 == 30
+        assert _block_size(Ergm(66, EDGE_TRIANGLE, (0.0, 0.1))) == MH_MIN_CHAINS
+        assert _block_size(Ergm(self.V, EDGE_TRIANGLE, (0.0, 0.1))) == self.B
+
+    def test_ergm_critical_value_is_the_order_statistic_of_its_blocks(
+        self, rng_factory
+    ):
+        # v=50 has E=1225, so BLOCK_CELLS alone would give blocks of 53.
+        v, n, R, alpha = 50, 2, 100, 0.1
+        null = Ergm(v, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(burn_in=1, thinning=1))
+        marginals = er_marginals(v, 0.5)
+        children = rng_factory(7).spawn(2)
+        counts = np.vstack([
+            null.edge_count_batches(n, size, child)
+            for size, child in zip((MH_MIN_CHAINS, R - MH_MIN_CHAINS), children)
+        ])
+        stats = sorted(
+            fraction_one_sample(row, n, marginals.fractions) for row in counts
+        )
+        expected = stats[math.ceil((1 - Fraction(alpha)) * R) - 1]
+        got = null_quantile_mc(
+            null, n, alpha, R, rng_factory(7), marginals=marginals
+        )
         assert got == float(expected)
 
     def test_critical_value_lies_in_the_exact_null_interval(self, rng_factory):

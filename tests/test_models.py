@@ -1,6 +1,7 @@
 """Null and alternative graph models: exact forms, samplers, enumeration."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from graphtest import (
     sample_er,
     select_modified_pairs,
 )
+from graphtest.models import MH_GROUP_CELLS
 
 from oracles import (
     lockstep_mh_counts,
@@ -318,6 +320,13 @@ class TestLockstepChains:
         self.check_against_oracle(8, stats, theta, (5, 3), 3, 300, 11)
 
     @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    def test_several_index_groups_per_sweep_match_oracle(self, stats):
+        # Flip indices are prepared 16384 // 300 = 54 steps at a time, so each
+        # sweep of E=190 steps takes four groups, the last one short.
+        assert MH_GROUP_CELLS // 300 == 54
+        self.check_against_oracle(20, stats, (0.1, -0.2), (1, 1), 1, 300, 4)
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
     def test_two_words_per_vertex_match_oracle(self, stats):
         # v=66 holds each neighbour mask in two uint64 words.
         counts = self.check_against_oracle(66, stats, (0.5, -0.05), (2, 1), 2, 3, 5)
@@ -331,6 +340,18 @@ class TestLockstepChains:
         counts = spec.edge_count_batches(4, 1, a)
         assert np.array_equal(counts[0], spec.sample(4, b).edge_counts)
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_working_memory_is_bounded_by_the_block(self, rng):
+        # v=100, 64 chains: one sweep of draws is 4950*64*16 bytes (5 MB) and
+        # the counts 2.5 MB; per-sweep flip indices alone would take 45 MB.
+        spec = Ergm(100, EDGE_TRIANGLE, (0.0, 0.05), McmcConfig(burn_in=1, thinning=1))
+        tracemalloc.start()
+        try:
+            spec.edge_count_batches(1, 64, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_chain_draws_match_enumeration(self, rng):
         # One draw per chain: its edge counts are its graph's indicators.

@@ -19,13 +19,14 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, EmptySampleError
-from .graphs import Graph, GraphSample
+from .errors import DataFormatError
+from .graphs import GraphSample, num_pairs
 from .inference import PowerPoint, TestResult
 from .models import DensityPoint
 from .timeseries import ChannelMatrix, SummaryGraph
@@ -72,26 +73,75 @@ def write_graph_sample(
     Path(path).write_text(format_graph_sample(sample, base, manifest_name))
 
 
-def _content_lines(path) -> list[tuple[int, str]]:
-    """(line_number, text) for every non-blank, non-comment line."""
-    out = []
+def _content_lines(path) -> tuple[list[int], list[str]]:
+    """Line numbers and stripped text of the non-blank, non-comment lines."""
     with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            out.append((lineno, stripped))
-    return out
+        stripped = list(map(str.strip, fh.read().split("\n")))
+    numbers = [k for k, text in enumerate(stripped, start=1)
+               if text and text[0] != "#"]
+    return numbers, [stripped[k - 1] for k in numbers]
+
+
+def _edge_line_error(text: str, v: int, n: int, base: int) -> str:
+    """Why an edge line is rejected: the first failing check, in format order.
+
+    A line that passes every check on its own repeats an earlier edge.
+    """
+    parts = text.split()
+    if len(parts) != 3:
+        return f"expected '<graph> <i> <j>', got {text!r}"
+    try:
+        g_idx, i, j = (int(p) for p in parts)
+    except ValueError:
+        return f"non-integer edge line {text!r}"
+    if not 0 <= g_idx < n:
+        return f"graph index {g_idx} outside [0, {n})"
+    if i == j or not (base <= i < v + base and base <= j < v + base):
+        return f"invalid vertex pair ({i}, {j}) for v={v}"
+    return f"duplicate edge ({min(i, j)}, {max(i, j)}) in graph {g_idx}"
+
+
+def _edge_array(body: list[str]) -> np.ndarray:
+    """(k x 3) integers of the edge lines before the first one that does not
+    hold three integer tokens (k = len(body) when every line does)."""
+    k = len(body)
+    # One split of all lines, each followed by a separator token. Every line
+    # holds three tokens exactly when the separators are the tokens at
+    # positions 3, 7, 11, ... and no other token equals one.
+    tokens = " ; ".join(body + [""]).split()
+    if len(tokens) == 4 * k and tokens.count(";") == tokens[3::4].count(";") == k:
+        del tokens[3::4]
+    else:
+        widths = np.fromiter(map(len, map(str.split, body)), dtype=np.int64, count=k)
+        wrong = np.flatnonzero(widths != 3)
+        k = int(wrong[0]) if len(wrong) else k
+        tokens = " ".join(body[:k]).split()
+    ints: list[int] = []
+    try:
+        ints.extend(map(int, tokens))
+    except ValueError:
+        k = len(ints) // 3  # ints holds every token before the first non-integer one
+    try:
+        return np.array(ints[: 3 * k], dtype=np.int64).reshape(k, 3)
+    except OverflowError:
+        # Beyond int64 is beyond any v and n, and stays so when clipped.
+        big = 1 << 62
+        clipped = np.array(ints[: 3 * k], dtype=object).clip(-big, big)
+        return clipped.astype(np.int64).reshape(k, 3)
 
 
 def read_graph_sample(path) -> GraphSample:
-    """Parse a graph-sample file; errors carry the offending line number."""
+    """Parse a graph-sample file; errors carry the offending line number.
+
+    Edge lines are checked as whole arrays. When one fails, the error names
+    the first failing content line, as a line-by-line reading would.
+    """
     path = str(path)
-    lines = _content_lines(path)
+    numbers, lines = _content_lines(path)
     if not lines:
         raise DataFormatError("file has no content lines", path=path)
 
-    lineno, header = lines[0]
+    lineno, header = numbers[0], lines[0]
     tokens = header.split()
     if not tokens or tokens[0] != "graphsample":
         raise DataFormatError(
@@ -130,44 +180,43 @@ def read_graph_sample(path) -> GraphSample:
             f"base must be 0 or 1, got {base}", path=path, line=lineno
         )
 
-    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    for lineno, text in lines[1:]:
-        parts = text.split()
-        if len(parts) != 3:
-            raise DataFormatError(
-                f"expected '<graph> <i> <j>', got {text!r}", path=path, line=lineno
-            )
-        try:
-            g_idx, i, j = (int(p) for p in parts)
-        except ValueError:
-            raise DataFormatError(
-                f"non-integer edge line {text!r}", path=path, line=lineno
-            ) from None
-        if not 0 <= g_idx < n:
-            raise DataFormatError(
-                f"graph index {g_idx} outside [0, {n})", path=path, line=lineno
-            )
-        i -= base
-        j -= base
-        if i == j or not (0 <= i < v and 0 <= j < v):
-            raise DataFormatError(
-                f"invalid vertex pair ({i + base}, {j + base}) for v={v}",
-                path=path,
-                line=lineno,
-            )
-        if i > j:
-            i, j = j, i
-        if (i, j) in edge_sets[g_idx]:
-            raise DataFormatError(
-                f"duplicate edge ({i + base}, {j + base}) in graph {g_idx}",
-                path=path,
-                line=lineno,
-            )
-        edge_sets[g_idx].add((i, j))
-    try:
-        return GraphSample(Graph.from_edges(v, edges) for edges in edge_sets)
-    except EmptySampleError:
-        raise DataFormatError("sample must contain at least one graph", path=path)
+    body = lines[1:]
+    edges = _edge_array(body)
+    g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
+    invalid = (g < 0) | (g >= n) | (a == b) | (a < 0) | (a >= v) | (b < 0) | (b >= v)
+    first = int(np.argmax(invalid)) if invalid.any() else len(edges)
+    i = np.minimum(a[:first], b[:first])
+    j = np.maximum(a[:first], b[:first])
+    E = num_pairs(v)
+    cells = g[:first] * E + i * (2 * v - i - 1) // 2 + (j - i - 1)
+    # A stable sort keeps line order within a run of equal cells, so every
+    # member of a run after its first repeats an earlier line.
+    order = np.argsort(cells, kind="stable")
+    repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if len(repeats):
+        first = int(repeats.min())
+    if first < len(body):
+        raise DataFormatError(
+            _edge_line_error(body[first], v, n, base),
+            path=path,
+            line=numbers[first + 1],
+        )
+    mask = np.zeros(n * E, dtype=bool)
+    mask[cells] = True
+    return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
+
+
+def _finite_rows(data: list, width: int, rows: list, path: str) -> np.ndarray:
+    """The parsed rows as a matrix; an error names the first non-finite row.
+
+    ``data[k]`` was parsed from ``rows[k + 1]``.
+    """
+    values = np.array(data, dtype=np.float64).reshape(len(data), width)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno = rows[int(np.argmin(finite)) + 1][0]
+        raise DataFormatError("non-finite value in data row", path=path, line=lineno)
+    return values
 
 
 def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
@@ -184,27 +233,23 @@ def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
         raise DataFormatError("empty channel label", path=path, line=header_line)
     data = []
     for lineno, row in rows[1:]:
+        error = None
         if len(row) != len(labels):
-            raise DataFormatError(
-                f"expected {len(labels)} columns, got {len(row)}",
-                path=path,
-                line=lineno,
-            )
-        try:
-            parsed = [float(cell) for cell in row]
-        except ValueError:
-            raise DataFormatError(
-                "non-numeric value in data row", path=path, line=lineno
-            ) from None
-        if not all(np.isfinite(parsed)):
-            raise DataFormatError(
-                "non-finite value in data row", path=path, line=lineno
-            )
-        data.append(parsed)
+            error = f"expected {len(labels)} columns, got {len(row)}"
+        else:
+            try:
+                data.append(list(map(float, row)))
+            except ValueError:
+                error = "non-numeric value in data row"
+        if error is not None:
+            # A non-finite value on an earlier row is the first error.
+            _finite_rows(data, len(labels), rows, path)
+            raise DataFormatError(error, path=path, line=lineno)
     if not data:
         raise DataFormatError("no data rows after the label row", path=path)
+    values = _finite_rows(data, len(labels), rows, path)
     try:
-        return ChannelMatrix(labels, data, sampling_rate)
+        return ChannelMatrix(labels, values, sampling_rate)
     except ValueError as e:
         raise DataFormatError(str(e), path=path) from e
 

@@ -202,6 +202,20 @@ class GraphSample:
         self.graphs = members
         self.v = v
 
+    @classmethod
+    def from_indicator_matrix(cls, v: int, mask) -> "GraphSample":
+        """Inverse of indicator_matrix: one graph per row of an (n x E) 0/1 matrix."""
+        arr = np.array(mask, dtype=bool)
+        if arr.ndim != 2 or arr.shape[1] != num_pairs(v):
+            raise DimensionMismatchError(
+                f"expected an (n x {num_pairs(v)}) indicator matrix for v={v}, "
+                f"got shape {arr.shape}"
+            )
+        packed = np.packbits(arr, axis=1, bitorder="little")
+        sample = cls(Graph(v, int.from_bytes(row.tobytes(), "little")) for row in packed)
+        sample.__dict__["_matrix"] = arr.view(np.uint8)
+        return sample
+
     def __len__(self) -> int:
         return len(self.graphs)
 

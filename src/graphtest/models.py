@@ -97,7 +97,7 @@ def _sample_independent_edges(
     v: int, probs: np.ndarray, n: int, rng: np.random.Generator
 ) -> GraphSample:
     draws = rng.random((n, num_pairs(v))) < probs
-    return GraphSample(Graph.from_indicator_row(v, row) for row in draws)
+    return GraphSample.from_indicator_matrix(v, draws)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,20 @@ correlation is extreme relative to both a fixed constant and the quartiles of
 that pair's own correlation series.
 
 Window geometry is specified in milliseconds and converted through the
-sampling rate. Start and end positions are computed in exact arithmetic per
-window and rounded to the nearest sample independently, so a non-integer
-step (the default is 16.66 ms) never accumulates drift.
+sampling rate. Start and end positions are computed in exact integer
+arithmetic per window and rounded to the nearest sample independently, so a
+non-integer step (the default is 16.66 ms) never accumulates drift.
+
+Windows are processed in blocks. Windows of one length (a width that is not
+a whole number of samples gives two lengths) are gathered into
+(windows x channels x samples) arrays of at most ``BLOCK_CELLS`` cells,
+ranked by ``average_ranks`` (one NumPy argsort, then one mean rank per tie
+group) and correlated by one batched matrix product. Each block repeats the
+floating-point operations of ``np.corrcoef`` in the same order, so the
+result is bit-identical to ranking and correlating window by window: average
+ranks are multiples of 1/2 and their mean is exactly (L+1)/2, so every
+covariance sum is a multiple of 1/4 below L**3/4, exact in float64 in any
+summation order while L**3 < 2**53.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -28,6 +39,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .graphs import Graph, GraphSample, canonical_pairs, num_pairs, pair_index
+from .inference import BLOCK_CELLS
 
 __all__ = [
     "ChannelMatrix",
@@ -35,6 +47,7 @@ __all__ = [
     "CorrelationSeries",
     "ThresholdSpec",
     "SummaryGraph",
+    "average_ranks",
     "spearman",
     "correlation_series",
     "pair_quartiles",
@@ -122,13 +135,39 @@ def _window_bounds(
             f"{n_samples} samples available"
         )
     count = math.floor((n_samples - width) / step) + 1
-    bounds = []
-    for k in range(count):
-        start = step * k
-        a = _round_half_up(start)
-        b = _round_half_up(start + width)
-        bounds.append((a, b))
-    return bounds
+    # Window k is [round(k*step), round(k*step + width)), rounding half up:
+    # floor(num/den + 1/2) = (2*num + den) // (2*den). These are Python ints
+    # because binary floats such as 16.66 have ~51-bit denominators.
+    sn, sd = step.numerator, step.denominator
+    wn, wd = width.numerator, width.denominator
+    b_step, b_off, b_den = 2 * sn * wd, 2 * wn * sd + sd * wd, 2 * sd * wd
+    return [
+        ((2 * sn * k + sd) // (2 * sd), (b_step * k + b_off) // b_den)
+        for k in range(count)
+    ]
+
+
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks along the last axis; tied values share their mean rank.
+
+    The same values as ``scipy.stats.rankdata(x, axis=-1)``. Ranks are
+    multiples of 1/2, exact in float64.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    L = arr.shape[-1]
+    order = np.argsort(arr, axis=-1)
+    ordered = np.take_along_axis(arr, order, axis=-1)
+    new_group = np.ones(arr.shape, dtype=bool)
+    new_group[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=arr.size)
+    # The group at sorted positions p .. p+size-1 has mean rank p + (size+1)/2.
+    mean = starts % L + (sizes + 1) / 2
+    ranks = np.empty_like(arr)
+    np.put_along_axis(
+        ranks, order, np.repeat(mean, sizes).reshape(arr.shape), axis=-1
+    )
+    return ranks
 
 
 def spearman(x, y) -> float:
@@ -147,11 +186,13 @@ def spearman(x, y) -> float:
         )
     if len(xa) < 2:
         raise InsufficientSampleError("need at least 2 observations")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("inputs contain NaN or infinite values")
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise UndefinedCorrelationError(
             "correlation is undefined for a constant sequence"
         )
-    ranks = np.column_stack([rankdata(xa), rankdata(ya)])
+    ranks = np.column_stack([average_ranks(xa), average_ranks(ya)])
     rho = float(np.corrcoef(ranks, rowvar=False)[0, 1])
     return min(1.0, max(-1.0, rho))
 
@@ -203,6 +244,25 @@ class CorrelationSeries:
         return f"CorrelationSeries(v={self.v}, windows={self.n_windows})"
 
 
+def _block_correlations(block: np.ndarray) -> np.ndarray:
+    """Rank correlation matrices of a (windows x channels x L) block.
+
+    The operations of ``np.corrcoef`` on the ranks, in its order; see the
+    module docstring for why the result is bit-identical. A constant
+    channel's row and column are NaN.
+    """
+    L = block.shape[-1]
+    r = average_ranks(block)
+    r -= (L + 1) / 2
+    c = r @ r.transpose(0, 2, 1)
+    c *= 1 / (L - 1)
+    d = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c /= d[:, :, None]
+        c /= d[:, None, :]
+    return np.clip(c, -1, 1, out=c)
+
+
 def correlation_series(m: ChannelMatrix, w: WindowSpec) -> CorrelationSeries:
     """Spearman correlation of every channel pair inside every sliding window.
 
@@ -212,22 +272,26 @@ def correlation_series(m: ChannelMatrix, w: WindowSpec) -> CorrelationSeries:
     """
     bounds = _window_bounds(m.n_samples, m.sampling_rate, w)
     v = m.n_channels
-    E = num_pairs(v)
-    pairs = canonical_pairs(v)
-    values = np.zeros((len(bounds), E), dtype=np.float64)
-    undefined = []
-    for t, (a, b) in enumerate(bounds):
-        block = m.values[a:b]
-        constant = np.all(block == block[0], axis=0)
-        ranks = rankdata(block, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.corrcoef(ranks, rowvar=False)
-        for p, (i, j) in enumerate(pairs):
-            if constant[i] or constant[j]:
-                undefined.append((t, p))
-                values[t, p] = 0.0
-            else:
-                values[t, p] = min(1.0, max(-1.0, float(corr[i, j])))
+    starts = np.array([a for a, _ in bounds])
+    lengths = np.array([b - a for a, b in bounds])
+    upper = np.triu_indices(v, 1)
+    values = np.empty((len(bounds), num_pairs(v)), dtype=np.float64)
+    constant = np.empty((len(bounds), v), dtype=bool)
+    for L in np.unique(lengths).tolist():
+        # windows[a] holds samples a .. a+L-1 of every channel, shape (v, L).
+        windows = sliding_window_view(m.values, L, axis=0)
+        rows = np.flatnonzero(lengths == L)
+        per_block = max(1, BLOCK_CELLS // (v * L))
+        for lo in range(0, len(rows), per_block):
+            t = rows[lo:lo + per_block]
+            block = windows[starts[t]]
+            constant[t] = np.all(block == block[..., :1], axis=-1)
+            values[t] = _block_correlations(block)[:, upper[0], upper[1]]
+    undefined = ()
+    if constant.any():
+        mask = constant[:, upper[0]] | constant[:, upper[1]]
+        values[mask] = 0.0
+        undefined = np.argwhere(mask)
     return CorrelationSeries(m.labels, values, bounds, undefined)
 
 
@@ -274,9 +338,11 @@ class ThresholdSpec:
     @classmethod
     def from_series(cls, cs: CorrelationSeries, c: float = 0.5) -> "ThresholdSpec":
         """Quartiles of each pair's own correlation series."""
-        quartiles = [pair_quartiles(cs.values[:, p]) for p in range(cs.values.shape[1])]
-        q1 = [q[0] for q in quartiles]
-        q3 = [q[1] for q in quartiles]
+        if cs.n_windows < 4:
+            raise InsufficientSampleError(
+                f"need at least 4 values for quartiles, got {cs.n_windows}"
+            )
+        q1, q3 = np.quantile(cs.values, [0.25, 0.75], axis=0, method="linear")
         return cls(c, q1, q3)
 
     def __repr__(self) -> str:
@@ -293,9 +359,7 @@ def build_graphs(cs: CorrelationSeries, th: ThresholdSpec) -> GraphSample:
     upper = np.maximum(th.c, th.q3)
     lower = np.minimum(-th.c, th.q1)
     mask = (cs.values >= upper) | (cs.values <= lower)
-    return GraphSample(
-        Graph.from_indicator_row(cs.v, row) for row in mask
-    )
+    return GraphSample.from_indicator_matrix(cs.v, mask)
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,98 @@ def quartile_oracle(values, p: float) -> float:
     return data[lo] * (1 - frac) + data[hi] * frac
 
 
+def window_bounds_oracle(n_samples: int, rate: float, width_ms: float, step_ms: float):
+    """Window k is [round(k*step), round(k*step + width)), rounding half up in Fractions."""
+    width = Fraction(width_ms) * Fraction(rate) / 1000
+    step = Fraction(step_ms) * Fraction(rate) / 1000
+    count = math.floor((n_samples - width) / step) + 1
+    half = Fraction(1, 2)
+    return [
+        (math.floor(step * k + half), math.floor(step * k + width + half))
+        for k in range(count)
+    ]
+
+
+def window_correlation_oracle(values, rate: float, width_ms: float, step_ms: float):
+    """Per-window rankdata + corrcoef loop: (values, undefined, windows).
+
+    Pairs with a channel constant inside the window are 0 and listed in
+    ``undefined`` as (window, pair).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    windows = window_bounds_oracle(len(values), rate, width_ms, step_ms)
+    pairs = canonical_pairs(values.shape[1])
+    out = np.zeros((len(windows), len(pairs)))
+    undefined = []
+    for t, (a, b) in enumerate(windows):
+        block = values[a:b]
+        constant = np.all(block == block[0], axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.corrcoef(scipy.stats.rankdata(block, axis=0), rowvar=False)
+        for p, (i, j) in enumerate(pairs):
+            if constant[i] or constant[j]:
+                undefined.append((t, p))
+            else:
+                out[t, p] = min(1.0, max(-1.0, float(corr[i, j])))
+    return out, undefined, windows
+
+
+def read_graph_sample_oracle(path):
+    """Line-by-line graph-sample reader: a GraphSample, or (message, line)
+    for the first fault, line None when no line is to blame."""
+    with open(path) as fh:
+        lines = [
+            (lineno, raw.strip())
+            for lineno, raw in enumerate(fh, start=1)
+            if raw.strip() and not raw.strip().startswith("#")
+        ]
+    if not lines:
+        return "file has no content lines", None
+    lineno, header = lines[0]
+    tokens = header.split()
+    if not tokens or tokens[0] != "graphsample":
+        return "header must start with 'graphsample'", lineno
+    fields = {}
+    for tok in tokens[1:]:
+        key, eq, value = tok.partition("=")
+        if not eq or key in fields:
+            return f"malformed header token {tok!r}", lineno
+        fields[key] = value
+    if set(fields) != {"v", "n", "base"}:
+        return f"header must define v, n and base, got {sorted(fields)}", lineno
+    try:
+        v, n, base = int(fields["v"]), int(fields["n"]), int(fields["base"])
+    except ValueError:
+        return "header fields must be integers", lineno
+    if v < 2:
+        return f"need v >= 2, got v={v}", lineno
+    if n < 1:
+        return f"sample must contain at least one graph, got n={n}", lineno
+    if base not in (0, 1):
+        return f"base must be 0 or 1, got {base}", lineno
+    edge_sets = [set() for _ in range(n)]
+    for lineno, text in lines[1:]:
+        parts = text.split()
+        if len(parts) != 3:
+            return f"expected '<graph> <i> <j>', got {text!r}", lineno
+        try:
+            g, i, j = (int(p) for p in parts)
+        except ValueError:
+            return f"non-integer edge line {text!r}", lineno
+        if not 0 <= g < n:
+            return f"graph index {g} outside [0, {n})", lineno
+        if i == j or not (base <= i < v + base and base <= j < v + base):
+            return f"invalid vertex pair ({i}, {j}) for v={v}", lineno
+        i, j = sorted((i, j))
+        if (i, j) in edge_sets[g]:
+            return f"duplicate edge ({i}, {j}) in graph {g}", lineno
+        edge_sets[g].add((i, j))
+    return GraphSample(
+        Graph.from_edges(v, [(i - base, j - base) for i, j in edges])
+        for edges in edge_sets
+    )
+
+
 # Hand-worked 3-channel recording: four 5-sample windows at 1000 Hz with
 # width = step = 5 ms. Every block is a permutation of 1..5, so each window
 # correlation is a rational multiple of 0.1 computable from rank differences.

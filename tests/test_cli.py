@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphtest
 from graphtest import Graph, GraphSample, read_graph_sample, write_graph_sample
 from graphtest.cli import main
 
@@ -12,6 +16,20 @@ from oracles import (
     fixture_expected_lines,
     fixture_values,
 )
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    """SciPy costs about a second at start-up and is only a test dependency."""
+    code = (
+        "import sys, graphtest.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(graphtest.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def run(*argv):

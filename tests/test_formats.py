@@ -30,7 +30,7 @@ from graphtest.models import DensityPoint
 from graphtest.statistic import TestStatistic
 from graphtest.timeseries import SummaryGraph
 
-from oracles import random_sample
+from oracles import random_sample, read_graph_sample_oracle
 
 TestResult.__test__ = False
 TestStatistic.__test__ = False
@@ -147,6 +147,98 @@ class TestGraphSampleFormat:
             format_graph_sample(sample_with_gap(), base=2)
 
 
+def check_reader_against_oracle(path):
+    """read_graph_sample gives the line-by-line reader's graphs or its error."""
+    expected = read_graph_sample_oracle(path)
+    if isinstance(expected, GraphSample):
+        assert read_graph_sample(path) == expected
+        return
+    message, line = expected
+    with pytest.raises(DataFormatError) as err:
+        read_graph_sample(path)
+    assert err.value.line == line
+    where = f"{path}: " if line is None else f"{path}: line {line}: "
+    assert str(err.value) == where + message
+
+
+class TestReaderMatchesLineByLine:
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_valid_files_with_comments_and_blanks(self, tmp_path, rng, base):
+        for trial in range(5):
+            lines = format_graph_sample(random_sample(rng, 6, 12), base).splitlines()
+            for _ in range(8):
+                k = int(rng.integers(1, len(lines) + 1))
+                lines.insert(k, rng.choice(["", "   ", "# note", "  # 1 2 3", "\t"]))
+            path = tmp_path / f"valid{trial}.txt"
+            path.write_text("\n".join(lines) + "\n")
+            check_reader_against_oracle(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0 1\n",
+            "0 1 2 3\n",
+            "0 1 2 # trailing comment\n",
+            "0 a 1\n",
+            "0 1.0 2\n",
+            "3 0 1\n",
+            "-1 0 1\n",
+            "0 2 2\n",
+            "0 0 3\n",
+            "0 -1 2\n",
+            "0 1 2\n0 1 2\n",
+            "0 1 2\n1 1 2\n0 2 1\n",  # duplicate in reversed pair order
+            "0 1 99999999999999999999999\n",
+            "99999999999999999999999 1 2\n",
+            "0 +1 1_0\n1 0 0x1\n",
+            "2 +1 1_0\n1 0 01\n0 1 2\n",
+            "0 1 2\r\n1 0 1\r\n\r\n2 0 2\r\n",
+            "0\t1  2\n  1 0 1  \n",
+            "0 1 2\r1 0 1\r",
+            "0 1 2\x0b\n1\u20280 2\n",
+            "0 ; 1\n",
+            "0 1 2 ; 4\n5\n",
+            "0 1 2\n1 2 ;\n",
+        ],
+    )
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_single_cases(self, tmp_path, body, base):
+        path = tmp_path / "case.txt"
+        path.write_text(f"# leading comment\ngraphsample v=11 n=3 base={base}\n\n{body}")
+        check_reader_against_oracle(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "# only a comment\n\n",
+            "graphs v=3 n=1 base=0\n",
+            "\n# c\ngraphsample v=3 n=1\n",
+            "graphsample v=3 n=1 base=0 extra=1\n",
+            "graphsample v=3 v=3 n=1 base=0\n",
+            "graphsample v=3 n1 base=0\n",
+            "graphsample v=x n=1 base=0\n",
+            "graphsample v=1 n=1 base=0\n",
+            "graphsample v=3 n=0 base=0\n",
+            "graphsample v=3 n=1 base=2\n0 0 1\n",
+            "graphsample v=3 n=2 base=0\n",
+        ],
+    )
+    def test_header_cases(self, tmp_path, content):
+        path = tmp_path / "header.txt"
+        path.write_text(content)
+        check_reader_against_oracle(path)
+
+    def test_only_the_first_of_several_errors_is_reported(self, tmp_path, rng):
+        faults = ["0 1", "0 x 1", "7 0 1", "0 3 3", "0 0 9", "0 1 2 3", "1 2 0"]
+        for trial in range(40):
+            lines = format_graph_sample(random_sample(rng, 5, 6)).splitlines()
+            for fault in rng.choice(faults, size=3):
+                lines.insert(int(rng.integers(1, len(lines) + 1)), str(fault))
+            path = tmp_path / f"bad{trial}.txt"
+            path.write_text("\n".join(lines) + "\n")
+            check_reader_against_oracle(path)
+
+
 class TestChannelCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "channels.csv"
@@ -177,6 +269,23 @@ class TestChannelCsv:
         with pytest.raises(DataFormatError, match=match) as err:
             read_channel_csv(path, 100.0)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_middle_row_names_its_line(self, tmp_path, cell):
+        rows = ["a,b,c"] + [f"{k},{k + 1},{k + 2}" for k in range(6)]
+        rows[4] = f"1,{cell},2"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match="non-finite") as err:
+            read_channel_csv(path, 100.0)
+        assert err.value.line == 5
+
+    def test_non_finite_row_before_a_malformed_row_is_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n\n3,nan\n4,x\n5\n")
+        with pytest.raises(DataFormatError, match="non-finite") as err:
+            read_channel_csv(path, 100.0)
+        assert err.value.line == 4
 
     def test_empty_and_headonly_files(self, tmp_path):
         path = tmp_path / "bad.csv"

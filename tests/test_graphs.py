@@ -242,6 +242,22 @@ class TestGraphSample:
         assert s.edge_counts.tolist() == expected
         assert s.indicator_matrix().shape == (9, 15)
 
+    @pytest.mark.parametrize("v", [2, 5, 10])
+    def test_from_indicator_matrix_inverts_indicator_matrix(self, rng, v):
+        s = random_sample(rng, v, 7)
+        rows = np.vstack([g.indicator_row() for g in s])
+        rebuilt = GraphSample.from_indicator_matrix(v, rows.astype(bool))
+        assert rebuilt == s
+        assert np.array_equal(rebuilt.indicator_matrix(), rows)
+        assert rebuilt.indicator_matrix().dtype == rows.dtype
+        assert rebuilt.edge_counts.tolist() == s.edge_counts.tolist()
+
+    def test_from_indicator_matrix_checks_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            GraphSample.from_indicator_matrix(4, np.zeros((3, 5), dtype=bool))
+        with pytest.raises(EmptySampleError):
+            GraphSample.from_indicator_matrix(4, np.zeros((0, 6), dtype=bool))
+
 
 class TestMeanGraph:
     def test_repeated_graph_recovers_indicators(self, rng):

@@ -1,7 +1,10 @@
 """Windowed rank-correlation pipeline from recordings to graph samples."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.stats
 
 from graphtest import (
     ChannelMatrix,
@@ -20,6 +23,8 @@ from graphtest import (
     spearman,
     summary_graph,
 )
+from graphtest.inference import BLOCK_CELLS
+from graphtest.timeseries import _window_bounds, average_ranks
 
 from oracles import (
     FIXTURE_EDGE_WINDOWS,
@@ -30,6 +35,8 @@ from oracles import (
     fixture_values,
     quartile_oracle,
     spearman_oracle,
+    window_bounds_oracle,
+    window_correlation_oracle,
 )
 
 
@@ -128,6 +135,86 @@ class TestWindowing:
             WindowSpec(width_ms=0.0)
         with pytest.raises(ValueError):
             WindowSpec(step_ms=-1.0)
+
+
+class TestWindowBoundsMatchFractionLoop:
+    @pytest.mark.parametrize(
+        "n_samples,rate,width_ms,step_ms",
+        [
+            (7500, 250.0, 333.0, 16.66),  # the default geometry
+            (2000, 256.0, 333.0, 16.66),
+            (500, 1000.0, 4.5, 2.5),  # starts and ends on half samples
+            (301, 200.0, 12.5, 7.5),  # half-sample width and step
+            (50, 100.0, 500.0, 10.0),  # one window spanning the recording
+            (1000, 333.3, 100.0, 0.1),
+        ],
+    )
+    def test_integer_bounds_equal_fraction_bounds(
+        self, n_samples, rate, width_ms, step_ms
+    ):
+        bounds = _window_bounds(n_samples, rate, WindowSpec(width_ms, step_ms))
+        assert bounds == window_bounds_oracle(n_samples, rate, width_ms, step_ms)
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (9,), (40,), (6, 33), (3, 5, 84)])
+    def test_matches_scipy_rankdata_on_tie_heavy_arrays(self, rng, shape):
+        for levels in (2, 5, 1000):
+            x = rng.integers(0, levels, size=shape) * 0.5 - 1.0
+            assert np.array_equal(average_ranks(x), scipy.stats.rankdata(x, axis=-1))
+
+    def test_signed_zeros_tie(self):
+        assert average_ranks([0.0, -0.0, 1.0]).tolist() == [1.5, 1.5, 3.0]
+
+
+class TestBlockedCorrelationsMatchWindowLoop:
+    """correlation_series against the per-window rankdata/corrcoef loop, bit for bit."""
+
+    @staticmethod
+    def check(values, rate, width_ms=333.0, step_ms=16.66):
+        labels = [f"c{k}" for k in range(values.shape[1])]
+        cs = correlation_series(
+            ChannelMatrix(labels, values, rate), WindowSpec(width_ms, step_ms)
+        )
+        expected, undefined, windows = window_correlation_oracle(
+            values, rate, width_ms, step_ms
+        )
+        assert cs.windows == tuple(windows)
+        assert np.array_equal(cs.values.view(np.int64), expected.view(np.int64))
+        assert list(cs.undefined) == undefined
+        return cs
+
+    def test_ties_and_constant_stretches_over_several_blocks(self, rng):
+        values = np.round(rng.normal(size=(2400, 6)).cumsum(axis=0) * 0.2, 1)
+        values[300:420, 2] = 1.5  # constant through some whole windows
+        values[1000:1090, 4] = -0.5
+        cs = self.check(values, 250.0)
+        lengths = [b - a for a, b in cs.windows]
+        assert set(lengths) == {83, 84}
+        for L in (83, 84):
+            assert lengths.count(L) > BLOCK_CELLS // (6 * L)  # several blocks
+        assert cs.undefined
+
+    def test_two_channels(self, rng):
+        values = np.round(rng.normal(size=(700, 2)), 1)
+        values[100:200, 0] = 0.0
+        self.check(values, 250.0)
+
+    def test_half_sample_geometry(self, rng):
+        self.check(rng.normal(size=(400, 5)), 1000.0, width_ms=12.5, step_ms=7.5)
+
+    def test_memory_is_bounded_by_the_result(self):
+        """32 channels x 25 000 samples: the working set beyond the
+        (windows x pairs) result stays small because windows go in blocks."""
+        values = np.random.default_rng(3).normal(size=(25_000, 32))
+        m = ChannelMatrix([f"c{k}" for k in range(32)], values, 250.0)
+        tracemalloc.start()
+        try:
+            cs = correlation_series(m, WindowSpec())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - cs.values.nbytes < 16 * 2**20
 
 
 class TestCorrelationSeries:

@@ -316,9 +316,10 @@ def cmd_summary(args) -> int:
     return 0
 
 
-def _add_output_flags(p, seed: bool = True) -> None:
+def _add_output_flags(p, seed: bool = True, threads: bool = False) -> None:
     if seed:
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    if threads:
         p.add_argument(
             "--threads", type=int, default=1, help="worker threads (default 1)"
         )
@@ -375,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the add-one permutation p-value (1+count)/(1+R)",
     )
-    _add_output_flags(p)
+    _add_output_flags(p, threads=True)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("power", help="power curve over a parameter sweep")
@@ -401,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--quantile-replications", type=int, default=10000)
     p.add_argument("--baseline", choices=["bonferroni"], default=None)
-    _add_output_flags(p)
+    _add_output_flags(p, threads=True)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("density-sweep", help="ERGM edge density over a theta grid")

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .graphs import GraphSample, num_pairs
+from .graphs import GraphSample, canonical_pairs, num_pairs
 from .inference import PowerPoint, TestResult
 from .models import DensityPoint
 from .timeseries import ChannelMatrix, SummaryGraph
@@ -58,9 +58,12 @@ def format_graph_sample(
         raise ValueError(f"base must be 0 or 1, got {base}")
     lines = [f"graphsample v={sample.v} n={sample.n} base={base}"]
     lines += _manifest_comment(manifest_name)
-    for g_idx, g in enumerate(sample):
-        for i, j in g.edges():
-            lines.append(f"{g_idx} {i + base} {j + base}")
+    # Row-major nonzeros visit graphs in order, and each graph's slots in
+    # canonical order, as Graph.edges() does.
+    graph_idx, slots = np.nonzero(sample.indicator_matrix())
+    heads = np.array([str(k) for k in range(sample.n)], dtype=object)
+    pairs = [f" {i + base} {j + base}" for i, j in canonical_pairs(sample.v)]
+    lines += (heads[graph_idx] + np.array(pairs, dtype=object)[slots]).tolist()
     return "\n".join(lines) + "\n"
 
 

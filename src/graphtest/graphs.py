@@ -4,6 +4,10 @@ Graphs are simple and undirected over a fixed vertex set 0..v-1. Edges live in
 the E = v*(v-1)/2 canonical slots (i, j) with i < j, enumerated lexicographically,
 and are stored packed in a single Python integer so that flips are O(1) and the
 edge-disagreement distance is one XOR plus a popcount.
+
+A ``GraphSample`` holds its member graphs and, built once from them, a
+read-only (n x E) uint8 indicator matrix with one row per graph. Work over a
+whole sample (edge counts, formatting, permutation tests) reads that matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ __all__ = [
     "mean_graph",
     "edge_covariance",
 ]
+
+
+# Whole-array work (Monte Carlo replicates, Metropolis-Hastings proposals,
+# correlation windows) runs in blocks of about this many cells.
+BLOCK_CELLS = 1 << 16
 
 
 def num_pairs(v: int) -> int:
@@ -199,22 +208,27 @@ class GraphSample:
                 raise DimensionMismatchError(
                     f"sample mixes vertex counts {v} and {g.v}"
                 )
+        E = num_pairs(v)
+        width = (E + 7) // 8
+        raw = b"".join(g.bits.to_bytes(width, "little") for g in members)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(members), width)
+        matrix = np.unpackbits(packed, axis=1, count=E, bitorder="little")
+        matrix.flags.writeable = False
         self.graphs = members
         self.v = v
+        self._matrix = matrix
 
     @classmethod
     def from_indicator_matrix(cls, v: int, mask) -> "GraphSample":
         """Inverse of indicator_matrix: one graph per row of an (n x E) 0/1 matrix."""
-        arr = np.array(mask, dtype=bool)
+        arr = np.asarray(mask, dtype=bool)
         if arr.ndim != 2 or arr.shape[1] != num_pairs(v):
             raise DimensionMismatchError(
                 f"expected an (n x {num_pairs(v)}) indicator matrix for v={v}, "
                 f"got shape {arr.shape}"
             )
         packed = np.packbits(arr, axis=1, bitorder="little")
-        sample = cls(Graph(v, int.from_bytes(row.tobytes(), "little")) for row in packed)
-        sample.__dict__["_matrix"] = arr.view(np.uint8)
-        return sample
+        return cls(Graph(v, int.from_bytes(row.tobytes(), "little")) for row in packed)
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -240,12 +254,8 @@ class GraphSample:
         return self.indicator_matrix().sum(axis=0, dtype=np.int64)
 
     def indicator_matrix(self) -> np.ndarray:
-        """Stacked edge indicators, one uint8 row per member graph (n x E)."""
-        if "_matrix" not in self.__dict__:
-            self.__dict__["_matrix"] = np.vstack(
-                [g.indicator_row() for g in self.graphs]
-            )
-        return self.__dict__["_matrix"]
+        """Stacked edge indicators, one uint8 row per member graph (n x E), read-only."""
+        return self._matrix
 
     def __repr__(self) -> str:
         return f"GraphSample(n={self.n}, v={self.v})"

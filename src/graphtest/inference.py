@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, EnumerationRefusedError
-from .graphs import EdgeMarginals, GraphSample, num_pairs
+from .graphs import BLOCK_CELLS, EdgeMarginals, GraphSample, num_pairs
 from .models import MH_MIN_CHAINS, Ergm, ModelSpec
 from .statistic import (
     GapKernel,
@@ -114,10 +114,6 @@ def _resolve_marginals(
             f"null model has no computable marginals ({e}); "
             "pass an explicit marginals estimate"
         ) from e
-
-
-# Replicates are drawn in blocks of about this many count cells (B x E).
-BLOCK_CELLS = 1 << 16
 
 
 def _block_size(model: ModelSpec) -> int:
@@ -281,8 +277,11 @@ def two_sample_permutation_test(
     k = min(n, m)
     obs_num = stat.exact.numerator * ((n * m) // stat.exact.denominator)
 
-    pooled = sorted(list(s) + list(t), key=lambda g: g.bits)
-    indicators = np.vstack([g.indicator_row() for g in pooled]).astype(np.float64)
+    pooled = np.vstack((s.indicator_matrix(), t.indicator_matrix()))
+    # Sort the pooled graphs by edge bitset: in little-endian packed bytes the
+    # last byte is the most significant, and lexsort's last key is its first.
+    order = np.lexsort(np.packbits(pooled, axis=1, bitorder="little").T)
+    indicators = pooled[order].astype(np.float64)
     # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so their
     # numerators share the observed denominator n*m.
     kernel = two_sample_kernel(k, N - k, s.edge_counts + t.edge_counts)
@@ -310,19 +309,25 @@ def two_sample_permutation_test(
 
 
 @lru_cache(maxsize=512)
-def _binom_weights(n: int, p0: Fraction) -> tuple[tuple[int, ...], int]:
-    """Integer outcome weights w_k with P(X=k) = w_k / total for X ~ Bin(n, p0)."""
+def _binom_tails(n: int, p0: Fraction) -> tuple[tuple[int, ...], int]:
+    """Two-sided tails of X ~ Bin(n, p0): P(X no more likely than k) = tails[k] / total.
+
+    Outcome k has integer weight w_k = C(n, k) num^k (den - num)^(n - k), and
+    its tail sums every weight no larger than w_k: a running sum of the
+    sorted weights, read at the last one equal to w_k.
+    """
     num, den = p0.numerator, p0.denominator
-    weights = tuple(
+    weights = [
         math.comb(n, k) * num**k * (den - num) ** (n - k) for k in range(n + 1)
-    )
-    return weights, den**n
+    ]
+    ordered = sorted(weights)
+    sums = list(accumulate(ordered))
+    return tuple(sums[bisect_right(ordered, w) - 1] for w in weights), den**n
 
 
 def _binom_pvalue_fraction(k: int, n: int, p0: Fraction) -> Fraction:
-    weights, total = _binom_weights(n, p0)
-    w_k = weights[k]
-    return Fraction(sum(w for w in weights if w <= w_k), total)
+    tails, total = _binom_tails(n, p0)
+    return Fraction(tails[k], total)
 
 
 def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
@@ -360,8 +365,8 @@ def bonferroni_edge_test(
     n = s.n
     E = num_pairs(s.v)
     p_values = [
-        _binom_pvalue_fraction(int(c), n, p0)
-        for c, p0 in zip(s.edge_counts, null_marginals.fractions)
+        _binom_pvalue_fraction(c, n, p0)
+        for c, p0 in zip(s.edge_counts.tolist(), null_marginals.fractions)
     ]
     threshold = Fraction(alpha) / E
     reject = any(p <= threshold for p in p_values)
@@ -379,21 +384,15 @@ def bonferroni_edge_test(
 def _bc_reject_table(n: int, marginals: EdgeMarginals, alpha: float) -> np.ndarray:
     """Boolean (E, n+1) lookup: does count k at pair a reject at level alpha/E.
 
-    Pairs that share a null probability share one row. The p-value of count
-    k sums the outcome weights no larger than w_k, which is a running sum of
-    the sorted weights; it rejects when that sum over the total is at most
-    alpha/E.
+    Count k rejects when its two-sided tail over the total is at most
+    alpha/E; pairs that share a null probability share one row.
     """
     threshold = Fraction(alpha) / num_pairs(marginals.v)
     rows = {}
     for p0 in set(marginals.fractions):
-        weights, total = _binom_weights(n, p0)
-        ordered = sorted(weights)
-        tails = list(accumulate(ordered))
+        tails, total = _binom_tails(n, p0)
         rows[p0] = [
-            tails[bisect_right(ordered, w) - 1] * threshold.denominator
-            <= threshold.numerator * total
-            for w in weights
+            t * threshold.denominator <= threshold.numerator * total for t in tails
         ]
     return np.array([rows[p0] for p0 in marginals.fractions], dtype=bool)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EnumerationRefusedError
 from .graphs import (
+    BLOCK_CELLS,
     EdgeMarginals,
     Graph,
     GraphSample,
@@ -74,9 +76,6 @@ EDGE_TWO_STAR = "edge_two_star"
 # Exact enumeration visits 2^E graphs; v=6 means 2^15 = 32768.
 ENUMERATION_MAX_V = 6
 
-# Metropolis-Hastings proposals are drawn about this many at a time.
-MH_BLOCK_CELLS = 1 << 16
-
 # The lockstep engine prepares flip indices for about this many chain steps
 # at a time, which bounds its working memory beyond the draws and counts.
 MH_GROUP_CELLS = 1 << 14
@@ -93,15 +92,48 @@ def _check_probability(name: str, p: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
 
-def _sample_independent_edges(
-    v: int, probs: np.ndarray, n: int, rng: np.random.Generator
-) -> GraphSample:
-    draws = rng.random((n, num_pairs(v))) < probs
-    return GraphSample.from_indicator_matrix(v, draws)
+def _check_sample_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("sample size must be >= 1")
+
+
+class _IndependentEdges:
+    """Sampling and marginals of a model whose edge at pair a is an
+    independent Bernoulli(p_a), with p_a given by ``pair_probabilities()``."""
+
+    def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
+        _check_sample_size(n)
+        draws = rng.random((n, num_pairs(self.v))) < self.pair_probabilities()
+        return GraphSample.from_indicator_matrix(self.v, draws)
+
+    def edge_count_batches(
+        self, n: int, R: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Per-pair edge counts for R independent samples of size n (R x E).
+
+        Edges are independent, so the counts are independent Binomial(n, p_a)
+        draws; the result is distributed exactly as counting edges over R
+        samples of n graphs each.
+        """
+        _check_sample_size(n)
+        probs = self.pair_probabilities()
+        # A scalar p draws the same stream as a constant vector, ~10% faster.
+        p = probs[0] if (probs == probs[0]).all() else probs
+        return rng.binomial(n, p, size=(R, num_pairs(self.v)))
+
+    def exact_marginals(self) -> EdgeMarginals:
+        probs = self.pair_probabilities().tolist()
+        # Converting each distinct float once is faster than once per pair.
+        exact = {p: Fraction(p) for p in set(probs)}
+        return EdgeMarginals(self.v, [exact[p] for p in probs])
+
+    @property
+    def sweep_parameter(self) -> float:
+        return self.p
 
 
 @dataclass(frozen=True)
-class ErdosRenyi:
+class ErdosRenyi(_IndependentEdges):
     """Independent identical Bernoulli(p) edges on v vertices."""
 
     v: int
@@ -112,33 +144,15 @@ class ErdosRenyi:
             raise ValueError(f"need at least 2 vertices, got v={self.v}")
         _check_probability("p", self.p)
 
-    def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
-        return sample_er(self.v, self.p, n, rng)
-
-    def edge_count_batches(
-        self, n: int, R: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-pair edge counts for R independent samples of size n (R x E).
-
-        Edges are independent, so the counts are independent Binomial(n, p)
-        draws; the result is distributed exactly as counting edges over R
-        samples of n graphs each.
-        """
-        return rng.binomial(n, self.p, size=(R, num_pairs(self.v)))
-
-    def exact_marginals(self) -> EdgeMarginals:
-        return er_marginals(self.v, self.p)
-
-    @property
-    def sweep_parameter(self) -> float:
-        return self.p
+    def pair_probabilities(self) -> np.ndarray:
+        return np.full(num_pairs(self.v), self.p, dtype=np.float64)
 
     def describe(self) -> dict:
         return {"model": "er", "v": self.v, "p": self.p}
 
 
 @dataclass(frozen=True)
-class ModifiedErdosRenyi:
+class ModifiedErdosRenyi(_IndependentEdges):
     """Bernoulli(p) on a fixed set of pairs, Bernoulli(p0) elsewhere.
 
     The modified pairs are part of the model, chosen before sampling and
@@ -165,23 +179,6 @@ class ModifiedErdosRenyi:
         for i, j in self.modified_pairs:
             probs[pair_index(self.v, i, j)] = self.p
         return probs
-
-    def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
-        return _sample_independent_edges(self.v, self.pair_probabilities(), n, rng)
-
-    def edge_count_batches(
-        self, n: int, R: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return rng.binomial(
-            n, self.pair_probabilities(), size=(R, num_pairs(self.v))
-        )
-
-    def exact_marginals(self) -> EdgeMarginals:
-        return EdgeMarginals(self.v, list(self.pair_probabilities()))
-
-    @property
-    def sweep_parameter(self) -> float:
-        return self.p
 
     def describe(self) -> dict:
         return {
@@ -243,8 +240,7 @@ class Ergm:
 
         The R chains run in lockstep; see ``_mh_lockstep_edge_counts``.
         """
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
+        _check_sample_size(n)
         return _mh_lockstep_edge_counts(self, n, R, rng)
 
     def exact_marginals(self) -> EdgeMarginals:
@@ -270,18 +266,13 @@ ModelSpec = Union[ErdosRenyi, ModifiedErdosRenyi, Ergm]
 
 def sample_er(v: int, p: float, n: int, rng: np.random.Generator) -> GraphSample:
     """n i.i.d. graphs with every edge an independent Bernoulli(p)."""
-    _check_probability("p", p)
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    return _sample_independent_edges(v, np.float64(p), n, rng)
+    return ErdosRenyi(v, p).sample(n, rng)
 
 
 def sample_modified_er(
     spec: ModifiedErdosRenyi, n: int, rng: np.random.Generator
 ) -> GraphSample:
     """n i.i.d. graphs from a modified independent-edge model."""
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
     return spec.sample(n, rng)
 
 
@@ -447,8 +438,7 @@ def ergm_mh_sample(
     starts from the empty graph; one draw is retained every ``thinning``
     sweeps after ``burn_in`` sweeps, one sweep being E proposals.
     """
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
+    _check_sample_size(n)
     v = spec.v
     E = num_pairs(v)
     pairs = canonical_pairs(v)
@@ -464,7 +454,7 @@ def ergm_mh_sample(
     # Proposal slots and uniforms are drawn a block of sweeps at a time, all
     # slots of a block before its uniforms, so the draws a chain sees depend
     # on the block size.
-    block_sweeps = max(1, MH_BLOCK_CELLS // E)
+    block_sweeps = max(1, BLOCK_CELLS // E)
 
     sweep = 0
     while sweep < total_sweeps:
@@ -500,7 +490,7 @@ def _mh_lockstep_edge_counts(
 
     Every chain is the chain of ``ergm_mh_sample`` with the model's schedule,
     and all R take their proposal steps together as NumPy operations. Each
-    chunk of k = max(1, MH_BLOCK_CELLS // (E*R)) sweeps draws a (k*E x R)
+    chunk of k = max(1, BLOCK_CELLS // (E*R)) sweeps draws a (k*E x R)
     array of slots, then one of uniforms; chain c takes column c, row by row.
     With R = 1 that is the scalar sampler's draw order, so its counts are
     those of ``ergm_mh_sample``.
@@ -530,7 +520,7 @@ def _mh_lockstep_edge_counts(
     accept = np.zeros(R, dtype=np.uint64)
 
     total_sweeps = mcmc.burn_in + n * mcmc.thinning
-    chunk_sweeps = max(1, MH_BLOCK_CELLS // (E * R))
+    chunk_sweeps = max(1, BLOCK_CELLS // (E * R))
     # Flip indices are prepared for this many steps at a time.
     group = max(1, MH_GROUP_CELLS // R)
     sweep = 0
@@ -608,10 +598,7 @@ def edge_density_sweep(
     out = []
     for spec, child in zip(specs, children):
         sample = ergm_mh_sample(spec, n, mcmc, child)
-        E = num_pairs(spec.v)
-        density = float(
-            sum(g.edge_count() for g in sample) / (len(sample) * E)
-        )
+        density = int(sample.edge_counts.sum()) / (sample.n * num_pairs(spec.v))
         if density < 0.02 or density > 0.98:
             warnings.warn(
                 f"near-degenerate model at theta={spec.theta}: "

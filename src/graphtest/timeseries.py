@@ -38,8 +38,7 @@ from .errors import (
     InsufficientSampleError,
     UndefinedCorrelationError,
 )
-from .graphs import Graph, GraphSample, canonical_pairs, num_pairs, pair_index
-from .inference import BLOCK_CELLS
+from .graphs import BLOCK_CELLS, Graph, GraphSample, canonical_pairs, num_pairs, pair_index
 
 __all__ = [
     "ChannelMatrix",

@@ -397,3 +397,15 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--model", "er", "--v", "4", "--n", "3", "--p", "0.5"),
+        ("density-sweep", "--v", "4", "--stats", "edge-triangle",
+         "--theta1", "0", "--sweep", "0.1", "--draws", "5"),
+    ])
+    def test_threads_is_a_usage_error_where_no_blocks_are_drawn(self, argv, capsys):
+        # Only test and power draw replicate blocks for --threads to spread.
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", "1", "--threads", "2")
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from graphtest.models import DensityPoint
 from graphtest.statistic import TestStatistic
 from graphtest.timeseries import SummaryGraph
 
-from oracles import random_sample, read_graph_sample_oracle
+from oracles import format_graph_sample_oracle, random_sample, read_graph_sample_oracle
 
 TestResult.__test__ = False
 TestStatistic.__test__ = False
@@ -65,6 +65,26 @@ class TestGraphSampleFormat:
     def test_manifest_reference_comment(self):
         text = format_graph_sample(sample_with_gap(), manifest_name="run.json")
         assert text.splitlines()[1] == "# manifest: run.json"
+
+    @pytest.mark.parametrize("base", [0, 1])
+    @pytest.mark.parametrize("manifest_name", [None, "run.json"])
+    @pytest.mark.parametrize("v", [2, 5, 9])
+    def test_matches_the_per_edge_writer(self, rng, base, manifest_name, v):
+        for _ in range(5):
+            members = list(random_sample(rng, v, 8))
+            # Edgeless graphs at the start, in the middle and at the end.
+            members[0:0] = [Graph.empty(v)]
+            members.insert(4, Graph.empty(v))
+            members.append(Graph.empty(v))
+            sample = GraphSample(members)
+            assert format_graph_sample(sample, base, manifest_name) == (
+                format_graph_sample_oracle(sample, base, manifest_name)
+            )
+
+    def test_edgeless_sample_is_a_header_only(self):
+        sample = GraphSample([Graph.empty(3)] * 2)
+        assert format_graph_sample(sample) == format_graph_sample_oracle(sample)
+        assert format_graph_sample(sample) == "graphsample v=3 n=2 base=0\n"
 
     def test_round_trip(self, tmp_path, rng):
         for base in (0, 1):

@@ -252,6 +252,34 @@ class TestGraphSample:
         assert rebuilt.indicator_matrix().dtype == rows.dtype
         assert rebuilt.edge_counts.tolist() == s.edge_counts.tolist()
 
+    @pytest.mark.parametrize("v", [2, 9, 24])
+    def test_both_constructions_give_the_same_matrix(self, rng, v):
+        rows = (rng.random((13, num_pairs(v))) < 0.4).astype(np.uint8)
+        rows[3], rows[7] = 0, 1
+        members = [Graph.from_indicator_row(v, row) for row in rows]
+        s = GraphSample(members)
+        rebuilt = GraphSample.from_indicator_matrix(v, rows)
+        for sample in (s, rebuilt):
+            assert sample.indicator_matrix().dtype == np.uint8
+            assert np.array_equal(sample.indicator_matrix(), rows)
+            assert sample.edge_counts.tolist() == rows.sum(axis=0).tolist()
+        assert rebuilt == s
+
+    def test_indicator_matrix_is_read_only(self, rng):
+        mask = rng.random((4, 10)) < 0.5
+        for s in (random_sample(rng, 5, 4), GraphSample.from_indicator_matrix(5, mask)):
+            matrix = s.indicator_matrix()
+            assert s.indicator_matrix() is matrix
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1 - matrix[0, 0]
+            with pytest.raises(ValueError):
+                matrix[:] = 0
+        # The caller's mask stays the caller's: changing it changes no sample.
+        s = GraphSample.from_indicator_matrix(5, mask)
+        before = s.indicator_matrix().copy()
+        mask[:] = ~mask
+        assert np.array_equal(s.indicator_matrix(), before)
+
     def test_from_indicator_matrix_checks_shape(self):
         with pytest.raises(DimensionMismatchError):
             GraphSample.from_indicator_matrix(4, np.zeros((3, 5), dtype=bool))

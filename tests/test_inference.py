@@ -256,6 +256,26 @@ class TestPermutationBlocks:
             )
             assert result.p_value == expected
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_p_values_match_the_formula_with_graphs_in_both_samples(
+        self, rng_factory, strict
+    ):
+        # v=4 has only 64 graphs, and both samples also draw from one shared
+        # pool, so the canonical sort meets many equal graphs.
+        for seed in range(4):
+            rng = rng_factory(300 + seed)
+            shared = list(sample_er(4, 0.5, 6, rng))
+            pool = shared + list(sample_er(4, 0.5, 20, rng))
+            s = GraphSample(pool[int(k)] for k in rng.integers(0, 26, 14))
+            t = GraphSample(shared + [pool[int(k)] for k in rng.integers(0, 26, 9)])
+            result = two_sample_permutation_test(
+                s, t, R=400, rng=rng_factory(seed), strict=strict
+            )
+            expected = all_at_once_permutation_p(
+                s, t, 400, rng_factory(seed), strict=strict
+            )
+            assert result.p_value == expected
+
 
 class TestReplicateBlocks:
     # v=40 has E=780 pairs, so a block holds 65536 // 780 = 84 replicates.
@@ -393,6 +413,17 @@ class TestBinomialPValue:
         ours = binom_two_sided_pvalue(k, n, p0)
         theirs = scipy.stats.binomtest(k, n, p0).pvalue
         assert ours == pytest.approx(theirs, rel=1e-9)
+
+    @pytest.mark.parametrize("p0", [0.0, 0.5, 1.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_matches_the_fraction_pmf_sum(self, n, p0):
+        # At p0 = 1/2 outcomes k and n-k tie; at 0 and 1 every impossible
+        # outcome ties at weight 0.
+        q = Fraction(p0)
+        pmf = [math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(n + 1)]
+        for k in range(n + 1):
+            expected = sum((w for w in pmf if w <= pmf[k]), Fraction(0))
+            assert binom_two_sided_pvalue(k, n, p0) == float(expected)
 
     def test_degenerate_reference(self):
         assert binom_two_sided_pvalue(0, 5, 0.0) == 1.0

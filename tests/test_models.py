@@ -81,6 +81,34 @@ class TestErdosRenyi:
         assert model.sweep_parameter == 0.25
         assert model.describe()["model"] == "er"
 
+    def test_pair_probabilities(self):
+        probs = ErdosRenyi(5, 0.3).pair_probabilities()
+        assert probs.dtype == np.float64
+        assert probs.tolist() == [0.3] * 10
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.97, 1.0])
+    def test_constant_probabilities_draw_as_scalar_and_vector_alike(self, p):
+        # Constant probabilities are drawn with a scalar p; NumPy consumes the
+        # stream for it exactly as for the constant per-pair vector.
+        for model in (ErdosRenyi(9, p), ModifiedErdosRenyi(9, p, p, frozenset({(0, 1)}))):
+            rng = np.random.default_rng(11)
+            counts = model.edge_count_batches(20, 70, rng)
+            for probs in (p, np.full(36, p)):
+                ref = np.random.default_rng(11)
+                assert np.array_equal(counts, ref.binomial(20, probs, size=(70, 36)))
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("model", [
+        ErdosRenyi(5, 0.5),
+        ModifiedErdosRenyi(5, 0.5, 0.9, frozenset({(0, 1)})),
+    ])
+    def test_sample_sizes_below_one_are_refused(self, rng, model):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="sample size"):
+                model.sample(n, rng)
+            with pytest.raises(ValueError, match="sample size"):
+                model.edge_count_batches(n, 10, rng)
+
 
 class TestModifiedErdosRenyi:
     def test_pair_probabilities(self):
@@ -388,3 +416,13 @@ class TestEdgeDensitySweep:
     def test_rejects_empty_grid(self, rng):
         with pytest.raises(ValueError):
             edge_density_sweep([], 100, McmcConfig(), rng)
+
+    def test_densities_are_the_per_graph_edge_sums(self):
+        specs = [Ergm(7, EDGE_TRIANGLE, (-0.5, t2)) for t2 in (-0.1, 0.0, 0.1)]
+        mcmc = McmcConfig(20, 2)
+        points = edge_density_sweep(specs, 60, mcmc, np.random.default_rng(3))
+        children = np.random.default_rng(3).spawn(len(specs))
+        for point, spec, child in zip(points, specs, children):
+            sample = ergm_mh_sample(spec, 60, mcmc, child)
+            edges = sum(g.edge_count() for g in sample)
+            assert point.density == edges / (60 * num_pairs(7))

@@ -281,8 +281,8 @@ def cmd_density_sweep(args) -> int:
 
 
 def cmd_build_graphs(args) -> int:
-    channels = read_channel_csv(args.input, args.sampling_rate)
     window = WindowSpec(width_ms=args.width_ms, step_ms=args.step_ms)
+    channels = read_channel_csv(args.input, args.sampling_rate)
     series = correlation_series(channels, window)
     thresholds = ThresholdSpec.from_series(series, c=args.c)
     sample = build_graphs(series, thresholds)

@@ -19,7 +19,6 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .errors import DataFormatError
 from .graphs import GraphSample, canonical_pairs, num_pairs
 from .inference import PowerPoint, TestResult
 from .models import DensityPoint
-from .timeseries import ChannelMatrix, SummaryGraph
+from .timeseries import ChannelMatrix, SummaryGraph, _check_sampling_rate
 
 __all__ = [
     "RunManifest",
@@ -85,59 +84,53 @@ def _content_lines(path) -> tuple[list[int], list[str]]:
     return numbers, [stripped[k - 1] for k in numbers]
 
 
-def _edge_line_error(text: str, v: int, n: int, base: int) -> str:
-    """Why an edge line is rejected: the first failing check, in format order.
-
-    A line that passes every check on its own repeats an earlier edge.
-    """
-    parts = text.split()
-    if len(parts) != 3:
-        return f"expected '<graph> <i> <j>', got {text!r}"
-    try:
-        g_idx, i, j = (int(p) for p in parts)
-    except ValueError:
-        return f"non-integer edge line {text!r}"
-    if not 0 <= g_idx < n:
-        return f"graph index {g_idx} outside [0, {n})"
-    if i == j or not (base <= i < v + base and base <= j < v + base):
-        return f"invalid vertex pair ({i}, {j}) for v={v}"
-    return f"duplicate edge ({min(i, j)}, {max(i, j)}) in graph {g_idx}"
-
-
-def _edge_array(body: list[str]) -> np.ndarray:
-    """(k x 3) integers of the edge lines before the first one that does not
-    hold three integer tokens (k = len(body) when every line does)."""
+def _edge_array(body: list[str]) -> np.ndarray | None:
+    """(k x 3) int64 array of the k edge lines, or None unless every line holds
+    three integer tokens that fit in int64."""
     k = len(body)
     # One split of all lines, each followed by a separator token. Every line
     # holds three tokens exactly when the separators are the tokens at
     # positions 3, 7, 11, ... and no other token equals one.
     tokens = " ; ".join(body + [""]).split()
-    if len(tokens) == 4 * k and tokens.count(";") == tokens[3::4].count(";") == k:
-        del tokens[3::4]
-    else:
-        widths = np.fromiter(map(len, map(str.split, body)), dtype=np.int64, count=k)
-        wrong = np.flatnonzero(widths != 3)
-        k = int(wrong[0]) if len(wrong) else k
-        tokens = " ".join(body[:k]).split()
-    ints: list[int] = []
+    if len(tokens) != 4 * k or not tokens.count(";") == tokens[3::4].count(";") == k:
+        return None
+    del tokens[3::4]
     try:
-        ints.extend(map(int, tokens))
-    except ValueError:
-        k = len(ints) // 3  # ints holds every token before the first non-integer one
-    try:
-        return np.array(ints[: 3 * k], dtype=np.int64).reshape(k, 3)
-    except OverflowError:
-        # Beyond int64 is beyond any v and n, and stays so when clipped.
-        big = 1 << 62
-        clipped = np.array(ints[: 3 * k], dtype=object).clip(-big, big)
-        return clipped.astype(np.int64).reshape(k, 3)
+        return np.array(list(map(int, tokens)), dtype=np.int64).reshape(k, 3)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _first_edge_error(
+    numbers: list[int], body: list[str], v: int, n: int, base: int
+) -> tuple[str, int]:
+    """Message and line number of the first edge line that breaks the format,
+    reading line by line (``numbers[k]`` is the line of ``body[k]``)."""
+    seen = set()
+    for lineno, text in zip(numbers, body):
+        parts = text.split()
+        if len(parts) != 3:
+            return f"expected '<graph> <i> <j>', got {text!r}", lineno
+        try:
+            g_idx, i, j = (int(p) for p in parts)
+        except ValueError:
+            return f"non-integer edge line {text!r}", lineno
+        if not 0 <= g_idx < n:
+            return f"graph index {g_idx} outside [0, {n})", lineno
+        if i == j or not (base <= i < v + base and base <= j < v + base):
+            return f"invalid vertex pair ({i}, {j}) for v={v}", lineno
+        i, j = min(i, j), max(i, j)
+        if (g_idx, i, j) in seen:
+            return f"duplicate edge ({i}, {j}) in graph {g_idx}", lineno
+        seen.add((g_idx, i, j))
+    raise AssertionError("the whole-array check rejected valid edge lines")
 
 
 def read_graph_sample(path) -> GraphSample:
     """Parse a graph-sample file; errors carry the offending line number.
 
-    Edge lines are checked as whole arrays. When one fails, the error names
-    the first failing content line, as a line-by-line reading would.
+    Edge lines are checked as whole arrays. When they fail, one line-by-line
+    reading names the first failing content line.
     """
     path = str(path)
     numbers, lines = _content_lines(path)
@@ -183,30 +176,21 @@ def read_graph_sample(path) -> GraphSample:
             f"base must be 0 or 1, got {base}", path=path, line=lineno
         )
 
-    body = lines[1:]
-    edges = _edge_array(body)
-    g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
-    invalid = (g < 0) | (g >= n) | (a == b) | (a < 0) | (a >= v) | (b < 0) | (b >= v)
-    first = int(np.argmax(invalid)) if invalid.any() else len(edges)
-    i = np.minimum(a[:first], b[:first])
-    j = np.maximum(a[:first], b[:first])
-    E = num_pairs(v)
-    cells = g[:first] * E + i * (2 * v - i - 1) // 2 + (j - i - 1)
-    # A stable sort keeps line order within a run of equal cells, so every
-    # member of a run after its first repeats an earlier line.
-    order = np.argsort(cells, kind="stable")
-    repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
-    if len(repeats):
-        first = int(repeats.min())
-    if first < len(body):
-        raise DataFormatError(
-            _edge_line_error(body[first], v, n, base),
-            path=path,
-            line=numbers[first + 1],
-        )
-    mask = np.zeros(n * E, dtype=bool)
-    mask[cells] = True
-    return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
+    edges = _edge_array(lines[1:])
+    if edges is not None:
+        g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
+        in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
+        if (in_range & (a != b)).all():
+            i, j = np.minimum(a, b), np.maximum(a, b)
+            E = num_pairs(v)
+            cells = g * E + i * (2 * v - i - 1) // 2 + (j - i - 1)
+            mask = np.zeros(n * E, dtype=bool)
+            mask[cells] = True
+            # Fewer set cells than lines means some line repeats an edge.
+            if np.count_nonzero(mask) == len(cells):
+                return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
+    message, lineno = _first_edge_error(numbers[1:], lines[1:], v, n, base)
+    raise DataFormatError(message, path=path, line=lineno)
 
 
 def _finite_rows(data: list, width: int, rows: list, path: str) -> np.ndarray:
@@ -223,7 +207,11 @@ def _finite_rows(data: list, width: int, rows: list, path: str) -> np.ndarray:
 
 
 def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
-    """Parse a channel CSV (label row + one row of reals per time sample)."""
+    """Parse a channel CSV (label row + one row of reals per time sample).
+
+    An invalid ``sampling_rate`` raises ValueError before the file is read.
+    """
+    _check_sampling_rate(sampling_rate)
     path = str(path)
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)

@@ -1,8 +1,10 @@
 """Hypothesis tests built on the maximum mean-distance-gap statistic.
 
 The one-sample test compares the statistic of an observed sample against an
-empirical null quantile obtained by Monte Carlo simulation. The two-sample
-test uses a permutation distribution over re-partitions of the pooled sample.
+empirical null quantile obtained by Monte Carlo simulation. That critical
+value has one source, ``_calibrate_null``, which ``null_quantile_mc``,
+``one_sample_test`` and ``power_curve`` all call. The two-sample test uses a
+permutation distribution over re-partitions of the pooled sample.
 A per-edge exact binomial procedure with Bonferroni correction is provided as
 a baseline, along with power-curve estimation over a grid of alternatives.
 
@@ -123,52 +125,62 @@ def _block_size(model: ModelSpec) -> int:
 
 
 def _map_blocks(
-    fn: Callable[[int, np.random.Generator], object],
-    R: int,
+    fn: Callable[[np.ndarray], object],
     model: ModelSpec,
+    n: int,
+    R: int,
     rng: np.random.Generator,
     threads: int,
 ) -> list:
-    """fn(size, child_rng) for consecutive blocks covering R replicates.
+    """fn(counts) for consecutive blocks of counts covering R samples of size n.
 
-    A block holds ``_block_size(model)`` replicates (the last block may be
-    smaller) and draws from its own stream spawned off ``rng``. Blocks and
-    streams are fixed before any work starts, and results come back in block
-    order, so they do not depend on ``threads``.
+    A block holds ``_block_size(model)`` samples (the last may hold fewer),
+    and its (size x E) counts come from ``model.edge_count_batches`` on a
+    stream of its own spawned off ``rng``. Blocks and streams are fixed before
+    any work starts, and results come back in block order, so they do not
+    depend on ``threads``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     B = _block_size(model)
     sizes = [min(B, R - lo) for lo in range(0, R, B)]
     children = rng.spawn(len(sizes))
+
+    def block(size: int, child: np.random.Generator) -> object:
+        return fn(model.edge_count_batches(n, size, child))
+
     if threads == 1:
-        return [fn(size, child) for size, child in zip(sizes, children)]
+        return [block(size, child) for size, child in zip(sizes, children)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, sizes, children))
+        return list(pool.map(block, sizes, children))
 
 
-def _quantile_index(alpha: float, R: int) -> int:
-    """1-based order-statistic index of the empirical (1-alpha) quantile."""
-    k = math.ceil((1 - Fraction(alpha)) * R)
-    return min(max(k, 1), R)
-
-
-def _critical_numerator(
+def _calibrate_null(
     null: ModelSpec,
-    kernel: GapKernel,
     n: int,
     alpha: float,
     R: int,
     rng: np.random.Generator,
     threads: int,
-) -> int:
-    """Order statistic ceil((1-alpha)*R) of R null numerators, in blocks."""
-    def block(size: int, child: np.random.Generator) -> np.ndarray:
-        return kernel(null.edge_count_batches(n, size, child))
+    marginals: EdgeMarginals | None,
+) -> tuple[EdgeMarginals, str, GapKernel, int]:
+    """Monte Carlo critical value of the one-sample statistic under ``null``.
 
-    values = np.concatenate(_map_blocks(block, R, null, rng, threads))
-    k = _quantile_index(alpha, R) - 1
-    return int(np.partition(values, k)[k])
+    Checks R, n and alpha, then returns the null's marginals and their source
+    ("exact" or "supplied"), the statistic's kernel for samples of size n,
+    and the numerator of order statistic ceil((1-alpha)*R) of R null draws.
+    """
+    if R < 100:
+        raise ValueError(f"need at least 100 replications, got {R}")
+    if n < 1:
+        raise ValueError("sample size must be >= 1")
+    _check_alpha(alpha)
+    marg, source = _resolve_marginals(null, marginals)
+    kernel = one_sample_kernel(n, marg)
+    values = np.concatenate(_map_blocks(kernel, null, n, R, rng, threads))
+    k = math.ceil((1 - Fraction(alpha)) * R)
+    k = min(max(k, 1), R) - 1
+    return marg, source, kernel, int(np.partition(values, k)[k])
 
 
 def null_quantile_mc(
@@ -189,14 +201,7 @@ def null_quantile_mc(
     cannot be computed exactly (dependent edges above the enumeration limit),
     pass an explicit ``marginals`` estimate.
     """
-    if R < 100:
-        raise ValueError(f"need at least 100 replications, got {R}")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    _check_alpha(alpha)
-    marg, _ = _resolve_marginals(null, marginals)
-    kernel = one_sample_kernel(n, marg)
-    crit = _critical_numerator(null, kernel, n, alpha, R, rng, threads)
+    _, _, kernel, crit = _calibrate_null(null, n, alpha, R, rng, threads, marginals)
     return float(kernel.fraction(crit))
 
 
@@ -222,13 +227,10 @@ def one_sample_test(
         raise DimensionMismatchError(
             f"sample has v={s.v} but null model has v={null.v}"
         )
-    if R < 100:
-        raise ValueError(f"need at least 100 replications, got {R}")
-    _check_alpha(alpha)
-    marg, source = _resolve_marginals(null, marginals)
-    kernel = one_sample_kernel(s.n, marg)
+    marg, source, kernel, crit = _calibrate_null(
+        null, s.n, alpha, R, rng, threads, marginals
+    )
     stat = one_sample_statistic(s, marg, kernel=kernel)
-    crit = _critical_numerator(null, kernel, s.n, alpha, R, rng, threads)
     crit_exact = kernel.fraction(crit)
     return TestResult(
         method="one_sample_mc",
@@ -429,15 +431,10 @@ def power_curve(
             )
     if M < 100:
         raise ValueError(f"need at least 100 replications per point, got {M}")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    _check_alpha(alpha)
 
-    marg, _ = _resolve_marginals(null, marginals)
-    kernel = one_sample_kernel(n, marg)
     streams = rng.spawn(1 + len(alternatives))
-    crit = _critical_numerator(
-        null, kernel, n, alpha, R_quantile, streams[0], threads
+    marg, _, kernel, crit = _calibrate_null(
+        null, n, alpha, R_quantile, streams[0], threads, marginals
     )
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))
@@ -445,14 +442,13 @@ def power_curve(
     points = []
     for alt, stream in zip(alternatives, streams[1:]):
 
-        def block(size: int, child: np.random.Generator) -> tuple[int, int]:
-            counts = alt.edge_count_batches(n, size, child)
+        def block(counts: np.ndarray) -> tuple[int, int]:
             w_rejects = int((kernel(counts) > crit).sum())
             if bc_table is None:
                 return w_rejects, 0
             return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
 
-        outcomes = _map_blocks(block, M, alt, stream, threads)
+        outcomes = _map_blocks(block, alt, n, M, stream, threads)
         w_power = sum(w for w, _ in outcomes) / M
         bc_power = (
             sum(b for _, b in outcomes) / M if baseline_bonferroni else None

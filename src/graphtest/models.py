@@ -16,10 +16,11 @@ all R chains advance together: each proposal step is a handful of NumPy
 operations over the R chains, whose graphs are held as uint64 neighbour
 bitmasks. A flip is accepted when its uniform falls below a threshold table
 built once with ``math.exp``, so every chain makes exactly the decisions of
-the scalar sampler ``ergm_mh_sample`` given the same draws. A step costs the
-same few NumPy calls however many chains take it, so the engine pays off
-only for many chains; Monte Carlo blocks of ERGM replicates hold at least
-``MH_MIN_CHAINS`` of them.
+the scalar sampler ``ergm_mh_sample`` given the same draws. Both samplers
+take their draws and their burn-in and thinning schedule from ``_mh_sweeps``,
+which documents the draw layout. A step costs the same few NumPy calls
+however many chains take it, so the engine pays off only for many chains;
+Monte Carlo blocks of ERGM replicates hold at least ``MH_MIN_CHAINS`` of them.
 
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
@@ -34,11 +35,11 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationRefusedError
+from .errors import EnumerationRefusedError
 from .graphs import (
     BLOCK_CELLS,
     EdgeMarginals,
@@ -353,6 +354,8 @@ class ExactDistribution:
                 f"expected {1 << E} probabilities for v={v}, "
                 f"got shape {probabilities.shape}"
             )
+        if not np.isfinite(probabilities).all():
+            raise ValueError("probabilities must be finite, got NaN or infinity")
         if np.any(probabilities < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(float(probabilities.sum()) - 1.0) > 1e-12:
@@ -423,6 +426,38 @@ def _mh_thresholds(spec: Ergm) -> list[list[float]]:
     ]
 
 
+def _mh_sweeps(
+    E: int, R: int, n: int, mcmc: McmcConfig, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """Proposal draws of R chains, one sweep at a time: (slots, uniforms, keep).
+
+    Each chain starts from the empty graph and makes burn_in + n * thinning
+    sweeps of E proposals; ``keep`` marks the sweeps that end with a retained
+    draw, every ``thinning``-th one after ``burn_in``. Step s of chain c
+    flips canonical pair ``slots[s, c]`` when ``uniforms[s, c]`` falls below
+    its acceptance threshold; both arrays are (E x R).
+
+    Draw layout: sweeps are drawn in chunks of
+    k = max(1, BLOCK_CELLS // (E*R)), each chunk one
+    ``rng.integers(0, E, (k*E, R))`` of slots followed by one
+    ``rng.random((k*E, R))`` of uniforms, read row by row. With R = 1 that is
+    one chain's order, so ``ergm_mh_sample`` and a one-chain lockstep run see
+    the same draws. Slots and uniforms alternate per chunk, so the draws a
+    chain sees depend on R and on the chunk size.
+    """
+    total_sweeps = mcmc.burn_in + n * mcmc.thinning
+    chunk_sweeps = max(1, BLOCK_CELLS // (E * R))
+    sweep = 0
+    while sweep < total_sweeps:
+        todo = min(chunk_sweeps, total_sweeps - sweep)
+        slots = rng.integers(0, E, size=(todo * E, R))
+        unif = rng.random((todo * E, R))
+        for lo in range(0, todo * E, E):
+            sweep += 1
+            kept = (sweep - mcmc.burn_in) % mcmc.thinning == 0
+            yield slots[lo:lo + E], unif[lo:lo + E], sweep > mcmc.burn_in and kept
+
+
 def ergm_mh_sample(
     spec: Ergm,
     n: int,
@@ -440,7 +475,6 @@ def ergm_mh_sample(
     """
     _check_sample_size(n)
     v = spec.v
-    E = num_pairs(v)
     pairs = canonical_pairs(v)
     triangles = spec.stats == EDGE_TRIANGLE
     T = _mh_thresholds(spec)
@@ -450,37 +484,24 @@ def ergm_mh_sample(
     deg = [0] * v
 
     retained: list[Graph] = []
-    total_sweeps = mcmc.burn_in + n * mcmc.thinning
-    # Proposal slots and uniforms are drawn a block of sweeps at a time, all
-    # slots of a block before its uniforms, so the draws a chain sees depend
-    # on the block size.
-    block_sweeps = max(1, BLOCK_CELLS // E)
-
-    sweep = 0
-    while sweep < total_sweeps:
-        todo = min(block_sweeps, total_sweeps - sweep)
-        slots = rng.integers(0, E, size=todo * E)
-        unif = rng.random(todo * E)
-        for lo in range(0, todo * E, E):
-            for a, u in zip(slots[lo:lo + E].tolist(), unif[lo:lo + E].tolist()):
-                i, j = pairs[a]
-                present = bits >> a & 1
-                if triangles:
-                    change = (adj[i] & adj[j]).bit_count()
-                else:
-                    change = deg[i] + deg[j] - 2 * present
-                if u < T[present][change]:
-                    bits ^= 1 << a
-                    adj[i] ^= 1 << j
-                    adj[j] ^= 1 << i
-                    step = 1 - 2 * present
-                    deg[i] += step
-                    deg[j] += step
-            sweep += 1
-            if sweep > mcmc.burn_in:
-                if (sweep - mcmc.burn_in) % mcmc.thinning == 0:
-                    retained.append(Graph(v, bits))
-    return GraphSample(retained[:n])
+    for slots, unif, keep in _mh_sweeps(num_pairs(v), 1, n, mcmc, rng):
+        for a, u in zip(slots.ravel().tolist(), unif.ravel().tolist()):
+            i, j = pairs[a]
+            present = bits >> a & 1
+            if triangles:
+                change = (adj[i] & adj[j]).bit_count()
+            else:
+                change = deg[i] + deg[j] - 2 * present
+            if u < T[present][change]:
+                bits ^= 1 << a
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
+                step = 1 - 2 * present
+                deg[i] += step
+                deg[j] += step
+        if keep:
+            retained.append(Graph(v, bits))
+    return GraphSample(retained)
 
 
 def _mh_lockstep_edge_counts(
@@ -489,11 +510,9 @@ def _mh_lockstep_edge_counts(
     """Per-pair edge counts of n draws from each of R chains run in lockstep (R x E).
 
     Every chain is the chain of ``ergm_mh_sample`` with the model's schedule,
-    and all R take their proposal steps together as NumPy operations. Each
-    chunk of k = max(1, BLOCK_CELLS // (E*R)) sweeps draws a (k*E x R)
-    array of slots, then one of uniforms; chain c takes column c, row by row.
-    With R = 1 that is the scalar sampler's draw order, so its counts are
-    those of ``ergm_mh_sample``.
+    and all R take their proposal steps together as NumPy operations, on the
+    draws of ``_mh_sweeps``; with R = 1 its counts are those of
+    ``ergm_mh_sample``.
 
     A chain's graph is held as neighbour bitmasks of ceil(v/64) uint64 words
     per vertex; the flip of pair (i, j) toggles bit j of mask i and bit i of
@@ -502,7 +521,6 @@ def _mh_lockstep_edge_counts(
     pays off only with many chains (see ``MH_MIN_CHAINS``).
     """
     v, E = spec.v, num_pairs(spec.v)
-    mcmc = spec.mcmc
     pair_i, pair_j = np.array(canonical_pairs(v), dtype=np.intp).T
     # T[present, change] flattened; key = present*stride + change.
     T = np.array(_mh_thresholds(spec))
@@ -519,43 +537,33 @@ def _mh_lockstep_edge_counts(
     counts = np.zeros((R, E), dtype=np.int64)
     accept = np.zeros(R, dtype=np.uint64)
 
-    total_sweeps = mcmc.burn_in + n * mcmc.thinning
-    chunk_sweeps = max(1, BLOCK_CELLS // (E * R))
     # Flip indices are prepared for this many steps at a time.
     group = max(1, MH_GROUP_CELLS // R)
-    sweep = 0
-    while sweep < total_sweeps:
-        todo = min(chunk_sweeps, total_sweeps - sweep)
-        slots = rng.integers(0, E, size=(todo * E, R))
-        unif = rng.random((todo * E, R))
-        for start in range(0, todo * E, E):
-            for lo in range(start, start + E, group):
-                hi = min(lo + group, start + E)
-                i, j = pair_i[slots[lo:hi]], pair_j[slots[lo:hi]]
-                # Per step (2 x R): the rows of both endpoints, the word of
-                # each endpoint's mask that holds the other endpoint, and its
-                # bit there.
-                ends = np.stack((rows + i, rows + j), axis=1)
-                words = np.stack((j // 64, i // 64), axis=1) * (R * v) + ends
-                bits = one << (np.stack((j, i), axis=1) % 64).astype(np.uint64)
-                for end, word, bit, u in zip(ends, words, bits, unif[lo:hi]):
-                    held = flat.take(word)
-                    key = np.bitwise_count(held[0] & bit[0]) * present_weight
-                    for m in masks:
-                        pair = m.take(end)
-                        if triangles:
-                            key += np.bitwise_count(pair[0] & pair[1])
-                        else:
-                            degrees = np.bitwise_count(pair)
-                            key += degrees[0]
-                            key += degrees[1]
-                    np.less(u, T.take(key), out=accept)
-                    held ^= bit * accept
-                    flat[word] = held
-            sweep += 1
-            if sweep > mcmc.burn_in:
-                if (sweep - mcmc.burn_in) % mcmc.thinning == 0:
-                    counts += _edge_indicators(masks, v, pair_i, pair_j)
+    for slots, unif, keep in _mh_sweeps(E, R, n, spec.mcmc, rng):
+        for lo in range(0, E, group):
+            i = pair_i[slots[lo:lo + group]]
+            j = pair_j[slots[lo:lo + group]]
+            # Per step (2 x R): the rows of both endpoints, the word of each
+            # endpoint's mask that holds the other endpoint, and its bit there.
+            ends = np.stack((rows + i, rows + j), axis=1)
+            words = np.stack((j // 64, i // 64), axis=1) * (R * v) + ends
+            bits = one << (np.stack((j, i), axis=1) % 64).astype(np.uint64)
+            for end, word, bit, u in zip(ends, words, bits, unif[lo:lo + group]):
+                held = flat.take(word)
+                key = np.bitwise_count(held[0] & bit[0]) * present_weight
+                for m in masks:
+                    pair = m.take(end)
+                    if triangles:
+                        key += np.bitwise_count(pair[0] & pair[1])
+                    else:
+                        degrees = np.bitwise_count(pair)
+                        key += degrees[0]
+                        key += degrees[1]
+                np.less(u, T.take(key), out=accept)
+                held ^= bit * accept
+                flat[word] = held
+        if keep:
+            counts += _edge_indicators(masks, v, pair_i, pair_j)
     return counts
 
 

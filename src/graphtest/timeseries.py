@@ -55,6 +55,11 @@ __all__ = [
 ]
 
 
+def _check_sampling_rate(rate: float) -> None:
+    if not 0 < rate < math.inf:
+        raise ValueError(f"sampling_rate must be positive and finite, got {rate}")
+
+
 class ChannelMatrix:
     """Uniformly sampled multichannel recording, one column per channel."""
 
@@ -78,8 +83,7 @@ class ChannelMatrix:
             raise ValueError("recording must contain at least one sample")
         if not np.isfinite(arr).all():
             raise ValueError("recording contains NaN or infinite values")
-        if not sampling_rate > 0:
-            raise ValueError(f"sampling_rate must be positive, got {sampling_rate}")
+        _check_sampling_rate(sampling_rate)
         self.labels = labels
         self.values = arr
         self.sampling_rate = float(sampling_rate)
@@ -107,10 +111,9 @@ class WindowSpec:
     step_ms: float = 16.66
 
     def __post_init__(self):
-        if not self.width_ms > 0:
-            raise ValueError("window width must be positive")
-        if not self.step_ms > 0:
-            raise ValueError("window step must be positive")
+        for name, value in (("width", self.width_ms), ("step", self.step_ms)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"window {name} must be positive and finite, got {value}")
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -175,7 +178,8 @@ def spearman(x, y) -> float:
     Ties receive their mean rank. A constant input has no rank variance and
     no defined correlation; that raises UndefinedCorrelationError here, while
     the windowed pipeline treats such windows as correlation 0 and reports
-    them in its diagnostics.
+    them in its diagnostics. The value is the pipeline's, computed by
+    ``_block_correlations`` on a block of one window.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -191,9 +195,7 @@ def spearman(x, y) -> float:
         raise UndefinedCorrelationError(
             "correlation is undefined for a constant sequence"
         )
-    ranks = np.column_stack([average_ranks(xa), average_ranks(ya)])
-    rho = float(np.corrcoef(ranks, rowvar=False)[0, 1])
-    return min(1.0, max(-1.0, rho))
+    return float(_block_correlations(np.stack((xa, ya))[None])[0, 0, 1])
 
 
 class CorrelationSeries:

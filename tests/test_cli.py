@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import graphtest
 from graphtest import Graph, GraphSample, read_graph_sample, write_graph_sample
-from graphtest.cli import main
+from graphtest.cli import _build_parser, main
 
 from oracles import (
     FIXTURE_LABELS,
@@ -183,6 +185,18 @@ class TestTestCommand:
         assert code == 4
         assert "marginals" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_overflowing_ergm_null_is_usage_error(self, tmp_path, capsys):
+        sample = tmp_path / "s.txt"
+        write_complete_sample(sample, v=4, n=4)
+        code = run(
+            "test", "--sample", str(sample), "--null", "ergm",
+            "--stats", "edge-triangle", "--theta1", "1e308", "--theta2=-1e308",
+            "--replications", "100", "--seed", "1",
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_threads_do_not_change_the_csv(self, tmp_path):
         sample = tmp_path / "s.txt"
         write_complete_sample(sample, v=6, n=10)
@@ -253,6 +267,16 @@ class TestPowerCommand:
         )
         assert code == 2
         assert "--q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("R_quantile", ["5", "0", "-3"])
+    def test_too_few_quantile_replications_is_usage_error(self, R_quantile, capsys):
+        code = run(
+            "power", "--v", "5", "--n", "10", "--alt", "er",
+            "--sweep", "0.5,0.7", "--replications", "100",
+            f"--quantile-replications={R_quantile}", "--seed", "2",
+        )
+        assert code == 2
+        assert "at least 100 replications" in capsys.readouterr().err
 
     def test_threads_do_not_change_the_curve(self, tmp_path):
         base = [
@@ -351,6 +375,29 @@ class TestBuildGraphsCommand:
             run("build-graphs", "--input", str(csv_path))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("rate", ["0", "-250", "nan", "inf"])
+    def test_bad_sampling_rate_is_usage_error(self, tmp_path, rate, capsys):
+        # The rate is checked before the (here absent) file is read.
+        code = run(
+            "build-graphs", "--input", str(tmp_path / "absent.csv"),
+            f"--sampling-rate={rate}",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sampling_rate must be positive and finite" in err
+        assert "absent.csv" not in err
+
+    @pytest.mark.parametrize("flag", ["--width-ms", "--step-ms"])
+    def test_infinite_window_flag_is_usage_error(self, tmp_path, flag, capsys):
+        csv_path = tmp_path / "channels.csv"
+        write_fixture_csv(csv_path)
+        code = run(
+            "build-graphs", "--input", str(csv_path),
+            "--sampling-rate", "1000", flag, "inf",
+        )
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_window_longer_than_recording(self, tmp_path, capsys):
         csv_path = tmp_path / "channels.csv"
         write_fixture_csv(csv_path)
@@ -385,6 +432,22 @@ class TestSummaryCommand:
         sample_path = tmp_path / "s.txt"
         write_graph_sample(sample_path, GraphSample([Graph.empty(3)]))
         assert run("summary", "--sample", str(sample_path), "--k", "4") == 2
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every ``graphtest`` command in README's sh blocks."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("graphtest ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 7
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 class TestTopLevel:

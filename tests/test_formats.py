@@ -326,6 +326,14 @@ class TestChannelCsv:
         with pytest.raises(OSError):
             read_channel_csv(tmp_path / "absent.csv", 100.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
+    def test_bad_sampling_rate_is_rejected_before_the_file_is_read(
+        self, tmp_path, rate
+    ):
+        with pytest.raises(ValueError, match="sampling_rate") as err:
+            read_channel_csv(tmp_path / "absent.csv", rate)
+        assert not isinstance(err.value, DataFormatError)
+
 
 class TestResultCsv:
     def test_quantile_result_row(self):

@@ -532,6 +532,12 @@ class TestPowerCurve:
         assert points[1].power > 0.9
         assert points[0].power_baseline is None
 
+    @pytest.mark.parametrize("R_quantile", [5, 0, -3, 99])
+    def test_too_few_quantile_replications_are_rejected(self, rng, R_quantile):
+        null = ErdosRenyi(5, 0.5)
+        with pytest.raises(ValueError, match="at least 100 replications"):
+            power_curve(null, [null], n=10, M=100, R_quantile=R_quantile, rng=rng)
+
     def test_modified_er_alternatives_report_modified_level(self, rng):
         null = ErdosRenyi(5, 0.5)
         alt = ModifiedErdosRenyi(5, 0.5, 0.9, frozenset({(0, 1), (2, 3)}))

@@ -271,6 +271,21 @@ class TestExactDistributionType:
         with pytest.raises(ValueError):
             ExactDistribution(3, bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_probabilities(self, value):
+        probs = np.full(8, 1 / 8)
+        probs[3] = value
+        with pytest.raises(ValueError, match="finite"):
+            ExactDistribution(3, probs)
+        with pytest.raises(ValueError, match="finite"):
+            ExactDistribution(3, np.full(8, value))
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_overflowing_ergm_weights_are_rejected(self):
+        # inf - inf log-weights make every probability NaN.
+        with pytest.raises(ValueError, match="finite"):
+            ergm_enumerate(Ergm(4, EDGE_TRIANGLE, (1e308, -1e308)))
+
 
 class TestMcmcSampler:
     def test_uniform_target_frequencies(self, rng):

@@ -1,5 +1,6 @@
 """Windowed rank-correlation pipeline from recordings to graph samples."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,11 @@ class TestChannelMatrix:
         with pytest.raises(ValueError):
             ChannelMatrix(["a", "b"], np.zeros((5, 2)), 0.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -250.0, math.nan, math.inf])
+    def test_sampling_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="sampling_rate must be positive and finite"):
+            ChannelMatrix(["a", "b"], [[1.0, 2.0]], rate)
+
 
 class TestSpearman:
     def test_monotone_sequences(self):
@@ -92,6 +98,17 @@ class TestSpearman:
         assert spearman(
             [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 3.0, 2.0, 5.0, 4.0]
         ) == pytest.approx(0.8, abs=1e-12)
+
+    def test_equals_corrcoef_of_average_ranks_bit_for_bit(self, rng):
+        for _ in range(300):
+            L = int(rng.integers(2, 40))
+            x = rng.integers(0, 4, L).astype(float)
+            y = rng.integers(0, 6, L).astype(float)
+            if x.min() == x.max() or y.min() == y.max():
+                continue
+            ranks = np.column_stack([average_ranks(x), average_ranks(y)])
+            rho = float(np.corrcoef(ranks, rowvar=False)[0, 1])
+            assert spearman(x, y) == min(1.0, max(-1.0, rho))
 
     def test_constant_sequence_is_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
@@ -135,6 +152,13 @@ class TestWindowing:
             WindowSpec(width_ms=0.0)
         with pytest.raises(ValueError):
             WindowSpec(step_ms=-1.0)
+
+    @pytest.mark.parametrize(
+        "width,step", [(math.inf, 5.0), (5.0, math.inf), (math.nan, 5.0), (5.0, math.nan)]
+    )
+    def test_spec_requires_finite_values(self, width, step):
+        with pytest.raises(ValueError, match="positive and finite"):
+            WindowSpec(width_ms=width, step_ms=step)
 
 
 class TestWindowBoundsMatchFractionLoop:

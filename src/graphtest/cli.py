@@ -444,26 +444,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error, taken from the first entry that matches. Every
+# library error is a ValueError, so plain ValueError comes last.
+_EXIT_CODES = (
+    ((DataFormatError, DimensionMismatchError, EmptySampleError,
+      InsufficientSampleError), 3),
+    ((ConfigurationError, EnumerationRefusedError, UndefinedCorrelationError), 4),
+    ((OSError,), 3),
+    ((ValueError,), 2),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (DimensionMismatchError, EmptySampleError, InsufficientSampleError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ConfigurationError, EnumerationRefusedError, UndefinedCorrelationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for types, code in _EXIT_CODES if isinstance(e, types))
 
 
 if __name__ == "__main__":

@@ -176,15 +176,23 @@ def read_graph_sample(path) -> GraphSample:
             f"base must be 0 or 1, got {base}", path=path, line=lineno
         )
 
+    E = num_pairs(v)
+    try:
+        mask = np.zeros(n * E, dtype=bool)
+    except (MemoryError, ValueError):
+        raise DataFormatError(
+            f"a sample of n={n} graphs on v={v} vertices does not fit in memory",
+            path=path,
+            line=lineno,
+        ) from None
+
     edges = _edge_array(lines[1:])
     if edges is not None:
         g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
         in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
         if (in_range & (a != b)).all():
             i, j = np.minimum(a, b), np.maximum(a, b)
-            E = num_pairs(v)
             cells = g * E + i * (2 * v - i - 1) // 2 + (j - i - 1)
-            mask = np.zeros(n * E, dtype=bool)
             mask[cells] = True
             # Fewer set cells than lines means some line repeats an edge.
             if np.count_nonzero(mask) == len(cells):

@@ -5,14 +5,16 @@ the E = v*(v-1)/2 canonical slots (i, j) with i < j, enumerated lexicographicall
 and are stored packed in a single Python integer so that flips are O(1) and the
 edge-disagreement distance is one XOR plus a popcount.
 
-A ``GraphSample`` holds its member graphs and, built once from them, a
-read-only (n x E) uint8 indicator matrix with one row per graph. Work over a
-whole sample (edge counts, formatting, permutation tests) reads that matrix.
+A ``GraphSample`` is held only as its read-only (n x E) uint8 indicator
+matrix, one row per graph. Work over a whole sample (edge counts, formatting,
+permutation tests) reads that matrix; indexing or iterating a sample builds
+the ``Graph`` of one row at a time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -212,41 +214,51 @@ class GraphSample:
         width = (E + 7) // 8
         raw = b"".join(g.bits.to_bytes(width, "little") for g in members)
         packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(members), width)
-        matrix = np.unpackbits(packed, axis=1, count=E, bitorder="little")
-        matrix.flags.writeable = False
-        self.graphs = members
-        self.v = v
-        self._matrix = matrix
+        self._set(v, np.unpackbits(packed, axis=1, count=E, bitorder="little"))
 
     @classmethod
     def from_indicator_matrix(cls, v: int, mask) -> "GraphSample":
         """Inverse of indicator_matrix: one graph per row of an (n x E) 0/1 matrix."""
-        arr = np.asarray(mask, dtype=bool)
-        if arr.ndim != 2 or arr.shape[1] != num_pairs(v):
+        matrix = np.array(mask, dtype=bool).view(np.uint8)
+        if matrix.ndim != 2 or matrix.shape[1] != num_pairs(v):
             raise DimensionMismatchError(
                 f"expected an (n x {num_pairs(v)}) indicator matrix for v={v}, "
-                f"got shape {arr.shape}"
+                f"got shape {matrix.shape}"
             )
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        return cls(Graph(v, int.from_bytes(row.tobytes(), "little")) for row in packed)
+        if not len(matrix):
+            raise EmptySampleError("a graph sample must contain at least one graph")
+        if v < 2:
+            raise ValueError(f"need at least 2 vertices, got v={v}")
+        sample = cls.__new__(cls)
+        sample._set(v, matrix)
+        return sample
+
+    def _set(self, v: int, matrix: np.ndarray) -> None:
+        matrix.flags.writeable = False
+        self.v = v
+        self._matrix = matrix
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return self.n
 
     def __iter__(self):
-        return iter(self.graphs)
+        return (self[k] for k in range(self.n))
 
     def __getitem__(self, k: int) -> Graph:
-        return self.graphs[k]
+        row = self._matrix[operator.index(k)]
+        packed = np.packbits(row, bitorder="little")
+        return Graph(self.v, int.from_bytes(packed.tobytes(), "little"))
 
     def __eq__(self, other) -> bool:
+        # The matrix shape (n, E) fixes v.
         return (
-            isinstance(other, GraphSample) and self.graphs == other.graphs
+            isinstance(other, GraphSample)
+            and np.array_equal(self._matrix, other._matrix)
         )
 
     @property
     def n(self) -> int:
-        return len(self.graphs)
+        return self._matrix.shape[0]
 
     @cached_property
     def edge_counts(self) -> np.ndarray:

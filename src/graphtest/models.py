@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -322,26 +323,23 @@ def _code_bits(v: int) -> np.ndarray:
     return bits
 
 
-def _enumeration_tables(v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_e, n_t, n_s) for every edge bitset 0..2^E-1, in code order (float64)."""
+def _enumeration_counts(v: int, stats: str) -> tuple[np.ndarray, np.ndarray]:
+    """Edge counts and the ``stats`` count (triangles or two-stars) of every
+    edge bitset 0..2^E-1, in code order (float64)."""
     bits = _code_bits(v)
     n_e = bits.sum(axis=1)
-
-    n_t = np.zeros(len(bits))
-    for i in range(v):
-        for j in range(i + 1, v):
-            for k in range(j + 1, v):
-                a = pair_index(v, i, j)
-                b = pair_index(v, j, k)
-                c = pair_index(v, i, k)
-                n_t += bits[:, a] * bits[:, b] * bits[:, c]
+    if stats == EDGE_TRIANGLE:
+        n_t = np.zeros(len(bits))
+        for i, j, k in combinations(range(v), 3):
+            ij, jk, ik = pair_index(v, i, j), pair_index(v, j, k), pair_index(v, i, k)
+            n_t += bits[:, ij] * bits[:, jk] * bits[:, ik]
+        return n_e, n_t
 
     degrees = np.zeros((len(bits), v))
     for idx, (i, j) in enumerate(canonical_pairs(v)):
         degrees[:, i] += bits[:, idx]
         degrees[:, j] += bits[:, idx]
-    n_s = (degrees * (degrees - 1) / 2).sum(axis=1)
-    return n_e, n_t, n_s
+    return n_e, (degrees * (degrees - 1) / 2).sum(axis=1)
 
 
 class ExactDistribution:
@@ -393,14 +391,19 @@ def ergm_enumerate(spec: Ergm) -> ExactDistribution:
             f"enumeration visits 2^{num_pairs(spec.v)} graphs; "
             f"refusing v={spec.v} > {ENUMERATION_MAX_V}"
         )
-    n_e, n_t, n_s = _enumeration_tables(spec.v)
-    extra = n_t if spec.stats == EDGE_TRIANGLE else n_s
+    n_e, n_x = _enumeration_counts(spec.v, spec.stats)
     t1, t2 = spec.theta
-    log_w = t1 * n_e + t2 * extra
-    # Normalize through log-sum-exp; positive parameters at v=6 would
-    # overflow a direct exponential.
-    shift = log_w.max()
-    weights = np.exp(log_w - shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = t1 * n_e + t2 * n_x
+        if not np.isfinite(log_w).all():
+            raise ValueError(
+                f"ERGM log-weights are not finite in float64 at "
+                f"theta={spec.theta}, v={spec.v}"
+            )
+        # Normalize through log-sum-exp; positive parameters at v=6 would
+        # overflow a direct exponential. A log-weight more than the float64
+        # range below the largest gets weight 0.
+        weights = np.exp(log_w - log_w.max())
     probs = weights / weights.sum()
     return ExactDistribution(spec.v, probs)
 

@@ -23,13 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationRefusedError
-from .graphs import (
-    EdgeMarginals,
-    Graph,
-    GraphSample,
-    hamming_distance,
-    num_pairs,
-)
+from .graphs import EdgeMarginals, Graph, GraphSample, num_pairs
 
 __all__ = [
     "TestStatistic",
@@ -134,14 +128,20 @@ def _check_marginal_dims(sample: GraphSample, marginals: EdgeMarginals) -> None:
         )
 
 
-def mean_distance(sample: GraphSample, g: Graph) -> float:
-    """Mean edge-disagreement distance from g to the members of a sample."""
+def _summed_distance(sample: GraphSample, g: Graph) -> int:
+    """Summed distance from g to the members: n - c_a over the edges a of g,
+    plus c_a over the other pairs, c_a being the members with edge a."""
     if g.v != sample.v:
         raise DimensionMismatchError(
             f"graph has v={g.v} but sample has v={sample.v}"
         )
-    total = sum(hamming_distance(g, member) for member in sample)
-    return total / sample.n
+    counts = sample.edge_counts
+    return int(np.where(g.indicator_row(), sample.n - counts, counts).sum())
+
+
+def mean_distance(sample: GraphSample, g: Graph) -> float:
+    """Mean edge-disagreement distance from g to the members of a sample."""
+    return _summed_distance(sample, g) / sample.n
 
 
 def one_sample_statistic(
@@ -199,12 +199,7 @@ def signed_gap(
     marginals: each canonical pair contributes g_ij - 2*g_ij*p_ij + p_ij.
     """
     _check_marginal_dims(sample, null_marginals)
-    if g.v != sample.v:
-        raise DimensionMismatchError(
-            f"graph has v={g.v} but sample has v={sample.v}"
-        )
-    total = sum(hamming_distance(g, member) for member in sample)
-    d_bar = Fraction(total, sample.n)
+    d_bar = Fraction(_summed_distance(sample, g), sample.n)
     expected = Fraction(0)
     for k, p in enumerate(null_marginals.fractions):
         if g.bits >> k & 1:
@@ -222,10 +217,42 @@ def _check_enumerable(v: int) -> None:
         )
 
 
-def _gray_flip(t: int) -> int:
-    """Slot flipped between Gray codes of t and t+1 (lowest set bit of t+1)."""
-    s = t + 1
-    return (s & -s).bit_length() - 1
+def _gray_code_maximum(base: Fraction, steps: Sequence[Fraction]) -> tuple[Fraction, int]:
+    """Largest |gap| over every edge bitset, for a gap that is affine in the graph.
+
+    ``base`` is the gap at the empty graph and ``steps[a]`` what adding edge a
+    adds to it. Bitsets are visited in Gray-code order, so each step flips
+    one edge. Returns the maximum and the first bitset attaining it.
+    """
+    gap = base
+    best = abs(gap)
+    best_code = 0
+    code = 0
+    for t in range(1, 1 << len(steps)):
+        # Gray codes of t-1 and t differ in the lowest set bit of t.
+        a = (t & -t).bit_length() - 1
+        code ^= 1 << a
+        if code >> a & 1:
+            gap += steps[a]
+        else:
+            gap -= steps[a]
+        w = abs(gap)
+        if w > best:
+            best = w
+            best_code = code
+    return best, best_code
+
+
+def _one_sample_gap(
+    sample: GraphSample, null_marginals: EdgeMarginals
+) -> tuple[Fraction, list[Fraction]]:
+    """Signed gap at the empty graph, and what adding each edge a adds to it:
+    (n - 2*c_a)/n to the mean distance, 1 - 2*p_a to the expected distance."""
+    n = sample.n
+    counts = sample.edge_counts.tolist()
+    probs = null_marginals.fractions
+    base = Fraction(sum(counts), n) - sum(probs)
+    return base, [Fraction(n - 2 * c, n) - (1 - 2 * p) for c, p in zip(counts, probs)]
 
 
 def one_sample_brute_force(
@@ -234,43 +261,18 @@ def one_sample_brute_force(
     """Maximize the absolute mean-distance gap by visiting every graph.
 
     Graphs are enumerated in Gray-code order so each step flips one edge and
-    updates the summed member distances and the expected-distance term in
-    O(1). Returns the maximum and the first maximizer in enumeration order.
-    Exists to validate the closed form; refuses v > BRUTE_FORCE_MAX_V.
+    updates the gap in O(1). Returns the maximum and the first maximizer in
+    enumeration order. Exists to validate the closed form; refuses
+    v > BRUTE_FORCE_MAX_V.
     """
     _check_marginal_dims(sample, null_marginals)
     _check_enumerable(sample.v)
-    n = sample.n
-    E = num_pairs(sample.v)
-    counts = [int(c) for c in sample.edge_counts]
-
-    # Start at the empty graph: distance to a member is its edge count.
-    sum_d = sum(counts)
-    pi_term = sum(null_marginals.fractions)
-
-    best = abs(Fraction(sum_d, n) - pi_term)
-    best_code = 0
-
-    code = 0
-    for t in range((1 << E) - 1):
-        a = _gray_flip(t)
-        code ^= 1 << a
-        if code >> a & 1:
-            sum_d += n - 2 * counts[a]
-            pi_term += 1 - 2 * null_marginals.fractions[a]
-        else:
-            sum_d += 2 * counts[a] - n
-            pi_term -= 1 - 2 * null_marginals.fractions[a]
-        w = abs(Fraction(sum_d, n) - pi_term)
-        if w > best:
-            best = w
-            best_code = code
-
+    best, best_code = _gray_code_maximum(*_one_sample_gap(sample, null_marginals))
     stat = TestStatistic(
         value=float(best),
         exact=best,
         kind="one_sample",
-        sample_sizes=(n, None),
+        sample_sizes=(sample.n, None),
     )
     return stat, Graph(sample.v, best_code)
 
@@ -287,30 +289,11 @@ def two_sample_brute_force(
         raise DimensionMismatchError(f"samples have v={s.v} and v={t.v}")
     _check_enumerable(s.v)
     n, m = s.n, t.n
-    E = num_pairs(s.v)
-    cs = [int(c) for c in s.edge_counts]
-    ct = [int(c) for c in t.edge_counts]
-
-    sum_s = sum(cs)
-    sum_t = sum(ct)
-    best = abs(Fraction(sum_s, n) - Fraction(sum_t, m))
-    best_code = 0
-
-    code = 0
-    for step in range((1 << E) - 1):
-        a = _gray_flip(step)
-        code ^= 1 << a
-        if code >> a & 1:
-            sum_s += n - 2 * cs[a]
-            sum_t += m - 2 * ct[a]
-        else:
-            sum_s += 2 * cs[a] - n
-            sum_t += 2 * ct[a] - m
-        w = abs(Fraction(sum_s, n) - Fraction(sum_t, m))
-        if w > best:
-            best = w
-            best_code = code
-
+    cs = s.edge_counts.tolist()
+    ct = t.edge_counts.tolist()
+    base = Fraction(sum(cs), n) - Fraction(sum(ct), m)
+    steps = [Fraction(n - 2 * a, n) - Fraction(m - 2 * b, m) for a, b in zip(cs, ct)]
+    best, best_code = _gray_code_maximum(base, steps)
     stat = TestStatistic(
         value=float(best),
         exact=best,
@@ -331,15 +314,7 @@ def extremal_graphs(
     absolute gap at either graph equals the closed-form statistic.
     """
     _check_marginal_dims(sample, null_marginals)
-    n = sample.n
-    lo_bits = 0
-    hi_bits = 0
-    for k, (c, p) in enumerate(
-        zip(sample.edge_counts, null_marginals.fractions)
-    ):
-        freq = Fraction(int(c), n)
-        if freq <= p:
-            lo_bits |= 1 << k
-        if freq >= p:
-            hi_bits |= 1 << k
+    _, steps = _one_sample_gap(sample, null_marginals)
+    lo_bits = sum(1 << a for a, step in enumerate(steps) if step >= 0)
+    hi_bits = sum(1 << a for a, step in enumerate(steps) if step <= 0)
     return Graph(sample.v, lo_bits), Graph(sample.v, hi_bits)

@@ -99,6 +99,73 @@ def literal_two_sample_max(s: GraphSample, t: GraphSample) -> Fraction:
     return best
 
 
+def _member_counts(sample: GraphSample) -> list[int]:
+    return [
+        sum(1 for g in sample if g.has_edge(i, j))
+        for i, j in canonical_pairs(sample.v)
+    ]
+
+
+def _gray_flip(t: int) -> int:
+    """Slot flipped between the Gray codes of t and t+1."""
+    s = t + 1
+    return (s & -s).bit_length() - 1
+
+
+def gray_one_sample_max(sample: GraphSample, marginals) -> tuple[Fraction, int]:
+    """Largest |mean distance - expected distance| and the first bitset
+    attaining it, visiting bitsets in Gray-code order with a running sum of
+    member distances and a running expected distance."""
+    probs = getattr(marginals, "fractions", marginals)
+    n = sample.n
+    counts = _member_counts(sample)
+    sum_d = sum(counts)
+    pi_term = sum(probs)
+    best = abs(Fraction(sum_d, n) - pi_term)
+    best_code = 0
+    code = 0
+    for t in range((1 << len(counts)) - 1):
+        a = _gray_flip(t)
+        code ^= 1 << a
+        if code >> a & 1:
+            sum_d += n - 2 * counts[a]
+            pi_term += 1 - 2 * probs[a]
+        else:
+            sum_d += 2 * counts[a] - n
+            pi_term -= 1 - 2 * probs[a]
+        w = abs(Fraction(sum_d, n) - pi_term)
+        if w > best:
+            best = w
+            best_code = code
+    return best, best_code
+
+
+def gray_two_sample_max(s: GraphSample, t: GraphSample) -> tuple[Fraction, int]:
+    """Largest |mean distance to s - mean distance to t| and the first bitset
+    attaining it, visiting bitsets in Gray-code order with running sums of
+    member distances to each sample."""
+    n, m = s.n, t.n
+    cs, ct = _member_counts(s), _member_counts(t)
+    sum_s, sum_t = sum(cs), sum(ct)
+    best = abs(Fraction(sum_s, n) - Fraction(sum_t, m))
+    best_code = 0
+    code = 0
+    for step in range((1 << len(cs)) - 1):
+        a = _gray_flip(step)
+        code ^= 1 << a
+        if code >> a & 1:
+            sum_s += n - 2 * cs[a]
+            sum_t += m - 2 * ct[a]
+        else:
+            sum_s += 2 * cs[a] - n
+            sum_t += 2 * ct[a] - m
+        w = abs(Fraction(sum_s, n) - Fraction(sum_t, m))
+        if w > best:
+            best = w
+            best_code = code
+    return best, best_code
+
+
 def fraction_one_sample(counts, n: int, probs) -> Fraction:
     """Closed-form one-sample statistic sum |c/n - p| from per-pair counts."""
     return sum(

@@ -185,7 +185,6 @@ class TestTestCommand:
         assert code == 4
         assert "marginals" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_overflowing_ergm_null_is_usage_error(self, tmp_path, capsys):
         sample = tmp_path / "s.txt"
         write_complete_sample(sample, v=4, n=4)
@@ -196,6 +195,23 @@ class TestTestCommand:
         )
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_ergm_null_prints_no_numpy_warning(self, tmp_path):
+        sample = tmp_path / "s.txt"
+        write_complete_sample(sample, v=4, n=4)
+        src = str(Path(graphtest.__file__).resolve().parents[1])
+        argv = ["test", "--sample", str(sample), "--null", "ergm",
+                "--stats", "edge-triangle", "--theta1", "1e308", "--theta2=-1e308",
+                "--replications", "100", "--seed", "1"]
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {src!r}); "
+             f"from graphtest.cli import main; sys.exit(main({argv!r}))"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert "RuntimeWarning" not in out.stderr
+        assert "theta" in out.stderr
 
     def test_threads_do_not_change_the_csv(self, tmp_path):
         sample = tmp_path / "s.txt"
@@ -432,6 +448,20 @@ class TestSummaryCommand:
         sample_path = tmp_path / "s.txt"
         write_graph_sample(sample_path, GraphSample([Graph.empty(3)]))
         assert run("summary", "--sample", str(sample_path), "--k", "4") == 2
+
+    # Every header asks for more than 2^50 cells, so the allocation fails at once.
+    @pytest.mark.parametrize("header", [
+        "graphsample v=10 n=10000000000000000 base=0",
+        "graphsample v=10 n=100000000000000000000 base=0",
+        "graphsample v=3000000000 n=1 base=0",
+    ])
+    def test_unallocatable_header_is_data_error(self, tmp_path, capsys, header):
+        sample_path = tmp_path / "s.txt"
+        sample_path.write_text(f"# comment\n{header}\n0 0 1\n")
+        assert run("summary", "--sample", str(sample_path), "--k", "1") == 3
+        err = capsys.readouterr().err
+        assert "line 2: " in err and "does not fit in memory" in err
+        assert "Traceback" not in err
 
 
 def readme_commands() -> list[list[str]]:

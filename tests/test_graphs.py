@@ -287,6 +287,44 @@ class TestGraphSample:
             GraphSample.from_indicator_matrix(4, np.zeros((0, 6), dtype=bool))
 
 
+class TestGraphSampleMembers:
+    """Members are read from the indicator matrix one row at a time."""
+
+    @pytest.mark.parametrize("v", [2, 5, 12])
+    def test_both_constructions_index_iterate_and_compare_alike(self, rng, v):
+        rows = (rng.random((6, num_pairs(v))) < 0.5).astype(np.uint8)
+        members = [Graph.from_indicator_row(v, row) for row in rows]
+        built = GraphSample(members)
+        rebuilt = GraphSample.from_indicator_matrix(v, rows)
+        for s in (built, rebuilt):
+            assert list(s) == members
+            for k in range(-6, 6):
+                assert s[k] == members[k]
+            assert s[np.int64(3)] == members[3]
+        assert built == rebuilt and rebuilt == built
+        changed = rows.copy()
+        changed[2] = 1 - changed[2]
+        assert GraphSample.from_indicator_matrix(v, changed) != built
+        assert GraphSample(members[:5]) != built
+        assert built != members
+
+    def test_index_out_of_range(self, rng):
+        s = random_sample(rng, 4, 3)
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                s[k]
+
+    def test_slices_and_non_integers_are_refused(self, rng):
+        s = random_sample(rng, 4, 3)
+        for k in (slice(1, 3), slice(None), 1.0, "0"):
+            with pytest.raises(TypeError):
+                s[k]
+
+    def test_from_indicator_matrix_needs_two_vertices(self):
+        with pytest.raises(ValueError, match="2 vertices"):
+            GraphSample.from_indicator_matrix(1, np.zeros((3, 0), dtype=bool))
+
+
 class TestMeanGraph:
     def test_repeated_graph_recovers_indicators(self, rng):
         g = random_graph(rng, 5)

@@ -280,7 +280,6 @@ class TestExactDistributionType:
         with pytest.raises(ValueError, match="finite"):
             ExactDistribution(3, np.full(8, value))
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_overflowing_ergm_weights_are_rejected(self):
         # inf - inf log-weights make every probability NaN.
         with pytest.raises(ValueError, match="finite"):

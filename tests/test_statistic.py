@@ -34,6 +34,8 @@ from graphtest.statistic import one_sample_kernel, two_sample_kernel
 from oracles import (
     fraction_one_sample,
     fraction_two_sample,
+    gray_one_sample_max,
+    gray_two_sample_max,
     literal_one_sample_max,
     literal_two_sample_max,
     random_graph,
@@ -298,6 +300,56 @@ class TestBruteForceGuards:
         s = random_sample(rng, BRUTE_FORCE_MAX_V, 3)
         stat, _ = one_sample_brute_force(s, half(BRUTE_FORCE_MAX_V))
         assert stat.exact == one_sample_statistic(s, half(BRUTE_FORCE_MAX_V)).exact
+
+
+def sample_with_counts(rng, v, n, counts):
+    """A sample of n graphs in which pair a is an edge of counts[a] members."""
+    mask = np.zeros((n, num_pairs(v)), dtype=bool)
+    for a, c in enumerate(counts):
+        mask[rng.permutation(n)[:c], a] = True
+    return GraphSample.from_indicator_matrix(v, mask)
+
+
+class TestBruteForceMaximizer:
+    """Maximum and first maximizer agree with running-sum Gray-code walks."""
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5])
+    def test_one_sample_random(self, rng, v):
+        for _ in range(4 if v < 5 else 2):
+            s = random_sample(rng, v, int(rng.integers(1, 9)))
+            marg = EdgeMarginals(v, random_marginals(rng, v))
+            stat, g = one_sample_brute_force(s, marg)
+            assert (stat.exact, g.bits) == gray_one_sample_max(s, marg)
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5])
+    def test_two_sample_random(self, rng, v):
+        for _ in range(4 if v < 5 else 2):
+            s = random_sample(rng, v, int(rng.integers(1, 7)))
+            t = random_sample(rng, v, int(rng.integers(1, 7)))
+            stat, g = two_sample_brute_force(s, t)
+            assert (stat.exact, g.bits) == gray_two_sample_max(s, t)
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5])
+    def test_every_graph_ties(self, rng, v):
+        s = sample_with_counts(rng, v, 6, [3] * num_pairs(v))
+        stat, g = one_sample_brute_force(s, half(v))
+        assert (stat.exact, g.bits) == gray_one_sample_max(s, half(v)) == (0, 0)
+        stat, g = two_sample_brute_force(s, s)
+        assert (stat.exact, g.bits) == gray_two_sample_max(s, s) == (0, 0)
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5])
+    def test_half_the_pairs_tie(self, rng, v):
+        # Pairs with c_a = n/2 against p = 1/2 leave the gap unchanged when
+        # flipped, so every maximum is attained by many graphs.
+        E = num_pairs(v)
+        tied = rng.random(E) < 0.5
+        counts = np.where(tied, 4, rng.integers(0, 9, E))
+        s = sample_with_counts(rng, v, 8, counts)
+        stat, g = one_sample_brute_force(s, half(v))
+        assert (stat.exact, g.bits) == gray_one_sample_max(s, half(v))
+        t = sample_with_counts(rng, v, 4, np.where(tied, 2, rng.integers(0, 5, E)))
+        stat, g = two_sample_brute_force(s, t)
+        assert (stat.exact, g.bits) == gray_two_sample_max(s, t)
 
 
 class TestTestStatisticType:

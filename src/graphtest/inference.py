@@ -18,9 +18,11 @@ Monte Carlo replicates are drawn in blocks of about ``BLOCK_CELLS`` count
 cells; an ERGM block holds at least ``models.MH_MIN_CHAINS`` chains, because
 its lockstep chains gain over one scalar chain only when there are many.
 Each block takes one generator spawned off the caller's generator and
-draws its whole (B x E) count array with the model's ``edge_count_batches``.
-The blocks are fixed by R and the model alone, and ``threads`` only spreads
-them over worker threads, so results are identical whatever it is set to.
+draws its whole (B x E) count array with the model's ``edge_count_batches``;
+the ERGM blocks of a power curve's alternatives may share one lockstep call,
+which gives every block the counts it would draw alone. The blocks are fixed
+by R and the model alone, and ``threads`` only spreads the work over worker
+threads, so results are identical whatever it is set to.
 Permutations are drawn from the caller's generator in blocks of rows, which
 consumes it exactly as one draw of all R rows would.
 """
@@ -33,14 +35,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, EnumerationRefusedError
 from .graphs import BLOCK_CELLS, EdgeMarginals, GraphSample, num_pairs
-from .models import MH_MIN_CHAINS, Ergm, ModelSpec
+from .models import (
+    MH_MAX_GROUPS,
+    MH_MIN_CHAINS,
+    Ergm,
+    ModelSpec,
+    _mh_lockstep_edge_counts,
+)
 from .statistic import (
     GapKernel,
     TestStatistic,
@@ -126,33 +134,71 @@ def _block_size(model: ModelSpec) -> int:
 
 def _map_blocks(
     fn: Callable[[np.ndarray], object],
-    model: ModelSpec,
+    models: Sequence[ModelSpec],
     n: int,
     R: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     threads: int,
-) -> list:
-    """fn(counts) for consecutive blocks of counts covering R samples of size n.
+) -> list[list]:
+    """fn(counts) for each model's consecutive blocks covering R samples of size n.
 
-    A block holds ``_block_size(model)`` samples (the last may hold fewer),
-    and its (size x E) counts come from ``model.edge_count_batches`` on a
-    stream of its own spawned off ``rng``. Blocks and streams are fixed before
-    any work starts, and results come back in block order, so they do not
-    depend on ``threads``.
+    A block of a model holds ``_block_size(model)`` samples (the last may
+    hold fewer), and its (size x E) counts come from
+    ``model.edge_count_batches`` on a stream of its own spawned off that
+    model's rng. ERGM blocks of models that share v, stats and MCMC schedule
+    are packed, in block order, into lockstep calls of at most one block's
+    chains and ``MH_MAX_GROUPS`` column groups; each block keeps its stream
+    and draw layout there, so its counts are the same as alone, and packing
+    only shares the fixed cost of a lockstep step. Blocks, streams and calls
+    are fixed before any work starts, ``threads`` spreads the calls, and
+    results come back per model in block order, so they do not depend on
+    ``threads``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    B = _block_size(model)
-    sizes = [min(B, R - lo) for lo in range(0, R, B)]
-    children = rng.spawn(len(sizes))
+    # A piece is (model index, block index, block size, stream).
+    blocks = []
+    for k, (model, rng) in enumerate(zip(models, rngs)):
+        B = _block_size(model)
+        sizes = [min(B, R - lo) for lo in range(0, R, B)]
+        blocks.append([(k, b, size, child) for b, (size, child)
+                       in enumerate(zip(sizes, rng.spawn(len(sizes))))])
+    calls: list[list[tuple]] = []
+    open_calls: dict[tuple, list[tuple]] = {}
+    for piece in (p for row in zip_longest(*blocks) for p in row if p is not None):
+        model = models[piece[0]]
+        if not isinstance(model, Ergm):
+            calls.append([piece])
+            continue
+        shared = (model.v, model.stats, model.mcmc)
+        call = open_calls.get(shared)
+        if (call is None or len(call) == MH_MAX_GROUPS
+                or sum(p[2] for p in call) + piece[2] > _block_size(model)):
+            call = open_calls[shared] = []
+            calls.append(call)
+        call.append(piece)
 
-    def block(size: int, child: np.random.Generator) -> object:
-        return fn(model.edge_count_batches(n, size, child))
+    def run(call: list[tuple]) -> list:
+        if len(call) == 1:
+            k, _, size, child = call[0]
+            parts = [models[k].edge_count_batches(n, size, child)]
+        else:
+            counts = _mh_lockstep_edge_counts(
+                [(models[k], size, child) for k, _, size, child in call], n
+            )
+            parts = np.split(counts, np.cumsum([p[2] for p in call])[:-1])
+        return [fn(part) for part in parts]
 
     if threads == 1:
-        return [block(size, child) for size, child in zip(sizes, children)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(block, sizes, children))
+        results = [run(call) for call in calls]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, calls))
+    out = [[None] * len(pieces) for pieces in blocks]
+    for call, outcomes in zip(calls, results):
+        for (k, b, _, _), outcome in zip(call, outcomes):
+            out[k][b] = outcome
+    return out
 
 
 def _calibrate_null(
@@ -177,7 +223,7 @@ def _calibrate_null(
     _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
-    values = np.concatenate(_map_blocks(kernel, null, n, R, rng, threads))
+    values = np.concatenate(_map_blocks(kernel, [null], n, R, [rng], threads)[0])
     k = math.ceil((1 - Fraction(alpha)) * R)
     k = min(max(k, 1), R) - 1
     return marg, source, kernel, int(np.partition(values, k)[k])
@@ -419,6 +465,10 @@ def power_curve(
     fraction whose statistic exceeds the critical value. With
     ``baseline_bonferroni`` the same samples are also run through the
     per-edge binomial baseline, filling ``power_baseline``.
+
+    ERGM alternatives that share a statistic and an MCMC schedule share
+    lockstep calls (see ``_map_blocks``): each keeps its own streams and
+    draws, so every point is the same as when its alternative runs alone.
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
@@ -439,19 +489,18 @@ def power_curve(
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))
 
+    def block(counts: np.ndarray) -> tuple[int, int]:
+        w_rejects = int((kernel(counts) > crit).sum())
+        if bc_table is None:
+            return w_rejects, 0
+        return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
+
     points = []
-    for alt, stream in zip(alternatives, streams[1:]):
-
-        def block(counts: np.ndarray) -> tuple[int, int]:
-            w_rejects = int((kernel(counts) > crit).sum())
-            if bc_table is None:
-                return w_rejects, 0
-            return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
-
-        outcomes = _map_blocks(block, alt, n, M, stream, threads)
-        w_power = sum(w for w, _ in outcomes) / M
+    outcomes = _map_blocks(block, alternatives, n, M, streams[1:], threads)
+    for alt, alt_outcomes in zip(alternatives, outcomes):
+        w_power = sum(w for w, _ in alt_outcomes) / M
         bc_power = (
-            sum(b for _, b in outcomes) / M if baseline_bonferroni else None
+            sum(b for _, b in alt_outcomes) / M if baseline_bonferroni else None
         )
         points.append(
             PowerPoint(

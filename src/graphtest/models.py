@@ -12,15 +12,17 @@ Three families are provided:
 
 Every model draws the per-pair edge counts of R independent samples at once
 with ``edge_count_batches``. For ``Ergm`` that runs one chain per sample, and
-all R chains advance together: each proposal step is a handful of NumPy
-operations over the R chains, whose graphs are held as uint64 neighbour
+all R chains advance together: each proposal step is about a dozen NumPy
+calls over the R chains, whose graphs are held as uint64 neighbour
 bitmasks. A flip is accepted when its uniform falls below a threshold table
 built once with ``math.exp``, so every chain makes exactly the decisions of
 the scalar sampler ``ergm_mh_sample`` given the same draws. Both samplers
 take their draws and their burn-in and thinning schedule from ``_mh_sweeps``,
-which documents the draw layout. A step costs the same few NumPy calls
-however many chains take it, so the engine pays off only for many chains;
-Monte Carlo blocks of ERGM replicates hold at least ``MH_MIN_CHAINS`` of them.
+which documents the draw layout. A step costs the same NumPy calls however
+many chains take it, so the engine pays off only for many chains: Monte
+Carlo blocks of ERGM replicates hold at least ``MH_MIN_CHAINS`` of them, and
+blocks of models that share v, statistics and schedule can run as column
+groups of one call, each on its own draws and with its own theta.
 
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
@@ -82,11 +84,16 @@ ENUMERATION_MAX_V = 6
 # at a time, which bounds its working memory beyond the draws and counts.
 MH_GROUP_CELLS = 1 << 14
 
-# A lockstep step costs a fixed ~20 us of NumPy calls, and a scalar step
-# ~1 us (2-core x86_64, v = 10..150), so Monte Carlo blocks of ERGM
-# replicates hold at least this many chains; 64 measured 2-3x faster than the
-# scalar chain at v = 66 and 100.
+# A lockstep step costs a fixed ~15-20 us of NumPy calls at 64 chains, and
+# a scalar step ~0.4-1 us (2-core x86_64, v = 10..100), so Monte Carlo
+# blocks of ERGM replicates hold at least this many chains; 64 measured
+# 1.7-3.7x faster per chain step than the scalar chain at v = 10, 66 and 100.
 MH_MIN_CHAINS = 64
+
+# A lockstep call holds at most this many column groups. Each group draws
+# its own chunks of up to BLOCK_CELLS cells (see ``_mh_sweeps``), so this
+# bounds a call's draws at MH_MAX_GROUPS chunks.
+MH_MAX_GROUPS = 8
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -242,8 +249,7 @@ class Ergm:
 
         The R chains run in lockstep; see ``_mh_lockstep_edge_counts``.
         """
-        _check_sample_size(n)
-        return _mh_lockstep_edge_counts(self, n, R, rng)
+        return _mh_lockstep_edge_counts([(self, R, rng)], n)
 
     def exact_marginals(self) -> EdgeMarginals:
         return self.enumerate().edge_marginals()
@@ -478,95 +484,154 @@ def ergm_mh_sample(
     """
     _check_sample_size(n)
     v = spec.v
-    pairs = canonical_pairs(v)
-    triangles = spec.stats == EDGE_TRIANGLE
-    T = _mh_thresholds(spec)
+    add, remove = _mh_thresholds(spec)
+    sweeps = _mh_sweeps(num_pairs(v), 1, n, mcmc, rng)
+    # Per slot a: its endpoints and the bits that pair sets in the edge
+    # bitset and in each endpoint's neighbour mask.
+    steps = [
+        (i, j, 1 << a, 1 << j, 1 << i) for a, (i, j) in enumerate(canonical_pairs(v))
+    ]
 
     bits = 0
-    adj = [0] * v
-    deg = [0] * v
-
     retained: list[Graph] = []
-    for slots, unif, keep in _mh_sweeps(num_pairs(v), 1, n, mcmc, rng):
-        for a, u in zip(slots.ravel().tolist(), unif.ravel().tolist()):
-            i, j = pairs[a]
-            present = bits >> a & 1
-            if triangles:
-                change = (adj[i] & adj[j]).bit_count()
-            else:
-                change = deg[i] + deg[j] - 2 * present
-            if u < T[present][change]:
-                bits ^= 1 << a
-                adj[i] ^= 1 << j
-                adj[j] ^= 1 << i
-                step = 1 - 2 * present
-                deg[i] += step
-                deg[j] += step
-        if keep:
-            retained.append(Graph(v, bits))
+    if spec.stats == EDGE_TRIANGLE:
+        adj = [0] * v
+        for slots, unif, keep in sweeps:
+            for a, u in zip(slots.ravel().tolist(), unif.ravel().tolist()):
+                i, j, edge, bit_j, bit_i = steps[a]
+                common = (adj[i] & adj[j]).bit_count()
+                if u < (remove[common] if bits & edge else add[common]):
+                    bits ^= edge
+                    adj[i] ^= bit_j
+                    adj[j] ^= bit_i
+            if keep:
+                retained.append(Graph(v, bits))
+    else:
+        deg = [0] * v
+        for slots, unif, keep in sweeps:
+            for a, u in zip(slots.ravel().tolist(), unif.ravel().tolist()):
+                i, j, edge, _, _ = steps[a]
+                if bits & edge:
+                    if u < remove[deg[i] + deg[j] - 2]:
+                        bits ^= edge
+                        deg[i] -= 1
+                        deg[j] -= 1
+                elif u < add[deg[i] + deg[j]]:
+                    bits ^= edge
+                    deg[i] += 1
+                    deg[j] += 1
+            if keep:
+                retained.append(Graph(v, bits))
     return GraphSample(retained)
 
 
 def _mh_lockstep_edge_counts(
-    spec: Ergm, n: int, R: int, rng: np.random.Generator
+    groups: Sequence[tuple[Ergm, int, np.random.Generator]], n: int
 ) -> np.ndarray:
-    """Per-pair edge counts of n draws from each of R chains run in lockstep (R x E).
+    """Per-pair edge counts of n draws from each chain of every column group.
 
-    Every chain is the chain of ``ergm_mh_sample`` with the model's schedule,
-    and all R take their proposal steps together as NumPy operations, on the
-    draws of ``_mh_sweeps``; with R = 1 its counts are those of
-    ``ergm_mh_sample``.
+    Group (spec, R, rng) runs R chains of ``spec`` on the draws of
+    ``_mh_sweeps(E, R, n, spec.mcmc, rng)``: the chains of ``ergm_mh_sample``,
+    as if the group ran alone. The groups' chains are columns side by side
+    and take their proposal steps together as NumPy operations, and their
+    count rows come out in group order, (sum of R x E). All groups share v,
+    the statistics and the MCMC schedule; theta may differ, and each column
+    reads its own group's thresholds. With one group of one chain the counts
+    are those of ``ergm_mh_sample``.
 
     A chain's graph is held as neighbour bitmasks of ceil(v/64) uint64 words
     per vertex; the flip of pair (i, j) toggles bit j of mask i and bit i of
     mask j. Common neighbours and degrees are popcounts of those masks. Each
-    step costs a fixed number of NumPy calls whatever R is, so the engine
-    pays off only with many chains (see ``MH_MIN_CHAINS``).
+    step costs a fixed number of NumPy calls whatever the number of chains,
+    so the engine pays off only with many chains (see ``MH_MIN_CHAINS``).
     """
+    _check_sample_size(n)
+    spec = groups[0][0]
+    for other, _, _ in groups:
+        if (other.v, other.stats, other.mcmc) != (spec.v, spec.stats, spec.mcmc):
+            raise ValueError(
+                "lockstep groups must share v, stats and the MCMC schedule"
+            )
     v, E = spec.v, num_pairs(spec.v)
+    sizes = [size for _, size, _ in groups]
+    R = sum(sizes)
+    W = -(-v // 64)
     pair_i, pair_j = np.array(canonical_pairs(v), dtype=np.intp).T
-    # T[present, change] flattened; key = present*stride + change.
-    T = np.array(_mh_thresholds(spec))
-    stride = T.shape[1]
     triangles = spec.stats == EDGE_TRIANGLE
+    # Group g's T[present, change] flattened at offset g * 2 * stride, read at
+    # key = present * present_weight + change (+ the offset), in the
+    # narrowest unsigned type that holds every key.
+    tables = [np.array(_mh_thresholds(other)) for other, _, _ in groups]
+    stride = tables[0].shape[1]
+    T = np.concatenate([table.ravel() for table in tables])
+    key_type = np.min_scalar_type(T.size - 1).type
     # Two-stars: change = deg_i + deg_j - 2*present.
-    present_weight = np.intp(stride if triangles else stride - 2)
-    T = T.ravel()
-    one = np.uint64(1)
-    # Word w of vertex x's mask in chain c is masks[w, c*v + x].
-    masks = np.zeros((-(-v // 64), R * v), dtype=np.uint64)
-    flat = masks.reshape(-1)
-    rows = np.arange(R, dtype=np.intp) * v
-    counts = np.zeros((R, E), dtype=np.int64)
-    accept = np.zeros(R, dtype=np.uint64)
+    present_weight = key_type(stride if triangles else stride - 2)
+    offsets = None
+    if len(groups) > 1:
+        offsets = np.repeat(np.arange(len(groups)) * 2 * stride, sizes)
+        offsets = offsets.astype(key_type)
 
+    # Word w of vertex x's mask in chain c is flat[w*R*v + c*v + x].
+    flat = np.zeros(W * R * v, dtype=np.uint64)
+    # The words a step reads, less the chain's offset c*v, by proposal slot:
+    # rows 0 and 1 hold the pair's bit in the masks of i and of j; with more
+    # than one word per vertex they are followed by every word of i, then
+    # every word of j. Row k of slot a is word_table[k*E + a].
+    word_rows = [(pair_j // 64) * (R * v) + pair_i, (pair_i // 64) * (R * v) + pair_j]
+    if W > 1:
+        word_rows += [w * (R * v) + pair_i for w in range(W)]
+        word_rows += [w * (R * v) + pair_j for w in range(W)]
+    word_table = np.concatenate(word_rows)
+    shifts = np.concatenate((pair_j % 64, pair_i % 64)).astype(np.uint64)
+    bit_table = np.uint64(1) << shifts
+    row_starts = (np.arange(len(word_rows), dtype=np.intp) * E)[:, None]
+    chain_rows = np.arange(R, dtype=np.intp) * v
+    counts = np.zeros((R, E), dtype=np.int64)
+    key = np.empty(R, dtype=key_type)
+    threshold = np.empty(R)
+    accept = np.empty(R, dtype=bool)
+    flips = np.empty((2, R), dtype=np.uint64)
+
+    sweeps = [_mh_sweeps(E, size, n, spec.mcmc, rng) for _, size, rng in groups]
     # Flip indices are prepared for this many steps at a time.
     group = max(1, MH_GROUP_CELLS // R)
-    for slots, unif, keep in _mh_sweeps(E, R, n, spec.mcmc, rng):
+    # Not zip(*sweeps): zip keeps its first result tuple, and with it the
+    # first chunk of draws, alive while later chunks are drawn.
+    for slots, unif, keep in sweeps[0]:
+        if len(sweeps) > 1:
+            rest = [next(other) for other in sweeps[1:]]
+            slots = np.hstack([slots, *(drawn[0] for drawn in rest)])
+            unif = np.hstack([unif, *(drawn[1] for drawn in rest)])
         for lo in range(0, E, group):
-            i = pair_i[slots[lo:lo + group]]
-            j = pair_j[slots[lo:lo + group]]
-            # Per step (2 x R): the rows of both endpoints, the word of each
-            # endpoint's mask that holds the other endpoint, and its bit there.
-            ends = np.stack((rows + i, rows + j), axis=1)
-            words = np.stack((j // 64, i // 64), axis=1) * (R * v) + ends
-            bits = one << (np.stack((j, i), axis=1) % 64).astype(np.uint64)
-            for end, word, bit, u in zip(ends, words, bits, unif[lo:lo + group]):
-                held = flat.take(word)
-                key = np.bitwise_count(held[0] & bit[0]) * present_weight
-                for m in masks:
-                    pair = m.take(end)
-                    if triangles:
-                        key += np.bitwise_count(pair[0] & pair[1])
-                    else:
-                        degrees = np.bitwise_count(pair)
-                        key += degrees[0]
-                        key += degrees[1]
-                np.less(u, T.take(key), out=accept)
-                held ^= bit * accept
-                flat[word] = held
+            index = slots[lo:lo + group, None, :] + row_starts
+            words = word_table.take(index)
+            words += chain_rows
+            bits = bit_table.take(index[:, :2])
+            held_words = words if W == 1 else words[:, :2]
+            for word, held_word, bit, u in zip(
+                words, held_words, bits, unif[lo:lo + group]
+            ):
+                masks = flat.take(word)
+                ends = masks if W == 1 else masks[2:]
+                np.bitwise_count(masks[0] & bit[0], out=key)
+                key *= present_weight
+                if triangles:
+                    for common in np.bitwise_count(ends[:W] & ends[W:]):
+                        key += common
+                else:
+                    for degree in np.bitwise_count(ends):
+                        key += degree
+                if offsets is not None:
+                    key += offsets
+                # ``take`` with uint8 indices and a flip through ``where=``
+                # both measured slower than an intp copy and a multiply.
+                np.less(u, T.take(key.astype(np.intp), out=threshold), out=accept)
+                held = masks if W == 1 else masks[:2]
+                held ^= np.multiply(bit, accept, out=flips)
+                flat[held_word] = held
         if keep:
-            counts += _edge_indicators(masks, v, pair_i, pair_j)
+            counts += _edge_indicators(flat.reshape(W, R * v), v, pair_i, pair_j)
     return counts
 
 

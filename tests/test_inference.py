@@ -19,6 +19,7 @@ from graphtest import (
     GraphSample,
     McmcConfig,
     ModifiedErdosRenyi,
+    PowerPoint,
     TestResult,
     binom_two_sided_pvalue,
     bonferroni_edge_test,
@@ -31,8 +32,15 @@ from graphtest import (
     sample_er,
     two_sample_permutation_test,
 )
-from graphtest.inference import BLOCK_CELLS, _bc_reject_table, _block_size
-from graphtest.models import MH_MIN_CHAINS
+import graphtest.inference as inference
+from graphtest.inference import (
+    BLOCK_CELLS,
+    _bc_reject_table,
+    _block_size,
+    _calibrate_null,
+    _map_blocks,
+)
+from graphtest.models import MH_MAX_GROUPS, MH_MIN_CHAINS
 
 from oracles import (
     all_at_once_permutation_p,
@@ -364,6 +372,86 @@ class TestReplicateBlocks:
         assert lo <= scaled <= hi
 
 
+class TestPackedErgmCalls:
+    """ERGM alternatives of one ``power_curve`` share lockstep calls."""
+
+    # v=50 has E=1225, so an ERGM block holds MH_MIN_CHAINS = 64 chains and
+    # M=130 makes three blocks per alternative: 64, 64 and 2 chains.
+    # Thinning 2 keeps the two draws of a chain nearly independent, so the
+    # powers stay below 1 and differ between the alternatives.
+    V, N, M, R_QUANTILE = 50, 2, 130, 100
+    MCMC = McmcConfig(burn_in=0, thinning=2)
+
+    def ergm(self, theta1, mcmc=MCMC):
+        return Ergm(self.V, EDGE_TRIANGLE, (theta1, 0.0), mcmc)
+
+    def own_blocks(self, alt, stream):
+        """The alternative's counts, drawn one block at a time on its own streams."""
+        B = _block_size(alt)
+        sizes = [min(B, self.M - lo) for lo in range(0, self.M, B)]
+        return [
+            alt.edge_count_batches(self.N, size, child)
+            for size, child in zip(sizes, stream.spawn(len(sizes)))
+        ]
+
+    def expected_points(self, alts, seed, baseline):
+        streams = np.random.default_rng(seed).spawn(1 + len(alts))
+        _, _, kernel, crit = _calibrate_null(
+            ErdosRenyi(self.V, 0.5), self.N, 0.05, self.R_QUANTILE, streams[0], 1, None
+        )
+        reject = np.array(
+            bonferroni_reject_row(self.N, Fraction(1, 2), 0.05, num_pairs(self.V))
+        )
+        points = []
+        for alt, stream in zip(alts, streams[1:]):
+            counts = np.vstack(self.own_blocks(alt, stream))
+            bc = reject[counts].any(axis=1).sum() / self.M if baseline else None
+            points.append(PowerPoint(
+                alt.sweep_parameter, (kernel(counts) > crit).sum() / self.M, self.M, bc
+            ))
+        return points
+
+    def power(self, alts, seed, baseline=False, threads=1):
+        return power_curve(
+            ErdosRenyi(self.V, 0.5), alts, n=self.N, M=self.M,
+            R_quantile=self.R_QUANTILE, rng=np.random.default_rng(seed),
+            baseline_bonferroni=baseline, threads=threads,
+        )
+
+    @pytest.mark.parametrize("thetas", [(-0.12, 0.1), (-0.12, 0.0, 0.1)])
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_power_is_that_of_each_alternatives_own_blocks(self, thetas, baseline):
+        alts = [self.ergm(t) for t in thetas]
+        assert _block_size(alts[0]) == MH_MIN_CHAINS == 64
+        points = self.power(alts, 31, baseline)
+        assert points == self.expected_points(alts, 31, baseline)
+        # The alternatives are told apart, so a swapped piece would show.
+        assert len({p.power for p in points}) == len(points)
+
+    def test_mixed_alternatives_match_running_each_alone(self):
+        slow = McmcConfig(burn_in=1, thinning=2)
+        alts = [
+            self.ergm(-0.12),
+            self.ergm(0.1, slow),
+            ErdosRenyi(self.V, 0.51),
+            self.ergm(0.0),
+            self.ergm(-0.05, slow),
+        ]
+        assert self.power(alts, 32, True) == self.expected_points(alts, 32, True)
+        # The same holds for every block's counts.
+        streams = np.random.default_rng(33).spawn(len(alts))
+        packed = _map_blocks(np.copy, alts, self.N, self.M, streams, 1)
+        streams = np.random.default_rng(33).spawn(len(alts))
+        for alt, stream, blocks in zip(alts, streams, packed):
+            alone = self.own_blocks(alt, stream)
+            assert len(blocks) == len(alone)
+            assert all(np.array_equal(a, b) for a, b in zip(blocks, alone))
+
+    def test_ergm_power_does_not_depend_on_threads(self):
+        alts = [self.ergm(-0.12), self.ergm(0.0), self.ergm(0.1)]
+        assert self.power(alts, 34, True, 1) == self.power(alts, 34, True, 3)
+
+
 class TestMemoryBound:
     LIMIT = 16 * 2**20
 
@@ -392,6 +480,34 @@ class TestMemoryBound:
         )
         assert peak < self.LIMIT
 
+    def test_many_ergm_alternatives_pack_into_bounded_calls(self, monkeypatch):
+        # v=10: an ERGM block holds 65536 // 45 = 1456 chains, so M = 1457
+        # gives each of the 20 alternatives a full block and a 1-chain tail.
+        v, B = 10, 1456
+        assert _block_size(Ergm(v, EDGE_TRIANGLE, (0.0, 0.0))) == B
+        packed = []
+
+        def recording(groups, n):
+            packed.append([size for _, size, _ in groups])
+            return engine(groups, n)
+
+        engine = inference._mh_lockstep_edge_counts
+        monkeypatch.setattr(inference, "_mh_lockstep_edge_counts", recording)
+        alts = [
+            Ergm(v, EDGE_TRIANGLE, (0.01 * k, 0.0), McmcConfig(burn_in=1, thinning=1))
+            for k in range(20)
+        ]
+        # The full blocks run alone, and the run peaks at about 5 MB. Packed
+        # without the one-block limit, eight full blocks would share a call
+        # (~38 MB).
+        peak = self.traced_peak(lambda: power_curve(
+            ErdosRenyi(v, 0.5), alts, n=1, M=B + 1, R_quantile=100,
+            rng=np.random.default_rng(3),
+        ))
+        assert peak < 8 * 2**20
+        # The tails share calls of at most MH_MAX_GROUPS groups.
+        assert packed == [[1] * 8, [1] * 8, [1] * 4]
+        assert MH_MAX_GROUPS == 8
 
 class TestBinomialPValue:
     def test_symmetric_fair_coin_values(self):

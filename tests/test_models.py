@@ -29,7 +29,7 @@ from graphtest import (
     sample_er,
     select_modified_pairs,
 )
-from graphtest.models import MH_GROUP_CELLS
+from graphtest.models import MH_GROUP_CELLS, _mh_lockstep_edge_counts
 
 from oracles import (
     lockstep_mh_counts,
@@ -382,6 +382,49 @@ class TestLockstepChains:
         counts = spec.edge_count_batches(4, 1, a)
         assert np.array_equal(counts[0], spec.sample(4, b).edge_counts)
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_two_star_keys_past_255_match_oracle(self):
+        # v=66 two-stars: a removal's key is 129 + deg_i + deg_j - 2, past 255
+        # once both degrees near 64, so the key needs more than 8 bits.
+        counts = self.check_against_oracle(
+            66, EDGE_TWO_STAR, (4.0, 0.01), (6, 1), 1, 2, 7
+        )
+        assert counts.mean() > 0.98
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    def test_groups_of_one_call_are_their_own_chains(self, stats):
+        # v=8, E=28: a group of 3 chains draws 65536 // 84 = 780 sweeps per
+        # chunk and a group of 40 only 58, so the 62 sweeps take one chunk
+        # in the first group and two in the second.
+        schedule, n = (60, 1), 2
+        specs = [
+            Ergm(8, stats, (0.3, -0.2), McmcConfig(*schedule)),
+            Ergm(8, stats, (-0.5, 0.25), McmcConfig(*schedule)),
+        ]
+        sizes, seeds = (3, 40), (21, 22)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        counts = _mh_lockstep_edge_counts(list(zip(specs, sizes, rngs)), n)
+        assert counts.shape == (sum(sizes), num_pairs(8))
+        rows = np.split(counts, [sizes[0]])
+        for spec, size, seed, got, rng in zip(specs, sizes, seeds, rows, rngs):
+            oracle_rng = np.random.default_rng(seed)
+            expected = lockstep_mh_counts(
+                8, stats == EDGE_TRIANGLE, spec.theta, *schedule, n, size, oracle_rng
+            )
+            assert np.array_equal(got, expected)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_groups_of_one_call_share_v_stats_and_schedule(self, rng):
+        spec = Ergm(6, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(2, 1))
+        others = [
+            Ergm(7, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(2, 1)),
+            Ergm(6, EDGE_TWO_STAR, (0.0, 0.1), McmcConfig(2, 1)),
+            # Equal as models, because ``Ergm`` equality ignores the schedule.
+            Ergm(6, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(3, 1)),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="share"):
+                _mh_lockstep_edge_counts([(spec, 2, rng), (other, 2, rng)], 1)
 
     def test_working_memory_is_bounded_by_the_block(self, rng):
         # v=100, 64 chains: one sweep of draws is 4950*64*16 bytes (5 MB) and

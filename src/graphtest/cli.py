@@ -1,10 +1,18 @@
 """Command-line interface: sampling, testing, power sweeps, time-series graphs.
 
-Subcommands: sample, test, power, density-sweep, build-graphs, summary.
-Human-readable output goes to standard output; machine-readable CSV goes to
-``--out``. Every randomized command takes ``--seed`` and is byte-reproducible
-from (seed, flags); ``--manifest PATH`` additionally records the run as JSON,
-and output files then reference the manifest by name in a comment line.
+Subcommands: sample, test, power, density-sweep, build-graphs, summary. Every
+subcommand runs through ``_run``, in one of two output styles:
+
+- ``sample``, ``summary`` and ``build-graphs`` write their data to ``--out``
+  and print a "wrote ..." line, or else print the data to stdout.
+  ``build-graphs`` also prints a diagnostics line: after the "wrote" line
+  with ``--out``, and to stderr without it.
+- ``test``, ``power`` and ``density-sweep`` always print a human-readable
+  report, and write their CSV only to ``--out``.
+
+Every randomized command takes ``--seed`` and is byte-reproducible from
+(seed, flags); ``--manifest PATH`` additionally records the run as JSON, and
+the ``--out`` file then references the manifest by name in a comment line.
 
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 refused
 configuration (for example exact enumeration above the size cap).
@@ -13,9 +21,11 @@ configuration (for example exact enumeration above the size cap).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -76,43 +86,26 @@ def _float_list(text: str) -> list[float]:
         ) from None
 
 
-def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
-    return int(np.random.SeedSequence().entropy)
+@dataclass(frozen=True)
+class _Output:
+    """What a subcommand computed, for ``_run`` to route in one of the two
+    output styles: commands with a ``report``, and data commands whose
+    ``--out`` file is announced as "wrote <wrote> to <path>". ``text`` formats
+    the machine output, given the manifest name for its comment line.
+    """
+
+    text: Callable[[str | None], str]
+    report: list[str] | None = None
+    wrote: str = ""
+    note: str | None = None
+    extra: dict = field(default_factory=dict)
 
 
-def _manifest_name(args) -> str | None:
-    manifest = getattr(args, "manifest", None)
-    return os.path.basename(manifest) if manifest else None
-
-
-def _finish_manifest(args, command: str, seed: int | None, outputs, **extra) -> None:
-    if not getattr(args, "manifest", None):
-        return
-    skip = {"func", "command", "manifest"}
-    params = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in skip and not callable(value)
-    }
-    params.update(extra)
-    params["seed"] = seed
-    write_manifest(
-        args.manifest,
-        RunManifest(
-            command=command,
-            seed=seed,
-            parameters=params,
-            version=__version__,
-            outputs=tuple(os.path.basename(p) for p in outputs),
-        ),
-    )
-
-
-def _mcmc_from_args(args) -> McmcConfig:
-    return McmcConfig(burn_in=args.burn_in, thinning=args.thinning)
+def _ergms(args, v: int, theta2s) -> list[Ergm]:
+    """One ERGM per theta2, with --stats, --theta1 and the MH schedule from flags."""
+    mcmc = McmcConfig(burn_in=args.burn_in, thinning=args.thinning)
+    stats = _STATS_FLAGS[args.stats]
+    return [Ergm(v, stats, (args.theta1, t2), mcmc) for t2 in theta2s]
 
 
 def _build_model(kind: str, v: int, args, rng: np.random.Generator):
@@ -126,46 +119,23 @@ def _build_model(kind: str, v: int, args, rng: np.random.Generator):
             raise ValueError(f"model {kind!r} requires --p0, --p and --q")
         pairs = select_modified_pairs(v, args.q, rng)
         return ModifiedErdosRenyi(v, args.p0, args.p, pairs)
-    if kind == "ergm":
-        if args.stats is None or args.theta1 is None or args.theta2 is None:
-            raise ValueError(f"model {kind!r} requires --stats, --theta1 and --theta2")
-        return Ergm(
-            v,
-            _STATS_FLAGS[args.stats],
-            (args.theta1, args.theta2),
-            _mcmc_from_args(args),
-        )
-    raise ValueError(f"unknown model {kind!r}")
+    # The flag's choices leave only ergm.
+    if args.stats is None or args.theta1 is None or args.theta2 is None:
+        raise ValueError(f"model {kind!r} requires --stats, --theta1 and --theta2")
+    return _ergms(args, v, [args.theta2])[0]
 
 
-def _emit(args, text: str, summary_line: str) -> list[str]:
-    """Write text to --out (returning it as an output) or print it to stdout."""
-    if args.out:
-        write_text(args.out, text)
-        print(summary_line)
-        return [args.out]
-    print(text, end="")
-    return []
-
-
-def cmd_sample(args) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_sample(args, rng) -> _Output:
     model = _build_model(args.model, args.v, args, rng)
     sample = model.sample(args.n, rng)
-    text = format_graph_sample(sample, args.base, _manifest_name(args))
-    outputs = _emit(
-        args,
-        text,
-        f"wrote {sample.n} graphs on {sample.v} vertices to {args.out}",
+    return _Output(
+        partial(format_graph_sample, sample, args.base),
+        wrote=f"{sample.n} graphs on {sample.v} vertices",
+        extra={"model": model.describe()},
     )
-    _finish_manifest(args, "sample", seed, outputs, model=model.describe())
-    return 0
 
 
-def cmd_test(args) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_test(args, rng) -> _Output:
     s = read_graph_sample(args.sample)
     if args.sample2 is not None:
         result = two_sample_permutation_test(
@@ -189,29 +159,22 @@ def cmd_test(args) -> int:
             rng=rng,
             threads=args.threads,
         )
-    result = dataclasses.replace(result, seed=seed)
+    result = replace(result, seed=args.seed)
 
-    print(f"method: {result.method}")
+    report = [f"method: {result.method}"]
     if result.statistic is not None:
-        print(f"W = {result.statistic.value:.6g}")
+        report.append(f"W = {result.statistic.value:.6g}")
     if result.critical_value is not None:
-        print(f"critical value = {result.critical_value:.6g}")
+        report.append(f"critical value = {result.critical_value:.6g}")
     if result.p_value is not None:
-        print(f"p-value = {result.p_value:.6g}")
-    print(
+        report.append(f"p-value = {result.p_value:.6g}")
+    report.append(
         f"reject H0 at alpha={result.alpha:g}: {'yes' if result.reject else 'no'}"
     )
-    outputs = []
-    if args.out:
-        write_text(args.out, format_test_csv(result, _manifest_name(args)))
-        outputs.append(args.out)
-    _finish_manifest(args, "test", seed, outputs)
-    return 0
+    return _Output(partial(format_test_csv, result), report)
 
 
-def cmd_power(args) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_power(args, rng) -> _Output:
     null = ErdosRenyi(args.v, args.null_p)
     extra = {}
     if args.alt == "er":
@@ -227,11 +190,7 @@ def cmd_power(args) -> int:
     else:
         if args.stats is None or args.theta1 is None:
             raise ValueError("--alt ergm requires --stats and --theta1")
-        mcmc = _mcmc_from_args(args)
-        alternatives = [
-            Ergm(args.v, _STATS_FLAGS[args.stats], (args.theta1, t2), mcmc)
-            for t2 in args.sweep
-        ]
+        alternatives = _ergms(args, args.v, args.sweep)
     points = power_curve(
         null,
         alternatives,
@@ -244,84 +203,103 @@ def cmd_power(args) -> int:
         threads=args.threads,
     )
     if args.baseline:
-        print("param      power_w    power_bc")
+        report = ["param      power_w    power_bc"]
     else:
-        print("param      power_w")
+        report = ["param      power_w"]
     for p in points:
         line = f"{p.parameter:<10g} {p.power:<10g}"
         if p.power_baseline is not None:
             line += f" {p.power_baseline:<10g}"
-        print(line)
-    outputs = []
-    if args.out:
-        write_text(args.out, format_power_csv(points, _manifest_name(args)))
-        outputs.append(args.out)
-    _finish_manifest(args, "power", seed, outputs, **extra)
-    return 0
+        report.append(line)
+    return _Output(partial(format_power_csv, points), report, extra=extra)
 
 
-def cmd_density_sweep(args) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
-    mcmc = _mcmc_from_args(args)
-    specs = [
-        Ergm(args.v, _STATS_FLAGS[args.stats], (args.theta1, t2), mcmc)
-        for t2 in args.sweep
-    ]
+def cmd_density_sweep(args, rng) -> _Output:
+    specs = _ergms(args, args.v, args.sweep)
+    # Every spec carries the schedule from flags; the sweep refuses an empty grid.
+    mcmc = specs[0].mcmc if specs else None
     points = edge_density_sweep(specs, args.draws, mcmc, rng)
-    print("theta1     theta2     density")
-    for p in points:
-        print(f"{p.theta1:<10g} {p.theta2:<10g} {p.density:<10g}")
-    outputs = []
-    if args.out:
-        write_text(args.out, format_density_csv(points, _manifest_name(args)))
-        outputs.append(args.out)
-    _finish_manifest(args, "density-sweep", seed, outputs)
-    return 0
+    report = ["theta1     theta2     density"]
+    report += [f"{p.theta1:<10g} {p.theta2:<10g} {p.density:<10g}" for p in points]
+    return _Output(partial(format_density_csv, points), report)
 
 
-def cmd_build_graphs(args) -> int:
+def cmd_build_graphs(args, rng) -> _Output:
     window = WindowSpec(width_ms=args.width_ms, step_ms=args.step_ms)
     channels = read_channel_csv(args.input, args.sampling_rate)
     series = correlation_series(channels, window)
     thresholds = ThresholdSpec.from_series(series, c=args.c)
     sample = build_graphs(series, thresholds)
-    text = format_graph_sample(sample, args.base, _manifest_name(args))
-    diagnostics = (
-        f"{channels.n_channels} channels, {channels.n_samples} samples -> "
-        f"{series.n_windows} windows; "
-        f"{len(series.undefined)} undefined correlation(s) set to 0"
+    return _Output(
+        partial(format_graph_sample, sample, args.base),
+        wrote=f"{sample.n} graphs",
+        note=(
+            f"{channels.n_channels} channels, {channels.n_samples} samples -> "
+            f"{series.n_windows} windows; "
+            f"{len(series.undefined)} undefined correlation(s) set to 0"
+        ),
     )
-    if args.out:
-        write_text(args.out, text)
-        print(f"wrote {sample.n} graphs to {args.out}")
-        print(diagnostics)
-        outputs = [args.out]
-    else:
-        print(text, end="")
-        print(diagnostics, file=sys.stderr)
-        outputs = []
-    _finish_manifest(args, "build-graphs", None, outputs)
-    return 0
 
 
-def cmd_summary(args) -> int:
+def cmd_summary(args, rng) -> _Output:
     sample = read_graph_sample(args.sample)
     result = summary_graph(sample, args.k)
-    text = format_summary_csv(result, args.base, _manifest_name(args))
-    outputs = _emit(
-        args, text, f"wrote {len(result.frequencies)} edges to {args.out}"
+    return _Output(
+        partial(format_summary_csv, result, args.base),
+        wrote=f"{len(result.frequencies)} edges",
     )
-    _finish_manifest(args, "summary", None, outputs)
+
+
+def _run(args) -> int:
+    """Run one subcommand: seed it, route its output, write the manifest."""
+    if "seed" in args and args.seed is None:
+        args.seed = int(np.random.SeedSequence().entropy)
+    seed = getattr(args, "seed", None)
+    rng = None if seed is None else np.random.default_rng(seed)
+    manifest_name = os.path.basename(args.manifest) if args.manifest else None
+    out = args.func(args, rng)
+    if out.report is not None:
+        print("\n".join(out.report))
+    if args.out:
+        write_text(args.out, out.text(manifest_name))
+        if out.report is None:
+            print(f"wrote {out.wrote} to {args.out}")
+    elif out.report is None:
+        print(out.text(manifest_name), end="")
+    if out.note is not None:
+        print(out.note, file=sys.stdout if args.out else sys.stderr)
+    if args.manifest:
+        params = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("func", "command", "manifest")
+        }
+        params.update(out.extra, seed=seed)
+        write_manifest(
+            args.manifest,
+            RunManifest(
+                command=args.command,
+                seed=seed,
+                parameters=params,
+                version=__version__,
+                outputs=(os.path.basename(args.out),) if args.out else (),
+            ),
+        )
     return 0
 
 
-def _add_output_flags(p, seed: bool = True, threads: bool = False) -> None:
+def _add_common_flags(p, func, seed: bool = True, threads: bool = False) -> None:
+    """The flags every subcommand shares, and the function ``_run`` calls for it."""
+    p.set_defaults(func=func)
     if seed:
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
     if threads:
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads (default 1)"
+            "--threads",
+            type=int,
+            default=1,
+            help="worker threads (default 1); does not speed up ERGM nulls or "
+            "alternatives, whose steps hold the GIL",
         )
     p.add_argument("--out", default=None, help="write machine output here")
     p.add_argument("--manifest", default=None, help="write a JSON run manifest here")
@@ -332,11 +310,33 @@ def _add_model_flags(p, flag: str, choices, required: bool = False) -> None:
     p.add_argument("--p", type=float, default=None, help="edge probability")
     p.add_argument("--p0", type=float, default=None, help="unmodified edge probability")
     p.add_argument("--q", type=float, default=None, help="fraction of pairs modified")
-    p.add_argument("--stats", choices=sorted(_STATS_FLAGS), default=None)
-    p.add_argument("--theta1", type=float, default=None, help="edge parameter")
+    _add_ergm_flags(p)
     p.add_argument("--theta2", type=float, default=None, help="structure parameter")
+    _add_schedule_flags(p)
+
+
+def _add_ergm_flags(p, required: bool = False) -> None:
+    p.add_argument(
+        "--stats", choices=sorted(_STATS_FLAGS), default=None, required=required
+    )
+    p.add_argument(
+        "--theta1", type=float, default=None, required=required, help="edge parameter"
+    )
+
+
+def _add_schedule_flags(p) -> None:
     p.add_argument("--burn-in", type=int, default=200)
     p.add_argument("--thinning", type=int, default=10)
+
+
+def _add_sweep_flag(p, values: str) -> None:
+    p.add_argument(
+        "--sweep",
+        type=_float_list,
+        required=True,
+        help=f"comma-separated {values} "
+        "(write --sweep=-0.4,0.1 when the list starts with a minus)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,8 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="sample size")
     _add_model_flags(p, "--model", ["er", "modified-er", "ergm"], required=True)
     p.add_argument("--base", type=int, choices=[0, 1], default=0)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_sample)
+    _add_common_flags(p, cmd_sample)
 
     p = sub.add_parser("test", help="one-sample or two-sample test")
     p.add_argument("--sample", required=True, help="graph-sample file")
@@ -376,51 +375,32 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the add-one permutation p-value (1+count)/(1+R)",
     )
-    _add_output_flags(p, threads=True)
-    p.set_defaults(func=cmd_test)
+    _add_common_flags(p, cmd_test, threads=True)
 
     p = sub.add_parser("power", help="power curve over a parameter sweep")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="sample size per test")
     p.add_argument("--null-p", type=float, default=0.5, help="null edge probability")
     p.add_argument("--alt", choices=["er", "modified-er", "ergm"], required=True)
-    p.add_argument(
-        "--sweep",
-        type=_float_list,
-        required=True,
-        help="comma-separated alternative parameter values "
-        "(write --sweep=-0.4,0.1 when the list starts with a minus)",
-    )
+    _add_sweep_flag(p, "alternative parameter values")
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--stats", choices=sorted(_STATS_FLAGS), default=None)
-    p.add_argument("--theta1", type=float, default=None)
-    p.add_argument("--burn-in", type=int, default=200)
-    p.add_argument("--thinning", type=int, default=10)
+    _add_ergm_flags(p)
+    _add_schedule_flags(p)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument(
         "--replications", type=int, default=2000, help="samples per grid point"
     )
     p.add_argument("--quantile-replications", type=int, default=10000)
     p.add_argument("--baseline", choices=["bonferroni"], default=None)
-    _add_output_flags(p, threads=True)
-    p.set_defaults(func=cmd_power)
+    _add_common_flags(p, cmd_power, threads=True)
 
     p = sub.add_parser("density-sweep", help="ERGM edge density over a theta grid")
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--stats", choices=sorted(_STATS_FLAGS), required=True)
-    p.add_argument("--theta1", type=float, required=True)
-    p.add_argument(
-        "--sweep",
-        type=_float_list,
-        required=True,
-        help="theta2 grid values "
-        "(write --sweep=-0.4,0.1 when the list starts with a minus)",
-    )
+    _add_ergm_flags(p, required=True)
+    _add_sweep_flag(p, "theta2 grid values")
     p.add_argument("--draws", type=int, default=200, help="chain draws per point")
-    p.add_argument("--burn-in", type=int, default=200)
-    p.add_argument("--thinning", type=int, default=10)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_density_sweep)
+    _add_schedule_flags(p)
+    _add_common_flags(p, cmd_density_sweep)
 
     p = sub.add_parser("build-graphs", help="graphs from a multichannel recording")
     p.add_argument("--input", required=True, help="channel CSV file")
@@ -431,15 +411,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-ms", type=float, default=16.66)
     p.add_argument("--c", type=float, default=0.5, help="correlation threshold")
     p.add_argument("--base", type=int, choices=[0, 1], default=0)
-    _add_output_flags(p, seed=False)
-    p.set_defaults(func=cmd_build_graphs)
+    _add_common_flags(p, cmd_build_graphs, seed=False)
 
     p = sub.add_parser("summary", help="most frequent edges of a sample")
     p.add_argument("--sample", required=True, help="graph-sample file")
     p.add_argument("--k", type=int, default=30, help="number of edges to keep")
     p.add_argument("--base", type=int, choices=[0, 1], default=0)
-    _add_output_flags(p, seed=False)
-    p.set_defaults(func=cmd_summary)
+    _add_common_flags(p, cmd_summary, seed=False)
 
     return parser
 
@@ -459,7 +437,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(e, types))

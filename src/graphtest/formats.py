@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .graphs import GraphSample, canonical_pairs, num_pairs
+from .graphs import BLOCK_CELLS, GraphSample, canonical_pairs, num_pairs
 from .inference import PowerPoint, TestResult
 from .models import DensityPoint
 from .timeseries import ChannelMatrix, SummaryGraph, _check_sampling_rate
@@ -43,6 +43,10 @@ __all__ = [
     "write_text",
     "write_manifest",
 ]
+
+# Edge lines split and converted at a time: three int64 cells per line, so a
+# block's edge array holds at most BLOCK_CELLS cells.
+_EDGE_BLOCK_LINES = BLOCK_CELLS // 3
 
 
 def _manifest_comment(manifest_name: str | None) -> list[str]:
@@ -84,9 +88,9 @@ def _content_lines(path) -> tuple[list[int], list[str]]:
     return numbers, [stripped[k - 1] for k in numbers]
 
 
-def _edge_array(body: list[str]) -> np.ndarray | None:
-    """(k x 3) int64 array of the k edge lines, or None unless every line holds
-    three integer tokens that fit in int64."""
+def _edge_cells(body: list[str], v: int, n: int, base: int) -> np.ndarray | None:
+    """Mask cells (graph * E + pair slot) of the k edge lines, or None unless
+    every line holds three integers naming a valid pair of a graph in [0, n)."""
     k = len(body)
     # One split of all lines, each followed by a separator token. Every line
     # holds three tokens exactly when the separators are the tokens at
@@ -96,9 +100,15 @@ def _edge_array(body: list[str]) -> np.ndarray | None:
         return None
     del tokens[3::4]
     try:
-        return np.array(list(map(int, tokens)), dtype=np.int64).reshape(k, 3)
+        edges = np.array(list(map(int, tokens)), dtype=np.int64).reshape(k, 3)
     except (ValueError, OverflowError):
         return None
+    g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
+    in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
+    if not (in_range & (a != b)).all():
+        return None
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    return g * num_pairs(v) + i * (2 * v - i - 1) // 2 + (j - i - 1)
 
 
 def _first_edge_error(
@@ -126,56 +136,48 @@ def _first_edge_error(
     raise AssertionError("the whole-array check rejected valid edge lines")
 
 
+def _header_values(header: str) -> tuple[int, int, int]:
+    """v, n and base of a header line; a ValueError says what is wrong."""
+    tokens = header.split()
+    if not tokens or tokens[0] != "graphsample":
+        raise ValueError("header must start with 'graphsample'")
+    fields = {}
+    for tok in tokens[1:]:
+        key, eq, value = tok.partition("=")
+        if not eq or key in fields:
+            raise ValueError(f"malformed header token {tok!r}")
+        fields[key] = value
+    if set(fields) != {"v", "n", "base"}:
+        raise ValueError(f"header must define v, n and base, got {sorted(fields)}")
+    try:
+        v, n, base = int(fields["v"]), int(fields["n"]), int(fields["base"])
+    except ValueError:
+        raise ValueError("header fields must be integers") from None
+    if v < 2:
+        raise ValueError(f"need v >= 2, got v={v}")
+    if n < 1:
+        raise ValueError(f"sample must contain at least one graph, got n={n}")
+    if base not in (0, 1):
+        raise ValueError(f"base must be 0 or 1, got {base}")
+    return v, n, base
+
+
 def read_graph_sample(path) -> GraphSample:
     """Parse a graph-sample file; errors carry the offending line number.
 
-    Edge lines are checked as whole arrays. When they fail, one line-by-line
-    reading names the first failing content line.
+    Edge lines are checked as whole arrays, ``_EDGE_BLOCK_LINES`` at a time.
+    When they fail, one line-by-line reading names the first failing content
+    line.
     """
     path = str(path)
     numbers, lines = _content_lines(path)
     if not lines:
         raise DataFormatError("file has no content lines", path=path)
 
-    lineno, header = numbers[0], lines[0]
-    tokens = header.split()
-    if not tokens or tokens[0] != "graphsample":
-        raise DataFormatError(
-            "header must start with 'graphsample'", path=path, line=lineno
-        )
-    fields = {}
-    for tok in tokens[1:]:
-        key, eq, value = tok.partition("=")
-        if not eq or key in fields:
-            raise DataFormatError(
-                f"malformed header token {tok!r}", path=path, line=lineno
-            )
-        fields[key] = value
-    if set(fields) != {"v", "n", "base"}:
-        raise DataFormatError(
-            f"header must define v, n and base, got {sorted(fields)}",
-            path=path,
-            line=lineno,
-        )
     try:
-        v, n, base = int(fields["v"]), int(fields["n"]), int(fields["base"])
-    except ValueError:
-        raise DataFormatError(
-            "header fields must be integers", path=path, line=lineno
-        ) from None
-    if v < 2:
-        raise DataFormatError(f"need v >= 2, got v={v}", path=path, line=lineno)
-    if n < 1:
-        raise DataFormatError(
-            f"sample must contain at least one graph, got n={n}",
-            path=path,
-            line=lineno,
-        )
-    if base not in (0, 1):
-        raise DataFormatError(
-            f"base must be 0 or 1, got {base}", path=path, line=lineno
-        )
-
+        v, n, base = _header_values(lines[0])
+    except ValueError as e:
+        raise DataFormatError(str(e), path=path, line=numbers[0]) from None
     E = num_pairs(v)
     try:
         mask = np.zeros(n * E, dtype=bool)
@@ -183,20 +185,18 @@ def read_graph_sample(path) -> GraphSample:
         raise DataFormatError(
             f"a sample of n={n} graphs on v={v} vertices does not fit in memory",
             path=path,
-            line=lineno,
+            line=numbers[0],
         ) from None
 
-    edges = _edge_array(lines[1:])
-    if edges is not None:
-        g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
-        in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
-        if (in_range & (a != b)).all():
-            i, j = np.minimum(a, b), np.maximum(a, b)
-            cells = g * E + i * (2 * v - i - 1) // 2 + (j - i - 1)
-            mask[cells] = True
-            # Fewer set cells than lines means some line repeats an edge.
-            if np.count_nonzero(mask) == len(cells):
-                return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
+    for start in range(1, len(lines), _EDGE_BLOCK_LINES):
+        cells = _edge_cells(lines[start:start + _EDGE_BLOCK_LINES], v, n, base)
+        if cells is None:
+            break
+        mask[cells] = True
+    else:
+        # Fewer set cells than lines means some line repeats an edge.
+        if np.count_nonzero(mask) == len(lines) - 1:
+            return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
     message, lineno = _first_edge_error(numbers[1:], lines[1:], v, n, base)
     raise DataFormatError(message, path=path, line=lineno)
 
@@ -253,10 +253,6 @@ def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
         raise DataFormatError(str(e), path=path) from e
 
 
-def _csv_lines(header: str, rows: Sequence[str], manifest_name: str | None) -> str:
-    return "\n".join(_manifest_comment(manifest_name) + [header] + list(rows)) + "\n"
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -265,21 +261,24 @@ def _fmt(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
+def _csv_lines(header: str, rows: Sequence[tuple], manifest_name: str | None) -> str:
+    """CSV text: the manifest comment, the header, then one line per row of values."""
+    lines = [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(_manifest_comment(manifest_name) + [header] + lines) + "\n"
+
+
 def format_test_csv(result: TestResult, manifest_name: str | None = None) -> str:
     """One-row CSV: method,w,critical_value,p_value,reject,alpha,replications,seed."""
     w = None if result.statistic is None else result.statistic.value
-    row = ",".join(
-        _fmt(x)
-        for x in (
-            result.method,
-            w,
-            result.critical_value,
-            result.p_value,
-            result.reject,
-            result.alpha,
-            result.replications,
-            result.seed,
-        )
+    row = (
+        result.method,
+        w,
+        result.critical_value,
+        result.p_value,
+        result.reject,
+        result.alpha,
+        result.replications,
+        result.seed,
     )
     return _csv_lines(
         "method,w,critical_value,p_value,reject,alpha,replications,seed",
@@ -292,13 +291,7 @@ def format_power_csv(
     points: Sequence[PowerPoint], manifest_name: str | None = None
 ) -> str:
     """CSV with one row per grid point: param,power_w,power_bc,replications."""
-    rows = [
-        ",".join(
-            _fmt(x)
-            for x in (p.parameter, p.power, p.power_baseline, p.replications)
-        )
-        for p in points
-    ]
+    rows = [(p.parameter, p.power, p.power_baseline, p.replications) for p in points]
     return _csv_lines("param,power_w,power_bc,replications", rows, manifest_name)
 
 
@@ -306,10 +299,7 @@ def format_density_csv(
     points: Sequence[DensityPoint], manifest_name: str | None = None
 ) -> str:
     """CSV with one row per parameter value: theta1,theta2,density,draws."""
-    rows = [
-        ",".join(_fmt(x) for x in (p.theta1, p.theta2, p.density, p.draws))
-        for p in points
-    ]
+    rows = [(p.theta1, p.theta2, p.density, p.draws) for p in points]
     return _csv_lines("theta1,theta2,density,draws", rows, manifest_name)
 
 
@@ -319,10 +309,7 @@ def format_summary_csv(
     """CSV of the selected edges, most frequent first: i,j,frequency."""
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
-    rows = [
-        f"{i + base},{j + base},{_fmt(freq)}"
-        for (i, j), freq in summary.frequencies
-    ]
+    rows = [(i + base, j + base, freq) for (i, j), freq in summary.frequencies]
     return _csv_lines("i,j,frequency", rows, manifest_name)
 
 
@@ -335,7 +322,7 @@ class RunManifest:
     """Reproducibility record for one command invocation."""
 
     command: str
-    seed: int
+    seed: int | None
     parameters: dict
     version: str
     created: str = field(

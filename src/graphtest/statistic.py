@@ -128,13 +128,17 @@ def _check_marginal_dims(sample: GraphSample, marginals: EdgeMarginals) -> None:
         )
 
 
-def _summed_distance(sample: GraphSample, g: Graph) -> int:
-    """Summed distance from g to the members: n - c_a over the edges a of g,
-    plus c_a over the other pairs, c_a being the members with edge a."""
+def _check_graph_dims(sample: GraphSample, g: Graph) -> None:
     if g.v != sample.v:
         raise DimensionMismatchError(
             f"graph has v={g.v} but sample has v={sample.v}"
         )
+
+
+def _summed_distance(sample: GraphSample, g: Graph) -> int:
+    """Summed distance from g to the members: n - c_a over the edges a of g,
+    plus c_a over the other pairs, c_a being the members with edge a."""
+    _check_graph_dims(sample, g)
     counts = sample.edge_counts
     return int(np.where(g.indicator_row(), sample.n - counts, counts).sum())
 
@@ -195,18 +199,13 @@ def signed_gap(
 ) -> Fraction:
     """Mean distance from g to the sample minus expected distance under the reference.
 
-    The expectation over the reference distribution depends only on its edge
-    marginals: each canonical pair contributes g_ij - 2*g_ij*p_ij + p_ij.
+    The gap is affine in g's edge indicators: its value at the empty graph
+    plus what each edge of g adds (see ``_one_sample_gap``).
     """
     _check_marginal_dims(sample, null_marginals)
-    d_bar = Fraction(_summed_distance(sample, g), sample.n)
-    expected = Fraction(0)
-    for k, p in enumerate(null_marginals.fractions):
-        if g.bits >> k & 1:
-            expected += 1 - p
-        else:
-            expected += p
-    return d_bar - expected
+    _check_graph_dims(sample, g)
+    base, steps = _one_sample_gap(sample, null_marginals)
+    return sum((step for a, step in enumerate(steps) if g.bits >> a & 1), base)
 
 
 def _check_enumerable(v: int) -> None:

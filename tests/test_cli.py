@@ -464,6 +464,62 @@ class TestSummaryCommand:
         assert "Traceback" not in err
 
 
+# Every subcommand at tiny sizes, with its output style: data commands print
+# their data when there is no --out, report commands always print a report.
+DRIVER_CASES = {
+    "sample": (["--model", "er", "--v", "4", "--n", "3", "--p", "0.5"], True),
+    "test": (["--sample", "{sample}", "--null", "er", "--p", "0.5",
+              "--replications", "100"], False),
+    "power": (["--v", "4", "--n", "5", "--alt", "er", "--sweep", "0.5,0.9",
+               "--replications", "100", "--quantile-replications", "100"], False),
+    "density-sweep": (["--v", "4", "--stats", "edge-triangle", "--theta1", "-1.0",
+                       "--sweep", "0.0,0.2", "--draws", "10", "--burn-in", "5",
+                       "--thinning", "1"], False),
+    "build-graphs": (["--input", "{channels}", "--sampling-rate", "1000",
+                      "--width-ms", "5", "--step-ms", "5"], True),
+    "summary": (["--sample", "{sample}", "--k", "3"], True),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DRIVER_CASES))
+def test_driver_routes_output_and_writes_the_manifest(command, tmp_path, capsys):
+    flags, prints_data = DRIVER_CASES[command]
+    write_fixture_csv(tmp_path / "channels.csv")
+    write_complete_sample(tmp_path / "sample.txt", v=4, n=3)
+    argv = [command] + [
+        f.format(sample=tmp_path / "sample.txt", channels=tmp_path / "channels.csv")
+        for f in flags
+    ]
+    seeded = command not in ("build-graphs", "summary")
+    if seeded:
+        argv += ["--seed", "7"]
+
+    assert run(*argv) == 0
+    stdout = capsys.readouterr().out
+    plain, commented = tmp_path / "plain.out", tmp_path / "commented.out"
+    assert run(*argv, "--out", str(plain)) == 0
+    announced = capsys.readouterr().out
+    manifest = tmp_path / "run.json"
+    assert run(*argv, "--out", str(commented), "--manifest", str(manifest)) == 0
+
+    if prints_data:
+        assert stdout == plain.read_text()
+        assert announced.startswith("wrote ") and f" to {plain}\n" in announced
+    else:
+        assert stdout == announced
+    lines = commented.read_text().splitlines(keepends=True)
+    lines.remove("# manifest: run.json\n")
+    assert "".join(lines) == plain.read_text()
+
+    data = json.loads(manifest.read_text())
+    assert data["command"] == command
+    assert data["seed"] == (7 if seeded else None)
+    assert data["outputs"] == [commented.name]
+    assert data["parameters"]["seed"] == data["seed"]
+    assert data["parameters"]["out"] == str(commented)
+    assert "func" not in data["parameters"]
+
+
 def readme_commands() -> list[list[str]]:
     """Arguments of every ``graphtest`` command in README's sh blocks."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

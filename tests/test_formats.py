@@ -1,6 +1,7 @@
 """File formats: graph-sample text, channel CSV, result CSVs, run manifests."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,14 @@ from graphtest import (
     RunManifest,
     TestResult,
     format_graph_sample,
+    num_pairs,
     read_channel_csv,
     read_graph_sample,
     write_graph_sample,
     write_manifest,
 )
 from graphtest.formats import (
+    _EDGE_BLOCK_LINES,
     format_density_csv,
     format_power_csv,
     format_summary_csv,
@@ -257,6 +260,52 @@ class TestReaderMatchesLineByLine:
             path = tmp_path / f"bad{trial}.txt"
             path.write_text("\n".join(lines) + "\n")
             check_reader_against_oracle(path)
+
+
+class TestReaderBlocks:
+    """Edge lines are read _EDGE_BLOCK_LINES at a time."""
+
+    def big_sample_lines(self, rng):
+        mask = rng.random((1400, num_pairs(12))) < 0.5
+        sample = GraphSample.from_indicator_matrix(12, mask)
+        lines = format_graph_sample(sample).splitlines()
+        assert len(lines) > 2 * _EDGE_BLOCK_LINES + 1
+        return lines
+
+    @pytest.mark.parametrize("fault_at", ["first", "second", "last"])
+    @pytest.mark.parametrize("fault", ["0 1", "9999 0 1", "repeat"])
+    def test_faults_in_any_block_match_line_by_line(
+        self, tmp_path, rng, fault_at, fault
+    ):
+        lines = self.big_sample_lines(rng)
+        k = {"first": 5, "second": _EDGE_BLOCK_LINES + 7, "last": len(lines)}[fault_at]
+        # A repeated line duplicates an edge from an earlier block.
+        lines.insert(k, lines[1] if fault == "repeat" else fault)
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(lines) + "\n")
+        check_reader_against_oracle(path)
+
+    def test_valid_file_across_blocks(self, tmp_path, rng):
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(self.big_sample_lines(rng)) + "\n")
+        check_reader_against_oracle(path)
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # 1 800 graphs on 24 vertices at edge density 0.2: ~0.95 MB of text,
+        # about the size of one windowed-correlation recording's sample. Reading
+        # all edge lines in one block peaked at ~32 MiB.
+        rng = np.random.default_rng(101)
+        mask = rng.random((1800, num_pairs(24))) < 0.2
+        path = tmp_path / "recording.txt"
+        write_graph_sample(path, GraphSample.from_indicator_matrix(24, mask))
+        tracemalloc.start()
+        try:
+            sample = read_graph_sample(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(sample.indicator_matrix(), mask)
+        assert peak < 20 * 2**20
 
 
 class TestChannelCsv:

@@ -32,6 +32,8 @@ from graphtest import (
 from graphtest.statistic import one_sample_kernel, two_sample_kernel
 
 from oracles import (
+    exact_expected_distance,
+    exact_mean_distance,
     fraction_one_sample,
     fraction_two_sample,
     gray_one_sample_max,
@@ -285,6 +287,23 @@ class TestExtremalGraphs:
         w = one_sample_statistic(s, marg).exact
         for bits in range(1 << 3):
             assert abs(signed_gap(s, marg, Graph(3, bits))) <= w
+
+
+class TestSignedGap:
+    @pytest.mark.parametrize("v", [2, 4, 7])
+    def test_matches_exact_distances_on_random_graphs(self, rng, v):
+        for _ in range(10):
+            s = random_sample(rng, v, int(rng.integers(1, 9)))
+            marg = EdgeMarginals(v, random_marginals(rng, v))
+            g = random_graph(rng, v)
+            expected = exact_mean_distance(s, g) - exact_expected_distance(marg, g)
+            assert signed_gap(s, marg, g) == expected
+
+    def test_rejects_graph_of_other_vertex_count(self):
+        s = GraphSample([Graph.empty(3)])
+        message = "graph has v=4 but sample has v=3"
+        with pytest.raises(DimensionMismatchError, match=message):
+            signed_gap(s, half(3), Graph.empty(4))
 
 
 class TestBruteForceGuards:

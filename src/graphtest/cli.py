@@ -251,7 +251,17 @@ def cmd_summary(args, rng) -> _Output:
 
 
 def _run(args) -> int:
-    """Run one subcommand: seed it, route its output, write the manifest."""
+    """Run one subcommand: seed it, route its output, write the manifest.
+
+    An --out or --manifest path in a missing directory fails, as opening it
+    would, before any work is done.
+    """
+    for path in (args.out, args.manifest):
+        if path:
+            try:
+                os.stat(os.path.dirname(path) or ".")
+            except OSError as e:
+                raise type(e)(e.errno, e.strerror, path) from None
     if "seed" in args and args.seed is None:
         args.seed = int(np.random.SeedSequence().entropy)
     seed = getattr(args, "seed", None)
@@ -308,8 +318,6 @@ def _add_common_flags(p, func, seed: bool = True, threads: bool = False) -> None
 def _add_model_flags(p, flag: str, choices, required: bool = False) -> None:
     p.add_argument(flag, choices=choices, default=None, required=required)
     p.add_argument("--p", type=float, default=None, help="edge probability")
-    p.add_argument("--p0", type=float, default=None, help="unmodified edge probability")
-    p.add_argument("--q", type=float, default=None, help="fraction of pairs modified")
     _add_ergm_flags(p)
     p.add_argument("--theta2", type=float, default=None, help="structure parameter")
     _add_schedule_flags(p)
@@ -351,6 +359,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True, help="number of vertices")
     p.add_argument("--n", type=int, required=True, help="sample size")
     _add_model_flags(p, "--model", ["er", "modified-er", "ergm"], required=True)
+    # Only modified-er reads --p0 and --q, and of --model and --null only --model
+    # offers it; power declares its own --q.
+    p.add_argument("--p0", type=float, default=None, help="unmodified edge probability")
+    p.add_argument("--q", type=float, default=None, help="fraction of pairs modified")
     p.add_argument("--base", type=int, choices=[0, 1], default=0)
     _add_common_flags(p, cmd_sample)
 

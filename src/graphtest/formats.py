@@ -19,8 +19,9 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,13 +80,18 @@ def write_graph_sample(
     Path(path).write_text(format_graph_sample(sample, base, manifest_name))
 
 
-def _content_lines(path) -> tuple[list[int], list[str]]:
-    """Line numbers and stripped text of the non-blank, non-comment lines."""
+def _content_lines(path) -> Iterator[tuple[int, str]]:
+    """Line number and stripped text of each non-blank, non-comment line."""
     with open(path, "r") as fh:
-        stripped = list(map(str.strip, fh.read().split("\n")))
-    numbers = [k for k, text in enumerate(stripped, start=1)
-               if text and text[0] != "#"]
-    return numbers, [stripped[k - 1] for k in numbers]
+        stripped = map(str.strip, fh.read().split("\n"))
+    return ((k, text) for k, text in enumerate(stripped, start=1)
+            if text and text[0] != "#")
+
+
+def _line_number(path, k: int) -> int:
+    """Line number of content line k, counted from 0. The reader keeps no
+    line numbers, so an error reads the file again to find one."""
+    return next(islice(_content_lines(path), k, None))[0]
 
 
 def _edge_cells(body: list[str], v: int, n: int, base: int) -> np.ndarray | None:
@@ -111,27 +117,25 @@ def _edge_cells(body: list[str], v: int, n: int, base: int) -> np.ndarray | None
     return g * num_pairs(v) + i * (2 * v - i - 1) // 2 + (j - i - 1)
 
 
-def _first_edge_error(
-    numbers: list[int], body: list[str], v: int, n: int, base: int
-) -> tuple[str, int]:
-    """Message and line number of the first edge line that breaks the format,
-    reading line by line (``numbers[k]`` is the line of ``body[k]``)."""
+def _first_edge_error(body: list[str], v: int, n: int, base: int) -> tuple[str, int]:
+    """Message and index in ``body`` of the first edge line that breaks the
+    format, reading line by line."""
     seen = set()
-    for lineno, text in zip(numbers, body):
+    for k, text in enumerate(body):
         parts = text.split()
         if len(parts) != 3:
-            return f"expected '<graph> <i> <j>', got {text!r}", lineno
+            return f"expected '<graph> <i> <j>', got {text!r}", k
         try:
             g_idx, i, j = (int(p) for p in parts)
         except ValueError:
-            return f"non-integer edge line {text!r}", lineno
+            return f"non-integer edge line {text!r}", k
         if not 0 <= g_idx < n:
-            return f"graph index {g_idx} outside [0, {n})", lineno
+            return f"graph index {g_idx} outside [0, {n})", k
         if i == j or not (base <= i < v + base and base <= j < v + base):
-            return f"invalid vertex pair ({i}, {j}) for v={v}", lineno
+            return f"invalid vertex pair ({i}, {j}) for v={v}", k
         i, j = min(i, j), max(i, j)
         if (g_idx, i, j) in seen:
-            return f"duplicate edge ({i}, {j}) in graph {g_idx}", lineno
+            return f"duplicate edge ({i}, {j}) in graph {g_idx}", k
         seen.add((g_idx, i, j))
     raise AssertionError("the whole-array check rejected valid edge lines")
 
@@ -170,14 +174,14 @@ def read_graph_sample(path) -> GraphSample:
     line.
     """
     path = str(path)
-    numbers, lines = _content_lines(path)
+    lines = [text for _, text in _content_lines(path)]
     if not lines:
         raise DataFormatError("file has no content lines", path=path)
 
     try:
         v, n, base = _header_values(lines[0])
     except ValueError as e:
-        raise DataFormatError(str(e), path=path, line=numbers[0]) from None
+        raise DataFormatError(str(e), path=path, line=_line_number(path, 0)) from None
     E = num_pairs(v)
     try:
         mask = np.zeros(n * E, dtype=bool)
@@ -185,7 +189,7 @@ def read_graph_sample(path) -> GraphSample:
         raise DataFormatError(
             f"a sample of n={n} graphs on v={v} vertices does not fit in memory",
             path=path,
-            line=numbers[0],
+            line=_line_number(path, 0),
         ) from None
 
     for start in range(1, len(lines), _EDGE_BLOCK_LINES):
@@ -197,8 +201,8 @@ def read_graph_sample(path) -> GraphSample:
         # Fewer set cells than lines means some line repeats an edge.
         if np.count_nonzero(mask) == len(lines) - 1:
             return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
-    message, lineno = _first_edge_error(numbers[1:], lines[1:], v, n, base)
-    raise DataFormatError(message, path=path, line=lineno)
+    message, k = _first_edge_error(lines[1:], v, n, base)
+    raise DataFormatError(message, path=path, line=_line_number(path, 1 + k))
 
 
 def _finite_rows(data: list, width: int, rows: list, path: str) -> np.ndarray:

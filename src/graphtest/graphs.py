@@ -65,11 +65,15 @@ def pair_index(v: int, i: int, j: int) -> int:
     return i * (2 * v - i - 1) // 2 + (j - i - 1)
 
 
-def _check_same_v(a, b) -> None:
+def _check_same_v(a, a_name: str, b, b_name: str) -> None:
+    """Graphs, samples, marginals or models a and b must share a vertex count."""
     if a.v != b.v:
-        raise DimensionMismatchError(
-            f"vertex counts differ: {a.v} != {b.v}"
-        )
+        raise DimensionMismatchError(f"{a_name} has v={a.v} but {b_name} has v={b.v}")
+
+
+def _check_min_vertices(v: int) -> None:
+    if v < 2:
+        raise ValueError(f"need at least 2 vertices, got v={v}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,7 @@ class Graph:
     bits: int = 0
 
     def __post_init__(self):
-        if self.v < 2:
-            raise ValueError(f"need at least 2 vertices, got v={self.v}")
+        _check_min_vertices(self.v)
         if not 0 <= self.bits < (1 << num_pairs(self.v)):
             raise ValueError("edge bitset out of range for vertex count")
 
@@ -193,7 +196,7 @@ def hamming_distance(g: Graph, h: Graph) -> int:
     This is a metric on graphs over a common vertex set; every pair
     contributes 0 or 1, so the distance is at most v*(v-1)/2.
     """
-    _check_same_v(g, h)
+    _check_same_v(g, "first graph", h, "second graph")
     return (g.bits ^ h.bits).bit_count()
 
 
@@ -227,8 +230,7 @@ class GraphSample:
             )
         if not len(matrix):
             raise EmptySampleError("a graph sample must contain at least one graph")
-        if v < 2:
-            raise ValueError(f"need at least 2 vertices, got v={v}")
+        _check_min_vertices(v)
         sample = cls.__new__(cls)
         sample._set(v, matrix)
         return sample

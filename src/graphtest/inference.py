@@ -40,13 +40,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, EnumerationRefusedError
-from .graphs import BLOCK_CELLS, EdgeMarginals, GraphSample, num_pairs
+from .errors import ConfigurationError, EnumerationRefusedError
+from .graphs import BLOCK_CELLS, EdgeMarginals, GraphSample, _check_same_v, num_pairs
 from .models import (
     MH_MAX_GROUPS,
     MH_MIN_CHAINS,
     Ergm,
     ModelSpec,
+    _check_sample_size,
     _mh_lockstep_edge_counts,
 )
 from .statistic import (
@@ -112,10 +113,7 @@ def _resolve_marginals(
     null: ModelSpec, override: EdgeMarginals | None
 ) -> tuple[EdgeMarginals, str]:
     if override is not None:
-        if override.v != null.v:
-            raise DimensionMismatchError(
-                f"marginals have v={override.v} but null model has v={null.v}"
-            )
+        _check_same_v(override, "marginals", null, "null model")
         return override, "supplied"
     try:
         return null.exact_marginals(), "exact"
@@ -218,8 +216,7 @@ def _calibrate_null(
     """
     if R < 100:
         raise ValueError(f"need at least 100 replications, got {R}")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
+    _check_sample_size(n)
     _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
@@ -269,10 +266,7 @@ def one_sample_test(
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
-    if s.v != null.v:
-        raise DimensionMismatchError(
-            f"sample has v={s.v} but null model has v={null.v}"
-        )
+    _check_same_v(s, "sample", null, "null model")
     marg, source, kernel, crit = _calibrate_null(
         null, s.n, alpha, R, rng, threads, marginals
     )
@@ -311,10 +305,7 @@ def two_sample_permutation_test(
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
-    if s.v != t.v:
-        raise DimensionMismatchError(
-            f"samples have different vertex counts: {s.v} and {t.v}"
-        )
+    _check_same_v(s, "first sample", t, "second sample")
     if R < 100:
         raise ValueError(f"need at least 100 permutations, got {R}")
     _check_alpha(alpha)
@@ -405,10 +396,7 @@ def bonferroni_edge_test(
     alpha/E. The reported p_value is the Bonferroni-adjusted minimum,
     min(1, E * min_p).
     """
-    if s.v != null_marginals.v:
-        raise DimensionMismatchError(
-            f"sample has v={s.v} but marginals have v={null_marginals.v}"
-        )
+    _check_same_v(s, "sample", null_marginals, "marginals")
     _check_alpha(alpha)
     n = s.n
     E = num_pairs(s.v)
@@ -475,10 +463,7 @@ def power_curve(
     if not alternatives:
         raise ValueError("need at least one alternative model")
     for alt in alternatives:
-        if alt.v != null.v:
-            raise DimensionMismatchError(
-                f"alternative has v={alt.v} but null has v={null.v}"
-            )
+        _check_same_v(alt, "alternative", null, "null model")
     if M < 100:
         raise ValueError(f"need at least 100 replications per point, got {M}")
 

@@ -48,6 +48,8 @@ from .graphs import (
     EdgeMarginals,
     Graph,
     GraphSample,
+    _check_min_vertices,
+    _check_same_v,
     canonical_pairs,
     num_pairs,
     pair_index,
@@ -149,8 +151,7 @@ class ErdosRenyi(_IndependentEdges):
     p: float
 
     def __post_init__(self):
-        if self.v < 2:
-            raise ValueError(f"need at least 2 vertices, got v={self.v}")
+        _check_min_vertices(self.v)
         _check_probability("p", self.p)
 
     def pair_probabilities(self) -> np.ndarray:
@@ -174,8 +175,7 @@ class ModifiedErdosRenyi(_IndependentEdges):
     modified_pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.v < 2:
-            raise ValueError(f"need at least 2 vertices, got v={self.v}")
+        _check_min_vertices(self.v)
         _check_probability("p0", self.p0)
         _check_probability("p", self.p)
         valid = set(canonical_pairs(self.v))
@@ -223,8 +223,7 @@ class Ergm:
     mcmc: McmcConfig = field(default=McmcConfig(), compare=False)
 
     def __post_init__(self):
-        if self.v < 2:
-            raise ValueError(f"need at least 2 vertices, got v={self.v}")
+        _check_min_vertices(self.v)
         if self.stats not in (EDGE_TRIANGLE, EDGE_TWO_STAR):
             raise ValueError(
                 f"stats must be {EDGE_TRIANGLE!r} or {EDGE_TWO_STAR!r}, "
@@ -288,8 +287,7 @@ def select_modified_pairs(
     v: int, q: float, rng: np.random.Generator
 ) -> frozenset[tuple[int, int]]:
     """Uniformly random subset of round(q*E) canonical pairs (half rounds up)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    _check_probability("q", q)
     E = num_pairs(v)
     k = int(math.floor(q * E + 0.5))
     pairs = canonical_pairs(v)
@@ -305,8 +303,7 @@ def er_marginals(v: int, p: float) -> EdgeMarginals:
 
 def ergm_log_weight(g: Graph, spec: Ergm) -> float:
     """Unnormalized log probability t1*n_e + t2*(triangles or two-stars)."""
-    if g.v != spec.v:
-        raise ValueError(f"graph has v={g.v} but model has v={spec.v}")
+    _check_same_v(g, "graph", spec, "model")
     t1, t2 = spec.theta
     if spec.stats == EDGE_TRIANGLE:
         extra = g.triangle_count()
@@ -368,8 +365,7 @@ class ExactDistribution:
         self.probabilities = probabilities
 
     def probability_of(self, g: Graph) -> float:
-        if g.v != self.v:
-            raise ValueError(f"graph has v={g.v} but distribution has v={self.v}")
+        _check_same_v(g, "graph", self, "distribution")
         return float(self.probabilities[g.bits])
 
     def edge_marginals(self) -> EdgeMarginals:
@@ -663,8 +659,9 @@ def edge_density_sweep(
 ) -> list[DensityPoint]:
     """Mean edge density over n chain draws for each model in the grid.
 
-    Each grid point runs on its own generator stream derived from ``rng``,
-    so points can be evaluated in any order. A density below 0.02 or above
+    Every grid point runs the schedule ``mcmc``, in place of its spec's own
+    ``spec.mcmc``, on its own generator stream derived from ``rng``, so
+    points can be evaluated in any order. A density below 0.02 or above
     0.98 triggers a degeneracy warning: the chain is concentrating on
     near-empty or near-complete graphs.
     """

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EnumerationRefusedError
-from .graphs import EdgeMarginals, Graph, GraphSample, num_pairs
+from .errors import EnumerationRefusedError
+from .graphs import EdgeMarginals, Graph, GraphSample, _check_same_v, num_pairs
 
 __all__ = [
     "TestStatistic",
@@ -121,31 +121,15 @@ def two_sample_kernel(n: int, m: int, totals: Sequence[int]) -> GapKernel:
     return GapKernel(n + m, [n * int(t) for t in totals], n, n * m)
 
 
-def _check_marginal_dims(sample: GraphSample, marginals: EdgeMarginals) -> None:
-    if sample.v != marginals.v:
-        raise DimensionMismatchError(
-            f"sample has v={sample.v} but marginals have v={marginals.v}"
-        )
-
-
-def _check_graph_dims(sample: GraphSample, g: Graph) -> None:
-    if g.v != sample.v:
-        raise DimensionMismatchError(
-            f"graph has v={g.v} but sample has v={sample.v}"
-        )
-
-
-def _summed_distance(sample: GraphSample, g: Graph) -> int:
-    """Summed distance from g to the members: n - c_a over the edges a of g,
-    plus c_a over the other pairs, c_a being the members with edge a."""
-    _check_graph_dims(sample, g)
-    counts = sample.edge_counts
-    return int(np.where(g.indicator_row(), sample.n - counts, counts).sum())
-
-
 def mean_distance(sample: GraphSample, g: Graph) -> float:
-    """Mean edge-disagreement distance from g to the members of a sample."""
-    return _summed_distance(sample, g) / sample.n
+    """Mean edge-disagreement distance from g to the members of a sample.
+
+    The summed distance is n - c_a over the edges a of g, plus c_a over the
+    other pairs, c_a being the members with edge a.
+    """
+    _check_same_v(g, "graph", sample, "sample")
+    counts = sample.edge_counts
+    return int(np.where(g.indicator_row(), sample.n - counts, counts).sum()) / sample.n
 
 
 def one_sample_statistic(
@@ -161,7 +145,7 @@ def one_sample_statistic(
     O(v^2 * n) time. A caller that already holds
     ``one_sample_kernel(sample.n, null_marginals)`` may pass it as ``kernel``.
     """
-    _check_marginal_dims(sample, null_marginals)
+    _check_same_v(sample, "sample", null_marginals, "marginals")
     n = sample.n
     if kernel is None:
         kernel = one_sample_kernel(n, null_marginals)
@@ -179,10 +163,7 @@ def two_sample_statistic(s: GraphSample, t: GraphSample) -> TestStatistic:
 
     Symmetric in its arguments; the exact value is an integer over n*m.
     """
-    if s.v != t.v:
-        raise DimensionMismatchError(
-            f"samples have v={s.v} and v={t.v}"
-        )
+    _check_same_v(s, "first sample", t, "second sample")
     n, m = s.n, t.n
     kernel = two_sample_kernel(n, m, s.edge_counts + t.edge_counts)
     exact = kernel.fraction(kernel(s.edge_counts[None, :])[0])
@@ -202,8 +183,8 @@ def signed_gap(
     The gap is affine in g's edge indicators: its value at the empty graph
     plus what each edge of g adds (see ``_one_sample_gap``).
     """
-    _check_marginal_dims(sample, null_marginals)
-    _check_graph_dims(sample, g)
+    _check_same_v(sample, "sample", null_marginals, "marginals")
+    _check_same_v(g, "graph", sample, "sample")
     base, steps = _one_sample_gap(sample, null_marginals)
     return sum((step for a, step in enumerate(steps) if g.bits >> a & 1), base)
 
@@ -264,7 +245,7 @@ def one_sample_brute_force(
     enumeration order. Exists to validate the closed form; refuses
     v > BRUTE_FORCE_MAX_V.
     """
-    _check_marginal_dims(sample, null_marginals)
+    _check_same_v(sample, "sample", null_marginals, "marginals")
     _check_enumerable(sample.v)
     best, best_code = _gray_code_maximum(*_one_sample_gap(sample, null_marginals))
     stat = TestStatistic(
@@ -284,8 +265,7 @@ def two_sample_brute_force(
     Same Gray-code scheme as the one-sample maximizer; refuses v above
     BRUTE_FORCE_MAX_V.
     """
-    if s.v != t.v:
-        raise DimensionMismatchError(f"samples have v={s.v} and v={t.v}")
+    _check_same_v(s, "first sample", t, "second sample")
     _check_enumerable(s.v)
     n, m = s.n, t.n
     cs = s.edge_counts.tolist()
@@ -312,7 +292,7 @@ def extremal_graphs(
     (maximizes the negated gap). Ties put the edge in both graphs. The
     absolute gap at either graph equals the closed-form statistic.
     """
-    _check_marginal_dims(sample, null_marginals)
+    _check_same_v(sample, "sample", null_marginals, "marginals")
     _, steps = _one_sample_gap(sample, null_marginals)
     lo_bits = sum(1 << a for a, step in enumerate(steps) if step >= 0)
     hi_bits = sum(1 << a for a, step in enumerate(steps) if step <= 0)

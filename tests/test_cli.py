@@ -157,6 +157,17 @@ class TestTestCommand:
         assert run("test", "--sample", str(sample), "--seed", "1") == 2
         assert "--null" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--p0", "--q"])
+    def test_modified_er_flags_are_usage_errors(self, tmp_path, flag, capsys):
+        # --null offers no modified-er, the only model that reads them.
+        sample = tmp_path / "s.txt"
+        write_complete_sample(sample, v=4, n=3)
+        with pytest.raises(SystemExit) as exc:
+            run("test", "--sample", str(sample), "--null", "er", "--p", "0.5",
+                flag, "0.3", "--seed", "1")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.3" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run(
             "test", "--sample", str(tmp_path / "absent.txt"),
@@ -518,6 +529,27 @@ def test_driver_routes_output_and_writes_the_manifest(command, tmp_path, capsys)
     assert data["parameters"]["seed"] == data["seed"]
     assert data["parameters"]["out"] == str(commented)
     assert "func" not in data["parameters"]
+
+
+# A data command and a report command, each with --out or --manifest in a
+# missing directory: the run stops as opening that file would, before any work.
+@pytest.mark.parametrize("flag", ["--out", "--manifest"])
+@pytest.mark.parametrize("command", ["summary", "power"])
+def test_missing_output_directory_fails_before_any_work(
+    command, flag, tmp_path, capsys
+):
+    write_complete_sample(tmp_path / "sample.txt", v=4, n=3)
+    paths = {"--out": tmp_path / "o.csv", "--manifest": tmp_path / "run.json"}
+    missing = paths[flag] = tmp_path / "missing" / paths[flag].name
+    argv = [command] + [f.format(sample=tmp_path / "sample.txt")
+                        for f in DRIVER_CASES[command][0]]
+    argv += ["--out", str(paths["--out"]), "--manifest", str(paths["--manifest"])]
+
+    assert run(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "sample.txt"]
 
 
 def readme_commands() -> list[list[str]]:

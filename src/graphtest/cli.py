@@ -76,6 +76,16 @@ from .timeseries import (
 
 _STATS_FLAGS = {"edge-triangle": EDGE_TRIANGLE, "edge-2-star": EDGE_TWO_STAR}
 
+# The model flags each choice of --model, --null or --alt reads. Of these the
+# choice requires the ones its subcommand declares, and refuses the others.
+# Only flags whose default is None are model flags here: --burn-in and
+# --thinning, whose defaults are numbers, cannot be told apart from unset.
+_MODEL_FLAGS = {
+    "er": ("p",),
+    "modified-er": ("p0", "p", "q"),
+    "ergm": ("stats", "theta1", "theta2"),
+}
+
 
 def _float_list(text: str) -> list[float]:
     try:
@@ -108,24 +118,41 @@ def _ergms(args, v: int, theta2s) -> list[Ergm]:
     return [Ergm(v, stats, (args.theta1, t2), mcmc) for t2 in theta2s]
 
 
+def _check_model_flags(args, flag: str) -> None:
+    """Usage error unless the choice of ``flag`` (model, null or alt) gets the
+    model flags it reads and no other. Two-sample ``test`` reads no model,
+    so there --null is refused as well."""
+    two_sample = getattr(args, "sample2", None) is not None
+    choice = None if two_sample else getattr(args, flag)
+    reads = (flag, *_MODEL_FLAGS[choice]) if choice else ()
+    label = f"--{flag} {choice}" if choice else "two-sample mode"
+    missing = [
+        f"--{name}" for name in reads if name in args and getattr(args, name) is None
+    ]
+    if missing:
+        raise ValueError(f"{label} requires {', '.join(missing)}")
+    unread = [
+        f"--{name}"
+        for name in dict.fromkeys(sum(_MODEL_FLAGS.values(), (flag,)))
+        if name not in reads and getattr(args, name, None) is not None
+    ]
+    if unread:
+        raise ValueError(f"{label} does not read {', '.join(unread)}")
+
+
 def _build_model(kind: str, v: int, args, rng: np.random.Generator):
     """Model from flags; for modified-er the pair subset is drawn from rng first."""
     if kind == "er":
-        if args.p is None:
-            raise ValueError(f"model {kind!r} requires --p")
         return ErdosRenyi(v, args.p)
     if kind == "modified-er":
-        if args.p is None or args.p0 is None or args.q is None:
-            raise ValueError(f"model {kind!r} requires --p0, --p and --q")
         pairs = select_modified_pairs(v, args.q, rng)
         return ModifiedErdosRenyi(v, args.p0, args.p, pairs)
     # The flag's choices leave only ergm.
-    if args.stats is None or args.theta1 is None or args.theta2 is None:
-        raise ValueError(f"model {kind!r} requires --stats, --theta1 and --theta2")
     return _ergms(args, v, [args.theta2])[0]
 
 
 def cmd_sample(args, rng) -> _Output:
+    _check_model_flags(args, "model")
     model = _build_model(args.model, args.v, args, rng)
     sample = model.sample(args.n, rng)
     return _Output(
@@ -136,6 +163,9 @@ def cmd_sample(args, rng) -> _Output:
 
 
 def cmd_test(args, rng) -> _Output:
+    if args.sample2 is None and args.null is None:
+        raise ValueError("one-sample mode requires --null (or pass --sample2)")
+    _check_model_flags(args, "null")
     s = read_graph_sample(args.sample)
     if args.sample2 is not None:
         result = two_sample_permutation_test(
@@ -148,8 +178,6 @@ def cmd_test(args, rng) -> _Output:
             smoothing=args.smoothing,
         )
     else:
-        if args.null is None:
-            raise ValueError("one-sample mode requires --null (or pass --sample2)")
         null = _build_model(args.null, s.v, args, rng)
         result = one_sample_test(
             s,
@@ -175,21 +203,18 @@ def cmd_test(args, rng) -> _Output:
 
 
 def cmd_power(args, rng) -> _Output:
+    _check_model_flags(args, "alt")
     null = ErdosRenyi(args.v, args.null_p)
     extra = {}
     if args.alt == "er":
         alternatives = [ErdosRenyi(args.v, p) for p in args.sweep]
     elif args.alt == "modified-er":
-        if args.q is None:
-            raise ValueError("--alt modified-er requires --q")
         pairs = select_modified_pairs(args.v, args.q, rng)
         extra["modified_pairs"] = sorted(pairs)
         alternatives = [
             ModifiedErdosRenyi(args.v, args.null_p, p, pairs) for p in args.sweep
         ]
     else:
-        if args.stats is None or args.theta1 is None:
-            raise ValueError("--alt ergm requires --stats and --theta1")
         alternatives = _ergms(args, args.v, args.sweep)
     points = power_curve(
         null,
@@ -254,8 +279,10 @@ def _run(args) -> int:
     """Run one subcommand: seed it, route its output, write the manifest.
 
     An --out or --manifest path in a missing directory fails, as opening it
-    would, before any work is done.
+    would, before any work is done, and so does --threads below 1.
     """
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     for path in (args.out, args.manifest):
         if path:
             try:

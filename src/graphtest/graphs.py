@@ -22,23 +22,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptySampleError,
-    InsufficientSampleError,
-)
+from .errors import DimensionMismatchError, EmptySampleError
 
 __all__ = [
     "Graph",
     "GraphSample",
     "EdgeMarginals",
-    "EdgeCovariance",
     "canonical_pairs",
     "num_pairs",
     "pair_index",
     "hamming_distance",
     "mean_graph",
-    "edge_covariance",
 ]
 
 
@@ -121,10 +115,6 @@ class Graph:
     def complete(cls, v: int) -> "Graph":
         return cls(v, (1 << num_pairs(v)) - 1)
 
-    @property
-    def n_pairs(self) -> int:
-        return num_pairs(self.v)
-
     def has_edge(self, i: int, j: int) -> bool:
         if i > j:
             i, j = j, i
@@ -142,9 +132,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return self.bits.bit_count()
-
-    def complement(self) -> "Graph":
-        return Graph(self.v, self.bits ^ ((1 << self.n_pairs) - 1))
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks (bit j of mask i set iff edge (i, j))."""
@@ -180,7 +167,7 @@ class Graph:
 
     def indicator_row(self) -> np.ndarray:
         """Edge indicators over the canonical slots as a uint8 vector."""
-        E = self.n_pairs
+        E = num_pairs(self.v)
         raw = self.bits.to_bytes((E + 7) // 8, "little")
         return np.unpackbits(
             np.frombuffer(raw, dtype=np.uint8), bitorder="little"
@@ -302,20 +289,10 @@ class EdgeMarginals:
     def constant(cls, v: int, p) -> "EdgeMarginals":
         return cls(v, [Fraction(p)] * num_pairs(v))
 
-    @classmethod
-    def from_counts(cls, v: int, counts: Sequence[int], n: int) -> "EdgeMarginals":
-        return cls(v, [Fraction(int(c), n) for c in counts])
-
     def fraction(self, i: int, j: int) -> Fraction:
         if i > j:
             i, j = j, i
         return self.fractions[pair_index(self.v, i, j)]
-
-    def value(self, i: int, j: int) -> float:
-        return float(self.fraction(i, j))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(f) for f in self.fractions], dtype=np.float64)
 
     def common_ratio(self) -> tuple[list[int], int]:
         """Entries as integer numerators over one shared denominator."""
@@ -336,47 +313,5 @@ class EdgeMarginals:
 
 def mean_graph(sample: GraphSample) -> EdgeMarginals:
     """Per-pair edge frequency of a sample; every entry is a multiple of 1/n."""
-    return EdgeMarginals.from_counts(
-        sample.v, sample.edge_counts.tolist(), sample.n
-    )
-
-
-@dataclass(frozen=True)
-class EdgeCovariance:
-    """Sample covariance of the edge-indicator vectors, in canonical slot order.
-
-    The unbiased estimator can exceed the population variance cap of 0.25 on
-    the diagonal; the attainable maximum at sample size n is n / (4*(n-1)).
-    """
-
-    v: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        E = num_pairs(self.v)
-        if self.matrix.shape != (E, E):
-            raise DimensionMismatchError(
-                f"covariance must be {E}x{E} for v={self.v}"
-            )
-        if not np.allclose(self.matrix, self.matrix.T, atol=1e-12):
-            raise ValueError("covariance matrix must be symmetric")
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
-
-    def entry(self, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> float:
-        a = pair_index(self.v, *pair_a)
-        b = pair_index(self.v, *pair_b)
-        return float(self.matrix[a, b])
-
-
-def edge_covariance(sample: GraphSample) -> EdgeCovariance:
-    """Unbiased sample covariance of edge indicators across the sample."""
-    if sample.n < 2:
-        raise InsufficientSampleError(
-            "covariance estimation needs at least 2 graphs"
-        )
-    X = sample.indicator_matrix().astype(np.float64)
-    cov = np.cov(X, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    return EdgeCovariance(sample.v, cov)
+    counts = sample.edge_counts.tolist()
+    return EdgeMarginals(sample.v, [Fraction(c, sample.n) for c in counts])

@@ -47,6 +47,7 @@ from .models import (
     MH_MIN_CHAINS,
     Ergm,
     ModelSpec,
+    _check_probability,
     _check_sample_size,
     _mh_lockstep_edge_counts,
 )
@@ -379,8 +380,7 @@ def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
         raise ValueError(f"need at least one trial, got n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"successes k={k} outside [0, {n}]")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must lie in [0, 1], got {p0}")
+    _check_probability("p0", p0)
     return float(_binom_pvalue_fraction(k, n, Fraction(p0)))
 
 

@@ -66,10 +66,7 @@ __all__ = [
     "McmcConfig",
     "ExactDistribution",
     "DensityPoint",
-    "sample_er",
-    "sample_modified_er",
     "select_modified_pairs",
-    "er_marginals",
     "ergm_log_weight",
     "ergm_enumerate",
     "ergm_mh_sample",
@@ -232,12 +229,6 @@ class Ergm:
         if len(self.theta) != 2 or not all(math.isfinite(t) for t in self.theta):
             raise ValueError(f"theta must be two finite reals, got {self.theta}")
 
-    def log_weight(self, g: Graph) -> float:
-        return ergm_log_weight(g, self)
-
-    def enumerate(self) -> "ExactDistribution":
-        return ergm_enumerate(self)
-
     def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
         return ergm_mh_sample(self, n, self.mcmc, rng)
 
@@ -251,7 +242,7 @@ class Ergm:
         return _mh_lockstep_edge_counts([(self, R, rng)], n)
 
     def exact_marginals(self) -> EdgeMarginals:
-        return self.enumerate().edge_marginals()
+        return ergm_enumerate(self).edge_marginals()
 
     @property
     def sweep_parameter(self) -> float:
@@ -271,18 +262,6 @@ class Ergm:
 ModelSpec = Union[ErdosRenyi, ModifiedErdosRenyi, Ergm]
 
 
-def sample_er(v: int, p: float, n: int, rng: np.random.Generator) -> GraphSample:
-    """n i.i.d. graphs with every edge an independent Bernoulli(p)."""
-    return ErdosRenyi(v, p).sample(n, rng)
-
-
-def sample_modified_er(
-    spec: ModifiedErdosRenyi, n: int, rng: np.random.Generator
-) -> GraphSample:
-    """n i.i.d. graphs from a modified independent-edge model."""
-    return spec.sample(n, rng)
-
-
 def select_modified_pairs(
     v: int, q: float, rng: np.random.Generator
 ) -> frozenset[tuple[int, int]]:
@@ -293,12 +272,6 @@ def select_modified_pairs(
     pairs = canonical_pairs(v)
     chosen = rng.choice(E, size=k, replace=False)
     return frozenset(pairs[int(a)] for a in chosen)
-
-
-def er_marginals(v: int, p: float) -> EdgeMarginals:
-    """Constant edge marginals of the independent Bernoulli(p) model."""
-    _check_probability("p", p)
-    return EdgeMarginals.constant(v, p)
 
 
 def ergm_log_weight(g: Graph, spec: Ergm) -> float:
@@ -378,12 +351,6 @@ class ExactDistribution:
         E = num_pairs(self.v)
         n_e = _code_bits(self.v).sum(axis=1)
         return float(self.probabilities @ n_e) / E
-
-    def top_graphs(self, k: int) -> list[Graph]:
-        """The k most probable graphs, ties broken by bitset value."""
-        order = np.lexsort((np.arange(len(self.probabilities)),
-                            -self.probabilities))
-        return [Graph(self.v, int(code)) for code in order[:k]]
 
 
 def ergm_enumerate(spec: Ergm) -> ExactDistribution:

@@ -552,6 +552,33 @@ def test_missing_output_directory_fails_before_any_work(
     assert sorted(tmp_path.iterdir()) == [tmp_path / "sample.txt"]
 
 
+
+POWER = "power --v 4 --n 5 --sweep 0.5 --replications 100 --quantile-replications 100"
+
+
+# Flags that the chosen model, or the mode, never reads, and --threads below
+# 1 where no replicate block would check it; each is refused before any work.
+@pytest.mark.parametrize("command", [
+    "sample --model er --v 3 --n 1 --p 0.5 --p0 0.3 --q 0.9",
+    "sample --model ergm --v 3 --n 1 --stats edge-triangle --theta1 1 --theta2 0 --p 0.5",
+    POWER + " --alt er --q 0.5 --stats edge-triangle --theta1 1",
+    POWER + " --alt modified-er --q 0.5 --theta1 1",
+    POWER + " --alt ergm --stats edge-triangle --theta1 1 --q 0.5",
+    "test --sample {sample} --null er --p 0.5 --theta2 0",
+    "test --sample {sample} --sample2 {sample} --null ergm",
+    "test --sample {sample} --sample2 {sample} --p 0.5",
+    "test --sample {sample} --sample2 {sample} --threads 0",
+    "test --sample {sample} --sample2 {sample} --threads -3",
+])
+def test_flags_the_run_never_reads_are_usage_errors(command, tmp_path, capsys):
+    sample = tmp_path / "s.txt"
+    write_complete_sample(sample, v=4, n=3)
+    out = tmp_path / "out.txt"
+    argv = shlex.split(command.format(sample=sample))
+    assert run(*argv, "--seed", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
 def readme_commands() -> list[list[str]]:
     """Arguments of every ``graphtest`` command in README's sh blocks."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

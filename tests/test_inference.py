@@ -23,13 +23,11 @@ from graphtest import (
     TestResult,
     binom_two_sided_pvalue,
     bonferroni_edge_test,
-    er_marginals,
     null_quantile_mc,
     num_pairs,
     one_sample_statistic,
     one_sample_test,
     power_curve,
-    sample_er,
     two_sample_permutation_test,
 )
 import graphtest.inference as inference
@@ -93,7 +91,7 @@ class TestNullQuantile:
         with pytest.raises(ConfigurationError):
             null_quantile_mc(null, 3, 0.05, 100, rng)
         crit = null_quantile_mc(
-            null, 3, 0.05, 100, rng, marginals=er_marginals(7, 0.5)
+            null, 3, 0.05, 100, rng, marginals=EdgeMarginals.constant(7, 0.5)
         )
         assert 0 <= crit <= num_pairs(7)
 
@@ -112,7 +110,7 @@ class TestOneSampleTest:
     def test_reject_matches_exact_comparison(self, rng_factory):
         for seed in range(5):
             rng = rng_factory(seed)
-            s = sample_er(4, 0.5, 8, rng)
+            s = ErdosRenyi(4, 0.5).sample(8, rng)
             result = one_sample_test(s, ErdosRenyi(4, 0.5), alpha=0.3, R=200, rng=rng)
             assert result.reject == (result.statistic.exact > result.critical_exact)
 
@@ -126,13 +124,13 @@ class TestOneSampleTest:
         assert 0.10 < rejections / 300 < 0.30
 
     def test_supplied_marginals_are_recorded(self, rng):
-        s = sample_er(5, 0.5, 6, rng)
+        s = ErdosRenyi(5, 0.5).sample(6, rng)
         result = one_sample_test(
             s,
             ErdosRenyi(5, 0.5),
             R=100,
             rng=rng,
-            marginals=er_marginals(5, 0.5),
+            marginals=EdgeMarginals.constant(5, 0.5),
         )
         assert result.marginals_source == "supplied"
 
@@ -152,7 +150,7 @@ class TestOneSampleTest:
             return common_ratio(self)
 
         monkeypatch.setattr(EdgeMarginals, "common_ratio", counted)
-        s = sample_er(5, 0.5, 6, rng)
+        s = ErdosRenyi(5, 0.5).sample(6, rng)
         one_sample_test(s, ErdosRenyi(5, 0.5), R=100, rng=rng)
         assert len(calls) == 1
 
@@ -177,16 +175,16 @@ class TestPermutationTest:
         assert not result.reject
 
     def test_p_values_live_on_the_replication_lattice(self, rng):
-        s = sample_er(5, 0.3, 10, rng)
-        t = sample_er(5, 0.7, 14, rng)
+        s = ErdosRenyi(5, 0.3).sample(10, rng)
+        t = ErdosRenyi(5, 0.7).sample(14, rng)
         result = two_sample_permutation_test(s, t, R=250, rng=rng)
         assert result.statistic.sample_sizes == (10, 14)
         scaled = result.p_value * 250
         assert abs(scaled - round(scaled)) < 1e-9
 
     def test_swapping_samples_gives_identical_p(self, rng_factory):
-        s = sample_er(5, 0.4, 9, rng_factory(1))
-        t = sample_er(5, 0.6, 9, rng_factory(2))
+        s = ErdosRenyi(5, 0.4).sample(9, rng_factory(1))
+        t = ErdosRenyi(5, 0.6).sample(9, rng_factory(2))
         a = two_sample_permutation_test(s, t, R=300, rng=rng_factory(7))
         b = two_sample_permutation_test(t, s, R=300, rng=rng_factory(7))
         assert a.p_value == b.p_value
@@ -205,8 +203,8 @@ class TestPermutationTest:
         assert smoothed.p_value == pytest.approx(1 / 1001)
 
     def test_strict_ties_never_raise_the_p_value(self, rng_factory):
-        s = sample_er(4, 0.5, 8, rng_factory(21))
-        t = sample_er(4, 0.5, 8, rng_factory(22))
+        s = ErdosRenyi(4, 0.5).sample(8, rng_factory(21))
+        t = ErdosRenyi(4, 0.5).sample(8, rng_factory(22))
         inclusive = two_sample_permutation_test(s, t, R=400, rng=rng_factory(30))
         strict = two_sample_permutation_test(
             s, t, R=400, rng=rng_factory(30), strict=True
@@ -216,8 +214,8 @@ class TestPermutationTest:
     def test_null_p_values_are_roughly_uniform(self, rng):
         hits = 0
         for _ in range(200):
-            s = sample_er(5, 0.5, 15, rng)
-            t = sample_er(5, 0.5, 15, rng)
+            s = ErdosRenyi(5, 0.5).sample(15, rng)
+            t = ErdosRenyi(5, 0.5).sample(15, rng)
             r = two_sample_permutation_test(s, t, R=199, rng=rng, alpha=0.1)
             hits += r.p_value <= 0.1
         assert 0.015 < hits / 200 < 0.185
@@ -254,8 +252,8 @@ class TestPermutationBlocks:
         self, rng_factory, n, m, R, strict, smoothing
     ):
         for seed in range(4):
-            s = sample_er(6, 0.5, n, rng_factory(100 + seed))
-            t = sample_er(6, 0.55, m, rng_factory(200 + seed))
+            s = ErdosRenyi(6, 0.5).sample(n, rng_factory(100 + seed))
+            t = ErdosRenyi(6, 0.55).sample(m, rng_factory(200 + seed))
             result = two_sample_permutation_test(
                 s, t, R=R, rng=rng_factory(seed), strict=strict, smoothing=smoothing
             )
@@ -272,8 +270,8 @@ class TestPermutationBlocks:
         # pool, so the canonical sort meets many equal graphs.
         for seed in range(4):
             rng = rng_factory(300 + seed)
-            shared = list(sample_er(4, 0.5, 6, rng))
-            pool = shared + list(sample_er(4, 0.5, 20, rng))
+            shared = list(ErdosRenyi(4, 0.5).sample(6, rng))
+            pool = shared + list(ErdosRenyi(4, 0.5).sample(20, rng))
             s = GraphSample(pool[int(k)] for k in rng.integers(0, 26, 14))
             t = GraphSample(shared + [pool[int(k)] for k in rng.integers(0, 26, 9)])
             result = two_sample_permutation_test(
@@ -299,7 +297,7 @@ class TestReplicateBlocks:
     @pytest.mark.parametrize("R", [300, 2 * B, 2 * B + 1])
     @pytest.mark.parametrize("p", [0.5, 0.3])
     def test_one_sample_test_does_not_depend_on_threads(self, rng_factory, R, p):
-        s = sample_er(self.V, p, 10, rng_factory(1))
+        s = ErdosRenyi(self.V, p).sample(10, rng_factory(1))
         null = ErdosRenyi(self.V, p)
         a = one_sample_test(s, null, R=R, rng=rng_factory(2), threads=1)
         b = one_sample_test(s, null, R=R, rng=rng_factory(2), threads=3)
@@ -348,7 +346,7 @@ class TestReplicateBlocks:
         # v=50 has E=1225, so BLOCK_CELLS alone would give blocks of 53.
         v, n, R, alpha = 50, 2, 100, 0.1
         null = Ergm(v, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(burn_in=1, thinning=1))
-        marginals = er_marginals(v, 0.5)
+        marginals = EdgeMarginals.constant(v, 0.5)
         children = rng_factory(7).spawn(2)
         counts = np.vstack([
             null.edge_count_batches(n, size, child)
@@ -473,8 +471,8 @@ class TestMemoryBound:
 
     def test_permutation_test(self, rng):
         # The whole 2000 x 2000 permutation mask would take 32 MB as int64.
-        s = sample_er(10, 0.5, 1000, rng)
-        t = sample_er(10, 0.5, 1000, rng)
+        s = ErdosRenyi(10, 0.5).sample(1000, rng)
+        t = ErdosRenyi(10, 0.5).sample(1000, rng)
         peak = self.traced_peak(
             lambda: two_sample_permutation_test(s, t, R=2000, rng=rng)
         )
@@ -558,7 +556,7 @@ class TestBinomialPValue:
 class TestBonferroniEdgeTest:
     def test_complete_sample_is_rejected_everywhere(self):
         s = GraphSample([Graph.complete(10)] * 20)
-        result = bonferroni_edge_test(s, er_marginals(10, 0.5))
+        result = bonferroni_edge_test(s, EdgeMarginals.constant(10, 0.5))
         assert result.method == "bonferroni"
         assert result.statistic is None
         assert result.reject
@@ -569,16 +567,18 @@ class TestBonferroniEdgeTest:
 
     def test_exactly_null_frequencies_keep_p_at_one(self):
         g = Graph.from_edges(4, [(0, 1)])
-        s = GraphSample([g, g.complement()])
+        rest = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        s = GraphSample([g, rest])
         # Every pair appears in exactly one of the two graphs.
-        result = bonferroni_edge_test(s, er_marginals(4, 0.5))
+        result = bonferroni_edge_test(s, EdgeMarginals.constant(4, 0.5))
         assert result.p_value == 1.0
         assert not result.reject
 
     def test_reject_iff_some_edge_clears_corrected_level(self, rng):
         for _ in range(20):
-            s = sample_er(5, 0.5, 12, rng)
-            result = bonferroni_edge_test(s, er_marginals(5, 0.5), alpha=0.3)
+            s = ErdosRenyi(5, 0.5).sample(12, rng)
+            marginals = EdgeMarginals.constant(5, 0.5)
+            result = bonferroni_edge_test(s, marginals, alpha=0.3)
             cleared = any(
                 p <= 0.3 / 10 + 1e-15 for p in result.per_edge_p_values
             )
@@ -594,9 +594,9 @@ class TestBonferroniEdgeTest:
         assert rejections / 300 <= 0.09
 
     def test_validation(self, rng):
-        s = sample_er(4, 0.5, 5, rng)
+        s = ErdosRenyi(4, 0.5).sample(5, rng)
         with pytest.raises(DimensionMismatchError):
-            bonferroni_edge_test(s, er_marginals(5, 0.5))
+            bonferroni_edge_test(s, EdgeMarginals.constant(5, 0.5))
 
     @pytest.mark.parametrize("n, alpha", [(12, 0.05), (25, 0.3)])
     def test_reject_table_matches_per_pair_formula(self, n, alpha):

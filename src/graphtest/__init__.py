@@ -8,153 +8,24 @@ On top of it sit Monte Carlo one-sample tests, permutation two-sample tests,
 a per-edge binomial baseline, random-graph models (independent-edge and
 exponential-family), power-curve estimation, and a pipeline that turns
 multichannel time series into graph samples via windowed rank correlations.
+
+Each module's ``__all__`` is the one list of the names it exports; the
+package exports their union.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigurationError,
-    DataFormatError,
-    DimensionMismatchError,
-    EmptySampleError,
-    EnumerationRefusedError,
-    GraphTestError,
-    InsufficientSampleError,
-    UndefinedCorrelationError,
-)
-from .graphs import (
-    EdgeMarginals,
-    Graph,
-    GraphSample,
-    canonical_pairs,
-    hamming_distance,
-    mean_graph,
-    num_pairs,
-    pair_index,
-)
-from .statistic import (
-    BRUTE_FORCE_MAX_V,
-    TestStatistic,
-    extremal_graphs,
-    mean_distance,
-    one_sample_brute_force,
-    one_sample_statistic,
-    signed_gap,
-    two_sample_brute_force,
-    two_sample_statistic,
-)
-from .models import (
-    EDGE_TRIANGLE,
-    EDGE_TWO_STAR,
-    ENUMERATION_MAX_V,
-    DensityPoint,
-    ErdosRenyi,
-    Ergm,
-    ExactDistribution,
-    McmcConfig,
-    ModelSpec,
-    ModifiedErdosRenyi,
-    edge_density_sweep,
-    ergm_enumerate,
-    ergm_log_weight,
-    ergm_mh_sample,
-    select_modified_pairs,
-)
-from .inference import (
-    PowerPoint,
-    TestResult,
-    binom_two_sided_pvalue,
-    bonferroni_edge_test,
-    null_quantile_mc,
-    one_sample_test,
-    power_curve,
-    two_sample_permutation_test,
-)
-from .timeseries import (
-    ChannelMatrix,
-    CorrelationSeries,
-    SummaryGraph,
-    ThresholdSpec,
-    WindowSpec,
-    build_graphs,
-    correlation_series,
-    pair_quartiles,
-    spearman,
-    summary_graph,
-)
-from .formats import (
-    RunManifest,
-    format_graph_sample,
-    read_channel_csv,
-    read_graph_sample,
-    write_graph_sample,
-    write_manifest,
-)
+from . import errors, graphs, statistic, models, inference, timeseries, formats
+from .errors import *
+from .graphs import *
+from .statistic import *
+from .models import *
+from .inference import *
+from .timeseries import *
+from .formats import *
 
-__all__ = [
-    "__version__",
-    "GraphTestError",
-    "DimensionMismatchError",
-    "EmptySampleError",
-    "InsufficientSampleError",
-    "EnumerationRefusedError",
-    "ConfigurationError",
-    "UndefinedCorrelationError",
-    "DataFormatError",
-    "Graph",
-    "GraphSample",
-    "EdgeMarginals",
-    "canonical_pairs",
-    "num_pairs",
-    "pair_index",
-    "hamming_distance",
-    "mean_graph",
-    "TestStatistic",
-    "BRUTE_FORCE_MAX_V",
-    "mean_distance",
-    "one_sample_statistic",
-    "two_sample_statistic",
-    "signed_gap",
-    "one_sample_brute_force",
-    "two_sample_brute_force",
-    "extremal_graphs",
-    "EDGE_TRIANGLE",
-    "EDGE_TWO_STAR",
-    "ENUMERATION_MAX_V",
-    "ErdosRenyi",
-    "ModifiedErdosRenyi",
-    "Ergm",
-    "ModelSpec",
-    "McmcConfig",
-    "ExactDistribution",
-    "DensityPoint",
-    "select_modified_pairs",
-    "ergm_log_weight",
-    "ergm_enumerate",
-    "ergm_mh_sample",
-    "edge_density_sweep",
-    "TestResult",
-    "PowerPoint",
-    "null_quantile_mc",
-    "one_sample_test",
-    "two_sample_permutation_test",
-    "binom_two_sided_pvalue",
-    "bonferroni_edge_test",
-    "power_curve",
-    "ChannelMatrix",
-    "WindowSpec",
-    "CorrelationSeries",
-    "ThresholdSpec",
-    "SummaryGraph",
-    "spearman",
-    "correlation_series",
-    "pair_quartiles",
-    "build_graphs",
-    "summary_graph",
-    "RunManifest",
-    "format_graph_sample",
-    "write_graph_sample",
-    "read_graph_sample",
-    "read_channel_csv",
-    "write_manifest",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, graphs, statistic, models, inference, timeseries, formats)
+    for name in module.__all__
 ]

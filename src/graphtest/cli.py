@@ -14,6 +14,12 @@ Every randomized command takes ``--seed`` and is byte-reproducible from
 (seed, flags); ``--manifest PATH`` additionally records the run as JSON, and
 the ``--out`` file then references the manifest by name in a comment line.
 
+The flags whose use depends on the mode of a run (the choice of ``--model``,
+``--null`` or ``--alt``, and one- or two-sample ``test``) are listed once, in
+``_READS``, with their defaults. A flag the run does not read is a usage
+error, as is a missing flag it needs; the manifest records an unread flag as
+null.
+
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 refused
 configuration (for example exact enumeration above the size cap).
 """
@@ -76,14 +82,20 @@ from .timeseries import (
 
 _STATS_FLAGS = {"edge-triangle": EDGE_TRIANGLE, "edge-2-star": EDGE_TWO_STAR}
 
-# The model flags each choice of --model, --null or --alt reads. Of these the
-# choice requires the ones its subcommand declares, and refuses the others.
-# Only flags whose default is None are model flags here: --burn-in and
-# --thinning, whose defaults are numbers, cannot be told apart from unset.
-_MODEL_FLAGS = {
-    "er": ("p",),
-    "modified-er": ("p0", "p", "q"),
-    "ergm": ("stats", "theta1", "theta2"),
+# The flags a run reads, by mode: a choice of --model, --null or --alt,
+# test's one- or two-sample mode, or power, which reads --replications and
+# --threads whatever --alt is. Each flag maps to its default, or to None
+# where every subcommand that declares it requires it. argparse leaves these
+# flags None unless given, so a run can refuse each one it does not read.
+_READS = {
+    "er": {"p": None},
+    "modified-er": {"p0": None, "p": None, "q": None},
+    "ergm": {
+        "stats": None, "theta1": None, "theta2": None, "burn_in": 200, "thinning": 10,
+    },
+    "one-sample": {"null": None, "replications": 10000, "threads": 1},
+    "two-sample": {"permutations": 1000, "strict_ties": False, "smoothing": False},
+    "power": {"replications": 2000, "threads": 1},
 }
 
 
@@ -118,26 +130,43 @@ def _ergms(args, v: int, theta2s) -> list[Ergm]:
     return [Ergm(v, stats, (args.theta1, t2), mcmc) for t2 in theta2s]
 
 
-def _check_model_flags(args, flag: str) -> None:
-    """Usage error unless the choice of ``flag`` (model, null or alt) gets the
-    model flags it reads and no other. Two-sample ``test`` reads no model,
-    so there --null is refused as well."""
-    two_sample = getattr(args, "sample2", None) is not None
-    choice = None if two_sample else getattr(args, flag)
-    reads = (flag, *_MODEL_FLAGS[choice]) if choice else ()
-    label = f"--{flag} {choice}" if choice else "two-sample mode"
-    missing = [
-        f"--{name}" for name in reads if name in args and getattr(args, name) is None
-    ]
+def _modes(args) -> tuple[str, list[str]]:
+    """This run as usage errors name it, and the modes of _READS it is in."""
+    if getattr(args, "sample2", None) is not None:
+        return "two-sample test", ["two-sample"]
+    label = "one-sample test" if args.command == "test" else args.command
+    own = {"test": ["one-sample"], "power": ["power"], "density-sweep": ["ergm"]}
+    modes = own.get(args.command, [])
+    for flag in ("model", "null", "alt"):
+        if getattr(args, flag, None) is not None:
+            label += f" --{flag} {getattr(args, flag)}"
+            modes.append(getattr(args, flag))
+    return label, modes
+
+
+def _resolve_flags(args) -> None:
+    """Fill in the defaults of the flags of _READS that this run reads; then
+    a usage error for each read flag its subcommand declares that is still
+    unset, and for each flag the run was given and does not read."""
+    label, modes = _modes(args)
+    reads = {name: d for mode in modes for name, d in _READS[mode].items()}
+    for name, default in reads.items():
+        if name in args and getattr(args, name) is None:
+            setattr(args, name, default)
+
+    def flags(names) -> str:
+        return ", ".join(f"--{name.replace('_', '-')}" for name in names)
+
+    missing = [name for name in reads if name in args and getattr(args, name) is None]
     if missing:
-        raise ValueError(f"{label} requires {', '.join(missing)}")
+        raise ValueError(f"{label} requires {flags(missing)}")
     unread = [
-        f"--{name}"
-        for name in dict.fromkeys(sum(_MODEL_FLAGS.values(), (flag,)))
+        name
+        for name in dict.fromkeys(n for row in _READS.values() for n in row)
         if name not in reads and getattr(args, name, None) is not None
     ]
     if unread:
-        raise ValueError(f"{label} does not read {', '.join(unread)}")
+        raise ValueError(f"{label} does not read {flags(unread)}")
 
 
 def _build_model(kind: str, v: int, args, rng: np.random.Generator):
@@ -152,7 +181,6 @@ def _build_model(kind: str, v: int, args, rng: np.random.Generator):
 
 
 def cmd_sample(args, rng) -> _Output:
-    _check_model_flags(args, "model")
     model = _build_model(args.model, args.v, args, rng)
     sample = model.sample(args.n, rng)
     return _Output(
@@ -163,9 +191,6 @@ def cmd_sample(args, rng) -> _Output:
 
 
 def cmd_test(args, rng) -> _Output:
-    if args.sample2 is None and args.null is None:
-        raise ValueError("one-sample mode requires --null (or pass --sample2)")
-    _check_model_flags(args, "null")
     s = read_graph_sample(args.sample)
     if args.sample2 is not None:
         result = two_sample_permutation_test(
@@ -203,7 +228,6 @@ def cmd_test(args, rng) -> _Output:
 
 
 def cmd_power(args, rng) -> _Output:
-    _check_model_flags(args, "alt")
     null = ErdosRenyi(args.v, args.null_p)
     extra = {}
     if args.alt == "er":
@@ -240,10 +264,7 @@ def cmd_power(args, rng) -> _Output:
 
 
 def cmd_density_sweep(args, rng) -> _Output:
-    specs = _ergms(args, args.v, args.sweep)
-    # Every spec carries the schedule from flags; the sweep refuses an empty grid.
-    mcmc = specs[0].mcmc if specs else None
-    points = edge_density_sweep(specs, args.draws, mcmc, rng)
+    points = edge_density_sweep(_ergms(args, args.v, args.sweep), args.draws, rng)
     report = ["theta1     theta2     density"]
     report += [f"{p.theta1:<10g} {p.theta2:<10g} {p.density:<10g}" for p in points]
     return _Output(partial(format_density_csv, points), report)
@@ -278,11 +299,14 @@ def cmd_summary(args, rng) -> _Output:
 def _run(args) -> int:
     """Run one subcommand: seed it, route its output, write the manifest.
 
-    An --out or --manifest path in a missing directory fails, as opening it
-    would, before any work is done, and so does --threads below 1.
+    These fail before any work is done: a flag the run does not read, or a
+    missing one it needs (``_resolve_flags``); --threads below 1; and an
+    --out or --manifest path in a missing directory, as opening it would.
     """
-    if getattr(args, "threads", 1) < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    _resolve_flags(args)
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
     for path in (args.out, args.manifest):
         if path:
             try:
@@ -334,7 +358,6 @@ def _add_common_flags(p, func, seed: bool = True, threads: bool = False) -> None
         p.add_argument(
             "--threads",
             type=int,
-            default=1,
             help="worker threads (default 1); does not speed up ERGM nulls or "
             "alternatives, whose steps hold the GIL",
         )
@@ -343,25 +366,17 @@ def _add_common_flags(p, func, seed: bool = True, threads: bool = False) -> None
 
 
 def _add_model_flags(p, flag: str, choices, required: bool = False) -> None:
-    p.add_argument(flag, choices=choices, default=None, required=required)
-    p.add_argument("--p", type=float, default=None, help="edge probability")
+    p.add_argument(flag, choices=choices, required=required)
+    p.add_argument("--p", type=float, help="edge probability")
     _add_ergm_flags(p)
-    p.add_argument("--theta2", type=float, default=None, help="structure parameter")
-    _add_schedule_flags(p)
+    p.add_argument("--theta2", type=float, help="structure parameter")
 
 
-def _add_ergm_flags(p, required: bool = False) -> None:
-    p.add_argument(
-        "--stats", choices=sorted(_STATS_FLAGS), default=None, required=required
-    )
-    p.add_argument(
-        "--theta1", type=float, default=None, required=required, help="edge parameter"
-    )
-
-
-def _add_schedule_flags(p) -> None:
-    p.add_argument("--burn-in", type=int, default=200)
-    p.add_argument("--thinning", type=int, default=10)
+def _add_ergm_flags(p) -> None:
+    p.add_argument("--stats", choices=sorted(_STATS_FLAGS))
+    p.add_argument("--theta1", type=float, help="edge parameter")
+    p.add_argument("--burn-in", type=int)
+    p.add_argument("--thinning", type=int)
 
 
 def _add_sweep_flag(p, values: str) -> None:
@@ -388,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p, "--model", ["er", "modified-er", "ergm"], required=True)
     # Only modified-er reads --p0 and --q, and of --model and --null only --model
     # offers it; power declares its own --q.
-    p.add_argument("--p0", type=float, default=None, help="unmodified edge probability")
-    p.add_argument("--q", type=float, default=None, help="fraction of pairs modified")
+    p.add_argument("--p0", type=float, help="unmodified edge probability")
+    p.add_argument("--q", type=float, help="fraction of pairs modified")
     p.add_argument("--base", type=int, choices=[0, 1], default=0)
     _add_common_flags(p, cmd_sample)
 
@@ -398,20 +413,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample2", default=None, help="second file (two-sample mode)")
     _add_model_flags(p, "--null", ["er", "ergm"])
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument(
-        "--replications", type=int, default=10000, help="null quantile draws"
-    )
-    p.add_argument(
-        "--permutations", type=int, default=1000, help="two-sample permutations"
-    )
+    p.add_argument("--replications", type=int, help="null quantile draws")
+    p.add_argument("--permutations", type=int, help="two-sample permutations")
     p.add_argument(
         "--strict-ties",
-        action="store_true",
+        action="store_const",
+        const=True,
         help="count only permutations strictly above the observed statistic",
     )
     p.add_argument(
         "--smoothing",
-        action="store_true",
+        action="store_const",
+        const=True,
         help="use the add-one permutation p-value (1+count)/(1+R)",
     )
     _add_common_flags(p, cmd_test, threads=True)
@@ -422,23 +435,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null-p", type=float, default=0.5, help="null edge probability")
     p.add_argument("--alt", choices=["er", "modified-er", "ergm"], required=True)
     _add_sweep_flag(p, "alternative parameter values")
-    p.add_argument("--q", type=float, default=None)
+    p.add_argument("--q", type=float)
     _add_ergm_flags(p)
-    _add_schedule_flags(p)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument(
-        "--replications", type=int, default=2000, help="samples per grid point"
-    )
+    p.add_argument("--replications", type=int, help="samples per grid point")
     p.add_argument("--quantile-replications", type=int, default=10000)
     p.add_argument("--baseline", choices=["bonferroni"], default=None)
     _add_common_flags(p, cmd_power, threads=True)
 
     p = sub.add_parser("density-sweep", help="ERGM edge density over a theta grid")
     p.add_argument("--v", type=int, required=True)
-    _add_ergm_flags(p, required=True)
+    _add_ergm_flags(p)
     _add_sweep_flag(p, "theta2 grid values")
     p.add_argument("--draws", type=int, default=200, help="chain draws per point")
-    _add_schedule_flags(p)
     _add_common_flags(p, cmd_density_sweep)
 
     p = sub.add_parser("build-graphs", help="graphs from a multichannel recording")

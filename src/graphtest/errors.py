@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GraphTestError",
+    "DimensionMismatchError",
+    "EmptySampleError",
+    "InsufficientSampleError",
+    "EnumerationRefusedError",
+    "ConfigurationError",
+    "UndefinedCorrelationError",
+    "DataFormatError",
+]
+
 
 class GraphTestError(Exception):
     """Base class for all library-specific errors."""

@@ -37,11 +37,6 @@ __all__ = [
     "write_graph_sample",
     "read_graph_sample",
     "read_channel_csv",
-    "format_test_csv",
-    "format_power_csv",
-    "format_density_csv",
-    "format_summary_csv",
-    "write_text",
     "write_manifest",
 ]
 
@@ -106,7 +101,7 @@ def _edge_cells(body: list[str], v: int, n: int, base: int) -> np.ndarray | None
         return None
     del tokens[3::4]
     try:
-        edges = np.array(list(map(int, tokens)), dtype=np.int64).reshape(k, 3)
+        edges = np.array(tokens, dtype=np.int64).reshape(k, 3)
     except (ValueError, OverflowError):
         return None
     g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base

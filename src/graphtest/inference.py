@@ -105,9 +105,13 @@ class PowerPoint:
     power_baseline: float | None = None
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float) -> Fraction:
+    """Check the level and return it as the decimal it is written as: 0.15
+    is 15/100, not the binary float just below it. The conversion goes
+    through str because the repr of a NumPy float names its type."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return Fraction(str(alpha))
 
 
 def _resolve_marginals(
@@ -218,11 +222,11 @@ def _calibrate_null(
     if R < 100:
         raise ValueError(f"need at least 100 replications, got {R}")
     _check_sample_size(n)
-    _check_alpha(alpha)
+    level = _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
     values = np.concatenate(_map_blocks(kernel, [null], n, R, [rng], threads)[0])
-    k = math.ceil((1 - Fraction(alpha)) * R)
+    k = math.ceil((1 - level) * R)
     k = min(max(k, 1), R) - 1
     return marg, source, kernel, int(np.partition(values, k)[k])
 
@@ -309,7 +313,7 @@ def two_sample_permutation_test(
     _check_same_v(s, "first sample", t, "second sample")
     if R < 100:
         raise ValueError(f"need at least 100 permutations, got {R}")
-    _check_alpha(alpha)
+    level = _check_alpha(alpha)
 
     stat = two_sample_statistic(s, t)
     n, m = s.n, t.n
@@ -342,7 +346,7 @@ def two_sample_permutation_test(
         method="two_sample_permutation",
         statistic=stat,
         alpha=alpha,
-        reject=p_exact <= Fraction(alpha),
+        reject=p_exact <= level,
         p_value=float(p_exact),
         replications=R,
     )
@@ -397,14 +401,13 @@ def bonferroni_edge_test(
     min(1, E * min_p).
     """
     _check_same_v(s, "sample", null_marginals, "marginals")
-    _check_alpha(alpha)
     n = s.n
     E = num_pairs(s.v)
+    threshold = _check_alpha(alpha) / E
     p_values = [
         _binom_pvalue_fraction(c, n, p0)
         for c, p0 in zip(s.edge_counts.tolist(), null_marginals.fractions)
     ]
-    threshold = Fraction(alpha) / E
     reject = any(p <= threshold for p in p_values)
     adjusted = min(Fraction(1), E * min(p_values))
     return TestResult(
@@ -423,7 +426,7 @@ def _bc_reject_table(n: int, marginals: EdgeMarginals, alpha: float) -> np.ndarr
     Count k rejects when its two-sided tail over the total is at most
     alpha/E; pairs that share a null probability share one row.
     """
-    threshold = Fraction(alpha) / num_pairs(marginals.v)
+    threshold = _check_alpha(alpha) / num_pairs(marginals.v)
     rows = {}
     for p0 in set(marginals.fractions):
         tails, total = _binom_tails(n, p0)

@@ -621,23 +621,22 @@ class DensityPoint:
 def edge_density_sweep(
     specs: Sequence[Ergm],
     n: int,
-    mcmc: McmcConfig,
     rng: np.random.Generator,
 ) -> list[DensityPoint]:
     """Mean edge density over n chain draws for each model in the grid.
 
-    Every grid point runs the schedule ``mcmc``, in place of its spec's own
-    ``spec.mcmc``, on its own generator stream derived from ``rng``, so
-    points can be evaluated in any order. A density below 0.02 or above
-    0.98 triggers a degeneracy warning: the chain is concentrating on
-    near-empty or near-complete graphs.
+    Every grid point runs its spec's own schedule ``spec.mcmc`` on its own
+    generator stream derived from ``rng``, so points can be evaluated in
+    any order. A density below 0.02 or above 0.98 triggers a degeneracy
+    warning: the chain is concentrating on near-empty or near-complete
+    graphs.
     """
     if not specs:
         raise ValueError("parameter grid must be nonempty")
     children = rng.spawn(len(specs))
     out = []
     for spec, child in zip(specs, children):
-        sample = ergm_mh_sample(spec, n, mcmc, child)
+        sample = spec.sample(n, child)
         density = int(sample.edge_counts.sum()) / (sample.n * num_pairs(spec.v))
         if density < 0.02 or density > 0.98:
             warnings.warn(

@@ -27,9 +27,6 @@ from .graphs import EdgeMarginals, Graph, GraphSample, _check_same_v, num_pairs
 
 __all__ = [
     "TestStatistic",
-    "GapKernel",
-    "one_sample_kernel",
-    "two_sample_kernel",
     "mean_distance",
     "one_sample_statistic",
     "two_sample_statistic",

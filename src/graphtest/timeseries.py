@@ -46,7 +46,6 @@ __all__ = [
     "CorrelationSeries",
     "ThresholdSpec",
     "SummaryGraph",
-    "average_ranks",
     "spearman",
     "correlation_series",
     "pair_quartiles",

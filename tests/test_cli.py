@@ -557,27 +557,61 @@ POWER = "power --v 4 --n 5 --sweep 0.5 --replications 100 --quantile-replication
 
 
 # Flags that the chosen model, or the mode, never reads, and --threads below
-# 1 where no replicate block would check it; each is refused before any work.
+# 1; each is refused before any work. The sample file does not exist, so a
+# run that read it first would exit 3.
 @pytest.mark.parametrize("command", [
     "sample --model er --v 3 --n 1 --p 0.5 --p0 0.3 --q 0.9",
     "sample --model ergm --v 3 --n 1 --stats edge-triangle --theta1 1 --theta2 0 --p 0.5",
+    "sample --model er --v 3 --n 1 --p 0.5 --burn-in 7 --thinning 3",
+    "sample --model modified-er --v 4 --n 2 --p0 0.2 --p 0.5 --q 0.5 --thinning 3",
     POWER + " --alt er --q 0.5 --stats edge-triangle --theta1 1",
     POWER + " --alt modified-er --q 0.5 --theta1 1",
     POWER + " --alt ergm --stats edge-triangle --theta1 1 --q 0.5",
+    POWER + " --alt er --burn-in 7",
+    POWER + " --alt er --threads -3",
     "test --sample {sample} --null er --p 0.5 --theta2 0",
+    "test --sample {sample} --null er --p 0.5 --replications 100 --permutations 7 "
+    "--strict-ties --smoothing",
+    "test --sample {sample} --null er --p 0.5 --threads 0",
     "test --sample {sample} --sample2 {sample} --null ergm",
     "test --sample {sample} --sample2 {sample} --p 0.5",
+    "test --sample {sample} --sample2 {sample} --permutations 100 --replications 5 "
+    "--threads 2",
     "test --sample {sample} --sample2 {sample} --threads 0",
     "test --sample {sample} --sample2 {sample} --threads -3",
 ])
 def test_flags_the_run_never_reads_are_usage_errors(command, tmp_path, capsys):
-    sample = tmp_path / "s.txt"
-    write_complete_sample(sample, v=4, n=3)
+    sample = tmp_path / "missing.txt"
     out = tmp_path / "out.txt"
     argv = shlex.split(command.format(sample=sample))
     assert run(*argv, "--seed", "1", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# Flags the run reads and has no default for, where argparse requires none.
+@pytest.mark.parametrize("command, flags", [
+    ("density-sweep --v 4 --stats edge-triangle --sweep 0.1", "--theta1"),
+    ("test --sample {sample} --null ergm --theta1 0", "--stats, --theta2"),
+])
+def test_flags_the_run_requires_are_usage_errors(command, flags, tmp_path, capsys):
+    argv = shlex.split(command.format(sample=tmp_path / "missing.txt"))
+    assert run(*argv, "--seed", "1") == 2
+    assert capsys.readouterr().err.endswith(f" requires {flags}\n")
+
+
+def test_manifest_records_the_flags_a_run_does_not_read_as_null(tmp_path):
+    sample, manifest = tmp_path / "s.txt", tmp_path / "run.json"
+    write_complete_sample(sample, v=4, n=3)
+    assert run(
+        "test", "--sample", str(sample), "--null", "er", "--p", "0.5",
+        "--seed", "1", "--manifest", str(manifest),
+    ) == 0
+    params = json.loads(manifest.read_text())["parameters"]
+    unread = ("permutations", "strict_ties", "smoothing", "burn_in", "thinning")
+    assert {name: params[name] for name in unread} == dict.fromkeys(unread)
+    assert (params["replications"], params["threads"]) == (10000, 1)
+
 
 def readme_commands() -> list[list[str]]:
     """Arguments of every ``graphtest`` command in README's sh blocks."""

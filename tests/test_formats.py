@@ -215,6 +215,9 @@ class TestReaderMatchesLineByLine:
             "99999999999999999999999 1 2\n",
             "0 +1 1_0\n1 0 0x1\n",
             "2 +1 1_0\n1 0 01\n0 1 2\n",
+            # Spellings int() accepts: sign, leading zeros, underscores,
+            # Arabic-Indic and mathematical digits, no-break space between.
+            "0 +5 007\n1 1_0 \u0663\n2\xa0\U0001d7d3 -0\n",
             "0 1 2\r\n1 0 1\r\n\r\n2 0 2\r\n",
             "0\t1  2\n  1 0 1  \n",
             "0 1 2\r1 0 1\r",

@@ -71,6 +71,21 @@ class TestNullQuantile:
         b = null_quantile_mc(null, 10, 0.05, 500, rng_factory(3))
         assert a <= b
 
+    def test_alpha_is_the_decimal_it_is_written_as(self, rng_factory):
+        # ceil((1 - 0.15) * 1000) = 850, although the float 0.15 lies below
+        # 15/100 and would pick the 851st draw. R=1000 is one block at E=45;
+        # marginals (a+1)/47 spread the statistic so the two draws differ.
+        null, n, R = ErdosRenyi(10, 0.5), 10, 1000
+        marginals = EdgeMarginals(10, [Fraction(a + 1, 47) for a in range(45)])
+        (child,) = rng_factory(3).spawn(1)
+        counts = null.edge_count_batches(n, R, child)
+        stats = sorted(
+            fraction_one_sample(row, n, marginals.fractions) for row in counts
+        )
+        assert float(stats[849]) != float(stats[850])
+        got = null_quantile_mc(null, n, 0.15, R, rng_factory(3), marginals=marginals)
+        assert got == float(stats[849])
+
     def test_tiny_alpha_returns_largest_draw(self, rng_factory):
         # ceil((1 - alpha) * R) clamps to the top order statistic.
         null = ErdosRenyi(3, 0.5)
@@ -201,6 +216,16 @@ class TestPermutationTest:
             s, t, R=1000, rng=rng_factory(5), smoothing=True
         )
         assert smoothed.p_value == pytest.approx(1 / 1001)
+
+    def test_p_value_equal_to_alpha_rejects(self, rng_factory):
+        # p = 15/100 exactly; the float 0.15 lies below it.
+        s = ErdosRenyi(5, 0.4).sample(9, rng_factory(1))
+        t = ErdosRenyi(5, 0.55).sample(9, rng_factory(2))
+        result = two_sample_permutation_test(
+            s, t, R=100, rng=rng_factory(2), alpha=0.15
+        )
+        assert result.p_value == 0.15
+        assert result.reject
 
     def test_strict_ties_never_raise_the_p_value(self, rng_factory):
         s = ErdosRenyi(4, 0.5).sample(8, rng_factory(21))

@@ -452,32 +452,32 @@ class TestLockstepChains:
 class TestEdgeDensitySweep:
     def test_matches_logistic_grid_when_decoupled(self, rng):
         grid = [-2.0, -1.0, 0.0, 1.0]
-        specs = [Ergm(5, EDGE_TRIANGLE, (t1, 0.0)) for t1 in grid]
-        points = edge_density_sweep(specs, 2000, McmcConfig(50, 1), rng)
+        specs = [Ergm(5, EDGE_TRIANGLE, (t1, 0.0), McmcConfig(50, 1)) for t1 in grid]
+        points = edge_density_sweep(specs, 2000, rng)
         assert [p.theta1 for p in points] == grid
         for p in points:
             assert abs(p.density - logistic(p.theta1)) < 0.03
             assert p.draws == 2000
 
     def test_matches_enumeration_density(self, rng):
-        spec = Ergm(4, EDGE_TWO_STAR, (-0.5, 0.15))
+        spec = Ergm(4, EDGE_TWO_STAR, (-0.5, 0.15), McmcConfig(100, 1))
         exact = ergm_enumerate(spec).edge_density()
-        (point,) = edge_density_sweep([spec], 4000, McmcConfig(100, 1), rng)
+        (point,) = edge_density_sweep([spec], 4000, rng)
         assert abs(point.density - exact) < 0.03
 
     def test_warns_on_near_degenerate_chain(self, rng):
-        spec = Ergm(5, EDGE_TRIANGLE, (-6.0, 0.0))
+        spec = Ergm(5, EDGE_TRIANGLE, (-6.0, 0.0), McmcConfig(50, 1))
         with pytest.warns(UserWarning, match="near-degenerate"):
-            edge_density_sweep([spec], 500, McmcConfig(50, 1), rng)
+            edge_density_sweep([spec], 500, rng)
 
     def test_rejects_empty_grid(self, rng):
         with pytest.raises(ValueError):
-            edge_density_sweep([], 100, McmcConfig(), rng)
+            edge_density_sweep([], 100, rng)
 
     def test_densities_are_the_per_graph_edge_sums(self):
-        specs = [Ergm(7, EDGE_TRIANGLE, (-0.5, t2)) for t2 in (-0.1, 0.0, 0.1)]
         mcmc = McmcConfig(20, 2)
-        points = edge_density_sweep(specs, 60, mcmc, np.random.default_rng(3))
+        specs = [Ergm(7, EDGE_TRIANGLE, (-0.5, t2), mcmc) for t2 in (-0.1, 0.0, 0.1)]
+        points = edge_density_sweep(specs, 60, np.random.default_rng(3))
         children = np.random.default_rng(3).spawn(len(specs))
         for point, spec, child in zip(points, specs, children):
             sample = ergm_mh_sample(spec, 60, mcmc, child)

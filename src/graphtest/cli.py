@@ -13,6 +13,9 @@ subcommand runs through ``_run``, in one of two output styles:
 Every randomized command takes ``--seed`` and is byte-reproducible from
 (seed, flags); ``--manifest PATH`` additionally records the run as JSON, and
 the ``--out`` file then references the manifest by name in a comment line.
+No flag sets parallelism: ``test`` and ``power`` spread independent-edge
+Monte Carlo blocks over the usable CPUs and run ERGM blocks serially (see
+``inference``), and their outputs are the same either way.
 
 The flags whose use depends on the mode of a run (the choice of ``--model``,
 ``--null`` or ``--alt``, and one- or two-sample ``test``) are listed once, in
@@ -83,19 +86,19 @@ from .timeseries import (
 _STATS_FLAGS = {"edge-triangle": EDGE_TRIANGLE, "edge-2-star": EDGE_TWO_STAR}
 
 # The flags a run reads, by mode: a choice of --model, --null or --alt,
-# test's one- or two-sample mode, or power, which reads --replications and
-# --threads whatever --alt is. Each flag maps to its default, or to None
-# where every subcommand that declares it requires it. argparse leaves these
-# flags None unless given, so a run can refuse each one it does not read.
+# test's one- or two-sample mode, or power, which reads --replications
+# whatever --alt is. Each flag maps to its default, or to None where every
+# subcommand that declares it requires it. argparse leaves these flags None
+# unless given, so a run can refuse each one it does not read.
 _READS = {
     "er": {"p": None},
     "modified-er": {"p0": None, "p": None, "q": None},
     "ergm": {
         "stats": None, "theta1": None, "theta2": None, "burn_in": 200, "thinning": 10,
     },
-    "one-sample": {"null": None, "replications": 10000, "threads": 1},
+    "one-sample": {"null": None, "replications": 10000},
     "two-sample": {"permutations": 1000, "strict_ties": False, "smoothing": False},
-    "power": {"replications": 2000, "threads": 1},
+    "power": {"replications": 2000},
 }
 
 
@@ -204,14 +207,7 @@ def cmd_test(args, rng) -> _Output:
         )
     else:
         null = _build_model(args.null, s.v, args, rng)
-        result = one_sample_test(
-            s,
-            null,
-            alpha=args.alpha,
-            R=args.replications,
-            rng=rng,
-            threads=args.threads,
-        )
+        result = one_sample_test(s, null, alpha=args.alpha, R=args.replications, rng=rng)
     result = replace(result, seed=args.seed)
 
     report = [f"method: {result.method}"]
@@ -249,7 +245,6 @@ def cmd_power(args, rng) -> _Output:
         R_quantile=args.quantile_replications,
         rng=rng,
         baseline_bonferroni=args.baseline == "bonferroni",
-        threads=args.threads,
     )
     if args.baseline:
         report = ["param      power_w    power_bc"]
@@ -300,13 +295,10 @@ def _run(args) -> int:
     """Run one subcommand: seed it, route its output, write the manifest.
 
     These fail before any work is done: a flag the run does not read, or a
-    missing one it needs (``_resolve_flags``); --threads below 1; and an
-    --out or --manifest path in a missing directory, as opening it would.
+    missing one it needs (``_resolve_flags``), and an --out or --manifest
+    path in a missing directory, as opening it would.
     """
     _resolve_flags(args)
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
     for path in (args.out, args.manifest):
         if path:
             try:
@@ -349,18 +341,11 @@ def _run(args) -> int:
     return 0
 
 
-def _add_common_flags(p, func, seed: bool = True, threads: bool = False) -> None:
+def _add_common_flags(p, func, seed: bool = True) -> None:
     """The flags every subcommand shares, and the function ``_run`` calls for it."""
     p.set_defaults(func=func)
     if seed:
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    if threads:
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="worker threads (default 1); does not speed up ERGM nulls or "
-            "alternatives, whose steps hold the GIL",
-        )
     p.add_argument("--out", default=None, help="write machine output here")
     p.add_argument("--manifest", default=None, help="write a JSON run manifest here")
 
@@ -427,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
         const=True,
         help="use the add-one permutation p-value (1+count)/(1+R)",
     )
-    _add_common_flags(p, cmd_test, threads=True)
+    _add_common_flags(p, cmd_test)
 
     p = sub.add_parser("power", help="power curve over a parameter sweep")
     p.add_argument("--v", type=int, required=True)
@@ -441,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, help="samples per grid point")
     p.add_argument("--quantile-replications", type=int, default=10000)
     p.add_argument("--baseline", choices=["bonferroni"], default=None)
-    _add_common_flags(p, cmd_power, threads=True)
+    _add_common_flags(p, cmd_power)
 
     p = sub.add_parser("density-sweep", help="ERGM edge density over a theta grid")
     p.add_argument("--v", type=int, required=True)

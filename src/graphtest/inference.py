@@ -21,8 +21,9 @@ Each block takes one generator spawned off the caller's generator and
 draws its whole (B x E) count array with the model's ``edge_count_batches``;
 the ERGM blocks of a power curve's alternatives may share one lockstep call,
 which gives every block the counts it would draw alone. The blocks are fixed
-by R and the model alone, and ``threads`` only spreads the work over worker
-threads, so results are identical whatever it is set to.
+by R and the model alone. Independent-edge blocks are spread over a thread
+per usable CPU; ERGM blocks run serially, because their lockstep steps are
+small NumPy calls that hold the GIL. Either way the results are the same.
 Permutations are drawn from the caller's generator in blocks of rows, which
 consumes it exactly as one draw of all R rows would.
 """
@@ -30,6 +31,7 @@ consumes it exactly as one draw of all R rows would.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -135,13 +137,20 @@ def _block_size(model: ModelSpec) -> int:
     return max(B, MH_MIN_CHAINS) if isinstance(model, Ergm) else B
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _map_blocks(
     fn: Callable[[np.ndarray], object],
     models: Sequence[ModelSpec],
     n: int,
     R: int,
     rngs: Sequence[np.random.Generator],
-    threads: int,
 ) -> list[list]:
     """fn(counts) for each model's consecutive blocks covering R samples of size n.
 
@@ -153,12 +162,11 @@ def _map_blocks(
     chains and ``MH_MAX_GROUPS`` column groups; each block keeps its stream
     and draw layout there, so its counts are the same as alone, and packing
     only shares the fixed cost of a lockstep step. Blocks, streams and calls
-    are fixed before any work starts, ``threads`` spreads the calls, and
-    results come back per model in block order, so they do not depend on
-    ``threads``.
+    are fixed before any work starts, and results come back per model in
+    block order, so they do not depend on how the calls are run: serially
+    when any model is an ERGM, whose steps hold the GIL, and otherwise on a
+    pool of one thread per usable CPU, at most one per call.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     # A piece is (model index, block index, block size, stream).
     blocks = []
     for k, (model, rng) in enumerate(zip(models, rngs)):
@@ -192,10 +200,12 @@ def _map_blocks(
             parts = np.split(counts, np.cumsum([p[2] for p in call])[:-1])
         return [fn(part) for part in parts]
 
-    if threads == 1:
+    serial = any(isinstance(model, Ergm) for model in models)
+    workers = 1 if serial else min(len(calls), _usable_cpus())
+    if workers == 1:
         results = [run(call) for call in calls]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, calls))
     out = [[None] * len(pieces) for pieces in blocks]
     for call, outcomes in zip(calls, results):
@@ -210,7 +220,6 @@ def _calibrate_null(
     alpha: float,
     R: int,
     rng: np.random.Generator,
-    threads: int,
     marginals: EdgeMarginals | None,
 ) -> tuple[EdgeMarginals, str, GapKernel, int]:
     """Monte Carlo critical value of the one-sample statistic under ``null``.
@@ -225,7 +234,7 @@ def _calibrate_null(
     level = _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
-    values = np.concatenate(_map_blocks(kernel, [null], n, R, [rng], threads)[0])
+    values = np.concatenate(_map_blocks(kernel, [null], n, R, [rng])[0])
     k = math.ceil((1 - level) * R)
     k = min(max(k, 1), R) - 1
     return marg, source, kernel, int(np.partition(values, k)[k])
@@ -238,7 +247,6 @@ def null_quantile_mc(
     R: int,
     rng: np.random.Generator,
     *,
-    threads: int = 1,
     marginals: EdgeMarginals | None = None,
 ) -> float:
     """Empirical (1-alpha) quantile of the statistic under the null model.
@@ -249,7 +257,7 @@ def null_quantile_mc(
     cannot be computed exactly (dependent edges above the enumeration limit),
     pass an explicit ``marginals`` estimate.
     """
-    _, _, kernel, crit = _calibrate_null(null, n, alpha, R, rng, threads, marginals)
+    _, _, kernel, crit = _calibrate_null(null, n, alpha, R, rng, marginals)
     return float(kernel.fraction(crit))
 
 
@@ -260,7 +268,6 @@ def one_sample_test(
     R: int = 10000,
     rng: np.random.Generator | None = None,
     *,
-    threads: int = 1,
     marginals: EdgeMarginals | None = None,
 ) -> TestResult:
     """Test whether ``s`` was drawn from ``null`` at level ``alpha``.
@@ -272,9 +279,7 @@ def one_sample_test(
     if rng is None:
         raise ValueError("an explicit random generator is required")
     _check_same_v(s, "sample", null, "null model")
-    marg, source, kernel, crit = _calibrate_null(
-        null, s.n, alpha, R, rng, threads, marginals
-    )
+    marg, source, kernel, crit = _calibrate_null(null, s.n, alpha, R, rng, marginals)
     stat = one_sample_statistic(s, marg, kernel=kernel)
     crit_exact = kernel.fraction(crit)
     return TestResult(
@@ -446,7 +451,6 @@ def power_curve(
     rng: np.random.Generator | None = None,
     *,
     baseline_bonferroni: bool = False,
-    threads: int = 1,
     marginals: EdgeMarginals | None = None,
 ) -> list[PowerPoint]:
     """Empirical power against each alternative, at one shared critical value.
@@ -472,7 +476,7 @@ def power_curve(
 
     streams = rng.spawn(1 + len(alternatives))
     marg, _, kernel, crit = _calibrate_null(
-        null, n, alpha, R_quantile, streams[0], threads, marginals
+        null, n, alpha, R_quantile, streams[0], marginals
     )
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))
@@ -484,7 +488,7 @@ def power_curve(
         return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
 
     points = []
-    outcomes = _map_blocks(block, alternatives, n, M, streams[1:], threads)
+    outcomes = _map_blocks(block, alternatives, n, M, streams[1:])
     for alt, alt_outcomes in zip(alternatives, outcomes):
         w_power = sum(w for w, _ in alt_outcomes) / M
         bc_power = (

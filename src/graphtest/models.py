@@ -385,17 +385,25 @@ def _mh_thresholds(spec: Ergm) -> list[list[float]]:
     degrees) the edge takes part in. A flip is accepted when its uniform u
     satisfies u < T: entries are exp(delta) of the log-ratio delta, computed
     with ``math.exp``, and 2.0 where delta >= 0, so those flips always pass.
+
+    Where every reachable delta is 0 (theta = (0, 0), or theta1 = 0 at
+    v = 2), every entry is 0.5 instead: a chain that accepted every flip
+    would flip exactly E pairs a sweep and so never change the parity of
+    its edge count. The lazy chain keeps the uniform target. Tables are at
+    least two columns wide, because the lockstep engine weighs ``present``
+    by the width less 2 for two-stars; the second column at v = 2 is never
+    read.
     """
     t1, t2 = spec.theta
     top = spec.v - 2 if spec.stats == EDGE_TRIANGLE else 2 * (spec.v - 2)
+    deltas = [t1 + t2 * c for c in range(max(top, 1) + 1)]
+    if not any(deltas[:top + 1]):
+        return [[0.5] * len(deltas)] * 2
 
     def threshold(delta: float) -> float:
         return 2.0 if delta >= 0 else math.exp(delta)
 
-    return [
-        [threshold(t1 + t2 * c) for c in range(top + 1)],
-        [threshold(-t1 - t2 * c) for c in range(top + 1)],
-    ]
+    return [[threshold(d) for d in deltas], [threshold(-d) for d in deltas]]
 
 
 def _mh_sweeps(
@@ -439,7 +447,8 @@ def ergm_mh_sample(
     """n draws from a single-edge-flip Metropolis-Hastings chain.
 
     The proposal flips one uniformly chosen canonical pair, so acceptance is
-    min(1, exp(theta . dS)) with dS computed incrementally: the edge count
+    min(1, exp(theta . dS)), or 1/2 where every flip has theta . dS = 0 (see
+    ``_mh_thresholds``), with dS computed incrementally: the edge count
     changes by one and the triangle (two-star) count by the number of common
     neighbors of the endpoints (the sum of their other degrees). The chain
     starts from the empty graph; one draw is retained every ``thinning``

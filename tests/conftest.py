@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import graphtest.inference as inference
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -13,3 +15,13 @@ def rng_factory():
         return np.random.default_rng(seed)
 
     return make
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count the Monte Carlo driver sees, e.g. cpus(3)."""
+
+    def force(count: int) -> None:
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: count)
+
+    return force

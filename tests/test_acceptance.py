@@ -443,7 +443,7 @@ def test_09_correlation_pipeline_fixture():
     )
 
 
-def test_10_cli_determinism_and_thread_invariance(tmp_path, capsys):
+def test_10_cli_determinism_and_thread_invariance(tmp_path, capsys, cpus):
     start = time.perf_counter()
     problems = []
 
@@ -508,25 +508,22 @@ def test_10_cli_determinism_and_thread_invariance(tmp_path, capsys):
         if len(blobs) == 2 and blobs[0] != blobs[1]:
             problems.append(f"{name} differs between same-seed runs")
 
-    threaded = {
-        "test-threads": seeded["test-one-sample"],
-        "power-threads": seeded["power"],
-    }
-    for name, argv in threaded.items():
+    for name in ("test-one-sample", "power"):
         blobs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"{name}-{threads}.out"
-            if run(*argv, "--threads", threads, "--out", str(out)) != 0:
-                problems.append(f"{name} exited nonzero")
+        for count in (1, 3):
+            cpus(count)
+            out = tmp_path / f"{name}-cpus{count}.out"
+            if run(*seeded[name], "--out", str(out)) != 0:
+                problems.append(f"{name} exited nonzero on {count} CPU(s)")
                 break
             blobs.append(out.read_bytes())
         if len(blobs) == 2 and blobs[0] != blobs[1]:
-            problems.append(f"{name} differs across thread counts")
+            problems.append(f"{name} differs across CPU counts")
 
     elapsed = time.perf_counter() - start
     detail = (
         f"{len(seeded)} seeded commands byte-identical on rerun; "
-        f"thread counts 1 vs 3 byte-identical for test and power; "
+        f"1 vs 3 usable CPUs byte-identical for test and power; "
         f"{elapsed:.0f}s (limit 60s)"
     )
     if problems:

@@ -224,35 +224,18 @@ class TestTestCommand:
         assert "RuntimeWarning" not in out.stderr
         assert "theta" in out.stderr
 
-    def test_threads_do_not_change_the_csv(self, tmp_path):
+    def test_cpu_count_does_not_change_the_csv(self, tmp_path, cpus):
+        # v=40 has E=780 pairs, so a block holds 65536 // 780 = 84 replicates
+        # and 300 replicates take four blocks.
         sample = tmp_path / "s.txt"
-        write_complete_sample(sample, v=6, n=10)
+        write_complete_sample(sample, v=40, n=10)
         outs = []
-        for threads, name in ((1, "a.csv"), (4, "b.csv")):
+        for count, name in ((1, "a.csv"), (3, "b.csv")):
+            cpus(count)
             out = tmp_path / name
             assert run(
                 "test", "--sample", str(sample), "--null", "er", "--p", "0.5",
-                "--replications", "300", "--seed", "21",
-                "--threads", str(threads), "--out", str(out),
-            ) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-
-    def test_threads_do_not_change_the_ergm_null_csv(self, tmp_path):
-        # v=6 has E=15 pairs, so a block holds 65536 // 15 = 4369 chains and
-        # 2*4369 + 1 replicates take three blocks.
-        sample = tmp_path / "s.txt"
-        write_complete_sample(sample, v=6, n=3)
-        outs = []
-        for threads, name in ((1, "a.csv"), (3, "b.csv")):
-            out = tmp_path / name
-            assert run(
-                "test", "--sample", str(sample), "--null", "ergm",
-                "--stats", "edge-triangle", "--theta1", "0.1", "--theta2", "-0.2",
-                "--burn-in", "1", "--thinning", "1",
-                "--replications", str(2 * 4369 + 1), "--seed", "23",
-                "--threads", str(threads), "--out", str(out),
+                "--replications", "300", "--seed", "21", "--out", str(out),
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -305,18 +288,28 @@ class TestPowerCommand:
         assert code == 2
         assert "at least 100 replications" in capsys.readouterr().err
 
-    def test_threads_do_not_change_the_curve(self, tmp_path):
+    def test_cpu_count_does_not_change_the_curve(self, tmp_path, cpus):
         base = [
             "power", "--v", "5", "--n", "10", "--alt", "modified-er",
             "--q", "0.25", "--sweep", "0.6,0.9", "--replications", "120",
             "--quantile-replications", "150", "--seed", "33",
         ]
         results = []
-        for threads, name in ((1, "a.csv"), (3, "b.csv")):
+        for count, name in ((1, "a.csv"), (3, "b.csv")):
+            cpus(count)
             out = tmp_path / name
-            assert run(*base, "--threads", str(threads), "--out", str(out)) == 0
+            assert run(*base, "--out", str(out)) == 0
             results.append(out.read_bytes())
         assert results[0] == results[1]
+
+    def test_two_star_alternatives_on_two_vertices(self, tmp_path):
+        out = tmp_path / "power.csv"
+        assert run(
+            "power", "--v", "2", "--n", "5", "--alt", "ergm", "--stats", "edge-2-star",
+            "--theta1", "0.5", "--sweep", "0,0.3", "--replications", "100",
+            "--quantile-replications", "100", "--seed", "4", "--out", str(out),
+        ) == 0
+        assert len(out.read_text().splitlines()) == 3
 
 
 class TestDensitySweepCommand:
@@ -556,9 +549,9 @@ def test_missing_output_directory_fails_before_any_work(
 POWER = "power --v 4 --n 5 --sweep 0.5 --replications 100 --quantile-replications 100"
 
 
-# Flags that the chosen model, or the mode, never reads, and --threads below
-# 1; each is refused before any work. The sample file does not exist, so a
-# run that read it first would exit 3.
+# Flags that the chosen model, or the mode, never reads; each is refused
+# before any work. The sample file does not exist, so a run that read it
+# first would exit 3.
 @pytest.mark.parametrize("command", [
     "sample --model er --v 3 --n 1 --p 0.5 --p0 0.3 --q 0.9",
     "sample --model ergm --v 3 --n 1 --stats edge-triangle --theta1 1 --theta2 0 --p 0.5",
@@ -568,17 +561,12 @@ POWER = "power --v 4 --n 5 --sweep 0.5 --replications 100 --quantile-replication
     POWER + " --alt modified-er --q 0.5 --theta1 1",
     POWER + " --alt ergm --stats edge-triangle --theta1 1 --q 0.5",
     POWER + " --alt er --burn-in 7",
-    POWER + " --alt er --threads -3",
     "test --sample {sample} --null er --p 0.5 --theta2 0",
     "test --sample {sample} --null er --p 0.5 --replications 100 --permutations 7 "
     "--strict-ties --smoothing",
-    "test --sample {sample} --null er --p 0.5 --threads 0",
     "test --sample {sample} --sample2 {sample} --null ergm",
     "test --sample {sample} --sample2 {sample} --p 0.5",
-    "test --sample {sample} --sample2 {sample} --permutations 100 --replications 5 "
-    "--threads 2",
-    "test --sample {sample} --sample2 {sample} --threads 0",
-    "test --sample {sample} --sample2 {sample} --threads -3",
+    "test --sample {sample} --sample2 {sample} --permutations 100 --replications 5",
 ])
 def test_flags_the_run_never_reads_are_usage_errors(command, tmp_path, capsys):
     sample = tmp_path / "missing.txt"
@@ -610,7 +598,8 @@ def test_manifest_records_the_flags_a_run_does_not_read_as_null(tmp_path):
     params = json.loads(manifest.read_text())["parameters"]
     unread = ("permutations", "strict_ties", "smoothing", "burn_in", "thinning")
     assert {name: params[name] for name in unread} == dict.fromkeys(unread)
-    assert (params["replications"], params["threads"]) == (10000, 1)
+    assert params["replications"] == 10000
+    assert "threads" not in params
 
 
 def readme_commands() -> list[list[str]]:
@@ -644,9 +633,12 @@ class TestTopLevel:
         ("sample", "--model", "er", "--v", "4", "--n", "3", "--p", "0.5"),
         ("density-sweep", "--v", "4", "--stats", "edge-triangle",
          "--theta1", "0", "--sweep", "0.1", "--draws", "5"),
+        ("test", "--sample", "s.txt", "--null", "er", "--p", "0.5"),
+        ("test", "--sample", "s.txt", "--sample2", "s.txt"),
+        tuple(POWER.split()) + ("--alt", "er"),
     ])
-    def test_threads_is_a_usage_error_where_no_blocks_are_drawn(self, argv, capsys):
-        # Only test and power draw replicate blocks for --threads to spread.
+    def test_threads_is_a_usage_error(self, argv, capsys):
+        # Monte Carlo work picks its own worker count; no command takes one.
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--seed", "1", "--threads", "2")
         assert exc.value.code == 2

@@ -149,10 +149,12 @@ class TestOneSampleTest:
         )
         assert result.marginals_source == "supplied"
 
-    def test_thread_count_does_not_change_result(self, rng_factory):
+    def test_cpu_count_does_not_change_result(self, rng_factory, cpus):
         s = GraphSample([Graph.complete(6)] * 10)
-        a = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8), threads=1)
-        b = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8), threads=3)
+        cpus(1)
+        a = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8))
+        cpus(3)
+        b = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8))
         assert a.critical_exact == b.critical_exact
         assert a.reject == b.reject
 
@@ -321,29 +323,59 @@ class TestReplicateBlocks:
     # 0.3 puts the numerators on the Python-integer path.
     @pytest.mark.parametrize("R", [300, 2 * B, 2 * B + 1])
     @pytest.mark.parametrize("p", [0.5, 0.3])
-    def test_one_sample_test_does_not_depend_on_threads(self, rng_factory, R, p):
+    def test_one_sample_test_does_not_depend_on_cpus(self, rng_factory, cpus, R, p):
         s = ErdosRenyi(self.V, p).sample(10, rng_factory(1))
         null = ErdosRenyi(self.V, p)
-        a = one_sample_test(s, null, R=R, rng=rng_factory(2), threads=1)
-        b = one_sample_test(s, null, R=R, rng=rng_factory(2), threads=3)
+        cpus(1)
+        a = one_sample_test(s, null, R=R, rng=rng_factory(2))
+        cpus(3)
+        b = one_sample_test(s, null, R=R, rng=rng_factory(2))
         assert a == b
 
     @pytest.mark.parametrize("M", [300, 2 * B, 2 * B + 1])
-    def test_power_curve_does_not_depend_on_threads(self, rng_factory, M):
+    def test_power_curve_does_not_depend_on_cpus(self, rng_factory, cpus, M):
         null = ErdosRenyi(self.V, 0.5)
         alts = [
             ErdosRenyi(self.V, 0.53),
             ModifiedErdosRenyi(self.V, 0.5, 0.8, frozenset({(0, 1), (5, 9)})),
         ]
-        a = power_curve(
-            null, alts, n=10, M=M, R_quantile=M, rng=rng_factory(5),
-            baseline_bonferroni=True, threads=1,
-        )
-        b = power_curve(
-            null, alts, n=10, M=M, R_quantile=M, rng=rng_factory(5),
-            baseline_bonferroni=True, threads=3,
-        )
-        assert a == b
+
+        def curve():
+            return power_curve(
+                null, alts, n=10, M=M, R_quantile=M, rng=rng_factory(5),
+                baseline_bonferroni=True,
+            )
+
+        cpus(1)
+        a = curve()
+        cpus(3)
+        assert curve() == a
+
+    @pytest.mark.parametrize("count, pools", [(1, []), (3, [3]), (8, [4])])
+    def test_independent_edge_blocks_take_a_thread_per_cpu(
+        self, cpus, monkeypatch, count, pools
+    ):
+        # R = 4B draws four blocks, so four calls; one CPU opens no pool.
+        opened = []
+
+        class Recording(inference.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", Recording)
+        cpus(count)
+        streams = np.random.default_rng(3).spawn(1)
+        _map_blocks(np.copy, [ErdosRenyi(self.V, 0.5)], 2, 4 * self.B, streams)
+        assert opened == pools
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        assert inference._usable_cpus() >= 1
+        monkeypatch.delattr(inference.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: 5)
+        assert inference._usable_cpus() == 5
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: None)
+        assert inference._usable_cpus() == 1
 
     def test_critical_value_is_the_order_statistic_of_the_blocks(self, rng_factory):
         # Block b draws its (size x E) counts from the b-th spawned stream.
@@ -420,7 +452,7 @@ class TestPackedErgmCalls:
     def expected_points(self, alts, seed, baseline):
         streams = np.random.default_rng(seed).spawn(1 + len(alts))
         _, _, kernel, crit = _calibrate_null(
-            ErdosRenyi(self.V, 0.5), self.N, 0.05, self.R_QUANTILE, streams[0], 1, None
+            ErdosRenyi(self.V, 0.5), self.N, 0.05, self.R_QUANTILE, streams[0], None
         )
         reject = np.array(
             bonferroni_reject_row(self.N, Fraction(1, 2), 0.05, num_pairs(self.V))
@@ -434,11 +466,11 @@ class TestPackedErgmCalls:
             ))
         return points
 
-    def power(self, alts, seed, baseline=False, threads=1):
+    def power(self, alts, seed, baseline=False):
         return power_curve(
             ErdosRenyi(self.V, 0.5), alts, n=self.N, M=self.M,
             R_quantile=self.R_QUANTILE, rng=np.random.default_rng(seed),
-            baseline_bonferroni=baseline, threads=threads,
+            baseline_bonferroni=baseline,
         )
 
     @pytest.mark.parametrize("thetas", [(-0.12, 0.1), (-0.12, 0.0, 0.1)])
@@ -463,16 +495,25 @@ class TestPackedErgmCalls:
         assert self.power(alts, 32, True) == self.expected_points(alts, 32, True)
         # The same holds for every block's counts.
         streams = np.random.default_rng(33).spawn(len(alts))
-        packed = _map_blocks(np.copy, alts, self.N, self.M, streams, 1)
+        packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
         streams = np.random.default_rng(33).spawn(len(alts))
         for alt, stream, blocks in zip(alts, streams, packed):
             alone = self.own_blocks(alt, stream)
             assert len(blocks) == len(alone)
             assert all(np.array_equal(a, b) for a, b in zip(blocks, alone))
 
-    def test_ergm_power_does_not_depend_on_threads(self):
-        alts = [self.ergm(-0.12), self.ergm(0.0), self.ergm(0.1)]
-        assert self.power(alts, 34, True, 1) == self.power(alts, 34, True, 3)
+    def test_blocks_with_an_ergm_never_open_a_pool(self, cpus, monkeypatch):
+        # Lockstep steps hold the GIL, so ERGM blocks run serially, and so
+        # do the independent-edge blocks called with them.
+        def refuse(max_workers):
+            raise AssertionError(f"opened a pool of {max_workers}")
+
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", refuse)
+        cpus(3)
+        alts = [self.ergm(-0.12), ErdosRenyi(self.V, 0.51), self.ergm(0.1)]
+        streams = np.random.default_rng(34).spawn(len(alts))
+        packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
+        assert [len(blocks) for blocks in packed] == [3, 3, 3]
 
 
 class TestMemoryBound:
@@ -685,15 +726,13 @@ class TestPowerCurve:
         (point,) = power_curve(null, [alt], n=20, M=100, R_quantile=100, rng=rng)
         assert point.parameter == 0.9
 
-    def test_thread_count_does_not_change_curve(self, rng_factory):
+    def test_cpu_count_does_not_change_curve(self, rng_factory, cpus):
         null = ErdosRenyi(5, 0.5)
         alts = [ErdosRenyi(5, 0.6), ErdosRenyi(5, 0.75)]
-        a = power_curve(
-            null, alts, n=12, M=120, R_quantile=150, rng=rng_factory(17), threads=1
-        )
-        b = power_curve(
-            null, alts, n=12, M=120, R_quantile=150, rng=rng_factory(17), threads=4
-        )
+        cpus(1)
+        a = power_curve(null, alts, n=12, M=120, R_quantile=150, rng=rng_factory(17))
+        cpus(3)
+        b = power_curve(null, alts, n=12, M=120, R_quantile=150, rng=rng_factory(17))
         assert a == b
 
     def test_same_seed_reproduces_curve(self, rng_factory):

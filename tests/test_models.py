@@ -293,6 +293,29 @@ class TestMcmcSampler:
         freqs = s.edge_counts / 4000
         assert np.all(np.abs(freqs - 0.5) < 0.04)
 
+    # Every flip has delta 0 at theta = (0, 0), and at theta1 = 0 on two
+    # vertices. A chain that accepted every such flip would flip E pairs a
+    # sweep, so with even thinning every draw would have the parity of the
+    # first.
+    @pytest.mark.parametrize("v, stats, theta", [
+        (2, EDGE_TWO_STAR, (0.0, 0.7)),
+        (3, EDGE_TRIANGLE, (0.0, 0.0)),
+        (3, EDGE_TWO_STAR, (0.0, 0.0)),
+    ])
+    @pytest.mark.parametrize("lockstep", [False, True])
+    def test_uniform_target_total_variation(self, v, stats, theta, lockstep):
+        spec = Ergm(v, stats, theta, McmcConfig(burn_in=20, thinning=2))
+        rng = np.random.default_rng(12)
+        if lockstep:
+            # One draw from each of 8000 chains: its counts are its edges.
+            rows = spec.edge_count_batches(1, 8000, rng)
+        else:
+            rows = spec.sample(8000, rng).indicator_matrix()
+        bits = rows.astype(np.int64) @ (1 << np.arange(num_pairs(v)))
+        freqs = np.bincount(bits, minlength=2 ** num_pairs(v)) / 8000
+        tv = 0.5 * np.abs(freqs - ergm_enumerate(spec).probabilities).sum()
+        assert tv < 0.04
+
     def test_total_variation_against_enumeration(self, rng):
         spec = Ergm(3, EDGE_TRIANGLE, (0.5, -0.8))
         exact = ergm_enumerate(spec)
@@ -375,9 +398,10 @@ class TestLockstepChains:
         assert counts.sum() > 0
 
     @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
-    @pytest.mark.parametrize("v", [5, 10, 66])
-    def test_single_chain_is_the_scalar_sampler(self, stats, v):
-        spec = Ergm(v, stats, (0.2, -0.1), McmcConfig(3, 2))
+    @pytest.mark.parametrize("v", [2, 5, 10, 66])
+    @pytest.mark.parametrize("theta", [(0.2, -0.1), (0.0, 0.0)])
+    def test_single_chain_is_the_scalar_sampler(self, stats, v, theta):
+        spec = Ergm(v, stats, theta, McmcConfig(3, 2))
         a, b = np.random.default_rng(8), np.random.default_rng(8)
         counts = spec.edge_count_batches(4, 1, a)
         assert np.array_equal(counts[0], spec.sample(4, b).edge_counts)

@@ -12,7 +12,9 @@ subcommand runs through ``_run``, in one of two output styles:
 
 Every randomized command takes ``--seed`` and is byte-reproducible from
 (seed, flags); ``--manifest PATH`` additionally records the run as JSON, and
-the ``--out`` file then references the manifest by name in a comment line.
+``_run`` then puts a ``# manifest: <name>`` comment naming it on line 1 of
+the machine output, whether that goes to ``--out`` or to stdout. The
+serializers of ``formats`` write data only.
 No flag sets parallelism: ``test`` and ``power`` spread independent-edge
 Monte Carlo blocks over the usable CPUs and run ERGM blocks serially (see
 ``inference``), and their outputs are the same either way.
@@ -33,8 +35,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -78,6 +78,7 @@ from .models import (
 from .timeseries import (
     ThresholdSpec,
     WindowSpec,
+    _check_c,
     build_graphs,
     correlation_series,
     summary_graph,
@@ -115,11 +116,11 @@ def _float_list(text: str) -> list[float]:
 class _Output:
     """What a subcommand computed, for ``_run`` to route in one of the two
     output styles: commands with a ``report``, and data commands whose
-    ``--out`` file is announced as "wrote <wrote> to <path>". ``text`` formats
-    the machine output, given the manifest name for its comment line.
+    ``--out`` file is announced as "wrote <wrote> to <path>". ``text`` is the
+    machine output, to which ``_run`` adds the manifest comment.
     """
 
-    text: Callable[[str | None], str]
+    text: str
     report: list[str] | None = None
     wrote: str = ""
     note: str | None = None
@@ -187,7 +188,7 @@ def cmd_sample(args, rng) -> _Output:
     model = _build_model(args.model, args.v, args, rng)
     sample = model.sample(args.n, rng)
     return _Output(
-        partial(format_graph_sample, sample, args.base),
+        format_graph_sample(sample, args.base),
         wrote=f"{sample.n} graphs on {sample.v} vertices",
         extra={"model": model.describe()},
     )
@@ -220,7 +221,7 @@ def cmd_test(args, rng) -> _Output:
     report.append(
         f"reject H0 at alpha={result.alpha:g}: {'yes' if result.reject else 'no'}"
     )
-    return _Output(partial(format_test_csv, result), report)
+    return _Output(format_test_csv(result), report)
 
 
 def cmd_power(args, rng) -> _Output:
@@ -255,24 +256,25 @@ def cmd_power(args, rng) -> _Output:
         if p.power_baseline is not None:
             line += f" {p.power_baseline:<10g}"
         report.append(line)
-    return _Output(partial(format_power_csv, points), report, extra=extra)
+    return _Output(format_power_csv(points), report, extra=extra)
 
 
 def cmd_density_sweep(args, rng) -> _Output:
     points = edge_density_sweep(_ergms(args, args.v, args.sweep), args.draws, rng)
     report = ["theta1     theta2     density"]
     report += [f"{p.theta1:<10g} {p.theta2:<10g} {p.density:<10g}" for p in points]
-    return _Output(partial(format_density_csv, points), report)
+    return _Output(format_density_csv(points), report)
 
 
 def cmd_build_graphs(args, rng) -> _Output:
     window = WindowSpec(width_ms=args.width_ms, step_ms=args.step_ms)
+    _check_c(args.c)
     channels = read_channel_csv(args.input, args.sampling_rate)
     series = correlation_series(channels, window)
     thresholds = ThresholdSpec.from_series(series, c=args.c)
     sample = build_graphs(series, thresholds)
     return _Output(
-        partial(format_graph_sample, sample, args.base),
+        format_graph_sample(sample, args.base),
         wrote=f"{sample.n} graphs",
         note=(
             f"{channels.n_channels} channels, {channels.n_samples} samples -> "
@@ -286,7 +288,7 @@ def cmd_summary(args, rng) -> _Output:
     sample = read_graph_sample(args.sample)
     result = summary_graph(sample, args.k)
     return _Output(
-        partial(format_summary_csv, result, args.base),
+        format_summary_csv(result, args.base),
         wrote=f"{len(result.frequencies)} edges",
     )
 
@@ -309,16 +311,18 @@ def _run(args) -> int:
         args.seed = int(np.random.SeedSequence().entropy)
     seed = getattr(args, "seed", None)
     rng = None if seed is None else np.random.default_rng(seed)
-    manifest_name = os.path.basename(args.manifest) if args.manifest else None
     out = args.func(args, rng)
+    text = out.text
+    if args.manifest:
+        text = f"# manifest: {os.path.basename(args.manifest)}\n" + text
     if out.report is not None:
         print("\n".join(out.report))
     if args.out:
-        write_text(args.out, out.text(manifest_name))
+        write_text(args.out, text)
         if out.report is None:
             print(f"wrote {out.wrote} to {args.out}")
     elif out.report is None:
-        print(out.text(manifest_name), end="")
+        print(text, end="")
     if out.note is not None:
         print(out.note, file=sys.stdout if args.out else sys.stderr)
     if args.manifest:

@@ -4,12 +4,14 @@ The graph-sample format is line-oriented text. The first content line is a
 header ``graphsample v=<int> n=<int> base=<0|1>``; every following content
 line is one edge occurrence ``<graph_index> <i> <j>``. Graph indices are
 always zero-based and lie in [0, n); ``base`` applies to the vertex labels
-only. Lines starting with ``#`` are comments, blank lines are ignored, and a
-graph with no edges simply contributes no lines.
+only. Lines starting with ``#`` are comments and may come anywhere, before
+the header too; blank lines are ignored, and a graph with no edges simply
+contributes no lines.
 
 Channel CSV holds one label row followed by one row per time sample. Result
-CSVs have fixed per-command schemas. When a run writes a manifest, each
-output file carries a ``# manifest: <name>`` comment line referencing it.
+CSVs have fixed per-command schemas. The serializers here write data only;
+the CLI adds the ``# manifest: <name>`` comment line of a run that writes a
+manifest.
 """
 
 from __future__ import annotations
@@ -45,18 +47,11 @@ __all__ = [
 _EDGE_BLOCK_LINES = BLOCK_CELLS // 3
 
 
-def _manifest_comment(manifest_name: str | None) -> list[str]:
-    return [f"# manifest: {manifest_name}"] if manifest_name else []
-
-
-def format_graph_sample(
-    sample: GraphSample, base: int = 0, manifest_name: str | None = None
-) -> str:
+def format_graph_sample(sample: GraphSample, base: int = 0) -> str:
     """Serialize a sample to graph-sample text."""
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
     lines = [f"graphsample v={sample.v} n={sample.n} base={base}"]
-    lines += _manifest_comment(manifest_name)
     # Row-major nonzeros visit graphs in order, and each graph's slots in
     # canonical order, as Graph.edges() does.
     graph_idx, slots = np.nonzero(sample.indicator_matrix())
@@ -66,13 +61,8 @@ def format_graph_sample(
     return "\n".join(lines) + "\n"
 
 
-def write_graph_sample(
-    path,
-    sample: GraphSample,
-    base: int = 0,
-    manifest_name: str | None = None,
-) -> None:
-    Path(path).write_text(format_graph_sample(sample, base, manifest_name))
+def write_graph_sample(path, sample: GraphSample, base: int = 0) -> None:
+    Path(path).write_text(format_graph_sample(sample, base))
 
 
 def _content_lines(path) -> Iterator[tuple[int, str]]:
@@ -260,13 +250,13 @@ def _fmt(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def _csv_lines(header: str, rows: Sequence[tuple], manifest_name: str | None) -> str:
-    """CSV text: the manifest comment, the header, then one line per row of values."""
+def _csv_lines(header: str, rows: Sequence[tuple]) -> str:
+    """CSV text: the header, then one line per row of values."""
     lines = [",".join(map(_fmt, row)) for row in rows]
-    return "\n".join(_manifest_comment(manifest_name) + [header] + lines) + "\n"
+    return "\n".join([header] + lines) + "\n"
 
 
-def format_test_csv(result: TestResult, manifest_name: str | None = None) -> str:
+def format_test_csv(result: TestResult) -> str:
     """One-row CSV: method,w,critical_value,p_value,reject,alpha,replications,seed."""
     w = None if result.statistic is None else result.statistic.value
     row = (
@@ -280,36 +270,28 @@ def format_test_csv(result: TestResult, manifest_name: str | None = None) -> str
         result.seed,
     )
     return _csv_lines(
-        "method,w,critical_value,p_value,reject,alpha,replications,seed",
-        [row],
-        manifest_name,
+        "method,w,critical_value,p_value,reject,alpha,replications,seed", [row]
     )
 
 
-def format_power_csv(
-    points: Sequence[PowerPoint], manifest_name: str | None = None
-) -> str:
+def format_power_csv(points: Sequence[PowerPoint]) -> str:
     """CSV with one row per grid point: param,power_w,power_bc,replications."""
     rows = [(p.parameter, p.power, p.power_baseline, p.replications) for p in points]
-    return _csv_lines("param,power_w,power_bc,replications", rows, manifest_name)
+    return _csv_lines("param,power_w,power_bc,replications", rows)
 
 
-def format_density_csv(
-    points: Sequence[DensityPoint], manifest_name: str | None = None
-) -> str:
+def format_density_csv(points: Sequence[DensityPoint]) -> str:
     """CSV with one row per parameter value: theta1,theta2,density,draws."""
     rows = [(p.theta1, p.theta2, p.density, p.draws) for p in points]
-    return _csv_lines("theta1,theta2,density,draws", rows, manifest_name)
+    return _csv_lines("theta1,theta2,density,draws", rows)
 
 
-def format_summary_csv(
-    summary: SummaryGraph, base: int = 0, manifest_name: str | None = None
-) -> str:
+def format_summary_csv(summary: SummaryGraph, base: int = 0) -> str:
     """CSV of the selected edges, most frequent first: i,j,frequency."""
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
     rows = [(i + base, j + base, freq) for (i, j), freq in summary.frequencies]
-    return _csv_lines("i,j,frequency", rows, manifest_name)
+    return _csv_lines("i,j,frequency", rows)
 
 
 def write_text(path, text: str) -> None:

@@ -59,6 +59,18 @@ def _check_sampling_rate(rate: float) -> None:
         raise ValueError(f"sampling_rate must be positive and finite, got {rate}")
 
 
+def _check_c(c: float) -> None:
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"c must lie in (0, 1), got {c}")
+
+
+def _check_quartile_count(count: int) -> None:
+    if count < 4:
+        raise InsufficientSampleError(
+            f"need at least 4 values for quartiles, got {count}"
+        )
+
+
 class ChannelMatrix:
     """Uniformly sampled multichannel recording, one column per channel."""
 
@@ -304,10 +316,7 @@ def pair_quartiles(series) -> tuple[float, float]:
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"expected a vector, got shape {arr.shape}")
-    if len(arr) < 4:
-        raise InsufficientSampleError(
-            f"need at least 4 values for quartiles, got {len(arr)}"
-        )
+    _check_quartile_count(len(arr))
     q1, q3 = np.quantile(arr, [0.25, 0.75], method="linear")
     return float(q1), float(q3)
 
@@ -320,8 +329,7 @@ class ThresholdSpec:
     """
 
     def __init__(self, c: float, q1, q3):
-        if not 0.0 < c < 1.0:
-            raise ValueError(f"c must lie in (0, 1), got {c}")
+        _check_c(c)
         q1a = np.asarray(q1, dtype=np.float64)
         q3a = np.asarray(q3, dtype=np.float64)
         if q1a.shape != q3a.shape or q1a.ndim != 1:
@@ -338,10 +346,7 @@ class ThresholdSpec:
     @classmethod
     def from_series(cls, cs: CorrelationSeries, c: float = 0.5) -> "ThresholdSpec":
         """Quartiles of each pair's own correlation series."""
-        if cs.n_windows < 4:
-            raise InsufficientSampleError(
-                f"need at least 4 values for quartiles, got {cs.n_windows}"
-            )
+        _check_quartile_count(cs.n_windows)
         q1, q3 = np.quantile(cs.values, [0.25, 0.75], axis=0, method="linear")
         return cls(c, q1, q3)
 

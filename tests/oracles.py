@@ -399,11 +399,9 @@ def window_correlation_oracle(values, rate: float, width_ms: float, step_ms: flo
     return out, undefined, windows
 
 
-def format_graph_sample_oracle(sample: GraphSample, base: int = 0, manifest_name=None) -> str:
+def format_graph_sample_oracle(sample: GraphSample, base: int = 0) -> str:
     """Graph-sample text written graph by graph, one line per member edge."""
     lines = [f"graphsample v={sample.v} n={sample.n} base={base}"]
-    if manifest_name:
-        lines.append(f"# manifest: {manifest_name}")
     for g_idx, g in enumerate(sample):
         for i, j in g.edges():
             lines.append(f"{g_idx} {i + base} {j + base}")

@@ -395,16 +395,20 @@ class TestBuildGraphsCommand:
             run("build-graphs", "--input", str(csv_path))
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("rate", ["0", "-250", "nan", "inf"])
-    def test_bad_sampling_rate_is_usage_error(self, tmp_path, rate, capsys):
-        # The rate is checked before the (here absent) file is read.
-        code = run(
-            "build-graphs", "--input", str(tmp_path / "absent.csv"),
-            f"--sampling-rate={rate}",
-        )
+    @pytest.mark.parametrize("flags, message", [
+        *[pytest.param([f"--sampling-rate={rate}"],
+                       "sampling_rate must be positive and finite", id=f"rate={rate}")
+          for rate in ("0", "-250", "nan", "inf")],
+        *[pytest.param(["--sampling-rate=1000", f"--c={c}"],
+                       "c must lie in (0, 1)", id=f"c={c}")
+          for c in ("0", "1.5", "nan")],
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, flags, message, capsys):
+        # Each value is checked before the (here absent) file is read.
+        code = run("build-graphs", "--input", str(tmp_path / "absent.csv"), *flags)
         assert code == 2
         err = capsys.readouterr().err
-        assert "sampling_rate must be positive and finite" in err
+        assert message in err
         assert "absent.csv" not in err
 
     @pytest.mark.parametrize("flag", ["--width-ms", "--step-ms"])
@@ -504,16 +508,19 @@ def test_driver_routes_output_and_writes_the_manifest(command, tmp_path, capsys)
     assert run(*argv, "--out", str(plain)) == 0
     announced = capsys.readouterr().out
     manifest = tmp_path / "run.json"
+    assert run(*argv, "--manifest", str(manifest)) == 0
+    printed = capsys.readouterr().out
     assert run(*argv, "--out", str(commented), "--manifest", str(manifest)) == 0
 
     if prints_data:
         assert stdout == plain.read_text()
         assert announced.startswith("wrote ") and f" to {plain}\n" in announced
+        assert printed == "# manifest: run.json\n" + stdout
     else:
-        assert stdout == announced
-    lines = commented.read_text().splitlines(keepends=True)
-    lines.remove("# manifest: run.json\n")
-    assert "".join(lines) == plain.read_text()
+        assert stdout == announced == printed
+    first, rest = commented.read_bytes().split(b"\n", 1)
+    assert first == b"# manifest: run.json"
+    assert rest == plain.read_bytes()
 
     data = json.loads(manifest.read_text())
     assert data["command"] == command

@@ -65,14 +65,9 @@ class TestGraphSampleFormat:
         # Graph indices stay zero-based regardless of the vertex base.
         assert text.splitlines()[1].split()[0] == "0"
 
-    def test_manifest_reference_comment(self):
-        text = format_graph_sample(sample_with_gap(), manifest_name="run.json")
-        assert text.splitlines()[1] == "# manifest: run.json"
-
     @pytest.mark.parametrize("base", [0, 1])
-    @pytest.mark.parametrize("manifest_name", [None, "run.json"])
     @pytest.mark.parametrize("v", [2, 5, 9])
-    def test_matches_the_per_edge_writer(self, rng, base, manifest_name, v):
+    def test_matches_the_per_edge_writer(self, rng, base, v):
         for _ in range(5):
             members = list(random_sample(rng, v, 8))
             # Edgeless graphs at the start, in the middle and at the end.
@@ -80,8 +75,8 @@ class TestGraphSampleFormat:
             members.insert(4, Graph.empty(v))
             members.append(Graph.empty(v))
             sample = GraphSample(members)
-            assert format_graph_sample(sample, base, manifest_name) == (
-                format_graph_sample_oracle(sample, base, manifest_name)
+            assert format_graph_sample(sample, base) == (
+                format_graph_sample_oracle(sample, base)
             )
 
     def test_edgeless_sample_is_a_header_only(self):
@@ -406,7 +401,7 @@ class TestResultCsv:
         assert lines[0] == "method,w,critical_value,p_value,reject,alpha,replications,seed"
         assert lines[1] == "one_sample_mc,2.5,1.75,,true,0.05,1000,42"
 
-    def test_permutation_result_row_and_manifest(self):
+    def test_permutation_result_row(self):
         stat = TestStatistic(0.8, Fraction(4, 5), "two_sample", (10, 10))
         result = TestResult(
             method="two_sample_permutation",
@@ -416,10 +411,7 @@ class TestResultCsv:
             p_value=0.25,
             replications=400,
         )
-        text = format_test_csv(result, manifest_name="m.json")
-        lines = text.splitlines()
-        assert lines[0] == "# manifest: m.json"
-        row = lines[2].split(",")
+        row = format_test_csv(result).splitlines()[1].split(",")
         assert row[3] == "0.25" and row[4] == "false" and row[7] == ""
 
     def test_float_cells_round_trip(self):
@@ -449,10 +441,9 @@ class TestCurveCsvs:
 
     def test_density_rows(self):
         points = [DensityPoint(-1.0, 0.63, 0.61, 200)]
-        lines = format_density_csv(points, manifest_name="d.json").splitlines()
-        assert lines[0] == "# manifest: d.json"
-        assert lines[1] == "theta1,theta2,density,draws"
-        assert lines[2] == "-1.0,0.63,0.61,200"
+        lines = format_density_csv(points).splitlines()
+        assert lines[0] == "theta1,theta2,density,draws"
+        assert lines[1] == "-1.0,0.63,0.61,200"
 
     def test_summary_rows_respect_base(self):
         summary = SummaryGraph(

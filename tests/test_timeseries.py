@@ -318,8 +318,13 @@ class TestPairQuartiles:
             assert (q1, q3) == pytest.approx(FIXTURE_QUARTILES[pair], abs=1e-12)
 
     def test_requires_four_windows(self):
-        with pytest.raises(InsufficientSampleError):
-            pair_quartiles([0.1, 0.2, 0.3])
+        # One rule for a single pair and for every pair of a series.
+        cs = CorrelationSeries(["a", "b"], np.zeros((3, 1)), ((0, 5), (5, 10), (10, 15)))
+        for call in (lambda: pair_quartiles([0.1, 0.2, 0.3]),
+                     lambda: ThresholdSpec.from_series(cs)):
+            with pytest.raises(InsufficientSampleError) as exc:
+                call()
+            assert str(exc.value) == "need at least 4 values for quartiles, got 3"
 
 
 class TestThresholdsAndGraphs:

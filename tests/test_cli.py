@@ -395,20 +395,28 @@ class TestBuildGraphsCommand:
             run("build-graphs", "--input", str(csv_path))
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags, message", [
-        *[pytest.param([f"--sampling-rate={rate}"],
-                       "sampling_rate must be positive and finite", id=f"rate={rate}")
-          for rate in ("0", "-250", "nan", "inf")],
-        *[pytest.param(["--sampling-rate=1000", f"--c={c}"],
-                       "c must lie in (0, 1)", id=f"c={c}")
-          for c in ("0", "1.5", "nan")],
-    ])
-    def test_bad_value_is_usage_error(self, tmp_path, flags, message, capsys):
-        # Each value is checked before the (here absent) file is read.
-        code = run("build-graphs", "--input", str(tmp_path / "absent.csv"), *flags)
+    @pytest.mark.parametrize("rate", ["0", "-250", "nan", "inf"])
+    def test_bad_sampling_rate_is_usage_error(self, tmp_path, rate, capsys):
+        # The rate is checked before the (here absent) file is read.
+        code = run(
+            "build-graphs", "--input", str(tmp_path / "absent.csv"),
+            f"--sampling-rate={rate}",
+        )
         assert code == 2
         err = capsys.readouterr().err
-        assert message in err
+        assert "sampling_rate must be positive and finite" in err
+        assert "absent.csv" not in err
+
+    @pytest.mark.parametrize("c", ["0", "1.5", "nan"])
+    def test_bad_c_is_usage_error(self, tmp_path, c, capsys):
+        # c is checked before the (here absent) file is read.
+        code = run(
+            "build-graphs", "--input", str(tmp_path / "absent.csv"),
+            "--sampling-rate=1000", f"--c={c}",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "c must lie in (0, 1)" in err
         assert "absent.csv" not in err
 
     @pytest.mark.parametrize("flag", ["--width-ms", "--step-ms"])
@@ -489,18 +497,25 @@ DRIVER_CASES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(DRIVER_CASES))
-def test_driver_routes_output_and_writes_the_manifest(command, tmp_path, capsys):
-    flags, prints_data = DRIVER_CASES[command]
+def driver_argv(command, tmp_path):
+    """The argv of a DRIVER_CASES run, with its fixture files written."""
+    flags, _ = DRIVER_CASES[command]
     write_fixture_csv(tmp_path / "channels.csv")
     write_complete_sample(tmp_path / "sample.txt", v=4, n=3)
     argv = [command] + [
         f.format(sample=tmp_path / "sample.txt", channels=tmp_path / "channels.csv")
         for f in flags
     ]
-    seeded = command not in ("build-graphs", "summary")
-    if seeded:
+    if command not in ("build-graphs", "summary"):
         argv += ["--seed", "7"]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(DRIVER_CASES))
+def test_driver_routes_output_and_writes_the_manifest(command, tmp_path, capsys):
+    _, prints_data = DRIVER_CASES[command]
+    argv = driver_argv(command, tmp_path)
+    seeded = "--seed" in argv
 
     assert run(*argv) == 0
     stdout = capsys.readouterr().out
@@ -508,16 +523,13 @@ def test_driver_routes_output_and_writes_the_manifest(command, tmp_path, capsys)
     assert run(*argv, "--out", str(plain)) == 0
     announced = capsys.readouterr().out
     manifest = tmp_path / "run.json"
-    assert run(*argv, "--manifest", str(manifest)) == 0
-    printed = capsys.readouterr().out
     assert run(*argv, "--out", str(commented), "--manifest", str(manifest)) == 0
 
     if prints_data:
         assert stdout == plain.read_text()
         assert announced.startswith("wrote ") and f" to {plain}\n" in announced
-        assert printed == "# manifest: run.json\n" + stdout
     else:
-        assert stdout == announced == printed
+        assert stdout == announced
     first, rest = commented.read_bytes().split(b"\n", 1)
     assert first == b"# manifest: run.json"
     assert rest == plain.read_bytes()
@@ -529,6 +541,27 @@ def test_driver_routes_output_and_writes_the_manifest(command, tmp_path, capsys)
     assert data["parameters"]["seed"] == data["seed"]
     assert data["parameters"]["out"] == str(commented)
     assert "func" not in data["parameters"]
+
+
+# With --manifest and no --out, data printed to stdout starts with the
+# manifest comment, like an --out file; a printed report carries none.
+@pytest.mark.parametrize("command", sorted(DRIVER_CASES))
+def test_driver_prints_the_manifest_comment_before_stdout_data(
+    command, tmp_path, capsys
+):
+    _, prints_data = DRIVER_CASES[command]
+    argv = driver_argv(command, tmp_path)
+    assert run(*argv) == 0
+    stdout = capsys.readouterr().out
+    assert run(*argv, "--manifest", str(tmp_path / "run.json")) == 0
+    printed = capsys.readouterr().out
+
+    if prints_data:
+        assert printed == "# manifest: run.json\n" + stdout
+    else:
+        assert printed == stdout
+        assert "# manifest" not in printed
+    assert json.loads((tmp_path / "run.json").read_text())["outputs"] == []
 
 
 # A data command and a report command, each with --out or --manifest in a

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .graphs import BLOCK_CELLS, GraphSample, canonical_pairs, num_pairs
+from .graphs import BLOCK_CELLS, GraphSample, _pair_slot, canonical_pairs, num_pairs
 from .inference import PowerPoint, TestResult
 from .models import DensityPoint
 from .timeseries import ChannelMatrix, SummaryGraph, _check_sampling_rate
@@ -99,7 +99,7 @@ def _edge_cells(body: list[str], v: int, n: int, base: int) -> np.ndarray | None
     if not (in_range & (a != b)).all():
         return None
     i, j = np.minimum(a, b), np.maximum(a, b)
-    return g * num_pairs(v) + i * (2 * v - i - 1) // 2 + (j - i - 1)
+    return g * num_pairs(v) + _pair_slot(v, i, j)
 
 
 def _first_edge_error(body: list[str], v: int, n: int, base: int) -> tuple[str, int]:

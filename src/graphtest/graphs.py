@@ -56,6 +56,11 @@ def pair_index(v: int, i: int, j: int) -> int:
     """Slot of pair (i, j) in the canonical lexicographic enumeration."""
     if not 0 <= i < j < v:
         raise ValueError(f"({i}, {j}) is not a canonical pair for v={v}")
+    return _pair_slot(v, i, j)
+
+
+def _pair_slot(v: int, i, j):
+    """``pair_index`` without the range check; i and j may be integer arrays."""
     return i * (2 * v - i - 1) // 2 + (j - i - 1)
 
 

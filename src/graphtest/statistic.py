@@ -7,10 +7,15 @@ between the mean distances to two samples (two-sample). That maximum has a
 closed form: the sum over canonical pairs of absolute differences between
 edge frequencies (one side) and reference edge probabilities (other side).
 
-All values are computed in exact rational arithmetic so that equal statistics
-compare equal; Monte Carlo and permutation procedures rely on that to resolve
-ties deterministically. Both closed forms are integer numerators over a fixed
-denominator, computed for whole blocks of count vectors by ``GapKernel``.
+The gap has one form here: ``GapKernel``'s signed integer terms t_a over a
+fixed denominator D. For one sample of size n, t_a/D = p_a - c_a/n; for two
+samples, t_a/D is the second sample's edge frequency minus the first's. The
+gap at a graph g, times D, is the sum of t_a over g's edges minus the sum over
+its other pairs, so its maximum over all graphs is sum_a |t_a| / D. The closed
+forms, the signed gap, the extremal graphs and the brute-force maximizers all
+read these terms. Every value is exact, so equal statistics compare equal;
+Monte Carlo and permutation procedures rely on that to resolve ties
+deterministically.
 """
 
 from __future__ import annotations
@@ -62,14 +67,16 @@ class TestStatistic:
 
 
 class GapKernel:
-    """Exact numerators sum_a |scale*c_a - target_a| for every row of a count block.
+    """Signed integer terms t_a = target_a - scale*c_a of the gap, over ``denominator``.
 
-    Counts lie in [0, max_count] and every target in [0, scale*max_count], so
-    each term is at most scale*max_count. Rows are summed in int64 when
-    scale*max_count*E < 2^62; otherwise the terms are Python integers in an
-    object array. A block with more rows than there are possible counts then
-    gathers its terms from a per-pair table of all of them, so the big-integer
-    work per row is one addition per pair.
+    The terms are the one form of the gap (see the module docstring); called
+    on a block of count rows, the kernel returns each row's closed-form
+    numerator sum_a |t_a|. Counts lie in [0, max_count] and every target in
+    [0, scale*max_count], so |t_a| <= scale*max_count. Terms are int64 when
+    scale*max_count*E < 2^62; otherwise they are Python integers in an object
+    array. A block with more rows than there are possible counts then gathers
+    |t_a| from a per-pair table of all of them, so the big-integer work per
+    row is one addition per pair.
     """
 
     def __init__(
@@ -81,27 +88,28 @@ class GapKernel:
         self.fast = scale * max_count * len(targets) < 2**62
         self.targets = np.array(targets, dtype=np.int64 if self.fast else object)
 
+    def terms(self, counts) -> np.ndarray:
+        """Signed terms of integer counts whose last axis runs over the pairs."""
+        counts = np.asarray(counts, dtype=np.int64 if self.fast else object)
+        return self.targets - self.scale * counts
+
     @cached_property
     def _table(self) -> np.ndarray:
-        support = np.arange(self.max_count + 1, dtype=object)
-        return np.abs(self.scale * support[None, :] - self.targets[:, None])
+        # Row k holds |t_a| at count k for every pair a.
+        return np.abs(self.terms(np.arange(self.max_count + 1)[:, None]))
 
     def __call__(self, counts: np.ndarray) -> np.ndarray:
         """Numerators of a (B x E) integer count block, int64 or object, length B."""
-        if self.fast:
-            return np.abs(self.scale * counts.astype(np.int64) - self.targets).sum(axis=1)
-        if counts.shape[0] <= self.max_count:
-            terms = np.abs(self.scale * counts.astype(object) - self.targets)
-        else:
-            terms = self._table[np.arange(len(self.targets)), counts]
-        return terms.sum(axis=1)
+        if not self.fast and counts.shape[0] > self.max_count:
+            return self._table[counts, np.arange(len(self.targets))].sum(axis=1)
+        return np.abs(self.terms(counts)).sum(axis=1)
 
     def fraction(self, numerator) -> Fraction:
         return Fraction(int(numerator), self.denominator)
 
 
 def one_sample_kernel(n: int, marginals: EdgeMarginals) -> GapKernel:
-    """Kernel for samples of size n: |den*c_a - n*num_a| over n*den.
+    """Kernel for samples of size n: n*num_a - den*c_a over n*den.
 
     ``num_a / den`` are the marginals over their common denominator.
     """
@@ -110,12 +118,20 @@ def one_sample_kernel(n: int, marginals: EdgeMarginals) -> GapKernel:
 
 
 def two_sample_kernel(n: int, m: int, totals: Sequence[int]) -> GapKernel:
-    """Kernel for the size-n side's counts a, given totals a+b: |m*a - n*b| over n*m.
+    """Kernel for the size-n side's counts a, given totals a+b: n*b - m*a over n*m.
 
-    |m*a - n*b| = |N*a - n*(a+b)| with N = n+m, so the numerator depends on
-    one side's counts only.
+    n*b - m*a = n*(a+b) - N*a with N = n+m, so the terms depend on one side's
+    counts only.
     """
     return GapKernel(n + m, [n * int(t) for t in totals], n, n * m)
+
+
+def _statistic(
+    kernel: GapKernel, numerator, n: int, m: int | None = None
+) -> TestStatistic:
+    exact = kernel.fraction(numerator)
+    kind = "one_sample" if m is None else "two_sample"
+    return TestStatistic(value=float(exact), exact=exact, kind=kind, sample_sizes=(n, m))
 
 
 def mean_distance(sample: GraphSample, g: Graph) -> float:
@@ -139,20 +155,14 @@ def one_sample_statistic(
 
     Equals the maximum over all graphs of the absolute mean-distance gap
     between the sample and the reference distribution, and is computable in
-    O(v^2 * n) time. A caller that already holds
-    ``one_sample_kernel(sample.n, null_marginals)`` may pass it as ``kernel``.
+    O(v^2 * n) time. ``kernel`` lets a caller that has already built the
+    kernel for this sample size and these marginals (as the Monte Carlo test
+    does to calibrate its null) reuse it.
     """
     _check_same_v(sample, "sample", null_marginals, "marginals")
-    n = sample.n
     if kernel is None:
-        kernel = one_sample_kernel(n, null_marginals)
-    exact = kernel.fraction(kernel(sample.edge_counts[None, :])[0])
-    return TestStatistic(
-        value=float(exact),
-        exact=exact,
-        kind="one_sample",
-        sample_sizes=(n, None),
-    )
+        kernel = one_sample_kernel(sample.n, null_marginals)
+    return _statistic(kernel, kernel(sample.edge_counts[None, :])[0], sample.n)
 
 
 def two_sample_statistic(s: GraphSample, t: GraphSample) -> TestStatistic:
@@ -161,15 +171,8 @@ def two_sample_statistic(s: GraphSample, t: GraphSample) -> TestStatistic:
     Symmetric in its arguments; the exact value is an integer over n*m.
     """
     _check_same_v(s, "first sample", t, "second sample")
-    n, m = s.n, t.n
-    kernel = two_sample_kernel(n, m, s.edge_counts + t.edge_counts)
-    exact = kernel.fraction(kernel(s.edge_counts[None, :])[0])
-    return TestStatistic(
-        value=float(exact),
-        exact=exact,
-        kind="two_sample",
-        sample_sizes=(n, m),
-    )
+    kernel = two_sample_kernel(s.n, t.n, s.edge_counts + t.edge_counts)
+    return _statistic(kernel, kernel(s.edge_counts[None, :])[0], s.n, t.n)
 
 
 def signed_gap(
@@ -177,13 +180,14 @@ def signed_gap(
 ) -> Fraction:
     """Mean distance from g to the sample minus expected distance under the reference.
 
-    The gap is affine in g's edge indicators: its value at the empty graph
-    plus what each edge of g adds (see ``_one_sample_gap``).
+    Read from the kernel's signed terms: the sum of t_a over g's edges minus
+    the sum over its other pairs, over the kernel's denominator.
     """
     _check_same_v(sample, "sample", null_marginals, "marginals")
     _check_same_v(g, "graph", sample, "sample")
-    base, steps = _one_sample_gap(sample, null_marginals)
-    return sum((step for a, step in enumerate(steps) if g.bits >> a & 1), base)
+    kernel = one_sample_kernel(sample.n, null_marginals)
+    terms = kernel.terms(sample.edge_counts)
+    return kernel.fraction(np.where(g.indicator_row(), terms, -terms).sum())
 
 
 def _check_enumerable(v: int) -> None:
@@ -194,14 +198,15 @@ def _check_enumerable(v: int) -> None:
         )
 
 
-def _gray_code_maximum(base: Fraction, steps: Sequence[Fraction]) -> tuple[Fraction, int]:
-    """Largest |gap| over every edge bitset, for a gap that is affine in the graph.
+def _gray_code_maximum(terms: list[int]) -> tuple[int, int]:
+    """Largest |2 * sum_{a in g} t_a - sum_a t_a| over every edge bitset g.
 
-    ``base`` is the gap at the empty graph and ``steps[a]`` what adding edge a
-    adds to it. Bitsets are visited in Gray-code order, so each step flips
-    one edge. Returns the maximum and the first bitset attaining it.
+    The gap starts at -sum(terms) at the empty graph. Bitsets are visited in
+    Gray-code order, so each step flips one edge a and moves the gap by
+    +-2*t_a. Returns the maximum and the first bitset attaining it.
     """
-    gap = base
+    steps = [2 * t for t in terms]
+    gap = -sum(terms)
     best = abs(gap)
     best_code = 0
     code = 0
@@ -220,18 +225,6 @@ def _gray_code_maximum(base: Fraction, steps: Sequence[Fraction]) -> tuple[Fract
     return best, best_code
 
 
-def _one_sample_gap(
-    sample: GraphSample, null_marginals: EdgeMarginals
-) -> tuple[Fraction, list[Fraction]]:
-    """Signed gap at the empty graph, and what adding each edge a adds to it:
-    (n - 2*c_a)/n to the mean distance, 1 - 2*p_a to the expected distance."""
-    n = sample.n
-    counts = sample.edge_counts.tolist()
-    probs = null_marginals.fractions
-    base = Fraction(sum(counts), n) - sum(probs)
-    return base, [Fraction(n - 2 * c, n) - (1 - 2 * p) for c, p in zip(counts, probs)]
-
-
 def one_sample_brute_force(
     sample: GraphSample, null_marginals: EdgeMarginals
 ) -> tuple[TestStatistic, Graph]:
@@ -244,14 +237,9 @@ def one_sample_brute_force(
     """
     _check_same_v(sample, "sample", null_marginals, "marginals")
     _check_enumerable(sample.v)
-    best, best_code = _gray_code_maximum(*_one_sample_gap(sample, null_marginals))
-    stat = TestStatistic(
-        value=float(best),
-        exact=best,
-        kind="one_sample",
-        sample_sizes=(sample.n, None),
-    )
-    return stat, Graph(sample.v, best_code)
+    kernel = one_sample_kernel(sample.n, null_marginals)
+    best, code = _gray_code_maximum(kernel.terms(sample.edge_counts).tolist())
+    return _statistic(kernel, best, sample.n), Graph(sample.v, code)
 
 
 def two_sample_brute_force(
@@ -264,19 +252,9 @@ def two_sample_brute_force(
     """
     _check_same_v(s, "first sample", t, "second sample")
     _check_enumerable(s.v)
-    n, m = s.n, t.n
-    cs = s.edge_counts.tolist()
-    ct = t.edge_counts.tolist()
-    base = Fraction(sum(cs), n) - Fraction(sum(ct), m)
-    steps = [Fraction(n - 2 * a, n) - Fraction(m - 2 * b, m) for a, b in zip(cs, ct)]
-    best, best_code = _gray_code_maximum(base, steps)
-    stat = TestStatistic(
-        value=float(best),
-        exact=best,
-        kind="two_sample",
-        sample_sizes=(n, m),
-    )
-    return stat, Graph(s.v, best_code)
+    kernel = two_sample_kernel(s.n, t.n, s.edge_counts + t.edge_counts)
+    best, code = _gray_code_maximum(kernel.terms(s.edge_counts).tolist())
+    return _statistic(kernel, best, s.n, t.n), Graph(s.v, code)
 
 
 def extremal_graphs(
@@ -284,13 +262,15 @@ def extremal_graphs(
 ) -> tuple[Graph, Graph]:
     """The two graphs attaining the maximal signed gaps.
 
-    The first has an edge exactly where the sample frequency is <= the
-    reference probability (maximizes the gap), the second where it is >=
-    (maximizes the negated gap). Ties put the edge in both graphs. The
-    absolute gap at either graph equals the closed-form statistic.
+    The first has an edge exactly where the signed term t_a >= 0, i.e. the
+    sample frequency is <= the reference probability (maximizes the gap), the
+    second where t_a <= 0 (maximizes the negated gap). Ties put the edge in
+    both graphs. The absolute gap at either graph equals the closed-form
+    statistic.
     """
     _check_same_v(sample, "sample", null_marginals, "marginals")
-    _, steps = _one_sample_gap(sample, null_marginals)
-    lo_bits = sum(1 << a for a, step in enumerate(steps) if step >= 0)
-    hi_bits = sum(1 << a for a, step in enumerate(steps) if step <= 0)
-    return Graph(sample.v, lo_bits), Graph(sample.v, hi_bits)
+    terms = one_sample_kernel(sample.n, null_marginals).terms(sample.edge_counts)
+    return (
+        Graph.from_indicator_row(sample.v, terms >= 0),
+        Graph.from_indicator_row(sample.v, terms <= 0),
+    )

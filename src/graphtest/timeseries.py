@@ -134,13 +134,25 @@ def _round_half_up(x: Fraction) -> int:
 def _window_bounds(
     n_samples: int, rate: float, spec: WindowSpec
 ) -> list[tuple[int, int]]:
-    """Half-open sample ranges [a, b) of every window, nearest-sample rounded."""
+    """Half-open sample ranges [a, b) of every window, nearest-sample rounded.
+
+    The step must span at least one sample: a shorter one repeats windows.
+    """
     width = Fraction(spec.width_ms) * Fraction(rate) / 1000
     step = Fraction(spec.step_ms) * Fraction(rate) / 1000
     if _round_half_up(width) < 2:
         raise ValueError(
             f"window of {spec.width_ms} ms spans fewer than 2 samples "
             f"at {rate} Hz"
+        )
+    if step < 1:
+        shortest = 1000 / rate
+        # The float nearest 1000/rate may fall just short of one sample.
+        if Fraction(shortest) * Fraction(rate) < 1000:
+            shortest = math.nextafter(shortest, math.inf)
+        raise ValueError(
+            f"window step of {spec.step_ms} ms is shorter than one sample "
+            f"at {rate} Hz; the shortest allowed step is {shortest} ms"
         )
     if width > n_samples:
         raise InsufficientSampleError(

@@ -419,6 +419,17 @@ class TestBuildGraphsCommand:
         assert "c must lie in (0, 1)" in err
         assert "absent.csv" not in err
 
+    def test_step_shorter_than_one_sample_is_usage_error(self, tmp_path, capsys):
+        # At 250 Hz one sample lasts 4 ms; a 2 ms step would repeat windows.
+        csv_path = tmp_path / "channels.csv"
+        write_fixture_csv(csv_path)
+        args = ("build-graphs", "--input", str(csv_path),
+                "--sampling-rate", "250", "--width-ms", "20")
+        assert run(*args, "--step-ms", "2") == 2
+        assert "the shortest allowed step is 4.0 ms" in capsys.readouterr().err
+        assert run(*args, "--step-ms", "4", "--out", str(tmp_path / "g.txt")) == 0
+        assert "20 samples -> 16 windows" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag", ["--width-ms", "--step-ms"])
     def test_infinite_window_flag_is_usage_error(self, tmp_path, flag, capsys):
         csv_path = tmp_path / "channels.csv"

@@ -371,6 +371,54 @@ class TestBruteForceMaximizer:
         assert (stat.exact, g.bits) == gray_two_sample_max(s, t)
 
 
+# Primes near 10^9, one per pair at v <= 4: the marginals' common denominator
+# has about 54 digits, so the one-sample kernel's terms are Python integers.
+BIG_PRIMES = (999_999_937, 1_000_000_007, 1_000_000_009, 999_999_929, 999_999_893,
+              1_000_000_021)
+
+
+def big_marginals(rng, v):
+    return EdgeMarginals(v, [
+        Fraction(int(rng.integers(1, d)), d) for d in BIG_PRIMES[:num_pairs(v)]
+    ])
+
+
+class TestGapFunctionsOnBigIntegers:
+    """The gap functions on marginals whose kernel leaves int64."""
+
+    @pytest.fixture(params=[(3, 5), (4, 3), (4, 8)], ids=["v3n5", "v4n3", "v4n8"])
+    def case(self, rng, request):
+        v, n = request.param
+        s = random_sample(rng, v, n)
+        marg = big_marginals(rng, v)
+        assert not one_sample_kernel(n, marg).fast
+        return s, marg
+
+    def test_signed_gap_at_every_graph(self, case):
+        s, marg = case
+        for bits in range(1 << num_pairs(s.v)):
+            g = Graph(s.v, bits)
+            expected = exact_mean_distance(s, g) - exact_expected_distance(marg, g)
+            assert signed_gap(s, marg, g) == expected
+
+    def test_extremal_graphs_attain_the_closed_form(self, case):
+        s, marg = case
+        w = one_sample_statistic(s, marg).exact
+        lo, hi = extremal_graphs(s, marg)
+        assert signed_gap(s, marg, lo) == w
+        assert signed_gap(s, marg, hi) == -w
+
+    def test_maximizers_match_the_oracles(self, rng, case):
+        s, marg = case
+        stat, g = one_sample_brute_force(s, marg)
+        assert (stat.exact, g.bits) == gray_one_sample_max(s, marg)
+        assert stat.exact == literal_one_sample_max(s, marg)
+        t = random_sample(rng, s.v, 7)
+        stat, g = two_sample_brute_force(s, t)
+        assert (stat.exact, g.bits) == gray_two_sample_max(s, t)
+        assert stat.exact == literal_two_sample_max(s, t)
+
+
 class TestTestStatisticType:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

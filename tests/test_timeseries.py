@@ -170,7 +170,7 @@ class TestWindowBoundsMatchFractionLoop:
             (500, 1000.0, 4.5, 2.5),  # starts and ends on half samples
             (301, 200.0, 12.5, 7.5),  # half-sample width and step
             (50, 100.0, 500.0, 10.0),  # one window spanning the recording
-            (1000, 333.3, 100.0, 0.1),
+            (1000, 333.3, 100.0, 3.1),  # non-dyadic rate, 1.03-sample step
         ],
     )
     def test_integer_bounds_equal_fraction_bounds(
@@ -178,6 +178,27 @@ class TestWindowBoundsMatchFractionLoop:
     ):
         bounds = _window_bounds(n_samples, rate, WindowSpec(width_ms, step_ms))
         assert bounds == window_bounds_oracle(n_samples, rate, width_ms, step_ms)
+
+
+class TestWindowStepRule:
+    # 1000/rate in floats is below one sample at 60.02 and 44100 Hz, exact
+    # at 250 and 333.3 Hz.
+    @pytest.mark.parametrize("rate", [250.0, 333.3, 60.02, 44100.0])
+    def test_the_named_shortest_step_is_accepted(self, rate):
+        width_ms = 10_000 / rate  # ten samples
+        with pytest.raises(ValueError) as exc:
+            _window_bounds(1000, rate, WindowSpec(width_ms, 1e-3))
+        shortest = float(str(exc.value).rsplit(" is ", 1)[1].removesuffix(" ms"))
+        bounds = _window_bounds(1000, rate, WindowSpec(width_ms, shortest))
+        starts = [a for a, _ in bounds]
+        assert len(set(starts)) == len(starts)
+        with pytest.raises(ValueError, match="shorter than one sample"):
+            _window_bounds(1000, rate, WindowSpec(width_ms, math.nextafter(shortest, 0)))
+
+    def test_default_step_needs_60_hz(self):
+        assert _window_bounds(100, 61.0, WindowSpec())
+        with pytest.raises(ValueError, match="shorter than one sample"):
+            _window_bounds(100, 60.0, WindowSpec())
 
 
 class TestAverageRanks:

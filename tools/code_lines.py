@@ -2,8 +2,9 @@
 
 Usage: python tools/code_lines.py [PATH ...]   (default: src/graphtest)
 
-Prints the total over the given files and every ``.py`` file under the given
-directories.
+Prints one line per file, "<code lines> <path>", for the given files and every
+``.py`` file under the given directories, then the total alone on the last
+line (so ``tail -1`` gives it).
 """
 
 import ast
@@ -31,4 +32,7 @@ def code_lines(source: str) -> int:
 if __name__ == "__main__":
     paths = [Path(arg) for arg in sys.argv[1:] or ["src/graphtest"]]
     files = [f for p in paths for f in ([p] if p.is_file() else sorted(p.rglob("*.py")))]
-    print(sum(code_lines(f.read_text()) for f in files))
+    counts = [code_lines(f.read_text()) for f in files]
+    for count, f in zip(counts, files):
+        print(f"{count:6d} {f}")
+    print(sum(counts))

@@ -8,7 +8,9 @@ Three families are provided:
 * ``Ergm``: exponential family over graphs with weight exp(t1*n_e + t2*n_x)
   where n_x counts triangles or two-stars. Exact enumeration is available up
   to ENUMERATION_MAX_V vertices; beyond that a single-edge-flip
-  Metropolis-Hastings chain draws approximate samples.
+  Metropolis-Hastings chain draws approximate samples. Both ERGMs are
+  exchangeable in their vertices, so their exact edge marginals are one
+  value for every pair: the enumerated edge density.
 
 Every model draws the per-pair edge counts of R independent samples at once
 with ``edge_count_batches``. For ``Ergm`` that runs one chain per sample, and
@@ -36,7 +38,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
@@ -242,7 +243,15 @@ class Ergm:
         return _mh_lockstep_edge_counts([(self, R, rng)], n)
 
     def exact_marginals(self) -> EdgeMarginals:
-        return ergm_enumerate(self).edge_marginals()
+        """Every pair's marginal: the enumerated edge density.
+
+        The weight depends on a graph only through its edge and triangle or
+        two-star counts, which no relabelling of the vertices changes, so all
+        pairs share one marginal and the statistic against it is label-free.
+        """
+        density = ergm_enumerate(self).edge_density()
+        # Round-off in the density's sum can reach a hair above 1.
+        return EdgeMarginals.constant(self.v, min(density, 1.0))
 
     @property
     def sweep_parameter(self) -> float:
@@ -285,41 +294,34 @@ def ergm_log_weight(g: Graph, spec: Ergm) -> float:
     return t1 * g.edge_count() + t2 * extra
 
 
-@lru_cache(maxsize=1)
-def _code_bits(v: int) -> np.ndarray:
-    """Read-only float64 (2^E x E) matrix: bit a of every edge bitset, in code order.
-
-    Enumeration, marginals and density of one model share it; only the last
-    vertex count is kept, because the matrix grows as E * 2^E.
-    """
-    E = num_pairs(v)
-    codes = np.arange(1 << E, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(E)[None, :]) & 1).astype(np.float64)
-    bits.flags.writeable = False
-    return bits
-
-
 def _enumeration_counts(v: int, stats: str) -> tuple[np.ndarray, np.ndarray]:
     """Edge counts and the ``stats`` count (triangles or two-stars) of every
-    edge bitset 0..2^E-1, in code order (float64)."""
-    bits = _code_bits(v)
-    n_e = bits.sum(axis=1)
+    edge bitset 0..2^E-1, in code order (int64), from popcounts of the codes."""
+    codes = np.arange(1 << num_pairs(v), dtype=np.int64)
+    n_e = np.bitwise_count(codes).astype(np.int64)
+    n_x = np.zeros(len(codes), dtype=np.int64)
     if stats == EDGE_TRIANGLE:
-        n_t = np.zeros(len(bits))
         for i, j, k in combinations(range(v), 3):
-            ij, jk, ik = pair_index(v, i, j), pair_index(v, j, k), pair_index(v, i, k)
-            n_t += bits[:, ij] * bits[:, jk] * bits[:, ik]
-        return n_e, n_t
+            mask = sum(1 << pair_index(v, *pair) for pair in ((i, j), (j, k), (i, k)))
+            n_x += (codes & mask) == mask
+        return n_e, n_x
 
-    degrees = np.zeros((len(bits), v))
-    for idx, (i, j) in enumerate(canonical_pairs(v)):
-        degrees[:, i] += bits[:, idx]
-        degrees[:, j] += bits[:, idx]
-    return n_e, (degrees * (degrees - 1) / 2).sum(axis=1)
+    incident = [0] * v
+    for a, (i, j) in enumerate(canonical_pairs(v)):
+        incident[i] |= 1 << a
+        incident[j] |= 1 << a
+    for mask in incident:
+        degree = np.bitwise_count(codes & mask).astype(np.int64)
+        n_x += degree * (degree - 1) // 2
+    return n_e, n_x
 
 
 class ExactDistribution:
-    """Exact probabilities over all 2^E graphs, indexed by edge-bitset value."""
+    """Exact probabilities over all 2^E graphs, indexed by edge-bitset value.
+
+    For an ERGM every pair's marginal equals ``edge_density()``; see
+    ``Ergm.exact_marginals``.
+    """
 
     def __init__(self, v: int, probabilities: np.ndarray):
         E = num_pairs(v)
@@ -341,15 +343,10 @@ class ExactDistribution:
         _check_same_v(g, "graph", self, "distribution")
         return float(self.probabilities[g.bits])
 
-    def edge_marginals(self) -> EdgeMarginals:
-        marg = self.probabilities @ _code_bits(self.v)
-        # Round-off can push a probability a hair outside [0, 1].
-        marg = np.clip(marg, 0.0, 1.0)
-        return EdgeMarginals(self.v, list(marg))
-
     def edge_density(self) -> float:
+        """Expected fraction of pairs joined by an edge."""
         E = num_pairs(self.v)
-        n_e = _code_bits(self.v).sum(axis=1)
+        n_e = np.bitwise_count(np.arange(1 << E))
         return float(self.probabilities @ n_e) / E
 
 

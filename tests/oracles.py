@@ -62,6 +62,15 @@ def naive_two_star_count(g: Graph) -> int:
     return total
 
 
+def enumerated_pair_marginals(dist) -> np.ndarray:
+    """Every pair's edge marginal under an exact distribution over all 2^E
+    edge bitsets: the probabilities summed against bit a of every code."""
+    E = num_pairs(dist.v)
+    codes = np.arange(1 << E)
+    bits = (codes[:, None] >> np.arange(E)) & 1
+    return dist.probabilities @ bits
+
+
 def exact_mean_distance(sample: GraphSample, g: Graph) -> Fraction:
     return Fraction(sum(naive_hamming(g, member) for member in sample), sample.n)
 

@@ -196,6 +196,34 @@ class TestTestCommand:
         assert code == 4
         assert "marginals" in capsys.readouterr().err
 
+    def test_ergm_null_csv_does_not_depend_on_vertex_labels(self, tmp_path):
+        """A sample and its vertex-relabelled copy give the same CSV bytes.
+
+        ``test_statistic.py::test_relabel_equivariance`` moves the marginals
+        along with the labels, so it cannot see a null whose pairs have
+        unequal marginals; this test can.
+        """
+        sample, relabelled = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert run(
+            "sample", "--model", "er", "--v", "6", "--p", "0.5", "--n", "20",
+            "--seed", "1", "--out", str(sample),
+        ) == 0
+        perm = [5, 3, 0, 4, 1, 2]
+        write_graph_sample(
+            relabelled,
+            GraphSample(g.relabel(perm) for g in read_graph_sample(sample)),
+        )
+        outs = []
+        for path in (sample, relabelled):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run(
+                "test", "--sample", str(path), "--null", "ergm",
+                "--stats", "edge-triangle", "--theta1", "0", "--theta2=-0.1",
+                "--replications", "100", "--seed", "7", "--out", str(out),
+            ) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_overflowing_ergm_null_is_usage_error(self, tmp_path, capsys):
         sample = tmp_path / "s.txt"
         write_complete_sample(sample, v=4, n=4)

@@ -28,10 +28,16 @@ from graphtest import (
     num_pairs,
     select_modified_pairs,
 )
-from graphtest.models import MH_GROUP_CELLS, _mh_lockstep_edge_counts
+from graphtest.models import (
+    MH_GROUP_CELLS,
+    _enumeration_counts,
+    _mh_lockstep_edge_counts,
+)
 
 from oracles import (
+    enumerated_pair_marginals,
     lockstep_mh_counts,
+    naive_edge_count,
     naive_triangle_count,
     naive_two_star_count,
     random_graph,
@@ -205,15 +211,17 @@ class TestErgmLogWeight:
 
 class TestErgmEnumeration:
     def test_uniform_when_parameters_vanish(self):
-        dist = ergm_enumerate(Ergm(4, EDGE_TRIANGLE, (0.0, 0.0)))
+        spec = Ergm(4, EDGE_TRIANGLE, (0.0, 0.0))
+        dist = ergm_enumerate(spec)
         assert np.allclose(dist.probabilities, 1 / 64)
-        marginals = [float(f) for f in dist.edge_marginals().fractions]
+        marginals = [float(f) for f in spec.exact_marginals().fractions]
         assert np.allclose(marginals, 0.5, atol=1e-12)
         assert dist.edge_density() == pytest.approx(0.5, abs=1e-12)
 
     def test_v3_matches_eight_term_oracle(self):
         t1, t2 = 0.7, -0.3
-        dist = ergm_enumerate(Ergm(3, EDGE_TRIANGLE, (t1, t2)))
+        spec = Ergm(3, EDGE_TRIANGLE, (t1, t2))
+        dist = ergm_enumerate(spec)
         weights = []
         for code in range(8):
             g = Graph(3, code)
@@ -226,7 +234,7 @@ class TestErgmEnumeration:
                 weights[code] / z, rel=1e-13
             )
         marginal = sum(weights[c] for c in (1, 3, 5, 7)) / z
-        assert float(dist.edge_marginals().fraction(0, 1)) == pytest.approx(
+        assert float(spec.exact_marginals().fraction(0, 1)) == pytest.approx(
             marginal, abs=1e-12
         )
 
@@ -235,13 +243,43 @@ class TestErgmEnumeration:
         # With no interaction term the edges are independent Bernoulli.
         p = logistic(theta1)
         for stats in (EDGE_TRIANGLE, EDGE_TWO_STAR):
-            dist = ergm_enumerate(Ergm(5, stats, (theta1, 0.0)))
-            marginals = [float(f) for f in dist.edge_marginals().fractions]
+            spec = Ergm(5, stats, (theta1, 0.0))
+            dist = ergm_enumerate(spec)
+            marginals = [float(f) for f in spec.exact_marginals().fractions]
             assert np.allclose(marginals, p, atol=1e-12)
             k = 3
             g = Graph(5, (1 << k) - 1)
             expected = p**k * (1 - p) ** (num_pairs(5) - k)
             assert dist.probability_of(g) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5])
+    def test_counts_match_naive_counts_on_every_graph(self, v):
+        for stats, naive in (
+            (EDGE_TRIANGLE, naive_triangle_count),
+            (EDGE_TWO_STAR, naive_two_star_count),
+        ):
+            n_e, n_x = _enumeration_counts(v, stats)
+            assert n_e.dtype == n_x.dtype == np.int64
+            graphs = [Graph(v, code) for code in range(1 << num_pairs(v))]
+            assert n_e.tolist() == [naive_edge_count(g) for g in graphs]
+            assert n_x.tolist() == [naive(g) for g in graphs]
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    @pytest.mark.parametrize(
+        "theta", [(0.0, 0.0), (0.3, -0.2), (3.0, -2.0), (-2.0, 1.5), (40.0, -7.0)]
+    )
+    def test_every_pair_marginal_is_the_edge_density(self, stats, theta):
+        for v in range(2, ENUMERATION_MAX_V + 1):
+            spec = Ergm(v, stats, theta)
+            (p_star,) = set(spec.exact_marginals().fractions)
+            pairs = enumerated_pair_marginals(ergm_enumerate(spec))
+            assert np.abs(pairs - float(p_star)).max() <= 1e-12
+
+    def test_density_a_hair_above_one_is_clipped(self):
+        # Round-off puts this model's enumerated density one ulp above 1.
+        spec = Ergm(3, EDGE_TRIANGLE, (40.15222334280308, -2.9604088573157714))
+        assert ergm_enumerate(spec).edge_density() > 1.0
+        assert spec.exact_marginals() == EdgeMarginals.constant(3, 1)
 
     def test_probabilities_sum_to_one(self):
         dist = ergm_enumerate(Ergm(6, EDGE_TWO_STAR, (0.3, -0.2)))

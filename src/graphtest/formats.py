@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +47,11 @@ __all__ = [
 # block's edge array holds at most BLOCK_CELLS cells.
 _EDGE_BLOCK_LINES = BLOCK_CELLS // 3
 
+# Bytes a file may hold after its header line for its reader to parse it in
+# one np.loadtxt call; any other file is read line by line.
+_SAMPLE_BODY_BYTES = b"0123456789 \r\n"
+_CSV_BODY_BYTES = _SAMPLE_BODY_BYTES + b".eE+-,"
+
 
 def format_graph_sample(sample: GraphSample, base: int = 0) -> str:
     """Serialize a sample to graph-sample text."""
@@ -65,23 +71,58 @@ def write_graph_sample(path, sample: GraphSample, base: int = 0) -> None:
     Path(path).write_text(format_graph_sample(sample, base))
 
 
-def _content_lines(path) -> Iterator[tuple[int, str]]:
+def _decode(data: bytes, path: str) -> str:
+    """The file's bytes as UTF-8 text; a byte that is not UTF-8 is a
+    DataFormatError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start]
+        # Lines end at \n, \r\n or a lone \r, as a text-mode read counts them.
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        message = f"not UTF-8 text: {e.reason}"
+        raise DataFormatError(message, path=path, line=line) from None
+
+
+def _head_and_body(data: bytes, is_head, body_bytes: bytes) -> tuple[str, bytes] | None:
+    """The first line of ``data`` that ``is_head`` accepts, as text without its
+    line end, and the bytes after that line. None unless every byte after it is
+    in ``body_bytes``, every CR is followed by LF, and the lines up to the head
+    are UTF-8."""
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        if is_head(data[start:end].rstrip(b"\r\n")):
+            body = data[end:]
+            if body.translate(None, body_bytes):
+                return None
+            try:
+                head = data[:end].decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                return None
+            return head[head.rfind("\n") + 1:], body
+        start = end
+    return None
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
     """Line number and stripped text of each non-blank, non-comment line."""
-    with open(path, "r") as fh:
-        stripped = map(str.strip, fh.read().split("\n"))
-    return ((k, text) for k, text in enumerate(stripped, start=1)
-            if text and text[0] != "#")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return ((k, line) for k, line in enumerate(map(str.strip, lines), start=1)
+            if line and line[0] != "#")
 
 
-def _line_number(path, k: int) -> int:
+def _line_number(text: str, k: int) -> int:
     """Line number of content line k, counted from 0. The reader keeps no
-    line numbers, so an error reads the file again to find one."""
-    return next(islice(_content_lines(path), k, None))[0]
+    line numbers, so an error splits the text again to find one."""
+    return next(islice(_content_lines(text), k, None))[0]
 
 
-def _edge_cells(body: list[str], v: int, n: int, base: int) -> np.ndarray | None:
-    """Mask cells (graph * E + pair slot) of the k edge lines, or None unless
-    every line holds three integers naming a valid pair of a graph in [0, n)."""
+def _edge_array(body: list[str]) -> np.ndarray | None:
+    """The (k, 3) int64 array of the k edge lines, or None unless every line
+    holds three integers."""
     k = len(body)
     # One split of all lines, each followed by a separator token. Every line
     # holds three tokens exactly when the separators are the tokens at
@@ -91,15 +132,41 @@ def _edge_cells(body: list[str], v: int, n: int, base: int) -> np.ndarray | None
         return None
     del tokens[3::4]
     try:
-        edges = np.array(tokens, dtype=np.int64).reshape(k, 3)
+        return np.array(tokens, dtype=np.int64).reshape(k, 3)
     except (ValueError, OverflowError):
         return None
-    g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
-    in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
-    if not (in_range & (a != b)).all():
+
+
+def _empty_mask(v: int, n: int) -> np.ndarray | None:
+    """A zero mask of n * E cells, or None when it does not fit in memory."""
+    try:
+        return np.zeros(n * num_pairs(v), dtype=bool)
+    except (MemoryError, ValueError):
         return None
-    i, j = np.minimum(a, b), np.maximum(a, b)
-    return g * num_pairs(v) + _pair_slot(v, i, j)
+
+
+def _sample_from_edges(
+    mask: np.ndarray, blocks: Iterable[np.ndarray | None], v: int, base: int
+) -> GraphSample | None:
+    """The sample whose edges are the rows of the (k, 3) blocks, set in the
+    zero ``mask``; None if a block is None, or unless every row names a valid
+    pair of a graph in [0, n) and no edge repeats."""
+    E = num_pairs(v)
+    n = len(mask) // E
+    lines = 0
+    for edges in blocks:
+        if edges is None:
+            return None
+        g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
+        in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
+        if not (in_range & (a != b)).all():
+            return None
+        mask[g * E + _pair_slot(v, np.minimum(a, b), np.maximum(a, b))] = True
+        lines += len(edges)
+    # Fewer set cells than lines means some line repeats an edge.
+    if np.count_nonzero(mask) != lines:
+        return None
+    return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
 
 
 def _first_edge_error(body: list[str], v: int, n: int, base: int) -> tuple[str, int]:
@@ -151,43 +218,68 @@ def _header_values(header: str) -> tuple[int, int, int]:
     return v, n, base
 
 
-def read_graph_sample(path) -> GraphSample:
-    """Parse a graph-sample file; errors carry the offending line number.
+def _plain_sample(data: bytes) -> GraphSample | None:
+    """The sample in ``data`` from one np.loadtxt call over its edge lines, or
+    None unless they hold only digits, spaces and line ends, and pass every
+    check. None sends the file line by line, which reports what is wrong."""
+    split = _head_and_body(
+        data, lambda line: line.strip()[:1] not in (b"", b"#"), _SAMPLE_BODY_BYTES
+    )
+    if split is None:
+        return None
+    header, body = split
+    try:
+        v, n, base = _header_values(header)
+        edges = np.zeros((0, 3), dtype=np.int64)
+        if body and not body.isspace():  # np.loadtxt warns on a body with no rows
+            edges = np.loadtxt(io.BytesIO(body), dtype=np.int64, comments=None,
+                               ndmin=2, encoding="ascii")
+    except ValueError:
+        return None
+    mask = _empty_mask(v, n)
+    if edges.shape[1] != 3 or mask is None:
+        return None
+    return _sample_from_edges(mask, [edges], v, base)
 
-    Edge lines are checked as whole arrays, ``_EDGE_BLOCK_LINES`` at a time.
-    When they fail, one line-by-line reading names the first failing content
-    line.
+
+def read_graph_sample(path) -> GraphSample:
+    """Parse a UTF-8 graph-sample file; errors carry the offending line number.
+
+    Edge lines made only of digits, spaces and line ends are parsed in one
+    np.loadtxt call. Any other file, and any file that fails a check, is read
+    line by line: its edge lines are checked as whole arrays,
+    ``_EDGE_BLOCK_LINES`` at a time, and when they fail, one line-by-line
+    reading names the first failing content line. Both paths accept the same
+    files and give the same samples.
     """
     path = str(path)
-    lines = [text for _, text in _content_lines(path)]
+    data = Path(path).read_bytes()
+    sample = _plain_sample(data)
+    if sample is not None:
+        return sample
+    text = _decode(data, path)
+    lines = [line for _, line in _content_lines(text)]
     if not lines:
         raise DataFormatError("file has no content lines", path=path)
 
     try:
         v, n, base = _header_values(lines[0])
     except ValueError as e:
-        raise DataFormatError(str(e), path=path, line=_line_number(path, 0)) from None
-    E = num_pairs(v)
-    try:
-        mask = np.zeros(n * E, dtype=bool)
-    except (MemoryError, ValueError):
+        raise DataFormatError(str(e), path=path, line=_line_number(text, 0)) from None
+    mask = _empty_mask(v, n)
+    if mask is None:
         raise DataFormatError(
             f"a sample of n={n} graphs on v={v} vertices does not fit in memory",
             path=path,
-            line=_line_number(path, 0),
-        ) from None
-
-    for start in range(1, len(lines), _EDGE_BLOCK_LINES):
-        cells = _edge_cells(lines[start:start + _EDGE_BLOCK_LINES], v, n, base)
-        if cells is None:
-            break
-        mask[cells] = True
-    else:
-        # Fewer set cells than lines means some line repeats an edge.
-        if np.count_nonzero(mask) == len(lines) - 1:
-            return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
+            line=_line_number(text, 0),
+        )
+    blocks = (_edge_array(lines[start:start + _EDGE_BLOCK_LINES])
+              for start in range(1, len(lines), _EDGE_BLOCK_LINES))
+    sample = _sample_from_edges(mask, blocks, v, base)
+    if sample is not None:
+        return sample
     message, k = _first_edge_error(lines[1:], v, n, base)
-    raise DataFormatError(message, path=path, line=_line_number(path, 1 + k))
+    raise DataFormatError(message, path=path, line=_line_number(text, 1 + k))
 
 
 def _finite_rows(data: list, width: int, rows: list, path: str) -> np.ndarray:
@@ -203,16 +295,38 @@ def _finite_rows(data: list, width: int, rows: list, path: str) -> np.ndarray:
     return values
 
 
-def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
-    """Parse a channel CSV (label row + one row of reals per time sample).
+def _plain_csv(data: bytes) -> tuple[list[str], np.ndarray] | None:
+    """Labels and values of a channel CSV from one np.loadtxt call over its
+    data rows, or None unless the label row holds no quote, and the data rows
+    hold only decimal numbers, commas, spaces and line ends, as many cells as
+    labels and only finite values. None sends the file row by row, which
+    reports what is wrong."""
+    split = _head_and_body(data, bool, _CSV_BODY_BYTES)
+    if split is None:
+        return None
+    header, body = split
+    # A quoted label may hold commas. Python 3.10's csv module rejects NUL.
+    if not body or body.isspace() or '"' in header or "\x00" in header:
+        return None
+    labels = [cell.strip() for cell in header.split(",")]
+    try:
+        values = np.loadtxt(io.BytesIO(body), dtype=np.float64, delimiter=",",
+                            comments=None, ndmin=2, encoding="ascii")
+    except ValueError:
+        return None
+    if not all(labels) or values.shape[1] != len(labels):
+        return None
+    return (labels, values) if np.isfinite(values).all() else None
 
-    An invalid ``sampling_rate`` raises ValueError before the file is read.
-    """
-    _check_sampling_rate(sampling_rate)
-    path = str(path)
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
+
+def _csv_rows(text: str, path: str) -> tuple[list[str], np.ndarray]:
+    """Labels and values of a channel CSV, read row by row with the csv module;
+    an error names the first failing row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    except csv.Error as e:
+        raise DataFormatError(str(e), path=path, line=reader.line_num) from None
     if not rows:
         raise DataFormatError("file is empty", path=path)
     header_line, header = rows[0]
@@ -235,7 +349,24 @@ def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
             raise DataFormatError(error, path=path, line=lineno)
     if not data:
         raise DataFormatError("no data rows after the label row", path=path)
-    values = _finite_rows(data, len(labels), rows, path)
+    return labels, _finite_rows(data, len(labels), rows, path)
+
+
+def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
+    """Parse a UTF-8 channel CSV (label row + one row of reals per time sample).
+
+    Data rows made only of decimal numbers, commas, spaces and line ends are
+    parsed in one np.loadtxt call; any other file, and any file that fails a
+    check, is read row by row, which names the first failing row. An invalid
+    ``sampling_rate`` raises ValueError before the file is read.
+    """
+    _check_sampling_rate(sampling_rate)
+    path = str(path)
+    data = Path(path).read_bytes()
+    parsed = _plain_csv(data)
+    if parsed is None:
+        parsed = _csv_rows(_decode(data, path), path)
+    labels, values = parsed
     try:
         return ChannelMatrix(labels, values, sampling_rate)
     except ValueError as e:

@@ -5,6 +5,7 @@ vertices, triples and whole graph spaces, exact Fraction arithmetic. None of
 it shares code paths with the package.
 """
 
+import csv
 import math
 from collections import Counter
 from fractions import Fraction
@@ -471,6 +472,38 @@ def read_graph_sample_oracle(path):
         Graph.from_edges(v, [(i - base, j - base) for i, j in edges])
         for edges in edge_sets
     )
+
+
+def read_channel_csv_oracle(path):
+    """Row-by-row channel CSV reader with ``csv.reader`` and ``float``: the
+    labels (a tuple) and the (rows x channels) float64 values, or (message,
+    line) for the first fault, line None when no row is to blame."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                if row]
+    if not rows:
+        return "file is empty", None
+    lineno, header = rows[0]
+    labels = tuple(cell.strip() for cell in header)
+    if not all(labels):
+        return "empty channel label", lineno
+    values = []
+    for lineno, row in rows[1:]:
+        if len(row) != len(labels):
+            return f"expected {len(labels)} columns, got {len(row)}", lineno
+        try:
+            values.append([float(cell) for cell in row])
+        except ValueError:
+            return "non-numeric value in data row", lineno
+        if not all(math.isfinite(x) for x in values[-1]):
+            return "non-finite value in data row", lineno
+    if not values:
+        return "no data rows after the label row", None
+    if len(labels) < 2:
+        return "need at least 2 channels", None
+    if len(set(labels)) < len(labels):
+        return "channel labels must be unique", None
+    return labels, np.array(values, dtype=np.float64)
 
 
 # Hand-worked 3-channel recording: four 5-sample windows at 1000 Hz with

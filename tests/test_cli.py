@@ -185,6 +185,17 @@ class TestTestCommand:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_sample_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"graphsample v=3 n=1 base=0\n0 0 1\n0 \xff 2\n")
+        code = run(
+            "test", "--sample", str(bad), "--null", "er", "--p", "0.5",
+            "--seed", "1",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: not UTF-8 text: invalid start byte\n"
+
     def test_unenumerable_null_is_refused(self, tmp_path, capsys):
         sample = tmp_path / "s.txt"
         write_complete_sample(sample, v=8, n=4)
@@ -468,6 +479,14 @@ class TestBuildGraphsCommand:
         )
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
+
+    def test_non_utf8_recording_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        code = run("build-graphs", "--input", str(bad), "--sampling-rate", "1000")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: not UTF-8 text: invalid start byte\n"
 
     def test_window_longer_than_recording(self, tmp_path, capsys):
         csv_path = tmp_path / "channels.csv"

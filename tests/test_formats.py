@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import graphtest.formats as formats
 from graphtest import (
     DataFormatError,
     Graph,
@@ -33,7 +34,12 @@ from graphtest.models import DensityPoint
 from graphtest.statistic import TestStatistic
 from graphtest.timeseries import SummaryGraph
 
-from oracles import format_graph_sample_oracle, random_sample, read_graph_sample_oracle
+from oracles import (
+    format_graph_sample_oracle,
+    random_sample,
+    read_channel_csv_oracle,
+    read_graph_sample_oracle,
+)
 
 TestResult.__test__ = False
 TestStatistic.__test__ = False
@@ -355,6 +361,13 @@ class TestChannelCsv:
             read_channel_csv(path, 100.0)
         assert err.value.line == 4
 
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text('a,b\n1,2\n"' + "x" * 200_000 + '",1\n')
+        with pytest.raises(DataFormatError, match="field larger than field limit") as err:
+            read_channel_csv(path, 100.0)
+        assert err.value.line == 3
+
     def test_empty_and_headonly_files(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")
@@ -381,6 +394,281 @@ class TestChannelCsv:
         with pytest.raises(ValueError, match="sampling_rate") as err:
             read_channel_csv(tmp_path / "absent.csv", rate)
         assert not isinstance(err.value, DataFormatError)
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # 24 channels x 7 500 rows of six-decimal floats (1.7 MB), one recording
+        # of the benchmark's size. Parsing row by row with csv.reader and
+        # float() peaked at ~20 MiB.
+        values = np.random.default_rng(7).standard_normal((7500, 24))
+        path = tmp_path / "recording.csv"
+        header = ",".join(f"ch{c:02d}" for c in range(24))
+        np.savetxt(path, values, fmt="%.6f", delimiter=",", header=header, comments="")
+        tracemalloc.start()
+        try:
+            m = read_channel_csv(path, 250.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(m.values, values, rtol=0, atol=5e-7)
+        assert peak < 8 * 2**20
+
+
+def check_csv_against_oracle(path):
+    """read_channel_csv gives the row-by-row reader's labels and values, bit
+    for bit, or its error."""
+    expected = read_channel_csv_oracle(path)
+    if isinstance(expected[0], tuple):
+        labels, values = expected
+        m = read_channel_csv(path, 250.0)
+        assert m.labels == labels
+        assert m.values.shape == values.shape
+        assert np.array_equal(m.values.view(np.int64), values.view(np.int64))
+        return
+    message, line = expected
+    with pytest.raises(DataFormatError) as err:
+        read_channel_csv(path, 250.0)
+    assert err.value.line == line
+    where = f"{path}: " if line is None else f"{path}: line {line}: "
+    assert str(err.value) == where + message
+
+
+# Ways a CSV writer may spell one float.
+CELL_STYLES = (
+    repr,
+    "{:.6f}".format,
+    "{:e}".format,
+    "{:.17g}".format,
+    lambda x: f"{x:+.3E}",
+    lambda x: f"{x:.4f}".replace("0.", ".", 1),
+    lambda x: str(int(x)),
+    lambda x: f" {x!r}  ",
+)
+
+
+class TestChannelCsvMatchesRowByRow:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_valid_files_with_blank_lines(self, tmp_path, rng, newline):
+        for trial in range(6):
+            channels = int(rng.integers(2, 7))
+            scale = 10.0 ** rng.integers(-8, 9, (40, channels))
+            values = rng.standard_normal((40, channels)) * scale
+            lines = [",".join(f"c{k}" for k in range(channels))]
+            for row in values:
+                styles = rng.integers(len(CELL_STYLES), size=channels)
+                cells = (CELL_STYLES[s](float(x)) for s, x in zip(styles, row))
+                lines.append(",".join(cells))
+            for _ in range(6):
+                lines.insert(int(rng.integers(0, len(lines) + 1)), "")
+            end = newline if trial % 2 else ""
+            path = tmp_path / f"valid{trial}.csv"
+            path.write_bytes((newline.join(lines) + end).encode())
+            check_csv_against_oracle(path)
+
+    def test_fuzzed_tokens(self, tmp_path, rng):
+        # Random tokens over the bytes a number may hold on the whole-buffer
+        # path; the digits are weighted so that many tokens are numbers.
+        alphabet = np.array(list("0123456789" * 3 + ".eE+-"))
+        lengths = rng.integers(1, 10, size=20_000)
+        cells = rng.choice(alphabet, size=(lengths.size, lengths.max()))
+        tokens = sorted({"".join(row[:k]) for row, k in zip(cells, lengths)})
+        numbers, others = [], []
+        for tok in tokens:
+            try:
+                x = float(tok)
+            except ValueError:
+                others.append(tok)
+                continue
+            (numbers if np.isfinite(x) else others).append(tok)
+        assert len(numbers) > 5_000 and len(others) > 5_000
+        # Every number in one file, read in one buffer, bit for bit.
+        path = tmp_path / "numbers.csv"
+        rows = [f"{a},{b}" for a, b in zip(numbers, numbers[1:] + numbers[:1])]
+        path.write_text("a,b\n" + "\n".join(rows) + "\n")
+        check_csv_against_oracle(path)
+        # The whole-buffer path declines every other token, so the row-by-row
+        # reader reports it.
+        for tok in others:
+            assert formats._plain_csv(f"a,b\n1,{tok}\n".encode()) is None, tok
+        for tok in others[::100]:
+            path.write_text(f"a,b\n1,2\n{tok},3\n")
+            check_csv_against_oracle(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "a,b\n1_0,2\n",
+            "a,b\nnan,1\n",
+            "a,b\n1,-inf\n",
+            "a,b\n1e999,1\n",
+            "a,b\n1,2\n-1e999,3\n",
+            "a,b\n1,infinity\n",
+            "a,b\n0x1,2\n",
+            "a,b\n1,٣\n",
+            "a,b\n1,１\n",
+            "a,b\n1,2\x00\n",
+            'a,b\n"1",2\n',
+            '"a","b"\n1,2\n',
+            '"a,b",c\n1,2\n',
+            '"a\nb",c\n1,2\n',
+            "a\x00,b\n1,2\n",
+            "﻿a,b\n1,2\n",
+            " a , b \n 1 , 2 \n",
+            "a,b\n1,2\r3,4\r",
+            "a,b\r1,2\n3,4\n",
+            "a,b\n1,2\n3\n",
+            "a,b\n1,2,3\n",
+            "a,b\n1\n",
+            "a,b\n1,2,\n",
+            "a,b,\n1,2,3\n",
+            "a,b\n,2\n",
+            "a,b\n1, \n",
+            "a,b\n1 2,3\n",
+            "a,b\n1,2\n   \n3,4\n",
+            "a,b\n1,2\n\t\n",
+            "a\n1\n\n2\n",
+            "a\n1\n  \n",
+            "a,a\n1,2\n",
+            "a,b\n",
+            "a,b\n\n\r\n",
+            "",
+            "\n\r\n",
+            "\n\na,b\n1,2\n3,4",
+            "a,b\n1,2\n# c\n",
+            "a,b\n+1,-2\n.5,5.\n1e5,1E-05\n-0,0\n",
+            "a,b\r\n1,2\r\n\r\n3,4\r\n",
+            "a,b\n1,2\nnan,x\n",
+            "a,b\n1,x\nnan,2\n",
+        ],
+    )
+    def test_single_cases(self, tmp_path, content):
+        path = tmp_path / "case.csv"
+        path.write_bytes(content.encode())
+        check_csv_against_oracle(path)
+
+
+class TestWholeBufferPath:
+    """Plain files are parsed in one np.loadtxt call; any other goes line by line."""
+
+    @staticmethod
+    def refuse(monkeypatch, *names):
+        def fail(*args, **kwargs):
+            raise AssertionError("the line-by-line path was taken")
+
+        for name in names:
+            monkeypatch.setattr(formats, name, fail)
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(formats, name)
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(formats, name, record)
+        return calls
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "leading comment"])
+    def test_plain_graph_sample_skips_the_line_reader(self, tmp_path, monkeypatch, layout):
+        # One recording's sample: 1 781 window graphs on 24 channels.
+        mask = np.random.default_rng(101).random((1781, num_pairs(24))) < 0.2
+        text = format_graph_sample(GraphSample.from_indicator_matrix(24, mask))
+        if layout == "crlf":
+            text = text.replace("\n", "\r\n")
+        if layout == "leading comment":
+            text = "# manifest: run.json\n\n" + text
+        path = tmp_path / "recording.txt"
+        path.write_bytes(text.encode())
+        self.refuse(monkeypatch, "_content_lines", "_edge_array", "_first_edge_error")
+        assert np.array_equal(read_graph_sample(path).indicator_matrix(), mask)
+
+    def test_plain_csv_skips_the_row_reader(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(7).standard_normal((7500, 24))
+        path = tmp_path / "recording.csv"
+        header = ",".join(f"ch{c:02d}" for c in range(24))
+        np.savetxt(path, values, fmt="%.6f", delimiter=",", header=header, comments="")
+        labels, expected = read_channel_csv_oracle(path)
+        self.refuse(monkeypatch, "_csv_rows")
+        m = read_channel_csv(path, 250.0)
+        assert m.labels == labels
+        assert np.array_equal(m.values.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "graphsample v=3 n=2 base=0\n",
+            "graphsample v=3 n=2 base=0",
+            "# c\ngraphsample v=3 n=2 base=1\r\n\r\n  \n",
+        ],
+    )
+    def test_header_only_sample_reads_without_a_warning(
+        self, tmp_path, monkeypatch, content
+    ):
+        path = tmp_path / "empty.txt"
+        path.write_bytes(content.encode())
+        self.refuse(monkeypatch, "_content_lines", "_edge_array", "_first_edge_error")
+        assert read_graph_sample(path) == GraphSample([Graph.empty(3)] * 2)
+
+    def test_comment_lines_after_the_header_take_the_line_reader(
+        self, tmp_path, rng, monkeypatch
+    ):
+        sample = random_sample(rng, 7, 30)
+        lines = format_graph_sample(sample).splitlines()
+        for k in range(len(lines) - 1, 0, -5):
+            lines.insert(k, "# between edges")
+        path = tmp_path / "commented.txt"
+        path.write_text("\n".join(lines) + "\n")
+        calls = self.spy(monkeypatch, "_edge_array")
+        assert read_graph_sample(path) == sample
+        assert calls
+
+    def test_quoted_labels_take_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a","b"\n1.5,2\n3,4e-3\n')
+        calls = self.spy(monkeypatch, "_csv_rows")
+        m = read_channel_csv(path, 250.0)
+        assert calls
+        assert m.labels == ("a", "b")
+        assert m.values.tolist() == [[1.5, 2.0], [3.0, 4e-3]]
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a data error naming the file and its line."""
+
+    @pytest.mark.parametrize(
+        "content,line",
+        [
+            (b"graphsample v=3 n=1 base=0\n0 0 1\n0 \xff 2\n", 3),
+            (b"# caf\xe9\ngraphsample v=3 n=1 base=0\n0 0 1\n", 1),
+            (b"graphsample v=3 n=1 base=0\r\n\r\n# \xff\r\n", 3),
+            (b"# a\rgraphsample v=3 n=1 base=0\r0 1 2\xff\n", 3),
+        ],
+    )
+    def test_graph_sample(self, tmp_path, content, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError, match="not UTF-8 text") as err:
+            read_graph_sample(path)
+        assert err.value.line == line
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize(
+        "content,line",
+        [
+            (b"a,b\n1,2\n\xff,3\n", 3),
+            (b"\xffa,b\n1,2\n", 1),
+            (b"a,b\r\n1,2\r\n\r\n3,\xe9\r\n", 4),
+        ],
+    )
+    def test_channel_csv(self, tmp_path, content, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError, match="not UTF-8 text") as err:
+            read_channel_csv(path, 250.0)
+        assert err.value.line == line
+        assert err.value.path == str(path)
 
 
 class TestResultCsv:

@@ -8,10 +8,19 @@ only. Lines starting with ``#`` are comments and may come anywhere, before
 the header too; blank lines are ignored, and a graph with no edges simply
 contributes no lines.
 
-Channel CSV holds one label row followed by one row per time sample. Result
-CSVs have fixed per-command schemas. The serializers here write data only;
-the CLI adds the ``# manifest: <name>`` comment line of a run that writes a
-manifest.
+Channel CSV holds one label row followed by one row per time sample.
+
+Each reader has two paths. A plain file, whose bytes after the header line
+are only digits, spaces and line ends (plus ``.eE+-,`` in a CSV), is parsed
+as one buffer by np.loadtxt and checked as whole arrays; this path reports
+no errors. Any other file, and a plain file that fails a check, is decoded
+as UTF-8 and goes to the reader's line reader, which builds the result one
+line (one CSV row) at a time and reports the first line that breaks the
+format.
+
+Result CSVs have fixed per-command schemas. The serializers here write data
+only; the CLI adds the ``# manifest: <name>`` comment line of a run that
+writes a manifest.
 """
 
 from __future__ import annotations
@@ -20,16 +29,16 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError
-from .graphs import BLOCK_CELLS, GraphSample, _pair_slot, canonical_pairs, num_pairs
+from .graphs import GraphSample, _pair_slot, canonical_pairs, num_pairs
 from .inference import PowerPoint, TestResult
 from .models import DensityPoint
 from .timeseries import ChannelMatrix, SummaryGraph, _check_sampling_rate
@@ -42,10 +51,6 @@ __all__ = [
     "read_channel_csv",
     "write_manifest",
 ]
-
-# Edge lines split and converted at a time: three int64 cells per line, so a
-# block's edge array holds at most BLOCK_CELLS cells.
-_EDGE_BLOCK_LINES = BLOCK_CELLS // 3
 
 # Bytes a file may hold after its header line for its reader to parse it in
 # one np.loadtxt call; any other file is read line by line.
@@ -114,29 +119,6 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             if line and line[0] != "#")
 
 
-def _line_number(text: str, k: int) -> int:
-    """Line number of content line k, counted from 0. The reader keeps no
-    line numbers, so an error splits the text again to find one."""
-    return next(islice(_content_lines(text), k, None))[0]
-
-
-def _edge_array(body: list[str]) -> np.ndarray | None:
-    """The (k, 3) int64 array of the k edge lines, or None unless every line
-    holds three integers."""
-    k = len(body)
-    # One split of all lines, each followed by a separator token. Every line
-    # holds three tokens exactly when the separators are the tokens at
-    # positions 3, 7, 11, ... and no other token equals one.
-    tokens = " ; ".join(body + [""]).split()
-    if len(tokens) != 4 * k or not tokens.count(";") == tokens[3::4].count(";") == k:
-        return None
-    del tokens[3::4]
-    try:
-        return np.array(tokens, dtype=np.int64).reshape(k, 3)
-    except (ValueError, OverflowError):
-        return None
-
-
 def _empty_mask(v: int, n: int) -> np.ndarray | None:
     """A zero mask of n * E cells, or None when it does not fit in memory."""
     try:
@@ -146,50 +128,22 @@ def _empty_mask(v: int, n: int) -> np.ndarray | None:
 
 
 def _sample_from_edges(
-    mask: np.ndarray, blocks: Iterable[np.ndarray | None], v: int, base: int
+    mask: np.ndarray, edges: np.ndarray, v: int, base: int
 ) -> GraphSample | None:
-    """The sample whose edges are the rows of the (k, 3) blocks, set in the
-    zero ``mask``; None if a block is None, or unless every row names a valid
-    pair of a graph in [0, n) and no edge repeats."""
+    """The sample whose edges are the rows of the (k, 3) array ``edges``, set
+    in the zero ``mask``; None unless every row names a valid pair of a graph
+    in [0, n) and no edge repeats."""
     E = num_pairs(v)
     n = len(mask) // E
-    lines = 0
-    for edges in blocks:
-        if edges is None:
-            return None
-        g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
-        in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
-        if not (in_range & (a != b)).all():
-            return None
-        mask[g * E + _pair_slot(v, np.minimum(a, b), np.maximum(a, b))] = True
-        lines += len(edges)
-    # Fewer set cells than lines means some line repeats an edge.
-    if np.count_nonzero(mask) != lines:
+    g, a, b = edges[:, 0], edges[:, 1] - base, edges[:, 2] - base
+    in_range = (g >= 0) & (g < n) & (a >= 0) & (a < v) & (b >= 0) & (b < v)
+    if not (in_range & (a != b)).all():
+        return None
+    mask[g * E + _pair_slot(v, np.minimum(a, b), np.maximum(a, b))] = True
+    # Fewer set cells than rows means some row repeats an edge.
+    if np.count_nonzero(mask) != len(edges):
         return None
     return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
-
-
-def _first_edge_error(body: list[str], v: int, n: int, base: int) -> tuple[str, int]:
-    """Message and index in ``body`` of the first edge line that breaks the
-    format, reading line by line."""
-    seen = set()
-    for k, text in enumerate(body):
-        parts = text.split()
-        if len(parts) != 3:
-            return f"expected '<graph> <i> <j>', got {text!r}", k
-        try:
-            g_idx, i, j = (int(p) for p in parts)
-        except ValueError:
-            return f"non-integer edge line {text!r}", k
-        if not 0 <= g_idx < n:
-            return f"graph index {g_idx} outside [0, {n})", k
-        if i == j or not (base <= i < v + base and base <= j < v + base):
-            return f"invalid vertex pair ({i}, {j}) for v={v}", k
-        i, j = min(i, j), max(i, j)
-        if (g_idx, i, j) in seen:
-            return f"duplicate edge ({i}, {j}) in graph {g_idx}", k
-        seen.add((g_idx, i, j))
-    raise AssertionError("the whole-array check rejected valid edge lines")
 
 
 def _header_values(header: str) -> tuple[int, int, int]:
@@ -239,60 +193,66 @@ def _plain_sample(data: bytes) -> GraphSample | None:
     mask = _empty_mask(v, n)
     if edges.shape[1] != 3 or mask is None:
         return None
-    return _sample_from_edges(mask, [edges], v, base)
+    return _sample_from_edges(mask, edges, v, base)
+
+
+def _set_edge(mask: np.ndarray, line: str, v: int, n: int, base: int) -> None:
+    """Set the cell of edge line ``line`` in ``mask``; a ValueError says what
+    is wrong, checked in this order: token count, integers, graph index,
+    vertex pair, and a cell already set, which is a duplicate edge."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ValueError(f"expected '<graph> <i> <j>', got {line!r}")
+    try:
+        g, i, j = map(int, parts)
+    except ValueError:
+        raise ValueError(f"non-integer edge line {line!r}") from None
+    if not 0 <= g < n:
+        raise ValueError(f"graph index {g} outside [0, {n})")
+    if i == j or not (base <= i < v + base and base <= j < v + base):
+        raise ValueError(f"invalid vertex pair ({i}, {j}) for v={v}")
+    i, j = min(i, j), max(i, j)
+    cell = g * num_pairs(v) + _pair_slot(v, i - base, j - base)
+    if mask[cell]:
+        raise ValueError(f"duplicate edge ({i}, {j}) in graph {g}")
+    mask[cell] = True
+
+
+def _sample_by_line(text: str, path: str) -> GraphSample:
+    """The sample in ``text``, read one content line at a time; a
+    DataFormatError names the first line that breaks the format."""
+    lines = _content_lines(text)
+    lineno, header = next(lines, (None, None))
+    if header is None:
+        raise DataFormatError("file has no content lines", path=path)
+    try:
+        v, n, base = _header_values(header)
+        mask = _empty_mask(v, n)
+        if mask is None:
+            raise ValueError(
+                f"a sample of n={n} graphs on v={v} vertices does not fit in memory"
+            )
+        for lineno, line in lines:
+            _set_edge(mask, line, v, n, base)
+    except ValueError as e:
+        raise DataFormatError(str(e), path=path, line=lineno) from None
+    return GraphSample.from_indicator_matrix(v, mask.reshape(n, num_pairs(v)))
 
 
 def read_graph_sample(path) -> GraphSample:
     """Parse a UTF-8 graph-sample file; errors carry the offending line number.
 
-    Edge lines made only of digits, spaces and line ends are parsed in one
-    np.loadtxt call. Any other file, and any file that fails a check, is read
-    line by line: its edge lines are checked as whole arrays,
-    ``_EDGE_BLOCK_LINES`` at a time, and when they fail, one line-by-line
-    reading names the first failing content line. Both paths accept the same
-    files and give the same samples.
+    A file whose edge lines hold only digits, spaces and line ends is parsed
+    as one buffer (``_plain_sample``). Any other file, and any file that
+    fails a check there, goes to the line reader (``_sample_by_line``), which
+    reads one content line at a time and reports every error: the first line
+    that breaks the format. Both paths accept the same files and give the
+    same samples.
     """
     path = str(path)
     data = Path(path).read_bytes()
     sample = _plain_sample(data)
-    if sample is not None:
-        return sample
-    text = _decode(data, path)
-    lines = [line for _, line in _content_lines(text)]
-    if not lines:
-        raise DataFormatError("file has no content lines", path=path)
-
-    try:
-        v, n, base = _header_values(lines[0])
-    except ValueError as e:
-        raise DataFormatError(str(e), path=path, line=_line_number(text, 0)) from None
-    mask = _empty_mask(v, n)
-    if mask is None:
-        raise DataFormatError(
-            f"a sample of n={n} graphs on v={v} vertices does not fit in memory",
-            path=path,
-            line=_line_number(text, 0),
-        )
-    blocks = (_edge_array(lines[start:start + _EDGE_BLOCK_LINES])
-              for start in range(1, len(lines), _EDGE_BLOCK_LINES))
-    sample = _sample_from_edges(mask, blocks, v, base)
-    if sample is not None:
-        return sample
-    message, k = _first_edge_error(lines[1:], v, n, base)
-    raise DataFormatError(message, path=path, line=_line_number(text, 1 + k))
-
-
-def _finite_rows(data: list, width: int, rows: list, path: str) -> np.ndarray:
-    """The parsed rows as a matrix; an error names the first non-finite row.
-
-    ``data[k]`` was parsed from ``rows[k + 1]``.
-    """
-    values = np.array(data, dtype=np.float64).reshape(len(data), width)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        lineno = rows[int(np.argmin(finite)) + 1][0]
-        raise DataFormatError("non-finite value in data row", path=path, line=lineno)
-    return values
+    return sample if sample is not None else _sample_by_line(_decode(data, path), path)
 
 
 def _plain_csv(data: bytes) -> tuple[list[str], np.ndarray] | None:
@@ -319,46 +279,52 @@ def _plain_csv(data: bytes) -> tuple[list[str], np.ndarray] | None:
     return (labels, values) if np.isfinite(values).all() else None
 
 
+def _data_row(row: list[str], width: int) -> list[float]:
+    """The values of one CSV data row; a ValueError says what is wrong."""
+    if len(row) != width:
+        raise ValueError(f"expected {width} columns, got {len(row)}")
+    try:
+        values = list(map(float, row))
+    except ValueError:
+        raise ValueError("non-numeric value in data row") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value in data row")
+    return values
+
+
 def _csv_rows(text: str, path: str) -> tuple[list[str], np.ndarray]:
     """Labels and values of a channel CSV, read row by row with the csv module;
-    an error names the first failing row."""
+    an error names the line the first failing row starts on."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    labels, data = None, []
+    start = 1  # the line the next row starts on; a quoted cell may span lines
     try:
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    except csv.Error as e:
-        raise DataFormatError(str(e), path=path, line=reader.line_num) from None
-    if not rows:
+        for row in reader:
+            if row and labels is None:
+                labels = [cell.strip() for cell in row]
+                if not all(labels):
+                    raise ValueError("empty channel label")
+            elif row:
+                data.append(_data_row(row, len(labels)))
+            start = reader.line_num + 1
+    except (csv.Error, ValueError) as e:
+        raise DataFormatError(str(e), path=path, line=start) from None
+    if labels is None:
         raise DataFormatError("file is empty", path=path)
-    header_line, header = rows[0]
-    labels = [cell.strip() for cell in header]
-    if any(not lab for lab in labels):
-        raise DataFormatError("empty channel label", path=path, line=header_line)
-    data = []
-    for lineno, row in rows[1:]:
-        error = None
-        if len(row) != len(labels):
-            error = f"expected {len(labels)} columns, got {len(row)}"
-        else:
-            try:
-                data.append(list(map(float, row)))
-            except ValueError:
-                error = "non-numeric value in data row"
-        if error is not None:
-            # A non-finite value on an earlier row is the first error.
-            _finite_rows(data, len(labels), rows, path)
-            raise DataFormatError(error, path=path, line=lineno)
     if not data:
         raise DataFormatError("no data rows after the label row", path=path)
-    return labels, _finite_rows(data, len(labels), rows, path)
+    return labels, np.array(data, dtype=np.float64)
 
 
 def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
     """Parse a UTF-8 channel CSV (label row + one row of reals per time sample).
 
     Data rows made only of decimal numbers, commas, spaces and line ends are
-    parsed in one np.loadtxt call; any other file, and any file that fails a
-    check, is read row by row, which names the first failing row. An invalid
-    ``sampling_rate`` raises ValueError before the file is read.
+    parsed as one buffer (``_plain_csv``). Any other file, and any file that
+    fails a check there, goes to the row reader (``_csv_rows``), which reads
+    one row at a time and reports every error, naming the line the first
+    failing row starts on. An invalid ``sampling_rate`` raises ValueError
+    before the file is read.
     """
     _check_sampling_rate(sampling_rate)
     path = str(path)

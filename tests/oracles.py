@@ -421,7 +421,7 @@ def format_graph_sample_oracle(sample: GraphSample, base: int = 0) -> str:
 def read_graph_sample_oracle(path):
     """Line-by-line graph-sample reader: a GraphSample, or (message, line)
     for the first fault, line None when no line is to blame."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [
             (lineno, raw.strip())
             for lineno, raw in enumerate(fh, start=1)
@@ -478,9 +478,14 @@ def read_channel_csv_oracle(path):
     """Row-by-row channel CSV reader with ``csv.reader`` and ``float``: the
     labels (a tuple) and the (rows x channels) float64 values, or (message,
     line) for the first fault, line None when no row is to blame."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
-                if row]
+        reader = csv.reader(fh)
+        lineno = 1  # a quoted cell may span lines: name the row's first line
+        for row in reader:
+            if row:
+                rows.append((lineno, row))
+            lineno = reader.line_num + 1
     if not rows:
         return "file is empty", None
     lineno, header = rows[0]

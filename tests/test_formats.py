@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,6 @@ from graphtest import (
     write_manifest,
 )
 from graphtest.formats import (
-    _EDGE_BLOCK_LINES,
     format_density_csv,
     format_power_csv,
     format_summary_csv,
@@ -266,51 +266,75 @@ class TestReaderMatchesLineByLine:
             check_reader_against_oracle(path)
 
 
-class TestReaderBlocks:
-    """Edge lines are read _EDGE_BLOCK_LINES at a time."""
+def recording_sample_text(comment: bool = False) -> tuple[np.ndarray, str]:
+    """One recording's sample, 1 800 graphs on 24 vertices at edge density
+    0.2 (~0.95 MB of text): its mask and text, with a comment line after the
+    header if ``comment``."""
+    mask = np.random.default_rng(101).random((1800, num_pairs(24))) < 0.2
+    text = format_graph_sample(GraphSample.from_indicator_matrix(24, mask))
+    if comment:
+        header, body = text.split("\n", 1)
+        text = f"{header}\n# window graphs\n{body}"
+    return mask, text
+
+
+def traced_peak(read, path):
+    """What ``read(path)`` returns, and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = read(path)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFaultPositions:
+    """A fault anywhere in a large file is the line reader's first error."""
 
     def big_sample_lines(self, rng):
         mask = rng.random((1400, num_pairs(12))) < 0.5
         sample = GraphSample.from_indicator_matrix(12, mask)
-        lines = format_graph_sample(sample).splitlines()
-        assert len(lines) > 2 * _EDGE_BLOCK_LINES + 1
-        return lines
+        return format_graph_sample(sample).splitlines()
 
-    @pytest.mark.parametrize("fault_at", ["first", "second", "last"])
+    @pytest.mark.parametrize("fault_at", ["line 5", "middle", "last line"])
     @pytest.mark.parametrize("fault", ["0 1", "9999 0 1", "repeat"])
-    def test_faults_in_any_block_match_line_by_line(
-        self, tmp_path, rng, fault_at, fault
-    ):
+    def test_fault_matches_line_by_line(self, tmp_path, rng, fault_at, fault):
         lines = self.big_sample_lines(rng)
-        k = {"first": 5, "second": _EDGE_BLOCK_LINES + 7, "last": len(lines)}[fault_at]
-        # A repeated line duplicates an edge from an earlier block.
+        k = {"line 5": 4, "middle": len(lines) // 2, "last line": len(lines)}[fault_at]
+        # A repeated line duplicates the first edge of the file.
         lines.insert(k, lines[1] if fault == "repeat" else fault)
         path = tmp_path / "big.txt"
         path.write_text("\n".join(lines) + "\n")
         check_reader_against_oracle(path)
+        with pytest.raises(DataFormatError) as err:
+            read_graph_sample(path)
+        assert err.value.line == k + 1
 
-    def test_valid_file_across_blocks(self, tmp_path, rng):
+    def test_valid_large_file(self, tmp_path, rng):
         path = tmp_path / "big.txt"
         path.write_text("\n".join(self.big_sample_lines(rng)) + "\n")
         check_reader_against_oracle(path)
 
     def test_peak_memory_is_bounded(self, tmp_path):
-        # 1 800 graphs on 24 vertices at edge density 0.2: ~0.95 MB of text,
-        # about the size of one windowed-correlation recording's sample. Reading
-        # all edge lines in one block peaked at ~32 MiB, and also keeping a line
-        # number per content line at ~15 MiB.
-        rng = np.random.default_rng(101)
-        mask = rng.random((1800, num_pairs(24))) < 0.2
+        # One np.loadtxt call over the edge lines peaks at ~10 MiB. Splitting
+        # all of them into Python tokens at once peaked at ~32 MiB.
+        mask, text = recording_sample_text()
         path = tmp_path / "recording.txt"
-        write_graph_sample(path, GraphSample.from_indicator_matrix(24, mask))
-        tracemalloc.start()
-        try:
-            sample = read_graph_sample(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        path.write_text(text)
+        sample, peak = traced_peak(read_graph_sample, path)
         assert np.array_equal(sample.indicator_matrix(), mask)
         assert peak < 13 * 2**20
+
+    def test_line_reader_peak_memory_is_bounded(self, tmp_path):
+        # The comment line sends the file to the line reader, which holds the
+        # text's lines and the mask. Checking edge lines in blocks, with a
+        # second pass to name the line of an error, peaked at ~13 MiB.
+        mask, text = recording_sample_text(comment=True)
+        path = tmp_path / "recording.txt"
+        path.write_text(text)
+        sample, peak = traced_peak(read_graph_sample, path)
+        assert np.array_equal(sample.indicator_matrix(), mask)
+        assert peak < 11 * 2**20
 
 
 class TestChannelCsv:
@@ -367,6 +391,25 @@ class TestChannelCsv:
         with pytest.raises(DataFormatError, match="field larger than field limit") as err:
             read_channel_csv(path, 100.0)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "content,match,line",
+        [
+            ('a,b\n1,x\n"' + "x" * 200_000 + '",1\n', "non-numeric", 2),
+            ('a,b\n1,2\n"' + "x\n" * 70_000 + '",1\n', "field larger", 3),
+        ],
+        ids=["row error first", "limit across lines"],
+    )
+    def test_field_limit_error_takes_its_place_in_line_order(
+        self, tmp_path, content, match, line
+    ):
+        # A bad row before the over-long cell is the first error, and the
+        # cell's error names the line its row starts on.
+        path = tmp_path / "big.csv"
+        path.write_text(content)
+        with pytest.raises(DataFormatError, match=match) as err:
+            read_channel_csv(path, 100.0)
+        assert err.value.line == line
 
     def test_empty_and_headonly_files(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -510,6 +553,9 @@ class TestChannelCsvMatchesRowByRow:
             '"a","b"\n1,2\n',
             '"a,b",c\n1,2\n',
             '"a\nb",c\n1,2\n',
+            '"a\nb",c\n1,2,3\n',
+            'a,b\n1,"2\n"\n3,x\n',
+            'a,b\n1,2\n3,"x\ny"\n4,5\n',
             "a\x00,b\n1,2\n",
             "﻿a,b\n1,2\n",
             " a , b \n 1 , 2 \n",
@@ -544,6 +590,88 @@ class TestChannelCsvMatchesRowByRow:
         path = tmp_path / "case.csv"
         path.write_bytes(content.encode())
         check_csv_against_oracle(path)
+
+    @pytest.mark.parametrize(
+        "content,line",
+        [
+            ('"a\nb",c\n1,2,3\n', 3),
+            ('a,b\n1,"2\n"\n3,x\n', 4),
+            ('a,b\n"1\r\n",2\r\n\r\n3,nan\r\n', 5),
+        ],
+    )
+    def test_error_names_the_line_its_row_starts_on(self, tmp_path, content, line):
+        # A quoted cell spans lines, so the row number and the line differ.
+        path = tmp_path / "case.csv"
+        path.write_bytes(content.encode())
+        with pytest.raises(DataFormatError) as err:
+            read_channel_csv(path, 250.0)
+        assert err.value.line == line
+
+
+# Characters a fuzzed edit writes: bytes of the whole-buffer paths and bytes
+# just outside them, and a digit that only int() and float() read.
+EDIT_CHARS = list("0123456789 \n\r\t#-+_x") + ["\u0663"]
+
+
+def fuzzed(rng, text: str, chars: list[str]) -> str:
+    """``text`` after one or two random edits: insert, delete or replace one
+    character, the new ones drawn from ``chars``."""
+    out = list(text)
+    for _ in range(int(rng.integers(1, 3))):
+        k = int(rng.integers(0, len(out) + 1))
+        edit = int(rng.integers(3))
+        if edit < 2 and k < len(out):
+            del out[k]
+        if edit > 0:
+            out.insert(k, chars[int(rng.integers(len(chars)))])
+    return "".join(out)
+
+
+class TestBothPathsAcceptTheSameFiles:
+    """Fuzzed files: the readers agree with the line-by-line oracles on what
+    they accept, what they read and which error comes first."""
+
+    def test_graph_samples(self, tmp_path, rng):
+        path = tmp_path / "fuzzed.txt"
+        outcomes = []
+        for _ in range(2000):
+            v, n = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+            mask = rng.random((n, num_pairs(v))) < 0.3
+            sample = GraphSample.from_indicator_matrix(v, mask)
+            text = format_graph_sample(sample, int(rng.integers(2)))
+            # Every other file keeps its header line intact.
+            header, body = text.split("\n", 1)
+            if rng.integers(2):
+                text = f"{header}\n{fuzzed(rng, body, EDIT_CHARS)}"
+            else:
+                text = fuzzed(rng, text, EDIT_CHARS)
+            path.write_bytes(text.encode())
+            check_reader_against_oracle(path)
+            valid = isinstance(read_graph_sample_oracle(path), GraphSample)
+            plain = formats._plain_sample(text.encode()) is not None
+            outcomes.append((valid, plain))
+        counts = Counter(outcomes)
+        # Files each path accepts, and files both refuse.
+        assert min(counts[True, True], counts[True, False], counts[False, False]) > 20
+
+    def test_channel_csvs(self, tmp_path, rng):
+        path = tmp_path / "fuzzed.csv"
+        chars = EDIT_CHARS + list('.eE,"')
+        outcomes = []
+        for _ in range(2000):
+            channels, rows = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            lines = [",".join(f"c{k}" for k in range(channels))]
+            for row in rng.standard_normal((rows, channels)):
+                styles = rng.integers(len(CELL_STYLES), size=channels)
+                cells = (CELL_STYLES[s](float(x)) for s, x in zip(styles, row))
+                lines.append(",".join(cells))
+            data = fuzzed(rng, "\n".join(lines) + "\n", chars).encode()
+            path.write_bytes(data)
+            check_csv_against_oracle(path)
+            valid = isinstance(read_channel_csv_oracle(path)[0], tuple)
+            outcomes.append((valid, formats._plain_csv(data) is not None))
+        counts = Counter(outcomes)
+        assert min(counts[True, True], counts[True, False], counts[False, False]) > 20
 
 
 class TestWholeBufferPath:
@@ -580,7 +708,7 @@ class TestWholeBufferPath:
             text = "# manifest: run.json\n\n" + text
         path = tmp_path / "recording.txt"
         path.write_bytes(text.encode())
-        self.refuse(monkeypatch, "_content_lines", "_edge_array", "_first_edge_error")
+        self.refuse(monkeypatch, "_content_lines", "_sample_by_line")
         assert np.array_equal(read_graph_sample(path).indicator_matrix(), mask)
 
     def test_plain_csv_skips_the_row_reader(self, tmp_path, monkeypatch):
@@ -608,7 +736,7 @@ class TestWholeBufferPath:
     ):
         path = tmp_path / "empty.txt"
         path.write_bytes(content.encode())
-        self.refuse(monkeypatch, "_content_lines", "_edge_array", "_first_edge_error")
+        self.refuse(monkeypatch, "_content_lines", "_sample_by_line")
         assert read_graph_sample(path) == GraphSample([Graph.empty(3)] * 2)
 
     def test_comment_lines_after_the_header_take_the_line_reader(
@@ -620,7 +748,7 @@ class TestWholeBufferPath:
             lines.insert(k, "# between edges")
         path = tmp_path / "commented.txt"
         path.write_text("\n".join(lines) + "\n")
-        calls = self.spy(monkeypatch, "_edge_array")
+        calls = self.spy(monkeypatch, "_sample_by_line")
         assert read_graph_sample(path) == sample
         assert calls
 

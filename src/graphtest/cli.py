@@ -26,7 +26,8 @@ error, as is a missing flag it needs; the manifest records an unread flag as
 null.
 
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 refused
-configuration (for example exact enumeration above the size cap).
+configuration (for example exact enumeration above the size cap, or a
+request too large for memory).
 """
 
 from __future__ import annotations
@@ -127,13 +128,6 @@ class _Output:
     extra: dict = field(default_factory=dict)
 
 
-def _ergms(args, v: int, theta2s) -> list[Ergm]:
-    """One ERGM per theta2, with --stats, --theta1 and the MH schedule from flags."""
-    mcmc = McmcConfig(burn_in=args.burn_in, thinning=args.thinning)
-    stats = _STATS_FLAGS[args.stats]
-    return [Ergm(v, stats, (args.theta1, t2), mcmc) for t2 in theta2s]
-
-
 def _modes(args) -> tuple[str, list[str]]:
     """This run as usage errors name it, and the modes of _READS it is in."""
     if getattr(args, "sample2", None) is not None:
@@ -173,19 +167,31 @@ def _resolve_flags(args) -> None:
         raise ValueError(f"{label} does not read {flags(unread)}")
 
 
-def _build_model(kind: str, v: int, args, rng: np.random.Generator):
-    """Model from flags; for modified-er the pair subset is drawn from rng first."""
+def _models(kind: str, v: int, args, rng: np.random.Generator, values, p0=None):
+    """One model of ``kind`` per value of its parameter: p for er and
+    modified-er, theta2 for ergm, whose other parameters come from flags. A
+    modified-er draws its pair subset from rng first, once, and sets every
+    other pair to p0."""
     if kind == "er":
-        return ErdosRenyi(v, args.p)
+        return [ErdosRenyi(v, p) for p in values]
     if kind == "modified-er":
         pairs = select_modified_pairs(v, args.q, rng)
-        return ModifiedErdosRenyi(v, args.p0, args.p, pairs)
-    # The flag's choices leave only ergm.
-    return _ergms(args, v, [args.theta2])[0]
+        return [ModifiedErdosRenyi(v, p0, p, pairs) for p in values]
+    # The flags' choices leave only ergm.
+    mcmc = McmcConfig(burn_in=args.burn_in, thinning=args.thinning)
+    stats = _STATS_FLAGS[args.stats]
+    return [Ergm(v, stats, (args.theta1, t2), mcmc) for t2 in values]
+
+
+def _table(names, rows) -> list[str]:
+    """A report: the column names, then one line per row, in columns of 10."""
+    lines = [" ".join(f"{name:<10}" for name in names).rstrip()]
+    return lines + [" ".join(f"{x:<10g}" for x in row) for row in rows]
 
 
 def cmd_sample(args, rng) -> _Output:
-    model = _build_model(args.model, args.v, args, rng)
+    value = args.theta2 if args.model == "ergm" else args.p
+    (model,) = _models(args.model, args.v, args, rng, [value], args.p0)
     sample = model.sample(args.n, rng)
     return _Output(
         format_graph_sample(sample, args.base),
@@ -207,7 +213,8 @@ def cmd_test(args, rng) -> _Output:
             smoothing=args.smoothing,
         )
     else:
-        null = _build_model(args.null, s.v, args, rng)
+        value = args.theta2 if args.null == "ergm" else args.p
+        (null,) = _models(args.null, s.v, args, rng, [value])
         result = one_sample_test(s, null, alpha=args.alpha, R=args.replications, rng=rng)
     result = replace(result, seed=args.seed)
 
@@ -226,17 +233,7 @@ def cmd_test(args, rng) -> _Output:
 
 def cmd_power(args, rng) -> _Output:
     null = ErdosRenyi(args.v, args.null_p)
-    extra = {}
-    if args.alt == "er":
-        alternatives = [ErdosRenyi(args.v, p) for p in args.sweep]
-    elif args.alt == "modified-er":
-        pairs = select_modified_pairs(args.v, args.q, rng)
-        extra["modified_pairs"] = sorted(pairs)
-        alternatives = [
-            ModifiedErdosRenyi(args.v, args.null_p, p, pairs) for p in args.sweep
-        ]
-    else:
-        alternatives = _ergms(args, args.v, args.sweep)
+    alternatives = _models(args.alt, args.v, args, rng, args.sweep, args.null_p)
     points = power_curve(
         null,
         alternatives,
@@ -247,23 +244,21 @@ def cmd_power(args, rng) -> _Output:
         rng=rng,
         baseline_bonferroni=args.baseline == "bonferroni",
     )
-    if args.baseline:
-        report = ["param      power_w    power_bc"]
-    else:
-        report = ["param      power_w"]
-    for p in points:
-        line = f"{p.parameter:<10g} {p.power:<10g}"
-        if p.power_baseline is not None:
-            line += f" {p.power_baseline:<10g}"
-        report.append(line)
-    return _Output(format_power_csv(points), report, extra=extra)
+    names = ["param", "power_w"] + (["power_bc"] if args.baseline else [])
+    rows = [(p.parameter, p.power, p.power_baseline)[: len(names)] for p in points]
+    extra = {}
+    if args.alt == "modified-er":
+        extra["modified_pairs"] = sorted(alternatives[0].modified_pairs)
+    return _Output(format_power_csv(points), _table(names, rows), extra=extra)
 
 
 def cmd_density_sweep(args, rng) -> _Output:
-    points = edge_density_sweep(_ergms(args, args.v, args.sweep), args.draws, rng)
-    report = ["theta1     theta2     density"]
-    report += [f"{p.theta1:<10g} {p.theta2:<10g} {p.density:<10g}" for p in points]
-    return _Output(format_density_csv(points), report)
+    models = _models("ergm", args.v, args, rng, args.sweep)
+    points = edge_density_sweep(models, args.draws, rng)
+    rows = [(p.theta1, p.theta2, p.density) for p in points]
+    return _Output(
+        format_density_csv(points), _table(["theta1", "theta2", "density"], rows)
+    )
 
 
 def cmd_build_graphs(args, rng) -> _Output:
@@ -464,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     ((DataFormatError, DimensionMismatchError, EmptySampleError,
       InsufficientSampleError), 3),
-    ((ConfigurationError, EnumerationRefusedError, UndefinedCorrelationError), 4),
+    ((ConfigurationError, EnumerationRefusedError, UndefinedCorrelationError,
+      MemoryError), 4),
     ((OSError,), 3),
     ((ValueError,), 2),
 )
@@ -475,8 +471,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as e:
+        # A bare MemoryError has no message; NumPy's names the refused size.
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(e, types))
 
 

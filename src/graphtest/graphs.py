@@ -70,6 +70,14 @@ def _check_same_v(a, a_name: str, b, b_name: str) -> None:
         raise DimensionMismatchError(f"{a_name} has v={a.v} but {b_name} has v={b.v}")
 
 
+def _decimal(x) -> Fraction:
+    """A typed probability as the decimal it is written as: 0.3 is 3/10, not
+    the binary float just below it. A ``Fraction`` is returned unchanged;
+    other numbers go through str, because the repr of a NumPy float names
+    its type."""
+    return x if isinstance(x, Fraction) else Fraction(str(x))
+
+
 def _check_min_vertices(v: int) -> None:
     if v < 2:
         raise ValueError(f"need at least 2 vertices, got v={v}")

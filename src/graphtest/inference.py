@@ -43,7 +43,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationRefusedError
-from .graphs import BLOCK_CELLS, EdgeMarginals, GraphSample, _check_same_v, num_pairs
+from .graphs import (
+    BLOCK_CELLS, EdgeMarginals, GraphSample, _check_same_v, _decimal, num_pairs,
+)
 from .models import (
     MH_MAX_GROUPS,
     MH_MIN_CHAINS,
@@ -108,12 +110,10 @@ class PowerPoint:
 
 
 def _check_alpha(alpha: float) -> Fraction:
-    """Check the level and return it as the decimal it is written as: 0.15
-    is 15/100, not the binary float just below it. The conversion goes
-    through str because the repr of a NumPy float names its type."""
+    """Check the level and return it as the decimal it is written as."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return Fraction(str(alpha))
+    return _decimal(alpha)
 
 
 def _resolve_marginals(
@@ -390,7 +390,7 @@ def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
     if not 0 <= k <= n:
         raise ValueError(f"successes k={k} outside [0, {n}]")
     _check_probability("p0", p0)
-    return float(_binom_pvalue_fraction(k, n, Fraction(p0)))
+    return float(_binom_pvalue_fraction(k, n, _decimal(p0)))
 
 
 def bonferroni_edge_test(

@@ -51,6 +51,7 @@ from .graphs import (
     GraphSample,
     _check_min_vertices,
     _check_same_v,
+    _decimal,
     canonical_pairs,
     num_pairs,
     pair_index,
@@ -131,9 +132,10 @@ class _IndependentEdges:
         return rng.binomial(n, p, size=(R, num_pairs(self.v)))
 
     def exact_marginals(self) -> EdgeMarginals:
+        """Each pair's probability as the decimal it is written as."""
         probs = self.pair_probabilities().tolist()
         # Converting each distinct float once is faster than once per pair.
-        exact = {p: Fraction(p) for p in set(probs)}
+        exact = {p: _decimal(p) for p in set(probs)}
         return EdgeMarginals(self.v, [exact[p] for p in probs])
 
     @property
@@ -274,10 +276,11 @@ ModelSpec = Union[ErdosRenyi, ModifiedErdosRenyi, Ergm]
 def select_modified_pairs(
     v: int, q: float, rng: np.random.Generator
 ) -> frozenset[tuple[int, int]]:
-    """Uniformly random subset of round(q*E) canonical pairs (half rounds up)."""
+    """Uniformly random subset of round(q*E) canonical pairs (half rounds up),
+    with q read as the decimal it is written as."""
     _check_probability("q", q)
     E = num_pairs(v)
-    k = int(math.floor(q * E + 0.5))
+    k = math.floor(_decimal(q) * E + Fraction(1, 2))
     pairs = canonical_pairs(v)
     chosen = rng.choice(E, size=k, replace=False)
     return frozenset(pairs[int(a)] for a in chosen)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,16 +73,13 @@ class GapKernel:
     numerator sum_a |t_a|. Counts lie in [0, max_count] and every target in
     [0, scale*max_count], so |t_a| <= scale*max_count. Terms are int64 when
     scale*max_count*E < 2^62; otherwise they are Python integers in an object
-    array. A block with more rows than there are possible counts then gathers
-    |t_a| from a per-pair table of all of them, so the big-integer work per
-    row is one addition per pair.
+    array.
     """
 
     def __init__(
         self, scale: int, targets: Sequence[int], max_count: int, denominator: int
     ):
         self.scale = scale
-        self.max_count = max_count
         self.denominator = denominator
         self.fast = scale * max_count * len(targets) < 2**62
         self.targets = np.array(targets, dtype=np.int64 if self.fast else object)
@@ -93,15 +89,8 @@ class GapKernel:
         counts = np.asarray(counts, dtype=np.int64 if self.fast else object)
         return self.targets - self.scale * counts
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        # Row k holds |t_a| at count k for every pair a.
-        return np.abs(self.terms(np.arange(self.max_count + 1)[:, None]))
-
     def __call__(self, counts: np.ndarray) -> np.ndarray:
         """Numerators of a (B x E) integer count block, int64 or object, length B."""
-        if not self.fast and counts.shape[0] > self.max_count:
-            return self._table[counts, np.arange(len(self.targets))].sum(axis=1)
         return np.abs(self.terms(counts)).sum(axis=1)
 
     def fraction(self, numerator) -> Fraction:

@@ -100,6 +100,24 @@ class TestSampleCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 373. GiB for an array with shape (10, 4999950000)", "",
+    ])
+    def test_running_out_of_memory_is_refused(self, monkeypatch, capsys, message):
+        # The model's sample stands in for an allocation too large to make.
+        def sample(self, n, rng):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(graphtest.models._IndependentEdges, "sample", sample)
+        code = run(
+            "sample", "--model", "er", "--v", "100000", "--p", "0.5", "--n", "10",
+            "--seed", "1",
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message or 'MemoryError'}\n"
+        assert captured.out == ""
+
     def test_manifest_records_run(self, tmp_path):
         out = tmp_path / "s.txt"
         manifest = tmp_path / "run.json"

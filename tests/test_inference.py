@@ -599,11 +599,17 @@ class TestBinomialPValue:
     def test_matches_the_fraction_pmf_sum(self, n, p0):
         # At p0 = 1/2 outcomes k and n-k tie; at 0 and 1 every impossible
         # outcome ties at weight 0.
-        q = Fraction(p0)
+        q = Fraction(str(p0))
         pmf = [math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(n + 1)]
         for k in range(n + 1):
             expected = sum((w for w in pmf if w <= pmf[k]), Fraction(0))
             assert binom_two_sided_pvalue(k, n, p0) == float(expected)
+
+    def test_reads_p0_as_written(self):
+        q = Fraction(3, 10)
+        pmf = [math.comb(7, j) * q**j * (1 - q) ** (7 - j) for j in range(8)]
+        expected = sum(w for w in pmf if w <= pmf[3])
+        assert binom_two_sided_pvalue(3, 7, 0.3) == float(expected) == 0.4352848
 
     def test_degenerate_reference(self):
         assert binom_two_sided_pvalue(0, 5, 0.0) == 1.0

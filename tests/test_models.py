@@ -33,6 +33,7 @@ from graphtest.models import (
     _enumeration_counts,
     _mh_lockstep_edge_counts,
 )
+from graphtest.statistic import one_sample_kernel
 
 from oracles import (
     enumerated_pair_marginals,
@@ -86,6 +87,12 @@ class TestErdosRenyi:
         assert model.sweep_parameter == 0.25
         assert model.describe()["model"] == "er"
 
+    def test_exact_marginals_read_p_as_written(self):
+        # 3/10 keeps the kernel on int64; the binary float 0.3 does not.
+        marginals = ErdosRenyi(40, 0.3).exact_marginals()
+        assert marginals.fractions == (Fraction(3, 10),) * num_pairs(40)
+        assert one_sample_kernel(50, marginals).fast
+
     def test_pair_probabilities(self):
         probs = ErdosRenyi(5, 0.3).pair_probabilities()
         assert probs.dtype == np.float64
@@ -133,11 +140,11 @@ class TestModifiedErdosRenyi:
 
     def test_no_modified_pairs_reduces_to_baseline(self):
         spec = ModifiedErdosRenyi(5, 0.3, 0.8, frozenset())
-        assert spec.exact_marginals() == EdgeMarginals.constant(5, 0.3)
+        assert spec.exact_marginals() == EdgeMarginals.constant(5, Fraction("0.3"))
 
     def test_all_pairs_modified_reduces_to_target(self):
         spec = ModifiedErdosRenyi(5, 0.3, 0.8, frozenset(canonical_pairs(5)))
-        assert spec.exact_marginals() == EdgeMarginals.constant(5, 0.8)
+        assert spec.exact_marginals() == EdgeMarginals.constant(5, Fraction("0.8"))
 
     def test_sample_frequencies_track_both_levels(self, rng):
         modified = frozenset({(0, 1), (0, 2), (4, 5)})
@@ -163,6 +170,12 @@ class TestSelectModifiedPairs:
         # E=45 at v=10: 0.25*45 = 11.25 -> 11; E=10 at v=5: 2.5 -> 3.
         assert len(select_modified_pairs(10, 0.25, rng)) == 11
         assert len(select_modified_pairs(5, 0.25, rng)) == 3
+
+    def test_reads_q_as_written(self, rng):
+        # 0.205*300 = 61.5 and 0.175*5460 = 955.5 exactly, so both round up;
+        # the binary floats 0.205 and 0.175 fall just below.
+        assert len(select_modified_pairs(25, 0.205, rng)) == 62
+        assert len(select_modified_pairs(105, 0.175, rng)) == 956
 
     def test_returns_canonical_pairs(self, rng):
         chosen = select_modified_pairs(7, 0.4, rng)

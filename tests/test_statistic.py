@@ -238,8 +238,7 @@ class TestGapKernel:
         for sample, num in zip(samples, kernel(counts)):
             assert kernel.fraction(num) == literal_one_sample_max(sample, marginals)
 
-    # Blocks with more rows than the n+1 possible counts gather their big
-    # integer terms from a table; smaller blocks compute them directly.
+    # Small and large blocks, on the int64 and the object path.
     @pytest.mark.parametrize("rows", [1, 3, 80])
     def test_one_sample_paths_on_random_blocks(self, rng, rows):
         v, n = 7, 50

@@ -50,8 +50,9 @@ COMMANDS = [
     "--n 10 --seed 22 --base 1",
     "sample --model ergm --v 7 --stats edge-2-star --theta1 -1 --theta2=-0.1 "
     "--burn-in 50 --thinning 3 --n 8 --seed 23 --out two-star.txt",
-    # The big-integer kernel: 0.3 means 3/10.
-    "test --sample sample.txt --null er --p 0.3 --replications 2000 --seed 24",
+    # --p 0.3 reads as 3/10; the CSV pins W and the critical value in full.
+    "test --sample sample.txt --null er --p 0.3 --replications 2000 --seed 24 "
+    "--out p03.csv",
     # An ERGM null, and permutation tests with both tie rules.
     "sample --model er --v 6 --p 0.5 --n 20 --seed 25 --out ergm-a.txt",
     "test --sample ergm-a.txt --null ergm --stats edge-triangle --theta1 0 "

@@ -53,6 +53,12 @@ COMMANDS = [
     # --p 0.3 reads as 3/10; the CSV pins W and the critical value in full.
     "test --sample sample.txt --null er --p 0.3 --replications 2000 --seed 24 "
     "--out p03.csv",
+    # At v=40 the binary float 0.3 would print W and the critical value as
+    # 42.480000000000004 and 41.980000000000004, so this CSV tells the two
+    # readings of --p apart.
+    "sample --model er --v 40 --p 0.3 --n 50 --seed 12 --out v40.txt",
+    "test --sample v40.txt --null er --p 0.3 --replications 2000 --seed 32 "
+    "--out v40.csv",
     # An ERGM null, and permutation tests with both tie rules.
     "sample --model er --v 6 --p 0.5 --n 20 --seed 25 --out ergm-a.txt",
     "test --sample ergm-a.txt --null ergm --stats edge-triangle --theta1 0 "

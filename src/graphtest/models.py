@@ -52,6 +52,7 @@ from .graphs import (
     _check_min_vertices,
     _check_same_v,
     _decimal,
+    _pair_slot,
     canonical_pairs,
     num_pairs,
     pair_index,
@@ -97,9 +98,11 @@ MH_MIN_CHAINS = 64
 MH_MAX_GROUPS = 8
 
 
-def _check_probability(name: str, p: float) -> None:
+def _check_probability(name: str, p: float) -> Fraction:
+    """Check a probability and return it as the decimal it is written as."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return _decimal(p)
 
 
 def _check_sample_size(n: int) -> None:
@@ -109,7 +112,16 @@ def _check_sample_size(n: int) -> None:
 
 class _IndependentEdges:
     """Sampling and marginals of a model whose edge at pair a is an
-    independent Bernoulli(p_a), with p_a given by ``pair_probabilities()``."""
+    independent Bernoulli(p_a).
+
+    A model's one per-pair form is ``_levels(read)``: each parameter read
+    once by ``read`` and placed at its pairs. ``pair_probabilities`` reads
+    with ``float``, for sampling, and ``exact_marginals`` with ``_decimal``,
+    so the marginals never pass through the floats the model samples with.
+    """
+
+    def pair_probabilities(self) -> np.ndarray:
+        return self._levels(float)
 
     def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
         _check_sample_size(n)
@@ -133,10 +145,7 @@ class _IndependentEdges:
 
     def exact_marginals(self) -> EdgeMarginals:
         """Each pair's probability as the decimal it is written as."""
-        probs = self.pair_probabilities().tolist()
-        # Converting each distinct float once is faster than once per pair.
-        exact = {p: _decimal(p) for p in set(probs)}
-        return EdgeMarginals(self.v, [exact[p] for p in probs])
+        return EdgeMarginals(self.v, self._levels(_decimal))
 
     @property
     def sweep_parameter(self) -> float:
@@ -154,8 +163,8 @@ class ErdosRenyi(_IndependentEdges):
         _check_min_vertices(self.v)
         _check_probability("p", self.p)
 
-    def pair_probabilities(self) -> np.ndarray:
-        return np.full(num_pairs(self.v), self.p, dtype=np.float64)
+    def _levels(self, read) -> np.ndarray:
+        return np.full(num_pairs(self.v), read(self.p))
 
     def describe(self) -> dict:
         return {"model": "er", "v": self.v, "p": self.p}
@@ -183,11 +192,11 @@ class ModifiedErdosRenyi(_IndependentEdges):
         if bad:
             raise ValueError(f"non-canonical pairs for v={self.v}: {sorted(bad)}")
 
-    def pair_probabilities(self) -> np.ndarray:
-        probs = np.full(num_pairs(self.v), self.p0, dtype=np.float64)
-        for i, j in self.modified_pairs:
-            probs[pair_index(self.v, i, j)] = self.p
-        return probs
+    def _levels(self, read) -> np.ndarray:
+        i, j = np.array(list(self.modified_pairs), dtype=np.intp).reshape(-1, 2).T
+        modified = np.zeros(num_pairs(self.v), dtype=bool)
+        modified[_pair_slot(self.v, i, j)] = True
+        return np.where(modified, read(self.p), read(self.p0))
 
     def describe(self) -> dict:
         return {
@@ -278,9 +287,8 @@ def select_modified_pairs(
 ) -> frozenset[tuple[int, int]]:
     """Uniformly random subset of round(q*E) canonical pairs (half rounds up),
     with q read as the decimal it is written as."""
-    _check_probability("q", q)
     E = num_pairs(v)
-    k = math.floor(_decimal(q) * E + Fraction(1, 2))
+    k = math.floor(_check_probability("q", q) * E + Fraction(1, 2))
     pairs = canonical_pairs(v)
     chosen = rng.choice(E, size=k, replace=False)
     return frozenset(pairs[int(a)] for a in chosen)

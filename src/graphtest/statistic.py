@@ -135,22 +135,16 @@ def mean_distance(sample: GraphSample, g: Graph) -> float:
 
 
 def one_sample_statistic(
-    sample: GraphSample,
-    null_marginals: EdgeMarginals,
-    *,
-    kernel: GapKernel | None = None,
+    sample: GraphSample, null_marginals: EdgeMarginals
 ) -> TestStatistic:
     """Sum over canonical pairs of |edge frequency - reference probability|.
 
     Equals the maximum over all graphs of the absolute mean-distance gap
     between the sample and the reference distribution, and is computable in
-    O(v^2 * n) time. ``kernel`` lets a caller that has already built the
-    kernel for this sample size and these marginals (as the Monte Carlo test
-    does to calibrate its null) reuse it.
+    O(v^2 * n) time.
     """
     _check_same_v(sample, "sample", null_marginals, "marginals")
-    if kernel is None:
-        kernel = one_sample_kernel(sample.n, null_marginals)
+    kernel = one_sample_kernel(sample.n, null_marginals)
     return _statistic(kernel, kernel(sample.edge_counts[None, :])[0], sample.n)
 
 

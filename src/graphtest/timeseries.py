@@ -396,12 +396,8 @@ def summary_graph(s: GraphSample, k: int) -> SummaryGraph:
     E = num_pairs(s.v)
     if not 0 <= k <= E:
         raise ValueError(f"k must lie in [0, {E}], got {k}")
-    counts = s.edge_counts
-    order = sorted(range(E), key=lambda a: (-int(counts[a]), a))[:k]
+    counts = s.edge_counts.tolist()
+    order = np.argsort(-s.edge_counts, kind="stable")[:k].tolist()
     pairs = canonical_pairs(s.v)
-    bits = 0
-    freqs = []
-    for a in order:
-        bits |= 1 << a
-        freqs.append((pairs[a], int(counts[a]) / s.n))
-    return SummaryGraph(graph=Graph(s.v, bits), frequencies=tuple(freqs))
+    freqs = tuple((pairs[a], counts[a] / s.n) for a in order)
+    return SummaryGraph(graph=Graph(s.v, sum(1 << a for a in order)), frequencies=freqs)

@@ -50,6 +50,11 @@ from oracles import (
 
 TestResult.__test__ = False
 
+# Repeated values share a reject-table row; 0.3 is a binary float, 0 and 1
+# have one-point nulls.
+MIXED_MARGINALS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), 0.3, Fraction(0),
+                   Fraction(1), Fraction(1, 3), Fraction(7, 10), 0.3, Fraction(1, 2)]
+
 
 class TestNullQuantile:
     def test_v3_pair_of_graphs_has_binomial_quantiles(self, rng_factory):
@@ -157,19 +162,6 @@ class TestOneSampleTest:
         b = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8))
         assert a.critical_exact == b.critical_exact
         assert a.reject == b.reject
-
-    def test_null_common_ratio_is_built_once(self, rng, monkeypatch):
-        calls = []
-        common_ratio = EdgeMarginals.common_ratio
-
-        def counted(self):
-            calls.append(self)
-            return common_ratio(self)
-
-        monkeypatch.setattr(EdgeMarginals, "common_ratio", counted)
-        s = ErdosRenyi(5, 0.5).sample(6, rng)
-        one_sample_test(s, ErdosRenyi(5, 0.5), R=100, rng=rng)
-        assert len(calls) == 1
 
     def test_validation(self, rng):
         s = GraphSample([Graph.empty(4)] * 3)
@@ -670,19 +662,39 @@ class TestBonferroniEdgeTest:
         with pytest.raises(DimensionMismatchError):
             bonferroni_edge_test(s, EdgeMarginals.constant(5, 0.5))
 
+    def test_p_value_at_the_corrected_level_rejects(self):
+        # Five complete graphs on v=2 against 1/2: p = 2 * (1/2)^5 = 1/16 at
+        # the one pair, so alpha/E = 1/16 rejects and 0.0624 does not.
+        s = GraphSample([Graph.complete(2)] * 5)
+        marginals = EdgeMarginals.constant(2, Fraction(1, 2))
+        assert bonferroni_edge_test(s, marginals).per_edge_p_values == (0.0625,)
+        assert bonferroni_edge_test(s, marginals, alpha=0.0625).reject
+        assert not bonferroni_edge_test(s, marginals, alpha=0.0624).reject
+
     @pytest.mark.parametrize("n, alpha", [(12, 0.05), (25, 0.3)])
     def test_reject_table_matches_per_pair_formula(self, n, alpha):
-        # Repeated values share a row; 0.3 is a binary float, 0 and 1 have
-        # one-point nulls.
-        values = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), 0.3,
-                  Fraction(0), Fraction(1), Fraction(1, 3), Fraction(7, 10),
-                  0.3, Fraction(1, 2)]
-        marg = EdgeMarginals(5, values)
+        marg = EdgeMarginals(5, MIXED_MARGINALS)
         table = _bc_reject_table(n, marg, alpha)
         expected = [bonferroni_reject_row(n, p0, alpha, 10) for p0 in marg.fractions]
         assert table.dtype == bool
         assert table.tolist() == expected
         assert table.any() and not table.all()
+
+    @pytest.mark.parametrize("n, alpha", [(12, 0.05), (25, 0.3)])
+    def test_reject_matches_per_pair_formula(self, rng, n, alpha):
+        marg = EdgeMarginals(5, MIXED_MARGINALS)
+        rows = [bonferroni_reject_row(n, p0, Fraction(str(alpha)), 10)
+                for p0 in marg.fractions]
+        null = np.array([float(p0) for p0 in marg.fractions])
+        decisions = set()
+        for _ in range(40):
+            # Samples from the null, with a few pairs moved off it.
+            probs = np.where(rng.random(10) < 0.15, rng.random(10), null)
+            s = GraphSample.from_indicator_matrix(5, rng.random((n, 10)) < probs)
+            expected = any(row[c] for row, c in zip(rows, s.edge_counts.tolist()))
+            assert bonferroni_edge_test(s, marg, alpha).reject == expected
+            decisions.add(expected)
+        assert decisions == {True, False}
 
 
 class TestPowerCurve:

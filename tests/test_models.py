@@ -93,6 +93,11 @@ class TestErdosRenyi:
         assert marginals.fractions == (Fraction(3, 10),) * num_pairs(40)
         assert one_sample_kernel(50, marginals).fast
 
+    def test_exact_marginals_keep_a_fraction_p(self):
+        spec = ErdosRenyi(3, Fraction(1, 3))
+        assert spec.exact_marginals().fractions == (Fraction(1, 3),) * 3
+        assert spec.pair_probabilities().tolist() == [1 / 3] * 3
+
     def test_pair_probabilities(self):
         probs = ErdosRenyi(5, 0.3).pair_probabilities()
         assert probs.dtype == np.float64
@@ -129,6 +134,12 @@ class TestModifiedErdosRenyi:
         expected = [0.9, 0.5, 0.5, 0.5, 0.5, 0.9]
         assert probs.tolist() == expected
         assert [float(f) for f in spec.exact_marginals().fractions] == expected
+
+    def test_exact_marginals_keep_fraction_levels(self):
+        spec = ModifiedErdosRenyi(3, Fraction(1, 3), Fraction(1, 2), frozenset({(0, 1)}))
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert spec.exact_marginals().fractions == (half, third, third)
+        assert spec.pair_probabilities().tolist() == [0.5, 1 / 3, 1 / 3]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,10 @@ The flags whose use depends on the mode of a run (the choice of ``--model``,
 ``--null`` or ``--alt``, and one- or two-sample ``test``) are listed once, in
 ``_READS``, with their defaults. A flag the run does not read is a usage
 error, as is a missing flag it needs; the manifest records an unread flag as
-null.
+null. ``_READS`` is by mode, not by size: ``test --null ergm`` and ``power
+--alt ergm`` accept ``--burn-in`` and ``--thinning`` at every v, though on
+at most ``ENUMERATION_MAX_V`` vertices their draws are exact and the
+schedule has no effect.
 
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 refused
 configuration (for example exact enumeration above the size cap, or a

@@ -15,17 +15,19 @@ by ``statistic.GapKernel``, so ties are real ties and results cannot drift
 with float summation order.
 
 Monte Carlo replicates are drawn in blocks of about ``BLOCK_CELLS`` count
-cells; an ERGM block holds at least ``models.MH_MIN_CHAINS`` chains, because
-its lockstep chains gain over one scalar chain only when there are many.
-Each block takes one generator spawned off the caller's generator and
-draws its whole (B x E) count array with the model's ``edge_count_batches``;
-the ERGM blocks of a power curve's alternatives may share one lockstep call,
-which gives every block the counts it would draw alone. The blocks are fixed
-by R and the model alone. Independent-edge blocks are spread over a thread
-per usable CPU; ERGM blocks run serially, because a thread pool showed no
-clear gain on them: on two threads, an ERGM-null test of 10 000 replicates
-and a four-alternative ERGM power curve both ran within the spread of their
-serial runs (2-core x86_64). Either way the results are the same.
+cells. A block of a chain-drawn ERGM (one above ``models.ENUMERATION_MAX_V``
+vertices; smaller ones are drawn exactly) holds at least
+``models.MH_MIN_CHAINS`` chains, because its lockstep chains gain over one
+scalar chain only when there are many. Each block takes one generator
+spawned off the caller's generator and draws its whole (B x E) count array
+with the model's ``edge_count_batches``; the chain-drawn blocks of a power
+curve's alternatives may share one lockstep call, which gives every block
+the counts it would draw alone. The blocks are fixed by R and the model
+alone. Other blocks are spread over a thread per usable CPU; chain-drawn
+blocks run serially, because a thread pool showed no clear gain on them: on
+two threads, an ERGM-null test of 10 000 replicates and a four-alternative
+ERGM power curve both ran within the spread of their serial runs (2-core
+x86_64). Either way the results are the same.
 Permutations are drawn from the caller's generator in blocks of rows, which
 consumes it exactly as one draw of all R rows would.
 """
@@ -51,8 +53,8 @@ from .graphs import (
 from .models import (
     MH_MAX_GROUPS,
     MH_MIN_CHAINS,
-    Ergm,
     ModelSpec,
+    _chain_drawn,
     _check_probability,
     _check_sample_size,
     _mh_lockstep_edge_counts,
@@ -134,9 +136,10 @@ def _resolve_marginals(
 
 
 def _block_size(model: ModelSpec) -> int:
-    """Replicates per block: max(1, BLOCK_CELLS // E), at least MH_MIN_CHAINS for an ERGM."""
+    """Replicates per block: max(1, BLOCK_CELLS // E), at least MH_MIN_CHAINS
+    for a chain-drawn ERGM."""
     B = max(1, BLOCK_CELLS // num_pairs(model.v))
-    return max(B, MH_MIN_CHAINS) if isinstance(model, Ergm) else B
+    return max(B, MH_MIN_CHAINS) if _chain_drawn(model) else B
 
 
 def _usable_cpus() -> int:
@@ -159,15 +162,15 @@ def _map_blocks(
     A block of a model holds ``_block_size(model)`` samples (the last may
     hold fewer), and its (size x E) counts come from
     ``model.edge_count_batches`` on a stream of its own spawned off that
-    model's rng. ERGM blocks of models that share v, stats and MCMC schedule
-    are packed, in block order, into lockstep calls of at most one block's
-    chains and ``MH_MAX_GROUPS`` column groups; each block keeps its stream
-    and draw layout there, so its counts are the same as alone, and packing
-    only shares the fixed cost of a lockstep step. Blocks, streams and calls
-    are fixed before any work starts, and results come back per model in
-    block order, so they do not depend on how the calls are run: serially
-    when any model is an ERGM (see the module docstring), and otherwise on
-    a pool of one thread per usable CPU, at most one per call.
+    model's rng. Blocks of chain-drawn ERGMs that share v, stats and MCMC
+    schedule are packed, in block order, into lockstep calls of at most one
+    block's chains and ``MH_MAX_GROUPS`` column groups; each block keeps its
+    stream and draw layout there, so its counts are the same as alone, and
+    packing only shares the fixed cost of a lockstep step. Blocks, streams
+    and calls are fixed before any work starts, and results come back per
+    model in block order, so they do not depend on how the calls are run:
+    serially when any model is chain-drawn (see the module docstring), and
+    otherwise on a pool of one thread per usable CPU, at most one per call.
     """
     # A piece is (model index, block index, block size, stream).
     blocks = []
@@ -180,7 +183,7 @@ def _map_blocks(
     open_calls: dict[tuple, list[tuple]] = {}
     for piece in (p for row in zip_longest(*blocks) for p in row if p is not None):
         model = models[piece[0]]
-        if not isinstance(model, Ergm):
+        if not _chain_drawn(model):
             calls.append([piece])
             continue
         shared = (model.v, model.stats, model.mcmc)
@@ -202,7 +205,7 @@ def _map_blocks(
             parts = np.split(counts, np.cumsum([p[2] for p in call])[:-1])
         return [fn(part) for part in parts]
 
-    serial = any(isinstance(model, Ergm) for model in models)
+    serial = any(_chain_drawn(model) for model in models)
     workers = 1 if serial else min(len(calls), _usable_cpus())
     if workers == 1:
         results = [run(call) for call in calls]
@@ -463,8 +466,8 @@ def power_curve(
     ``baseline_bonferroni`` the same samples are also run through the
     per-edge binomial baseline, filling ``power_baseline``.
 
-    ERGM alternatives that share a statistic and an MCMC schedule share
-    lockstep calls (see ``_map_blocks``): each keeps its own streams and
+    Chain-drawn ERGM alternatives that share a statistic and an MCMC schedule
+    share lockstep calls (see ``_map_blocks``): each keeps its own streams and
     draws, so every point is the same as when its alternative runs alone.
     """
     if rng is None:

@@ -13,18 +13,22 @@ Three families are provided:
   value for every pair: the enumerated edge density.
 
 Every model draws the per-pair edge counts of R independent samples at once
-with ``edge_count_batches``. For ``Ergm`` that runs one chain per sample, and
-all R chains advance together: each proposal step is about a dozen NumPy
-calls over the R chains, whose graphs are held as uint64 neighbour
-bitmasks. A flip is accepted when its uniform falls below a threshold table
-built once with ``math.exp``, so every chain makes exactly the decisions of
-the scalar sampler ``ergm_mh_sample`` given the same draws. Both samplers
-take their draws and their burn-in and thinning schedule from ``_mh_sweeps``,
-which documents the draw layout. A step costs the same NumPy calls however
-many chains take it, so the engine pays off only for many chains: Monte
-Carlo blocks of ERGM replicates hold at least ``MH_MIN_CHAINS`` of them, and
-blocks of models that share v, statistics and schedule can run as column
-groups of one call, each on its own draws and with its own theta.
+with ``edge_count_batches``. An ``Ergm`` up to ENUMERATION_MAX_V vertices
+draws whole graphs from its enumerated law (see ``_exact_edge_counts``);
+``ergm_enumerate`` keeps a few recent enumerations, so the marginals and the
+draws of one model share one. A larger ``Ergm`` is chain-drawn: it runs one
+chain per sample, and all R chains advance together: each proposal step is
+about a dozen NumPy calls over the R chains, whose graphs are held as uint64
+neighbour bitmasks. A flip is accepted when its uniform falls below a
+threshold table built once with ``math.exp``, so every chain makes exactly
+the decisions of the scalar sampler ``ergm_mh_sample`` given the same draws.
+Both samplers take their draws and their burn-in and thinning schedule from
+``_mh_sweeps``, which documents the draw layout. A step costs the same NumPy
+calls however many chains take it, so the engine pays off only for many
+chains: Monte Carlo blocks of chain-drawn ERGM replicates hold at least
+``MH_MIN_CHAINS`` of them, and blocks of models that share v, statistics and
+schedule can run as column groups of one call, each on its own draws and
+with its own theta. ``Ergm.sample`` always runs the chain, at every v.
 
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
@@ -38,6 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
@@ -247,11 +252,17 @@ class Ergm:
     def edge_count_batches(
         self, n: int, R: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-pair edge counts of R samples of size n, one MH chain each (R x E).
+        """Per-pair edge counts of R samples of size n (R x E).
 
-        The R chains run in lockstep; see ``_mh_lockstep_edge_counts``.
+        Up to ENUMERATION_MAX_V vertices the graphs are independent exact
+        draws from the enumerated law (``_exact_edge_counts``), and the MCMC
+        schedule is not read. Beyond it each sample is one MH chain, and the
+        R chains run in lockstep; see ``_mh_lockstep_edge_counts``.
         """
-        return _mh_lockstep_edge_counts([(self, R, rng)], n)
+        if _chain_drawn(self):
+            return _mh_lockstep_edge_counts([(self, R, rng)], n)
+        _check_sample_size(n)
+        return _exact_edge_counts(ergm_enumerate(self), n, R, rng)
 
     def exact_marginals(self) -> EdgeMarginals:
         """Every pair's marginal: the enumerated edge density.
@@ -280,6 +291,12 @@ class Ergm:
 
 
 ModelSpec = Union[ErdosRenyi, ModifiedErdosRenyi, Ergm]
+
+
+def _chain_drawn(model: ModelSpec) -> bool:
+    """Whether ``model.edge_count_batches`` runs Metropolis-Hastings chains:
+    an ``Ergm`` too large to enumerate."""
+    return isinstance(model, Ergm) and model.v > ENUMERATION_MAX_V
 
 
 def select_modified_pairs(
@@ -357,32 +374,82 @@ class ExactDistribution:
     def edge_density(self) -> float:
         """Expected fraction of pairs joined by an edge."""
         E = num_pairs(self.v)
-        n_e = np.bitwise_count(np.arange(1 << E))
+        n_e = np.bitwise_count(np.arange(1 << E)).astype(np.float64)
         return float(self.probabilities @ n_e) / E
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """Cumulative probabilities over the codes, built as ``rng.choice``
+        builds them: a cumulative sum divided by its last entry (read-only)."""
+        cdf = self.probabilities.cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
 
 
 def ergm_enumerate(spec: Ergm) -> ExactDistribution:
-    """Exact model distribution by summing the weights of all 2^E graphs."""
+    """Exact model distribution by summing the weights of all 2^E graphs.
+
+    The most recent enumerations are kept, keyed by (v, stats, theta), and
+    one is returned as is to every later call that asks for it; its arrays
+    are read-only.
+    """
     if spec.v > ENUMERATION_MAX_V:
         raise EnumerationRefusedError(
             f"enumeration visits 2^{num_pairs(spec.v)} graphs; "
             f"refusing v={spec.v} > {ENUMERATION_MAX_V}"
         )
-    n_e, n_x = _enumeration_counts(spec.v, spec.stats)
-    t1, t2 = spec.theta
+    return _enumerated(spec.v, spec.stats, tuple(spec.theta))
+
+
+# A v=6 enumeration holds 256 KB of probabilities, and as much again once
+# its codes have been drawn from.
+@lru_cache(maxsize=16)
+def _enumerated(v: int, stats: str, theta: tuple[float, float]) -> ExactDistribution:
+    n_e, n_x = _enumeration_counts(v, stats)
+    t1, t2 = theta
     with np.errstate(over="ignore", invalid="ignore"):
         log_w = t1 * n_e + t2 * n_x
         if not np.isfinite(log_w).all():
             raise ValueError(
                 f"ERGM log-weights are not finite in float64 at "
-                f"theta={spec.theta}, v={spec.v}"
+                f"theta={theta}, v={v}"
             )
         # Normalize through log-sum-exp; positive parameters at v=6 would
         # overflow a direct exponential. A log-weight more than the float64
         # range below the largest gets weight 0.
         weights = np.exp(log_w - log_w.max())
     probs = weights / weights.sum()
-    return ExactDistribution(spec.v, probs)
+    probs.flags.writeable = False
+    return ExactDistribution(v, probs)
+
+
+def _exact_edge_counts(
+    dist: ExactDistribution, n: int, R: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-pair edge counts of R samples of n independent draws from ``dist``.
+
+    The graphs' codes are those of ``rng.choice(len(p), size=(R, n), p=p)``
+    for p = ``dist.probabilities``, and the stream is left as that call
+    leaves it: uniforms from ``rng.random``, read row by row in chunks of at
+    most BLOCK_CELLS, each searched in ``dist._cdf`` from the right. Each
+    code is unpacked into its E edge bits, and the bits of replicate r's n
+    graphs, draws r*n .. r*n + n - 1, are summed into row r (R x E, int64).
+    """
+    E = num_pairs(dist.v)
+    counts = np.zeros((R, E), dtype=np.int64)
+    total = R * n
+    for lo in range(0, total, BLOCK_CELLS):
+        hi = min(lo + BLOCK_CELLS, total)
+        codes = dist._cdf.searchsorted(rng.random(hi - lo), side="right")
+        # Little-endian bytes of each code, bit a of the code first.
+        code_bytes = codes.astype("<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(code_bytes, axis=1, count=E, bitorder="little")
+        # The replicates this chunk reaches, and where each starts in it.
+        first, last = lo // n, (hi - 1) // n
+        starts = np.maximum(np.arange(first, last + 1) * n, lo) - lo
+        counts[first:last + 1] += np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+    return counts
 
 
 def _mh_thresholds(spec: Ergm) -> list[list[float]]:

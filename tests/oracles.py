@@ -319,6 +319,17 @@ def lockstep_mh_counts(
     return counts
 
 
+def choice_edge_counts(
+    probabilities: np.ndarray, v: int, n: int, R: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-pair edge counts of R samples of n graphs, drawn by one
+    ``rng.choice`` over the edge-bitset codes: bit a of a code is canonical
+    pair a, and row r sums the bits of the r-th row of codes."""
+    codes = rng.choice(len(probabilities), size=(R, n), p=probabilities)
+    bits = (codes[:, :, None] >> np.arange(num_pairs(v))) & 1
+    return bits.sum(axis=1)
+
+
 def bonferroni_reject_row(n: int, p0: Fraction, alpha, E: int) -> list[bool]:
     """Per-count Bonferroni decisions for one pair, from the binomial pmf.
 

@@ -21,10 +21,11 @@ from oracles import (
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    """SciPy costs about a second at start-up and is only a test dependency."""
+    """The CLI loads no test dependency: SciPy, pytest or Hypothesis. SciPy
+    alone costs about a second at start-up."""
     code = (
-        "import sys, graphtest.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, graphtest.cli; print(sorted({m.split('.')[0] for m in "
+        "sys.modules} & {'scipy', 'pytest', 'hypothesis'}))"
     )
     src = str(Path(graphtest.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -718,10 +719,12 @@ def test_manifest_records_the_flags_a_run_does_not_read_as_null(tmp_path):
     assert "threads" not in params
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands() -> list[list[str]]:
     """Arguments of every ``graphtest`` command in README's sh blocks."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("graphtest ")]
 
@@ -732,6 +735,16 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """README's one ``python`` block runs as a script, in an empty directory."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1, blocks
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    # It prints the one-sample result, then the permutation result.
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 class TestTopLevel:

@@ -507,6 +507,35 @@ class TestPackedErgmCalls:
         packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
         assert [len(blocks) for blocks in packed] == [3, 3, 3]
 
+    def test_enumerable_alternatives_run_alone_on_a_pool(self, cpus, monkeypatch):
+        # Up to ENUMERATION_MAX_V vertices an ERGM draws exact graphs, so its
+        # blocks hold no chain floor, share no call and may take the pool.
+        def refuse(groups, n):
+            raise AssertionError("ran a lockstep call")
+
+        opened = []
+
+        class Recording(inference.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(inference, "_mh_lockstep_edge_counts", refuse)
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", Recording)
+        cpus(3)
+        alts = [Ergm(6, EDGE_TRIANGLE, (0.0, t), self.MCMC) for t in (-0.2, 0.2)]
+        # v=6 has E=15, so a block holds 65536 // 15 = 4369 samples.
+        assert _block_size(alts[0]) == BLOCK_CELLS // 15 == 4369
+        streams = np.random.default_rng(35).spawn(2)
+        packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
+        assert opened == [2]
+        streams = np.random.default_rng(35).spawn(2)
+        for alt, stream, blocks in zip(alts, streams, packed):
+            assert len(blocks) == 1
+            (child,) = stream.spawn(1)
+            alone = alt.edge_count_batches(self.N, self.M, child)
+            assert np.array_equal(blocks[0], alone)
+
 
 class TestMemoryBound:
     LIMIT = 16 * 2**20

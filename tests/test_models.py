@@ -28,6 +28,8 @@ from graphtest import (
     num_pairs,
     select_modified_pairs,
 )
+import graphtest.models as models
+from graphtest.graphs import BLOCK_CELLS
 from graphtest.models import (
     MH_GROUP_CELLS,
     _enumeration_counts,
@@ -36,6 +38,7 @@ from graphtest.models import (
 from graphtest.statistic import one_sample_kernel
 
 from oracles import (
+    choice_edge_counts,
     enumerated_pair_marginals,
     lockstep_mh_counts,
     naive_edge_count,
@@ -118,6 +121,9 @@ class TestErdosRenyi:
     @pytest.mark.parametrize("model", [
         ErdosRenyi(5, 0.5),
         ModifiedErdosRenyi(5, 0.5, 0.9, frozenset({(0, 1)})),
+        # Exact draws, then chains.
+        Ergm(4, EDGE_TRIANGLE, (0.0, 0.1)),
+        Ergm(7, EDGE_TRIANGLE, (0.0, 0.1)),
     ])
     def test_sample_sizes_below_one_are_refused(self, rng, model):
         for n in (0, -1):
@@ -370,7 +376,7 @@ class TestMcmcSampler:
         rng = np.random.default_rng(12)
         if lockstep:
             # One draw from each of 8000 chains: its counts are its edges.
-            rows = spec.edge_count_batches(1, 8000, rng)
+            rows = _mh_lockstep_edge_counts([(spec, 8000, rng)], 1)
         else:
             rows = spec.sample(8000, rng).indicator_matrix()
         bits = rows.astype(np.int64) @ (1 << np.arange(num_pairs(v)))
@@ -416,14 +422,18 @@ class TestMcmcSampler:
 
 
 class TestLockstepChains:
-    """``Ergm.edge_count_batches`` runs R chains together; check each one."""
+    """``_mh_lockstep_edge_counts`` runs R chains together; check each one.
+
+    The engine is called directly, because ``Ergm.edge_count_batches`` draws
+    exactly, with no chain, up to ENUMERATION_MAX_V vertices.
+    """
 
     THETAS = [(0.3, 0.25), (-0.4, -0.5), (0.2, -800.0)]
 
     def check_against_oracle(self, v, stats, theta, schedule, n, R, seed):
         spec = Ergm(v, stats, theta, McmcConfig(*schedule))
         rng = np.random.default_rng(seed)
-        counts = spec.edge_count_batches(n, R, rng)
+        counts = _mh_lockstep_edge_counts([(spec, R, rng)], n)
         oracle_rng = np.random.default_rng(seed)
         expected = lockstep_mh_counts(
             v, stats == EDGE_TRIANGLE, theta, *schedule, n, R, oracle_rng
@@ -465,7 +475,7 @@ class TestLockstepChains:
     def test_single_chain_is_the_scalar_sampler(self, stats, v, theta):
         spec = Ergm(v, stats, theta, McmcConfig(3, 2))
         a, b = np.random.default_rng(8), np.random.default_rng(8)
-        counts = spec.edge_count_batches(4, 1, a)
+        counts = _mh_lockstep_edge_counts([(spec, 1, a)], 4)
         assert np.array_equal(counts[0], spec.sample(4, b).edge_counts)
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -528,11 +538,150 @@ class TestLockstepChains:
         # One draw per chain: its edge counts are its graph's indicators.
         spec = Ergm(4, EDGE_TRIANGLE, (0.5, -0.8), McmcConfig(burn_in=20, thinning=1))
         exact = ergm_enumerate(spec)
-        counts = spec.edge_count_batches(1, 50000, rng)
+        counts = _mh_lockstep_edge_counts([(spec, 50000, rng)], 1)
         codes = counts @ (1 << np.arange(num_pairs(4)))
         freq = np.bincount(codes, minlength=64) / len(codes)
         tv = 0.5 * np.abs(freq - exact.probabilities).sum()
         assert tv < 0.03
+
+
+class TestExactDraws:
+    """Up to ENUMERATION_MAX_V vertices, ``Ergm.edge_count_batches`` draws
+    whole graphs from the enumerated law, as ``rng.choice`` over the codes."""
+
+    # (v, stats, theta, n, R). R*n = 70 000 and 80 000 cross the chunk edge
+    # at BLOCK_CELLS = 65 536 inside a replicate; at v=3 one replicate of
+    # 70 000 graphs spans two chunks. theta2 = -800 gives every graph with a
+    # triangle probability 0, and (-3, 1.5) puts nearly all the two-star
+    # mass on the complete graph.
+    CASES = [
+        (6, EDGE_TRIANGLE, (0.0, -0.1), 20, 200),
+        (6, EDGE_TWO_STAR, (-3.0, 1.5), 7, 10_000),
+        (6, EDGE_TRIANGLE, (0.2, -800.0), 20, 4_000),
+        (3, EDGE_TRIANGLE, (0.5, -0.8), 70_000, 2),
+        (2, EDGE_TWO_STAR, (0.0, 0.7), 1, 1),
+    ]
+
+    @pytest.mark.parametrize("v, stats, theta, n, R", CASES)
+    def test_counts_are_the_choice_oracles(self, v, stats, theta, n, R):
+        spec = Ergm(v, stats, theta)
+        rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
+        counts = spec.edge_count_batches(n, R, rng)
+        expected = choice_edge_counts(
+            ergm_enumerate(spec).probabilities, v, n, R, oracle_rng
+        )
+        assert counts.dtype == np.int64
+        assert counts.shape == (R, num_pairs(v))
+        assert np.array_equal(counts, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_cases_cross_chunks_and_hold_impossible_graphs(self):
+        crossing = [n for _, _, _, n, R in self.CASES if R * n > BLOCK_CELLS]
+        assert len(crossing) == 3
+        # The first chunk edge falls inside a replicate.
+        assert all(BLOCK_CELLS % n for n in crossing)
+        spec = Ergm(6, EDGE_TRIANGLE, (0.2, -800.0))
+        assert (ergm_enumerate(spec).probabilities == 0).any()
+
+    def test_the_mcmc_schedule_is_not_read(self):
+        a = Ergm(5, EDGE_TWO_STAR, (-1.5, 0.4), McmcConfig(burn_in=0, thinning=1))
+        b = Ergm(5, EDGE_TWO_STAR, (-1.5, 0.4), McmcConfig(burn_in=500, thinning=7))
+        assert np.array_equal(
+            a.edge_count_batches(4, 50, np.random.default_rng(3)),
+            b.edge_count_batches(4, 50, np.random.default_rng(3)),
+        )
+
+    def test_marginals_and_draws_share_one_enumeration(self, monkeypatch, rng):
+        calls = []
+
+        def counting(v, stats):
+            calls.append((v, stats))
+            return enumeration_counts(v, stats)
+
+        enumeration_counts = models._enumeration_counts
+        monkeypatch.setattr(models, "_enumeration_counts", counting)
+        # A theta no other test uses, so the first call enumerates.
+        spec = Ergm(5, EDGE_TRIANGLE, (0.0123, -0.0456))
+        spec.exact_marginals()
+        spec.edge_count_batches(3, 10, rng)
+        same = Ergm(5, EDGE_TRIANGLE, (0.0123, -0.0456), McmcConfig(9, 9))
+        assert ergm_enumerate(same) is ergm_enumerate(spec)
+        assert calls == [(5, EDGE_TRIANGLE)]
+
+    def test_kept_arrays_are_read_only(self, rng):
+        spec = Ergm(4, EDGE_TWO_STAR, (0.3, -0.2))
+        spec.edge_count_batches(2, 5, rng)
+        dist = ergm_enumerate(spec)
+        for array in (dist.probabilities, dist._cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+
+MH_CHECK_GRID = [
+    (v, stats, theta)
+    for v in (4, 5, 6)
+    for stats in (EDGE_TRIANGLE, EDGE_TWO_STAR)
+    for theta in ((0.0, -0.1), (-1.5, 0.4), (-3.0, 1.5))
+]
+
+# At v=4 the empty and the complete graph weigh the same under two-star
+# theta = (-3, 1.5). A chain seldom crosses between them in 10 sweeps, so the
+# 10 draws of one replicate sit mostly in one mode, W spreads wider than
+# under independent draws, and the chains' critical value (2.30) is far above
+# the exact one (1.60): only 0.35% of exact replicates exceed it. Thinning
+# 100 brings it back to 1.60.
+MH_BIMODAL = (4, EDGE_TWO_STAR, (-3.0, 1.5))
+
+
+class TestChainsAgainstExactDraws:
+    """The lockstep MH engine at the default schedule against exact draws.
+
+    Each comparison runs one engine call and one exact draw at fixed seeds.
+    If the chains have mixed, both sides draw from one law, so every bound
+    below is the Monte Carlo error of both sides, at Z standard deviations.
+    """
+
+    N = 2000
+    Z = 4.5
+    ALPHA = 0.05
+
+    @pytest.mark.parametrize("v, stats, theta", MH_CHECK_GRID)
+    def test_edge_count_histograms_agree(self, v, stats, theta):
+        # One graph from each of N chains, and N exact graphs. Given the m
+        # graphs with k edges on either side, the chains' share a is
+        # hypergeometric with mean m/2 and variance at most m/4 under one
+        # law, so |2a - m| <= Z * sqrt(m).
+        spec = Ergm(v, stats, theta)
+        chains = _mh_lockstep_edge_counts([(spec, self.N, np.random.default_rng(1))], 1)
+        exact = spec.edge_count_batches(1, self.N, np.random.default_rng(2))
+        bins = num_pairs(v) + 1
+        a = np.bincount(chains.sum(axis=1), minlength=bins)
+        m = a + np.bincount(exact.sum(axis=1), minlength=bins)
+        assert np.all(np.abs(2 * a - m) <= self.Z * np.sqrt(m))
+
+    @pytest.mark.parametrize("v, stats, theta", [
+        pytest.param(*case, marks=pytest.mark.xfail(
+            strict=True, reason="chains do not mix between two equal modes"
+        )) if case == MH_BIMODAL else case
+        for case in MH_CHECK_GRID
+    ])
+    def test_critical_values_agree(self, v, stats, theta):
+        # R = N replicates of n = 10 graphs a side. The chains' order
+        # statistic crit is exceeded with a probability within about
+        # sqrt(alpha(1-alpha)/R) of alpha under the common law, and the
+        # exact replicates estimate that probability with an independent
+        # error of about as much. On a lattice, the law puts at most alpha
+        # strictly above its quantile and at least alpha at or above it.
+        n, R = 10, self.N
+        spec = Ergm(v, stats, theta)
+        kernel = one_sample_kernel(n, spec.exact_marginals())
+        chains = _mh_lockstep_edge_counts([(spec, R, np.random.default_rng(3))], n)
+        chains = kernel(chains)
+        exact = kernel(spec.edge_count_batches(n, R, np.random.default_rng(4)))
+        crit = np.sort(chains)[math.ceil((1 - self.ALPHA) * R) - 1]
+        bound = self.Z * math.sqrt(2 * self.ALPHA * (1 - self.ALPHA) / R)
+        assert (exact > crit).mean() - bound <= self.ALPHA
+        assert self.ALPHA <= (exact >= crit).mean() + bound
 
 
 class TestEdgeDensitySweep:

@@ -25,8 +25,8 @@ The flags whose use depends on the mode of a run (the choice of ``--model``,
 error, as is a missing flag it needs; the manifest records an unread flag as
 null. ``_READS`` is by mode, not by size: ``test --null ergm`` and ``power
 --alt ergm`` accept ``--burn-in`` and ``--thinning`` at every v, though on
-at most ``ENUMERATION_MAX_V`` vertices their draws are exact and the
-schedule has no effect.
+at most ``ENUMERATION_MAX_V`` vertices their draws are exact, the schedule
+has no effect, and the manifest records both as null.
 
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 refused
 configuration (for example exact enumeration above the size cap, or a
@@ -76,6 +76,7 @@ from .models import (
     ErdosRenyi,
     McmcConfig,
     ModifiedErdosRenyi,
+    _chain_drawn,
     edge_density_sweep,
     select_modified_pairs,
 )
@@ -186,6 +187,14 @@ def _models(kind: str, v: int, args, rng: np.random.Generator, values, p0=None):
     return [Ergm(v, stats, (args.theta1, t2), mcmc) for t2 in values]
 
 
+def _unread_schedule(models) -> dict:
+    """Manifest entries for ``test`` and ``power``: --burn-in and --thinning
+    as null unless some model is drawn by MH chains."""
+    if any(_chain_drawn(model) for model in models):
+        return {}
+    return dict.fromkeys(("burn_in", "thinning"))
+
+
 def _table(names, rows) -> list[str]:
     """A report: the column names, then one line per row, in columns of 10."""
     lines = [" ".join(f"{name:<10}" for name in names).rstrip()]
@@ -215,10 +224,12 @@ def cmd_test(args, rng) -> _Output:
             strict=args.strict_ties,
             smoothing=args.smoothing,
         )
+        extra = {}
     else:
         value = args.theta2 if args.null == "ergm" else args.p
         (null,) = _models(args.null, s.v, args, rng, [value])
         result = one_sample_test(s, null, alpha=args.alpha, R=args.replications, rng=rng)
+        extra = _unread_schedule([null])
     result = replace(result, seed=args.seed)
 
     report = [f"method: {result.method}"]
@@ -231,7 +242,7 @@ def cmd_test(args, rng) -> _Output:
     report.append(
         f"reject H0 at alpha={result.alpha:g}: {'yes' if result.reject else 'no'}"
     )
-    return _Output(format_test_csv(result), report)
+    return _Output(format_test_csv(result), report, extra=extra)
 
 
 def cmd_power(args, rng) -> _Output:
@@ -249,7 +260,7 @@ def cmd_power(args, rng) -> _Output:
     )
     names = ["param", "power_w"] + (["power_bc"] if args.baseline else [])
     rows = [(p.parameter, p.power, p.power_baseline)[: len(names)] for p in points]
-    extra = {}
+    extra = _unread_schedule(alternatives)
     if args.alt == "modified-er":
         extra["modified_pairs"] = sorted(alternatives[0].modified_pairs)
     return _Output(format_power_csv(points), _table(names, rows), extra=extra)

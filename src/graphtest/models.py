@@ -15,11 +15,11 @@ Three families are provided:
 Every model draws the per-pair edge counts of R independent samples at once
 with ``edge_count_batches``. An ``Ergm`` up to ENUMERATION_MAX_V vertices
 draws whole graphs from its enumerated law (see ``_exact_edge_counts``);
-``ergm_enumerate`` keeps a few recent enumerations, so the marginals and the
-draws of one model share one. A larger ``Ergm`` is chain-drawn: it runs one
-chain per sample, and all R chains advance together: each proposal step is
-about a dozen NumPy calls over the R chains, whose graphs are held as uint64
-neighbour bitmasks. A flip is accepted when its uniform falls below a
+the model keeps its enumeration once ``ergm_enumerate`` has made it, so its
+marginals and its draws share one. A larger ``Ergm`` is chain-drawn: it runs
+one chain per sample, and all R chains advance together: each proposal step
+is about a dozen NumPy calls over the R chains, whose graphs are held as
+uint64 neighbour bitmasks. A flip is accepted when its uniform falls below a
 threshold table built once with ``math.exp``, so every chain makes exactly
 the decisions of the scalar sampler ``ergm_mh_sample`` given the same draws.
 Both samplers take their draws and their burn-in and thinning schedule from
@@ -42,7 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
@@ -279,6 +279,12 @@ class Ergm:
     def sweep_parameter(self) -> float:
         return self.theta[1]
 
+    @cached_property
+    def _distribution(self) -> ExactDistribution:
+        """The enumerated law, made on first use and kept with the model;
+        reached through ``ergm_enumerate``, which refuses large v."""
+        return _enumerate(self.v, self.stats, self.theta)
+
     def describe(self) -> dict:
         return {
             "model": "ergm",
@@ -348,8 +354,12 @@ class ExactDistribution:
     """Exact probabilities over all 2^E graphs, indexed by edge-bitset value.
 
     For an ERGM every pair's marginal equals ``edge_density()``; see
-    ``Ergm.exact_marginals``.
+    ``Ergm.exact_marginals``. Its fields cannot be reassigned, and it holds
+    a read-only view of the probabilities, so a distribution kept with a
+    model reads the same for every caller.
     """
+
+    __slots__ = ("_v", "_probabilities")
 
     def __init__(self, v: int, probabilities: np.ndarray):
         E = num_pairs(v)
@@ -364,8 +374,17 @@ class ExactDistribution:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(probabilities.sum()) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        self.v = v
-        self.probabilities = probabilities
+        self._v = v
+        self._probabilities = probabilities.view()
+        self._probabilities.flags.writeable = False
+
+    @property
+    def v(self) -> int:
+        return self._v
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self._probabilities
 
     def probability_of(self, g: Graph) -> float:
         _check_same_v(g, "graph", self, "distribution")
@@ -377,35 +396,22 @@ class ExactDistribution:
         n_e = np.bitwise_count(np.arange(1 << E)).astype(np.float64)
         return float(self.probabilities @ n_e) / E
 
-    @cached_property
-    def _cdf(self) -> np.ndarray:
-        """Cumulative probabilities over the codes, built as ``rng.choice``
-        builds them: a cumulative sum divided by its last entry (read-only)."""
-        cdf = self.probabilities.cumsum()
-        cdf /= cdf[-1]
-        cdf.flags.writeable = False
-        return cdf
-
 
 def ergm_enumerate(spec: Ergm) -> ExactDistribution:
     """Exact model distribution by summing the weights of all 2^E graphs.
 
-    The most recent enumerations are kept, keyed by (v, stats, theta), and
-    one is returned as is to every later call that asks for it; its arrays
-    are read-only.
+    The first call for a model enumerates; the model keeps the result, and
+    every later call for it returns the same read-only distribution.
     """
     if spec.v > ENUMERATION_MAX_V:
         raise EnumerationRefusedError(
             f"enumeration visits 2^{num_pairs(spec.v)} graphs; "
             f"refusing v={spec.v} > {ENUMERATION_MAX_V}"
         )
-    return _enumerated(spec.v, spec.stats, tuple(spec.theta))
+    return spec._distribution
 
 
-# A v=6 enumeration holds 256 KB of probabilities, and as much again once
-# its codes have been drawn from.
-@lru_cache(maxsize=16)
-def _enumerated(v: int, stats: str, theta: tuple[float, float]) -> ExactDistribution:
+def _enumerate(v: int, stats: str, theta: tuple[float, float]) -> ExactDistribution:
     n_e, n_x = _enumeration_counts(v, stats)
     t1, t2 = theta
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,9 +425,7 @@ def _enumerated(v: int, stats: str, theta: tuple[float, float]) -> ExactDistribu
         # overflow a direct exponential. A log-weight more than the float64
         # range below the largest gets weight 0.
         weights = np.exp(log_w - log_w.max())
-    probs = weights / weights.sum()
-    probs.flags.writeable = False
-    return ExactDistribution(v, probs)
+    return ExactDistribution(v, weights / weights.sum())
 
 
 def _exact_edge_counts(
@@ -431,17 +435,18 @@ def _exact_edge_counts(
 
     The graphs' codes are those of ``rng.choice(len(p), size=(R, n), p=p)``
     for p = ``dist.probabilities``, and the stream is left as that call
-    leaves it: uniforms from ``rng.random``, read row by row in chunks of at
-    most BLOCK_CELLS, each searched in ``dist._cdf`` from the right. Each
+    leaves it: they are drawn row by row in ``rng.choice`` calls of at most
+    BLOCK_CELLS codes, and ``rng.choice`` reads one uniform per code. Each
     code is unpacked into its E edge bits, and the bits of replicate r's n
     graphs, draws r*n .. r*n + n - 1, are summed into row r (R x E, int64).
     """
     E = num_pairs(dist.v)
+    p = dist.probabilities
     counts = np.zeros((R, E), dtype=np.int64)
     total = R * n
     for lo in range(0, total, BLOCK_CELLS):
         hi = min(lo + BLOCK_CELLS, total)
-        codes = dist._cdf.searchsorted(rng.random(hi - lo), side="right")
+        codes = rng.choice(len(p), size=hi - lo, p=p)
         # Little-endian bytes of each code, bit a of the code first.
         code_bytes = codes.astype("<u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(code_bytes, axis=1, count=E, bitorder="little")

@@ -719,6 +719,29 @@ def test_manifest_records_the_flags_a_run_does_not_read_as_null(tmp_path):
     assert "threads" not in params
 
 
+# Up to ENUMERATION_MAX_V vertices an ERGM null or alternative is drawn
+# exactly, so the schedule it accepts is not read and is recorded as null.
+@pytest.mark.parametrize("command, v, recorded", [
+    ("test --sample {sample} --null ergm --theta2 0.1 --replications 100", 4, None),
+    ("power --v {v} --n 2 --alt ergm --sweep 0.1 --replications 100 "
+     "--quantile-replications 100", 4, None),
+    ("power --v {v} --n 2 --alt ergm --sweep 0.1 --replications 100 "
+     "--quantile-replications 100", 7, 3),
+])
+def test_manifest_records_the_schedule_only_where_chains_run(
+    command, v, recorded, tmp_path
+):
+    sample, manifest = tmp_path / "s.txt", tmp_path / "run.json"
+    write_complete_sample(sample, v=v, n=3)
+    assert run(
+        *shlex.split(command.format(sample=sample, v=v)),
+        "--stats", "edge-triangle", "--theta1", "0",
+        "--burn-in", "3", "--thinning", "3", "--seed", "1", "--manifest", str(manifest),
+    ) == 0
+    params = json.loads(manifest.read_text())["parameters"]
+    assert (params["burn_in"], params["thinning"]) == (recorded, recorded)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -600,21 +600,28 @@ class TestExactDraws:
 
         enumeration_counts = models._enumeration_counts
         monkeypatch.setattr(models, "_enumeration_counts", counting)
-        # A theta no other test uses, so the first call enumerates.
         spec = Ergm(5, EDGE_TRIANGLE, (0.0123, -0.0456))
         spec.exact_marginals()
         spec.edge_count_batches(3, 10, rng)
-        same = Ergm(5, EDGE_TRIANGLE, (0.0123, -0.0456), McmcConfig(9, 9))
-        assert ergm_enumerate(same) is ergm_enumerate(spec)
+        spec.edge_count_batches(3, 10, rng)
+        assert ergm_enumerate(spec) is ergm_enumerate(spec)
         assert calls == [(5, EDGE_TRIANGLE)]
 
-    def test_kept_arrays_are_read_only(self, rng):
+    def test_a_kept_distribution_cannot_be_changed(self, rng):
         spec = Ergm(4, EDGE_TWO_STAR, (0.3, -0.2))
         spec.edge_count_batches(2, 5, rng)
         dist = ergm_enumerate(spec)
-        for array in (dist.probabilities, dist._cdf):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.5
+        kept = dist.probabilities.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probabilities[0] = 0.5
+        for name, value in (("probabilities", np.full(64, 1 / 64)), ("v", 3)):
+            with pytest.raises(AttributeError):
+                setattr(dist, name, value)
+        with pytest.raises(AttributeError):
+            dist.extra = None
+        again = ergm_enumerate(spec)
+        assert again.v == 4
+        assert np.array_equal(again.probabilities, kept)
 
 
 MH_CHECK_GRID = [

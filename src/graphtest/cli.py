@@ -100,7 +100,8 @@ _READS = {
     "er": {"p": None},
     "modified-er": {"p0": None, "p": None, "q": None},
     "ergm": {
-        "stats": None, "theta1": None, "theta2": None, "burn_in": 200, "thinning": 10,
+        "stats": None, "theta1": None, "theta2": None,
+        "burn_in": McmcConfig.burn_in, "thinning": McmcConfig.thinning,
     },
     "one-sample": {"null": None, "replications": 10000},
     "two-sample": {"permutations": 1000, "strict_ties": False, "smoothing": False},
@@ -453,8 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sampling-rate", type=float, required=True, help="samples per second"
     )
-    p.add_argument("--width-ms", type=float, default=333.0)
-    p.add_argument("--step-ms", type=float, default=16.66)
+    p.add_argument("--width-ms", type=float, default=WindowSpec.width_ms)
+    p.add_argument("--step-ms", type=float, default=WindowSpec.step_ms)
     p.add_argument("--c", type=float, default=0.5, help="correlation threshold")
     p.add_argument("--base", type=int, choices=[0, 1], default=0)
     _add_common_flags(p, cmd_build_graphs, seed=False)

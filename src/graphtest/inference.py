@@ -24,10 +24,13 @@ with the model's ``edge_count_batches``; the chain-drawn blocks of a power
 curve's alternatives may share one lockstep call, which gives every block
 the counts it would draw alone. The blocks are fixed by R and the model
 alone. Other blocks are spread over a thread per usable CPU; chain-drawn
-blocks run serially, because a thread pool showed no clear gain on them: on
-two threads, an ERGM-null test of 10 000 replicates and a four-alternative
-ERGM power curve both ran within the spread of their serial runs (2-core
-x86_64). Either way the results are the same.
+blocks run serially. A thread pool showed no clear gain on them: on two
+threads, an ERGM-null test of 10 000 replicates and a four-alternative ERGM
+power curve both ran within the spread of their serial runs (2-core x86_64).
+And serial calls keep peak memory to one lockstep call: the 20-alternative
+power curve of ``TestMemoryBound`` in tests/test_inference.py peaks at
+about 3 MiB serially, against about 6 MiB pooled on 2 CPUs and 11 MiB on 4.
+Either way the results are the same.
 Permutations are drawn from the caller's generator in blocks of rows, which
 consumes it exactly as one draw of all R rows would.
 """
@@ -40,7 +43,6 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, zip_longest
 from typing import Callable, Sequence
 
@@ -362,13 +364,14 @@ def two_sample_permutation_test(
     )
 
 
-@lru_cache(maxsize=512)
 def _binom_tails(n: int, p0: Fraction) -> tuple[tuple[int, ...], int]:
     """Two-sided tails of X ~ Bin(n, p0): P(X no more likely than k) = tails[k] / total.
 
     Outcome k has integer weight w_k = C(n, k) num^k (den - num)^(n - k), and
     its tail sums every weight no larger than w_k: a running sum of the
-    sorted weights, read at the last one equal to w_k.
+    sorted weights, read at the last one equal to w_k. Nothing is kept
+    between calls; a caller that tests many pairs builds one tail per
+    distinct null probability and drops them when it returns.
     """
     num, den = p0.numerator, p0.denominator
     weights = [
@@ -377,11 +380,6 @@ def _binom_tails(n: int, p0: Fraction) -> tuple[tuple[int, ...], int]:
     ordered = sorted(weights)
     sums = list(accumulate(ordered))
     return tuple(sums[bisect_right(ordered, w) - 1] for w in weights), den**n
-
-
-def _binom_pvalue_fraction(k: int, n: int, p0: Fraction) -> Fraction:
-    tails, total = _binom_tails(n, p0)
-    return Fraction(tails[k], total)
 
 
 def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
@@ -394,7 +392,8 @@ def binom_two_sided_pvalue(k: int, n: int, p0: float) -> float:
         raise ValueError(f"need at least one trial, got n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"successes k={k} outside [0, {n}]")
-    return float(_binom_pvalue_fraction(k, n, _check_probability("p0", p0)))
+    tails, total = _binom_tails(n, _check_probability("p0", p0))
+    return float(Fraction(tails[k], total))
 
 
 def bonferroni_edge_test(
@@ -404,27 +403,26 @@ def bonferroni_edge_test(
 ) -> TestResult:
     """Per-edge exact binomial tests with a Bonferroni-corrected global decision.
 
-    Each canonical pair's edge count is tested against its null marginal;
-    the global null is rejected iff some per-edge p-value is at most
-    alpha/E, read from the rejection table ``_bc_reject_table`` that the
-    power curve's baseline also reads. The reported p_value is the
-    Bonferroni-adjusted minimum, min(1, E * min_p).
+    Each canonical pair's edge count is tested against its null marginal,
+    reading its exact p-value from one tail per distinct null probability,
+    built for this call alone. The reported p_value is the Bonferroni-adjusted
+    minimum, min(1, E * min_p), and the global null is rejected iff it is at
+    most alpha; since alpha < 1, that is iff some per-edge p-value is at most
+    alpha/E, the rule the power curve's ``_bc_reject_table`` encodes.
     """
+    level = _check_alpha(alpha)
     _check_same_v(s, "sample", null_marginals, "marginals")
-    n = s.n
-    E = num_pairs(s.v)
-    counts = s.edge_counts
-    reject = bool(_bc_reject_table(n, null_marginals, alpha)[np.arange(E), counts].any())
+    tails = {p0: _binom_tails(s.n, p0) for p0 in set(null_marginals.fractions)}
     p_values = [
-        _binom_pvalue_fraction(c, n, p0)
-        for c, p0 in zip(counts.tolist(), null_marginals.fractions)
+        Fraction(tails[p0][0][c], tails[p0][1])
+        for c, p0 in zip(s.edge_counts.tolist(), null_marginals.fractions)
     ]
-    adjusted = min(Fraction(1), E * min(p_values))
+    adjusted = min(Fraction(1), num_pairs(s.v) * min(p_values))
     return TestResult(
         method="bonferroni",
         statistic=None,
         alpha=alpha,
-        reject=reject,
+        reject=adjusted <= level,
         p_value=float(adjusted),
         per_edge_p_values=tuple(float(p) for p in p_values),
     )

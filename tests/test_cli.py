@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphtest
-from graphtest import Graph, GraphSample, read_graph_sample, write_graph_sample
+from graphtest import (
+    Graph, GraphSample, McmcConfig, WindowSpec, read_graph_sample, write_graph_sample,
+)
 from graphtest.cli import _build_parser, main
 
 from oracles import (
@@ -740,6 +743,26 @@ def test_manifest_records_the_schedule_only_where_chains_run(
     ) == 0
     params = json.loads(manifest.read_text())["parameters"]
     assert (params["burn_in"], params["thinning"]) == (recorded, recorded)
+
+
+def test_default_runs_record_the_library_defaults(tmp_path):
+    # McmcConfig's schedule and WindowSpec's window, each with one source.
+    channels = tmp_path / "channels.csv"
+    rows = np.random.default_rng(0).standard_normal((400, 3)).tolist()
+    channels.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    sweep, build = tmp_path / "sweep.json", tmp_path / "build.json"
+    assert run(
+        "density-sweep", "--v", "4", "--stats", "edge-triangle", "--theta1", "-1.0",
+        "--sweep", "0.0", "--draws", "10", "--seed", "1", "--manifest", str(sweep),
+    ) == 0
+    assert run(
+        "build-graphs", "--input", str(channels), "--sampling-rate", "1000",
+        "--manifest", str(build),
+    ) == 0
+    s, b = (json.loads(path.read_text())["parameters"] for path in (sweep, build))
+    assert (s["burn_in"], s["thinning"], b["width_ms"], b["step_ms"]) == (
+        McmcConfig.burn_in, McmcConfig.thinning, WindowSpec.width_ms, WindowSpec.step_ms
+    )
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -725,6 +725,37 @@ class TestBonferroniEdgeTest:
             decisions.add(expected)
         assert decisions == {True, False}
 
+    @staticmethod
+    def distinct_null_call(rng):
+        # v=6 has 15 pairs, each with its own null probability.
+        marg = EdgeMarginals(6, [Fraction(k, 97) for k in range(1, 16)])
+        probs = np.array([float(p0) for p0 in marg.fractions])
+        s = GraphSample.from_indicator_matrix(6, rng.random((300, 15)) < probs)
+        return lambda: bonferroni_edge_test(s, marg)
+
+    def test_tails_are_not_kept_after_the_call(self, rng):
+        call = self.distinct_null_call(rng)
+        tracemalloc.start()
+        try:
+            result = call()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(result.per_edge_p_values) == 15
+        assert retained < 0.05 * 2**20
+
+    def test_one_tail_per_distinct_null_probability(self, rng, monkeypatch):
+        calls = []
+        build = inference._binom_tails
+
+        def counting(n, p0):
+            calls.append(p0)
+            return build(n, p0)
+
+        monkeypatch.setattr(inference, "_binom_tails", counting)
+        self.distinct_null_call(rng)()
+        assert len(calls) == 15
+
 
 class TestPowerCurve:
     def test_power_at_the_null_is_near_alpha(self, rng):

@@ -71,6 +71,11 @@ COMMANDS = [
     "power --v 6 --n 10 --alt ergm --stats edge-triangle --theta1 0 --sweep=-0.2,0.2 "
     "--burn-in 50 --thinning 2 --replications 100 --quantile-replications 200 "
     "--seed 28 --out power-ergm.csv",
+    # v=6 ERGMs are drawn exactly; at v=7 both alternatives are chain-drawn
+    # and share one lockstep call of two 100-chain groups.
+    "power --v 7 --n 5 --alt ergm --stats edge-triangle --theta1 0 --sweep=-0.2,0.2 "
+    "--burn-in 20 --thinning 2 --replications 100 --quantile-replications 200 "
+    "--seed 33 --out power-ergm-v7.csv",
     "density-sweep --v 6 --stats edge-2-star --theta1 -0.5 --sweep=-0.1,0.1 "
     "--draws 50 --seed 29 --out density-2star.csv",
     # The same sample as plain, CRLF and comment-interleaved text: the

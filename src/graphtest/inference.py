@@ -22,7 +22,13 @@ scalar chain only when there are many. Each block takes one generator
 spawned off the caller's generator and draws its whole (B x E) count array
 with the model's ``edge_count_batches``; the chain-drawn blocks of a power
 curve's alternatives may share one lockstep call, which gives every block
-the counts it would draw alone. The blocks are fixed by R and the model
+the counts it would draw alone. An independent-edge block draws the counts
+of ``rng.binomial``, by one uniform per count looked up in an inversion
+table of its probability level, or by ``rng.binomial`` itself for a level
+NumPy draws by BTPE, for p = 0 and for a uniform past the table's end (see
+``models``). The tables are built once per sample size and probability for
+the whole call, before any block runs: a power curve's null and
+alternatives share them. The blocks are fixed by R and the model
 alone. Other blocks are spread over a thread per usable CPU; chain-drawn
 blocks run serially. A thread pool showed no clear gain on them: on two
 threads, an ERGM-null test of 10 000 replicates and a four-alternative ERGM
@@ -43,6 +49,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, zip_longest
 from typing import Callable, Sequence
 
@@ -56,6 +63,7 @@ from .models import (
     MH_MAX_GROUPS,
     MH_MIN_CHAINS,
     ModelSpec,
+    _IndependentEdges,
     _chain_drawn,
     _check_probability,
     _check_sample_size,
@@ -158,6 +166,7 @@ def _map_blocks(
     n: int,
     R: int,
     rngs: Sequence[np.random.Generator],
+    tables: dict | None = None,
 ) -> list[list]:
     """fn(counts) for each model's consecutive blocks covering R samples of size n.
 
@@ -173,7 +182,16 @@ def _map_blocks(
     model in block order, so they do not depend on how the calls are run:
     serially when any model is chain-drawn (see the module docstring), and
     otherwise on a pool of one thread per usable CPU, at most one per call.
+    The inversion tables of the independent-edge models are added to
+    ``tables`` (a new dict when None) before any call runs, so the pool's
+    threads only read them.
     """
+    tables = {} if tables is None else tables
+    draws = [
+        partial(model.edge_count_batches, tables=model._binomial_tables(n, tables))
+        if isinstance(model, _IndependentEdges) else model.edge_count_batches
+        for model in models
+    ]
     # A piece is (model index, block index, block size, stream).
     blocks = []
     for k, (model, rng) in enumerate(zip(models, rngs)):
@@ -199,7 +217,7 @@ def _map_blocks(
     def run(call: list[tuple]) -> list:
         if len(call) == 1:
             k, _, size, child = call[0]
-            parts = [models[k].edge_count_batches(n, size, child)]
+            parts = [draws[k](n, size, child)]
         else:
             counts = _mh_lockstep_edge_counts(
                 [(models[k], size, child) for k, _, size, child in call], n
@@ -228,12 +246,14 @@ def _calibrate_null(
     R: int,
     rng: np.random.Generator,
     marginals: EdgeMarginals | None,
+    tables: dict | None = None,
 ) -> tuple[EdgeMarginals, str, GapKernel, int]:
     """Monte Carlo critical value of the one-sample statistic under ``null``.
 
     Checks R, n and alpha, then returns the null's marginals and their source
     ("exact" or "supplied"), the statistic's kernel for samples of size n,
     and the numerator of order statistic ceil((1-alpha)*R) of R null draws.
+    ``tables`` is passed to ``_map_blocks``.
     """
     if R < 100:
         raise ValueError(f"need at least 100 replications, got {R}")
@@ -241,7 +261,7 @@ def _calibrate_null(
     level = _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
-    values = np.concatenate(_map_blocks(kernel, [null], n, R, [rng])[0])
+    values = np.concatenate(_map_blocks(kernel, [null], n, R, [rng], tables)[0])
     k = math.ceil((1 - level) * R)
     k = min(max(k, 1), R) - 1
     return marg, source, kernel, int(np.partition(values, k)[k])
@@ -478,8 +498,10 @@ def power_curve(
         raise ValueError(f"need at least 100 replications per point, got {M}")
 
     streams = rng.spawn(1 + len(alternatives))
+    # The null and the alternatives share one set of inversion tables.
+    tables: dict = {}
     marg, _, kernel, crit = _calibrate_null(
-        null, n, alpha, R_quantile, streams[0], marginals
+        null, n, alpha, R_quantile, streams[0], marginals, tables
     )
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))
@@ -491,7 +513,7 @@ def power_curve(
         return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
 
     points = []
-    outcomes = _map_blocks(block, alternatives, n, M, streams[1:])
+    outcomes = _map_blocks(block, alternatives, n, M, streams[1:], tables)
     for alt, alt_outcomes in zip(alternatives, outcomes):
         w_power = sum(w for w, _ in alt_outcomes) / M
         bc_power = (

@@ -13,7 +13,18 @@ Three families are provided:
   value for every pair: the enumerated edge density.
 
 Every model draws the per-pair edge counts of R independent samples at once
-with ``edge_count_batches``. An ``Ergm`` up to ENUMERATION_MAX_V vertices
+with ``edge_count_batches``. An independent-edge model draws the counts of
+``rng.binomial(n, p, (R, E))`` and leaves the generator where that call
+leaves it. Where NumPy draws by inversion, it reads one uniform per count
+and looks it up in a table of its level's thresholds (``_inversion_table``):
+the 24 blocks of a v = 40, n = 50, R = 2 000 ER null draw in 0.064 s so,
+against 0.18 s by ``rng.binomial`` (2-core x86_64). Three cases are drawn by
+``rng.binomial`` itself: a level with n * min(p, 1 - p) > 30, which NumPy
+draws by BTPE; a pair with p = 0, for which NumPy reads nothing; and a block
+where a uniform lands at or past its table's last threshold, where NumPy
+would restart on a fresh uniform. A caller that draws many blocks builds
+each (n, p) table once and passes the tables to every block
+(``_binomial_tables``). An ``Ergm`` up to ENUMERATION_MAX_V vertices
 draws whole graphs from its enumerated law (see ``_exact_edge_counts``);
 the model keeps its enumeration once ``ergm_enumerate`` has made it, so its
 marginals and its draws share one. A larger ``Ergm`` is chain-drawn: it runs
@@ -103,6 +114,14 @@ MH_MIN_CHAINS = 64
 MH_MAX_GROUPS = 8
 
 
+# NumPy's ``Generator.binomial`` draws Binomial(n, p) by inversion when
+# n * min(p, 1 - p) is at most this, and by BTPE above it.
+_INVERSION_MAX_MEAN = 30.0
+
+# ``Generator.random`` returns the multiples m / 2**53 for 0 <= m < 2**53.
+_UNIFORM_GRID = 1 << 53
+
+
 def _check_probability(name: str, p: float) -> Fraction:
     """Check a probability and return it as the decimal it is written as."""
     if not 0.0 <= p <= 1.0:
@@ -134,19 +153,36 @@ class _IndependentEdges:
         return GraphSample.from_indicator_matrix(self.v, draws)
 
     def edge_count_batches(
-        self, n: int, R: int, rng: np.random.Generator
+        self,
+        n: int,
+        R: int,
+        rng: np.random.Generator,
+        tables: dict | None = None,
     ) -> np.ndarray:
         """Per-pair edge counts for R independent samples of size n (R x E).
 
         Edges are independent, so the counts are independent Binomial(n, p_a)
         draws; the result is distributed exactly as counting edges over R
-        samples of n graphs each.
+        samples of n graphs each. The counts and the generator state after
+        the call are those of ``rng.binomial(n, p, (R, E))``; see
+        ``_binomial_counts``. ``tables`` holds the inversion tables of this
+        model's levels at n, made by ``_binomial_tables``; without it they
+        are built for this call.
         """
         _check_sample_size(n)
-        probs = self.pair_probabilities()
-        # A scalar p draws the same stream as a constant vector, ~10% faster.
-        p = probs[0] if (probs == probs[0]).all() else probs
-        return rng.binomial(n, p, size=(R, num_pairs(self.v)))
+        if tables is None:
+            tables = self._binomial_tables(n, {})
+        return _binomial_counts(n, self.pair_probabilities(), R, rng, tables)
+
+    def _binomial_tables(self, n: int, tables: dict) -> dict:
+        """Add the inversion table (or None) of each of this model's levels
+        at sample size n to ``tables``, keyed (n, p), unless it is there
+        already, and return ``tables``. Models drawn in one call share one
+        dict, so each (n, p) table is built once."""
+        for p in set(self.pair_probabilities().tolist()):
+            if (n, p) not in tables:
+                tables[n, p] = _inversion_table(n, p)
+        return tables
 
     def exact_marginals(self) -> EdgeMarginals:
         """Each pair's probability as the decimal it is written as."""
@@ -155,6 +191,112 @@ class _IndependentEdges:
     @property
     def sweep_parameter(self) -> float:
         return self.p
+
+
+def _inversion_table(n: int, p: float) -> tuple[np.ndarray, bool] | None:
+    """(thresholds, flipped) of NumPy's inversion draw of Binomial(n, p), or
+    None where ``Generator.binomial`` does not draw it by inversion. Uniform
+    u draws k, the number of thresholds at or below u, or n - k when
+    ``flipped``; a uniform at or past the last threshold has no count here.
+
+    NumPy returns 0 and reads nothing for p = 0, and draws by BTPE, reading a
+    varying number of uniforms, when n * min(p, 1 - p) > _INVERSION_MAX_MEAN;
+    both get None. Otherwise it draws at p' = p, or at p' = 1 - p and returns
+    n less the draw when p > 1/2. The draw reads one uniform U and walks the
+    pmf with q = 1 - p', px_0 = exp(n log q) and
+    px_k = ((n - k + 1) p' px_(k-1)) / (k q): while U > px_k it counts k up
+    and sets U to U - px_k, and past bound = int(min(n, n p' + 10 sqrt(n p' q
+    + 1))) it restarts on a fresh uniform. Every step is one rounded float
+    operation, and none lowers the count as U rises, so the count is the
+    number of thresholds T_0 <= ... <= T_bound at or below U, where T_k is
+    the smallest uniform m / 2**53 whose walk, run with the same float
+    operations, passes k. A uniform at or past T_bound would restart.
+
+    T_k is found by bisection over m in a window of k + 3 grid steps either
+    side of the rounded sum px_0 + ... + px_k, the walk running with every
+    k at once, and over the whole grid where the window does not bracket
+    it. m = 2**53, past every uniform, marks a k no walk passes.
+    """
+    if p == 0.0:
+        return None
+    flipped = p > 0.5
+    p = 1.0 - p if flipped else p
+    if p * n > _INVERSION_MAX_MEAN:
+        return None
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    # libm's exp and log, which NumPy's C code calls; np.exp has SIMD code
+    # of its own. The operations and their order are NumPy's.
+    px = [math.exp(n * math.log(q))]
+    for k in range(1, bound + 1):
+        px.append(((n - k + 1) * p * px[-1]) / (k * q))
+    K = bound + 1
+    pmf = np.array(px)
+    # Row k tests whether the walk passes k: column 0 holds the uniform, and
+    # column j + 1 the px_j it loses at step j. Steps after k do not count.
+    steps = np.empty((K, K))
+    steps[:, 1:] = pmf[:-1]
+    after = np.triu(np.ones((K, K), dtype=bool), 1)
+
+    def passes(m: np.ndarray) -> np.ndarray:
+        steps[:, 0] = np.clip(m, 0, _UNIFORM_GRID - 1) * 2.0**-53
+        walk = np.subtract.accumulate(steps, axis=1)
+        passed = ((walk > pmf) | after).all(axis=1)
+        return (passed | (m >= _UNIFORM_GRID)) & (m >= 0)
+
+    # Invariant: the walk passes k from hi[k] and not from lo[k].
+    centre = np.array(
+        [round(math.fsum(px[:k + 1]) * _UNIFORM_GRID) for k in range(K)]
+    )
+    reach = np.arange(K) + 3
+    lo = np.clip(centre - reach, -1, _UNIFORM_GRID)
+    hi = np.clip(centre + reach, -1, _UNIFORM_GRID)
+    missed = passes(lo) | ~passes(hi)
+    lo[missed], hi[missed] = -1, _UNIFORM_GRID
+    while (open_ := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        passed = passes(mid)
+        hi = np.where(open_ & passed, mid, hi)
+        lo = np.where(open_ & ~passed, mid, lo)
+    thresholds = hi * 2.0**-53
+    thresholds.flags.writeable = False
+    return thresholds, flipped
+
+
+def _binomial_counts(
+    n: int, probs: np.ndarray, R: int, rng: np.random.Generator, tables: dict
+) -> np.ndarray:
+    """The (R x E) counts of ``rng.binomial(n, probs, (R, E))``, leaving
+    ``rng`` where that call leaves it; ``tables`` holds every level's
+    ``_inversion_table`` at n, keyed (n, p).
+
+    Where every level has a table, NumPy reads one uniform per count, in
+    row-major order, so one ``rng.random((R, E))`` reads them all, and each
+    level's columns look theirs up in its table. NumPy's call draws instead
+    when a level has no table, and when a uniform lands at or past its
+    table's last threshold, after the state saved before the uniforms is
+    restored.
+    """
+    E = len(probs)
+    levels = {p: tables[n, p] for p in set(probs.tolist())}
+    if any(table is None for table in levels.values()):
+        return rng.binomial(n, probs, size=(R, E))
+    state = rng.bit_generator.state
+    uniforms = rng.random((R, E))
+    counts = None if len(levels) == 1 else np.empty((R, E), dtype=np.int64)
+    for p, (thresholds, flipped) in levels.items():
+        cols = slice(None) if counts is None else np.flatnonzero(probs == p)
+        drawn = thresholds.searchsorted(uniforms[:, cols], side="right")
+        if drawn.max() == len(thresholds):
+            rng.bit_generator.state = state
+            return rng.binomial(n, probs, size=(R, E))
+        if flipped:
+            np.subtract(n, drawn, out=drawn)
+        if counts is None:
+            return drawn
+        counts[:, cols] = drawn
+    return counts
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,50 @@ def choice_edge_counts(
     return bits.sum(axis=1)
 
 
+def binomial_inversion_thresholds(n: int, p: float):
+    """(thresholds, flipped) of NumPy's inversion draw of Binomial(n, p) by a
+    full bisection of its scalar walk, or None where NumPy does not draw it by
+    inversion: p = 0 (nothing read) or n * min(p, 1 - p) > 30 (BTPE).
+
+    The walk transcribes NumPy's ``random_binomial_inversion``; threshold k
+    is the smallest uniform m / 2**53 from which it passes k, and 1.0 where
+    no uniform does. Past index ``bound`` the walk would restart.
+    """
+    if p == 0.0:
+        return None
+    flipped = p > 0.5
+    if flipped:
+        p = 1.0 - p
+    if p * n > 30.0:
+        return None
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+
+    def walk(u: float) -> int:
+        x, px = 0, qn
+        while u > px:
+            x += 1
+            if x > bound:
+                return x
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+        return x
+
+    thresholds = []
+    for k in range(bound + 1):
+        lo, hi = -1, 1 << 53
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if walk(mid * 2.0**-53) > k:
+                hi = mid
+            else:
+                lo = mid
+        thresholds.append(hi * 2.0**-53)
+    return thresholds, flipped
+
+
 def bonferroni_reject_row(n: int, p0: Fraction, alpha, E: int) -> list[bool]:
     """Per-count Bonferroni decisions for one pair, from the binomial pmf.
 

@@ -38,6 +38,32 @@ def test_importing_the_cli_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_build_graphs_and_an_er_test_do_not_load_numpy_ma(tmp_path):
+    """Neither run imports numpy.ma, about 12 ms in a fresh process. NumPy's
+    np.unique loads it, and np.quantile through np.unique."""
+    values = np.random.default_rng(0).standard_normal((500, 6))
+    np.savetxt(tmp_path / "ch.csv", values, delimiter=",", header="a,b,c,d,e,f",
+               comments="")
+    write_complete_sample(tmp_path / "s.txt", v=10, n=20)
+    runs = [
+        ["build-graphs", "--input", str(tmp_path / "ch.csv"), "--sampling-rate",
+         "250", "--out", str(tmp_path / "g.txt")],
+        ["test", "--sample", str(tmp_path / "s.txt"), "--null", "er", "--p", "0.3",
+         "--replications", "200", "--seed", "1", "--out", str(tmp_path / "r.csv")],
+    ]
+    src = str(Path(graphtest.__file__).resolve().parents[1])
+    for argv in runs:
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {src!r}); "
+             f"from graphtest.cli import main; code = main({argv!r}); "
+             "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == "False", argv[0]
+
+
 def run(*argv):
     return main(list(argv))
 

@@ -22,6 +22,7 @@ from graphtest import (
     PowerPoint,
     TestResult,
     binom_two_sided_pvalue,
+    canonical_pairs,
     bonferroni_edge_test,
     null_quantile_mc,
     num_pairs,
@@ -31,6 +32,7 @@ from graphtest import (
     two_sample_permutation_test,
 )
 import graphtest.inference as inference
+import graphtest.models as models
 from graphtest.inference import (
     BLOCK_CELLS,
     _bc_reject_table,
@@ -417,6 +419,38 @@ class TestReplicateBlocks:
         scaled = crit * 40
         assert scaled == round(scaled)
         assert lo <= scaled <= hi
+
+
+class TestInversionTablesPerCall:
+    """Each (n, p) inversion table is built once per call, not per block."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        build = models._inversion_table
+
+        def counted(n, p):
+            calls.append((n, p))
+            return build(n, p)
+
+        monkeypatch.setattr(models, "_inversion_table", counted)
+        return calls
+
+    def test_one_sample_test_builds_its_table_once(self, built, cpus, rng_factory):
+        # 2 000 replicates at v=40 take 24 blocks, spread over two threads.
+        cpus(2)
+        s = ErdosRenyi(40, 0.3).sample(50, rng_factory(1))
+        one_sample_test(s, ErdosRenyi(40, 0.3), R=2000, rng=rng_factory(2))
+        assert built == [(50, 0.3)]
+
+    def test_power_curve_builds_each_level_once(self, built, cpus, rng_factory):
+        cpus(2)
+        pairs = frozenset(canonical_pairs(10)[:11])
+        sweep = [0.1, 0.3, 0.5, 0.7, 0.9]
+        alts = [ModifiedErdosRenyi(10, 0.5, p, pairs) for p in sweep]
+        power_curve(ErdosRenyi(10, 0.5), alts, n=20, M=2000, R_quantile=2000,
+                    rng=rng_factory(3), baseline_bonferroni=True)
+        assert sorted(built) == [(20, p) for p in sweep]
 
 
 class TestPackedErgmCalls:

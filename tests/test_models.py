@@ -3,9 +3,12 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtest import (
     EDGE_TRIANGLE,
@@ -38,6 +41,7 @@ from graphtest.models import (
 from graphtest.statistic import one_sample_kernel
 
 from oracles import (
+    binomial_inversion_thresholds,
     choice_edge_counts,
     enumerated_pair_marginals,
     lockstep_mh_counts,
@@ -176,6 +180,104 @@ class TestModifiedErdosRenyi:
     def test_sweep_parameter_is_modified_level(self):
         spec = ModifiedErdosRenyi(4, 0.5, 0.7, frozenset({(0, 1)}))
         assert spec.sweep_parameter == 0.7
+
+
+@st.composite
+def binomial_levels(draw):
+    """(n, p): p on both sides of 1/2, n * min(p, 1 - p) on both sides of 30,
+    tiny p, and p in {0, 1}."""
+    n = draw(st.integers(1, 300))
+    p = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.5]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 60.0).map(lambda mean: min(mean / n, 1.0)),
+    ))
+    return n, 1.0 - p if draw(st.booleans()) else p
+
+
+def modified_model(p0, p, pairs):
+    """Modified ER on v = 5 with the first ``pairs`` canonical pairs at p."""
+    return ModifiedErdosRenyi(5, p0, p, frozenset(canonical_pairs(5)[:pairs]))
+
+
+def same_draws(model, n, R, seed):
+    """Whether the model's counts, and the generator state after them, are
+    those of ``rng.binomial`` at its pair probabilities."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = model.edge_count_batches(n, R, rng)
+    want = ref.binomial(n, model.pair_probabilities(), size=(R, num_pairs(model.v)))
+    return (np.array_equal(counts, want) and counts.dtype == want.dtype
+            and rng.bit_generator.state == ref.bit_generator.state)
+
+
+class TestBinomialTables:
+    """Independent-edge counts drawn by inversion tables are NumPy's."""
+
+    @given(binomial_levels(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_er_counts_are_numpys(self, level, seed):
+        n, p = level
+        assert same_draws(ErdosRenyi(5, p), n, 40, seed)
+
+    @given(binomial_levels(), binomial_levels(), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_two_level_counts_are_numpys(self, level, other, pairs, seed):
+        (n, p0), (_, p) = level, other
+        assert same_draws(modified_model(p0, p, pairs), n, 40, seed)
+
+    @given(binomial_levels(), binomial_levels(), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_uniforms_past_a_truncated_table_replay_numpys_call(
+        self, level, other, keep, seed
+    ):
+        # A table cut after threshold ``keep`` sends every uniform at or past
+        # it to the replay, as a restart of NumPy's walk would.
+        def truncated(n, p):
+            table = build(n, p)
+            if table is None:
+                return None
+            thresholds, flipped = table
+            return thresholds[:keep + 1], flipped
+
+        build = models._inversion_table
+        (n, p0), (_, p) = level, other
+        with mock.patch.object(models, "_inversion_table", truncated):
+            assert same_draws(modified_model(p0, p, 4), n, 40, seed)
+
+    def test_a_truncated_table_takes_the_replay(self, monkeypatch):
+        # Counts above the kept thresholds need uniforms past the cut.
+        n, p, keep = 20, 0.3, 2
+        build = models._inversion_table
+        monkeypatch.setattr(models, "_inversion_table",
+                            lambda n, p: (build(n, p)[0][:keep + 1], False))
+        assert same_draws(ErdosRenyi(5, p), n, 40, 3)
+        want = np.random.default_rng(3).binomial(n, p, size=(40, 10))
+        assert want.max() > keep
+
+    @given(binomial_levels())
+    @settings(max_examples=100, deadline=None)
+    def test_tables_match_a_full_bisection(self, level):
+        n, p = level
+        table = models._inversion_table(n, p)
+        want = binomial_inversion_thresholds(n, p)
+        if want is None:
+            assert table is None
+        else:
+            assert (table[0].tolist(), table[1]) == want
+
+    @pytest.mark.parametrize("n, p", [(50, 0.3), (20, 0.97), (300, 0.1), (7, 1.0)])
+    def test_tables_match_a_full_bisection_at_fixed_levels(self, n, p):
+        thresholds, flipped = models._inversion_table(n, p)
+        assert (thresholds.tolist(), flipped) == binomial_inversion_thresholds(n, p)
+
+    def test_levels_numpy_draws_otherwise_have_no_table(self):
+        # p = 0 reads nothing; means above 30 are drawn by BTPE.
+        assert models._inversion_table(10, 0.0) is None
+        assert models._inversion_table(100, 0.31) is None
+        assert models._inversion_table(100, 0.69) is None
+        assert models._inversion_table(100, 0.3) is not None
 
 
 class TestSelectModifiedPairs:

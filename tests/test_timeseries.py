@@ -6,6 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphtest import (
     ChannelMatrix,
@@ -25,7 +28,7 @@ from graphtest import (
     summary_graph,
 )
 from graphtest.inference import BLOCK_CELLS
-from graphtest.timeseries import _window_bounds, average_ranks
+from graphtest.timeseries import _linear_quartiles, _window_bounds, average_ranks
 
 from oracles import (
     FIXTURE_EDGE_WINDOWS,
@@ -337,6 +340,23 @@ class TestPairQuartiles:
         for slot, pair in enumerate(canonical_pairs(3)):
             q1, q3 = pair_quartiles(cs.values[:, slot])
             assert (q1, q3) == pytest.approx(FIXTURE_QUARTILES[pair], abs=1e-12)
+
+    @given(hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(2, 60), st.integers(1, 4)),
+        # Few distinct values, so ties and signed zeros are common.
+        elements=st.sampled_from([0.0, -0.0, 0.5, -0.25, 1.0, 1e300, -1e300,
+                                  float("nan"), 0.1]) | st.floats(-1, 1),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_quartiles_equal_numpy_quantile_bit_for_bit(self, values):
+        with np.errstate(all="ignore"):
+            want = np.quantile(values, [0.25, 0.75], axis=0, method="linear")
+            got = np.stack(_linear_quartiles(values))
+            column = np.stack(_linear_quartiles(values[:, 0]))
+        same = (got == want) & (np.signbit(got) == np.signbit(want))
+        assert (same | np.isnan(got) & np.isnan(want)).all()
+        assert np.array_equal(column, got[:, 0], equal_nan=True)
 
     def test_requires_four_windows(self):
         # One rule for a single pair and for every pair of a series.

@@ -88,6 +88,16 @@ COMMANDS = [
     "test --sample g-commented.txt --sample2 b8.txt --permutations 200 --seed 30",
     # Quoted labels send a recording to the row reader.
     "build-graphs --input channels-quoted.csv --sampling-rate 250 --base 1",
+    # Binomial draws off the inversion tables' common path: p > 1/2, drawn
+    # as n less a draw at 1 - p; n*p > 30 at p0 = 0.5 and p = 0.6, beside an
+    # inversion level at p = 0.1; and p = 0 and p = 1 pairs beside p0 = 0.2.
+    "test --sample sample.txt --null er --p 0.97 --replications 1000 --seed 34 "
+    "--out p097.csv",
+    "power --v 8 --n 100 --alt modified-er --q 0.25 --sweep 0.1,0.6 "
+    "--replications 200 --quantile-replications 200 --baseline bonferroni "
+    "--seed 35 --out power-btpe.csv",
+    "power --v 8 --n 20 --alt modified-er --q 0.25 --null-p 0.2 --sweep 0,0.3,1 "
+    "--replications 200 --quantile-replications 200 --seed 36 --out power-zero.csv",
     # A data error (exit 3) and a usage error (exit 2).
     "build-graphs --input bad.csv --sampling-rate 250",
     "summary --sample graphs.txt --k 5 --seed 1",

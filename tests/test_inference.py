@@ -1,6 +1,7 @@
 """Monte Carlo quantile, permutation, binomial and power machinery."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -425,7 +426,9 @@ class TestInversionTablesPerCall:
     """Each (n, p) inversion table is built once per call, not per block."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
+    def built(self, monkeypatch, cpus):
+        """The (n, p) of every table built, with four pool threads switching
+        often: more threads than this machine's two cores."""
         calls = []
         build = models._inversion_table
 
@@ -434,17 +437,21 @@ class TestInversionTablesPerCall:
             return build(n, p)
 
         monkeypatch.setattr(models, "_inversion_table", counted)
-        return calls
+        cpus(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield calls
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_one_sample_test_builds_its_table_once(self, built, cpus, rng_factory):
-        # 2 000 replicates at v=40 take 24 blocks, spread over two threads.
-        cpus(2)
+    def test_one_sample_test_builds_its_table_once(self, built, rng_factory):
+        # 2 000 replicates at v=40 take 24 blocks.
         s = ErdosRenyi(40, 0.3).sample(50, rng_factory(1))
         one_sample_test(s, ErdosRenyi(40, 0.3), R=2000, rng=rng_factory(2))
         assert built == [(50, 0.3)]
 
-    def test_power_curve_builds_each_level_once(self, built, cpus, rng_factory):
-        cpus(2)
+    def test_power_curve_builds_each_level_once(self, built, rng_factory):
         pairs = frozenset(canonical_pairs(10)[:11])
         sweep = [0.1, 0.3, 0.5, 0.7, 0.9]
         alts = [ModifiedErdosRenyi(10, 0.5, p, pairs) for p in sweep]

@@ -357,18 +357,20 @@ def two_sample_permutation_test(
     # Sort the pooled graphs by edge bitset: in little-endian packed bytes the
     # last byte is the most significant, and lexsort's last key is its first.
     order = np.lexsort(np.packbits(pooled, axis=1, bitorder="little").T)
-    indicators = pooled[order].astype(np.float64)
+    # Every partial sum of mask @ indicators is an integer <= N, exact in a
+    # float whose significand holds N.
+    dtype = np.float32 if N < 2**24 else np.float64
+    assert N < 2 ** (np.finfo(dtype).nmant + 1)
+    indicators = pooled[order].astype(dtype)
     # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so their
     # numerators share the observed denominator n*m.
     kernel = two_sample_kernel(k, N - k, s.edge_counts + t.edge_counts)
-    # Every partial sum of mask @ indicators is an integer <= N, exact in float64.
-    assert N < 2**53
     B = max(1, BLOCK_CELLS // N)
     count = 0
     for lo in range(0, R, B):
         # Row by row, these draws consume the stream as one (R x N) call would.
         order = rng.permuted(np.tile(np.arange(N), (min(B, R - lo), 1)), axis=1)
-        mask = np.zeros(order.shape, dtype=np.float64)
+        mask = np.zeros(order.shape, dtype=dtype)
         np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
         perm_nums = kernel((mask @ indicators).astype(np.int64))
         hits = perm_nums > obs_num if strict else perm_nums >= obs_num

@@ -14,13 +14,16 @@ non-integer step (the default is 16.66 ms) never accumulates drift.
 Windows are processed in blocks. Windows of one length (a width that is not
 a whole number of samples gives two lengths) are gathered into
 (windows x channels x samples) arrays of at most ``BLOCK_CELLS`` cells,
-ranked by ``average_ranks`` (one NumPy argsort, then one mean rank per tie
-group) and correlated by one batched matrix product. Each block repeats the
-floating-point operations of ``np.corrcoef`` in the same order, so the
-result is bit-identical to ranking and correlating window by window: average
-ranks are multiples of 1/2 and their mean is exactly (L+1)/2, so every
-covariance sum is a multiple of 1/4 below L**3/4, exact in float64 in any
-summation order while L**3 < 2**53.
+ranked by ``average_ranks`` and correlated by one batched matrix product.
+Each row is sorted and argsorted once, and ranks 1..L are written through
+the argsort in one scatter. Equal neighbours in the sorted row mark the
+ties, and only their elements are rewritten with their group's mean rank.
+The sorted rows also show a constant channel: its first value equals its
+last. Each block repeats the floating-point operations of ``np.corrcoef`` in
+the same order, so the result is bit-identical to ranking and correlating
+window by window: average ranks are multiples of 1/2 and their mean is
+exactly (L+1)/2, so every covariance sum is a multiple of 1/4 below
+L**3/4, exact in float64 in any summation order while L**3 < 2**53.
 """
 
 from __future__ import annotations
@@ -178,21 +181,30 @@ def average_ranks(x) -> np.ndarray:
     The same values as ``scipy.stats.rankdata(x, axis=-1)``. Ranks are
     multiples of 1/2, exact in float64.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    return _sort_and_rank(np.asarray(x, dtype=np.float64))[1]
+
+
+def _sort_and_rank(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``arr`` sorted along its last axis, and its average ranks."""
     L = arr.shape[-1]
-    order = np.argsort(arr, axis=-1)
-    ordered = np.take_along_axis(arr, order, axis=-1)
-    new_group = np.ones(arr.shape, dtype=bool)
-    new_group[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    starts = np.flatnonzero(new_group)
-    sizes = np.diff(starts, append=arr.size)
-    # The group at sorted positions p .. p+size-1 has mean rank p + (size+1)/2.
-    mean = starts % L + (sizes + 1) / 2
-    ranks = np.empty_like(arr)
-    np.put_along_axis(
-        ranks, order, np.repeat(mean, sizes).reshape(arr.shape), axis=-1
-    )
-    return ranks
+    ordered = np.sort(arr, axis=-1)
+    # order[r, p]: flat index of the element at sorted position p of row r.
+    order = np.argsort(arr, axis=-1).reshape(math.prod(arr.shape[:-1]), L)
+    order += L * np.arange(len(order))[:, None]
+    ranks = np.empty(arr.size)
+    ranks[order] = np.arange(1.0, L + 1)
+    # Equal neighbours sit at flat sorted positions p and p+1; each run of
+    # consecutive p is one tie group, at positions start .. start+size.
+    j = np.flatnonzero(ordered[..., 1:] == ordered[..., :-1])
+    if j.size:
+        p = j + j // (L - 1)
+        runs = np.flatnonzero(np.diff(p, prepend=-2) != 1)
+        size = np.diff(runs, append=p.size)
+        mean = np.repeat(p[runs] % L + 1 + size / 2, size)
+        order = order.reshape(-1)
+        ranks[order[p]] = mean
+        ranks[order[p + 1]] = mean
+    return ordered, ranks.reshape(arr.shape)
 
 
 def spearman(x, y) -> float:
@@ -218,7 +230,7 @@ def spearman(x, y) -> float:
         raise UndefinedCorrelationError(
             "correlation is undefined for a constant sequence"
         )
-    return float(_block_correlations(np.stack((xa, ya))[None])[0, 0, 1])
+    return float(_block_correlations(np.stack((xa, ya))[None])[0][0, 0, 1])
 
 
 class CorrelationSeries:
@@ -268,15 +280,16 @@ class CorrelationSeries:
         return f"CorrelationSeries(v={self.v}, windows={self.n_windows})"
 
 
-def _block_correlations(block: np.ndarray) -> np.ndarray:
-    """Rank correlation matrices of a (windows x channels x L) block.
+def _block_correlations(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank correlation matrices of a (windows x channels x L) block, and
+    which channels are constant in which window.
 
     The operations of ``np.corrcoef`` on the ranks, in its order; see the
     module docstring for why the result is bit-identical. A constant
     channel's row and column are NaN.
     """
     L = block.shape[-1]
-    r = average_ranks(block)
+    ordered, r = _sort_and_rank(block)
     r -= (L + 1) / 2
     c = r @ r.transpose(0, 2, 1)
     c *= 1 / (L - 1)
@@ -284,7 +297,7 @@ def _block_correlations(block: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         c /= d[:, :, None]
         c /= d[:, None, :]
-    return np.clip(c, -1, 1, out=c)
+    return np.clip(c, -1, 1, out=c), ordered[..., 0] == ordered[..., -1]
 
 
 def correlation_series(m: ChannelMatrix, w: WindowSpec) -> CorrelationSeries:
@@ -309,9 +322,8 @@ def correlation_series(m: ChannelMatrix, w: WindowSpec) -> CorrelationSeries:
         per_block = max(1, BLOCK_CELLS // (v * L))
         for lo in range(0, len(rows), per_block):
             t = rows[lo:lo + per_block]
-            block = windows[starts[t]]
-            constant[t] = np.all(block == block[..., :1], axis=-1)
-            values[t] = _block_correlations(block)[:, upper[0], upper[1]]
+            c, constant[t] = _block_correlations(windows[starts[t]])
+            values[t] = c[:, upper[0], upper[1]]
     undefined = ()
     if constant.any():
         mask = constant[:, upper[0]] | constant[:, upper[1]]

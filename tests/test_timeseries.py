@@ -205,14 +205,38 @@ class TestWindowStepRule:
 
 
 class TestAverageRanks:
-    @pytest.mark.parametrize("shape", [(1,), (2,), (9,), (40,), (6, 33), (3, 5, 84)])
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (9,), (40,), (6, 33), (3, 5, 84), (0,), (3, 0)]
+    )
     def test_matches_scipy_rankdata_on_tie_heavy_arrays(self, rng, shape):
         for levels in (2, 5, 1000):
             x = rng.integers(0, levels, size=shape) * 0.5 - 1.0
             assert np.array_equal(average_ranks(x), scipy.stats.rankdata(x, axis=-1))
 
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3, 5, 84), (32, 24, 83)])
+    def test_matches_scipy_rankdata_where_a_few_rows_tie(self, rng, shape):
+        """Full-precision rows, a few with one duplicated value or a
+        0.0, -0.0 pair, so one call ranks tied and untied rows."""
+        L = shape[-1]
+        for _ in range(5):
+            x = rng.normal(size=shape)
+            rows = x.reshape(-1, L)
+            for r in rng.choice(len(rows), size=min(4, len(rows)), replace=False):
+                if L > 1:
+                    a, b = rng.choice(L, size=2, replace=False)
+                    if rng.random() < 0.5:
+                        rows[r, a] = rows[r, b]
+                    else:
+                        rows[r, a], rows[r, b] = 0.0, -0.0
+            assert np.array_equal(average_ranks(x), scipy.stats.rankdata(x, axis=-1))
+
     def test_signed_zeros_tie(self):
         assert average_ranks([0.0, -0.0, 1.0]).tolist() == [1.5, 1.5, 3.0]
+
+    def test_tie_groups_end_at_the_row(self):
+        """The last value of one sorted row equals the first of the next."""
+        ranks = average_ranks([[1.0, 2.0, 2.0], [2.0, 2.0, 3.0], [2.0, 4.0, 5.0]])
+        assert ranks.tolist() == [[1.0, 2.5, 2.5], [1.5, 1.5, 3.0], [1.0, 2.0, 3.0]]
 
 
 class TestBlockedCorrelationsMatchWindowLoop:
@@ -241,6 +265,23 @@ class TestBlockedCorrelationsMatchWindowLoop:
         assert set(lengths) == {83, 84}
         for L in (83, 84):
             assert lengths.count(L) > BLOCK_CELLS // (6 * L)  # several blocks
+        assert cs.undefined
+
+    def test_blocks_holding_tied_and_untied_windows(self, rng):
+        """Full-precision values with a few duplicates: each one ties a
+        channel in the ~13 windows that hold both copies, among the 100 or
+        more untied windows of its block."""
+        values = rng.normal(size=(2400, 6))
+        for start, channel in ((150, 1), (900, 4), (1700, 0), (2100, 3)):
+            values[start + 30, channel] = values[start, channel]
+        values[1300, 2], values[1340, 2] = 0.0, -0.0
+        values[600:700, 5] = 0.75
+        cs = self.check(values, 250.0)
+        tied = [
+            w for w, (a, b) in enumerate(cs.windows)
+            if any(len(set(values[a:b, k].tolist())) < b - a for k in range(5))
+        ]
+        assert 0 < len(tied) < len(cs.windows) // 5
         assert cs.undefined
 
     def test_two_channels(self, rng):

@@ -98,6 +98,10 @@ COMMANDS = [
     "--seed 35 --out power-btpe.csv",
     "power --v 8 --n 20 --alt modified-er --q 0.25 --null-p 0.2 --sweep 0,0.3,1 "
     "--replications 200 --quantile-replications 200 --seed 36 --out power-zero.csv",
+    # A recording at four decimals: some windows hold tied values, most do
+    # not, and channel c3 is constant for 200 samples.
+    "build-graphs --input ties.csv --sampling-rate 250 --out ties-graphs.txt",
+    "summary --sample ties-graphs.txt --k 30 --out ties-summary.csv",
     # A data error (exit 3) and a usage error (exit 2).
     "build-graphs --input bad.csv --sampling-rate 250",
     "summary --sample graphs.txt --k 5 --seed 1",
@@ -109,6 +113,10 @@ def write_inputs(directory: Path) -> None:
     values = np.random.default_rng(0).standard_normal((2000, 10))
     header = ",".join(f"c{k}" for k in range(10))
     np.savetxt(directory / "channels.csv", values, delimiter=",", header=header,
+               comments="")
+    ties = np.round(np.random.default_rng(37).standard_normal((2000, 10)), 4)
+    ties[500:700, 3] = 0.25
+    np.savetxt(directory / "ties.csv", ties, delimiter=",", header=header,
                comments="")
     text = (directory / "channels.csv").read_text()
     quoted = ",".join(f'"{label}"' for label in header.split(","))

@@ -15,9 +15,8 @@ Every randomized command takes ``--seed`` and is byte-reproducible from
 ``_run`` then puts a ``# manifest: <name>`` comment naming it on line 1 of
 the machine output, whether that goes to ``--out`` or to stdout. The
 serializers of ``formats`` write data only.
-No flag sets parallelism: ``test`` and ``power`` spread independent-edge
-Monte Carlo blocks over the usable CPUs and run ERGM blocks serially (see
-``inference``), and their outputs are the same either way.
+No flag sets parallelism: every command runs on the calling thread, Monte
+Carlo blocks one after another (see ``inference``).
 
 The flags whose use depends on the mode of a run (the choice of ``--model``,
 ``--null`` or ``--alt``, and one- or two-sample ``test``) are listed once, in

@@ -23,20 +23,20 @@ spawned off the caller's generator and draws its whole (B x E) count array
 with the model's ``edge_count_batches``; the chain-drawn blocks of a power
 curve's alternatives may share one lockstep call, which gives every block
 the counts it would draw alone. An independent-edge block draws the counts
-of ``rng.binomial``, by one uniform per count looked up in an inversion
-table of its probability level, or by ``rng.binomial`` itself for a level
-NumPy draws by BTPE, for p = 0 and for a uniform past the table's end (see
-``models``). The tables are built once per sample size and probability for
-the whole call, before any block runs: a power curve's null and
-alternatives share them. The blocks are fixed by R and the model
-alone. Other blocks are spread over a thread per usable CPU; chain-drawn
-blocks run serially. A thread pool showed no clear gain on them: on two
-threads, an ERGM-null test of 10 000 replicates and a four-alternative ERGM
-power curve both ran within the spread of their serial runs (2-core x86_64).
-And serial calls keep peak memory to one lockstep call: the 20-alternative
-power curve of ``TestMemoryBound`` in tests/test_inference.py peaks at
-about 3 MiB serially, against about 6 MiB pooled on 2 CPUs and 11 MiB on 4.
-Either way the results are the same.
+of ``rng.binomial``, by one uniform per count looked up in the guided
+inversion table of its probability level, or by ``rng.binomial`` itself for
+a level NumPy draws by BTPE, for p = 0 and for a uniform past the table's
+end (see ``models``). The tables are built once per sample size and
+probability for the whole call, before any block runs: a power curve's null
+and alternatives share them. The blocks are fixed by R and the model alone,
+and every block runs in order on the calling thread, so no result can
+depend on the number of CPUs. The guide tables made the lookup cheap enough
+that serial blocks beat the thread pool that ran them before: a v=10 ER
+test of 10 000 replicates took 9.7-11.2 ms with serial guided lookups
+against 14.2-15.7 ms with binary search on a 2-thread pool (medians of 20
+in-process runs, 2-core x86_64). Lockstep ERGM steps hold the GIL, so a
+pool never helped them. Serial calls also keep peak memory to one block or
+one lockstep call.
 Permutations are drawn from the caller's generator in blocks of rows, which
 consumes it exactly as one draw of all R rows would.
 """
@@ -44,9 +44,7 @@ consumes it exactly as one draw of all R rows would.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -152,14 +150,6 @@ def _block_size(model: ModelSpec) -> int:
     return max(B, MH_MIN_CHAINS) if _chain_drawn(model) else B
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _map_blocks(
     fn: Callable[[np.ndarray], object],
     models: Sequence[ModelSpec],
@@ -177,14 +167,10 @@ def _map_blocks(
     schedule are packed, in block order, into lockstep calls of at most one
     block's chains and ``MH_MAX_GROUPS`` column groups; each block keeps its
     stream and draw layout there, so its counts are the same as alone, and
-    packing only shares the fixed cost of a lockstep step. Blocks, streams
-    and calls are fixed before any work starts, and results come back per
-    model in block order, so they do not depend on how the calls are run:
-    serially when any model is chain-drawn (see the module docstring), and
-    otherwise on a pool of one thread per usable CPU, at most one per call.
-    The inversion tables of the independent-edge models are added to
-    ``tables`` (a new dict when None) before any call runs, so the pool's
-    threads only read them.
+    packing only shares the fixed cost of a lockstep step. The calls run
+    in order on the calling thread, and results come back per model in
+    block order. The inversion tables of the independent-edge models are
+    added to ``tables`` (a new dict when None) before any call runs.
     """
     tables = {} if tables is None else tables
     draws = [
@@ -214,7 +200,8 @@ def _map_blocks(
             calls.append(call)
         call.append(piece)
 
-    def run(call: list[tuple]) -> list:
+    out = [[None] * len(pieces) for pieces in blocks]
+    for call in calls:
         if len(call) == 1:
             k, _, size, child = call[0]
             parts = [draws[k](n, size, child)]
@@ -223,19 +210,8 @@ def _map_blocks(
                 [(models[k], size, child) for k, _, size, child in call], n
             )
             parts = np.split(counts, np.cumsum([p[2] for p in call])[:-1])
-        return [fn(part) for part in parts]
-
-    serial = any(_chain_drawn(model) for model in models)
-    workers = 1 if serial else min(len(calls), _usable_cpus())
-    if workers == 1:
-        results = [run(call) for call in calls]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, calls))
-    out = [[None] * len(pieces) for pieces in blocks]
-    for call, outcomes in zip(calls, results):
-        for (k, b, _, _), outcome in zip(call, outcomes):
-            out[k][b] = outcome
+        for (k, b, _, _), part in zip(call, parts):
+            out[k][b] = fn(part)
     return out
 
 
@@ -371,7 +347,7 @@ def two_sample_permutation_test(
         # Row by row, these draws consume the stream as one (R x N) call would.
         order = rng.permuted(np.tile(np.arange(N), (min(B, R - lo), 1)), axis=1)
         mask = np.zeros(order.shape, dtype=dtype)
-        np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
+        mask.reshape(-1)[order[:, :k] + N * np.arange(len(order))[:, None]] = 1
         perm_nums = kernel((mask @ indicators).astype(np.int64))
         hits = perm_nums > obs_num if strict else perm_nums >= obs_num
         count += int(hits.sum())
@@ -476,7 +452,6 @@ def power_curve(
     rng: np.random.Generator | None = None,
     *,
     baseline_bonferroni: bool = False,
-    marginals: EdgeMarginals | None = None,
 ) -> list[PowerPoint]:
     """Empirical power against each alternative, at one shared critical value.
 
@@ -503,7 +478,7 @@ def power_curve(
     # The null and the alternatives share one set of inversion tables.
     tables: dict = {}
     marg, _, kernel, crit = _calibrate_null(
-        null, n, alpha, R_quantile, streams[0], marginals, tables
+        null, n, alpha, R_quantile, streams[0], None, tables
     )
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,21 @@ def test_importing_the_cli_does_not_load_scipy():
     code = (
         "import sys, graphtest.cli; print(sorted({m.split('.')[0] for m in "
         "sys.modules} & {'scipy', 'pytest', 'hypothesis'}))"
+    )
+    src = str(Path(graphtest.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_thread_pool_or_logging():
+    """Monte Carlo blocks run on the calling thread, so the CLI imports
+    neither concurrent.futures nor the logging it brings."""
+    code = (
+        "import sys, graphtest.cli; print(sorted(set(sys.modules) & "
+        "{'concurrent.futures', 'logging'}))"
     )
     src = str(Path(graphtest.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -73,6 +89,15 @@ def write_fixture_csv(path):
     for row in fixture_values():
         lines.append(",".join(repr(float(x)) for x in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def refuse_threads(monkeypatch):
+    """Fail any thread started until the test ends."""
+
+    def refuse(thread):
+        raise AssertionError(f"started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 def write_complete_sample(path, v=10, n=20):
@@ -311,21 +336,17 @@ class TestTestCommand:
         assert "RuntimeWarning" not in out.stderr
         assert "theta" in out.stderr
 
-    def test_cpu_count_does_not_change_the_csv(self, tmp_path, cpus):
+    def test_runs_its_blocks_on_the_calling_thread(self, tmp_path, monkeypatch):
         # v=40 has E=780 pairs, so a block holds 65536 // 780 = 84 replicates
         # and 300 replicates take four blocks.
         sample = tmp_path / "s.txt"
         write_complete_sample(sample, v=40, n=10)
-        outs = []
-        for count, name in ((1, "a.csv"), (3, "b.csv")):
-            cpus(count)
-            out = tmp_path / name
-            assert run(
-                "test", "--sample", str(sample), "--null", "er", "--p", "0.5",
-                "--replications", "300", "--seed", "21", "--out", str(out),
-            ) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        refuse_threads(monkeypatch)
+        assert run(
+            "test", "--sample", str(sample), "--null", "er", "--p", "0.5",
+            "--replications", "300", "--seed", "21", "--out", str(tmp_path / "a.csv"),
+        ) == 0
+
 
 class TestPowerCommand:
     def test_curve_csv_schema(self, tmp_path, capsys):
@@ -375,19 +396,14 @@ class TestPowerCommand:
         assert code == 2
         assert "at least 100 replications" in capsys.readouterr().err
 
-    def test_cpu_count_does_not_change_the_curve(self, tmp_path, cpus):
-        base = [
+    def test_runs_its_blocks_on_the_calling_thread(self, tmp_path, monkeypatch):
+        refuse_threads(monkeypatch)
+        assert run(
             "power", "--v", "5", "--n", "10", "--alt", "modified-er",
             "--q", "0.25", "--sweep", "0.6,0.9", "--replications", "120",
             "--quantile-replications", "150", "--seed", "33",
-        ]
-        results = []
-        for count, name in ((1, "a.csv"), (3, "b.csv")):
-            cpus(count)
-            out = tmp_path / name
-            assert run(*base, "--out", str(out)) == 0
-            results.append(out.read_bytes())
-        assert results[0] == results[1]
+            "--out", str(tmp_path / "a.csv"),
+        ) == 0
 
     def test_two_star_alternatives_on_two_vertices(self, tmp_path):
         out = tmp_path / "power.csv"

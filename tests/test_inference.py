@@ -1,7 +1,6 @@
 """Monte Carlo quantile, permutation, binomial and power machinery."""
 
 import math
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -157,15 +156,6 @@ class TestOneSampleTest:
         )
         assert result.marginals_source == "supplied"
 
-    def test_cpu_count_does_not_change_result(self, rng_factory, cpus):
-        s = GraphSample([Graph.complete(6)] * 10)
-        cpus(1)
-        a = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8))
-        cpus(3)
-        b = one_sample_test(s, ErdosRenyi(6, 0.5), R=300, rng=rng_factory(8))
-        assert a.critical_exact == b.critical_exact
-        assert a.reject == b.reject
-
     def test_validation(self, rng):
         s = GraphSample([Graph.empty(4)] * 3)
         with pytest.raises(ValueError):
@@ -313,64 +303,33 @@ class TestReplicateBlocks:
     def test_block_size(self):
         assert max(1, BLOCK_CELLS // num_pairs(self.V)) == self.B
 
-    # Replicate counts must be >= 100, so 2B and 2B+1 stand in for B and B+1:
-    # whole blocks only, then a last block of one replicate. The binary float
-    # 0.3 puts the numerators on the Python-integer path.
-    @pytest.mark.parametrize("R", [300, 2 * B, 2 * B + 1])
-    @pytest.mark.parametrize("p", [0.5, 0.3])
-    def test_one_sample_test_does_not_depend_on_cpus(self, rng_factory, cpus, R, p):
-        s = ErdosRenyi(self.V, p).sample(10, rng_factory(1))
+    # Whole blocks only, then a last block of one replicate, then a part
+    # block; 0.7 draws flipped, at 1 - p.
+    @pytest.mark.parametrize("R", [B, B + 1, 300])
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_er_blocks_are_numpys_draws_on_their_streams(self, R, p):
         null = ErdosRenyi(self.V, p)
-        cpus(1)
-        a = one_sample_test(s, null, R=R, rng=rng_factory(2))
-        cpus(3)
-        b = one_sample_test(s, null, R=R, rng=rng_factory(2))
-        assert a == b
+        streams = np.random.default_rng(2).spawn(1)
+        (blocks,) = _map_blocks(np.copy, [null], 10, R, streams)
+        assert [len(b) for b in blocks] == [min(self.B, R - lo)
+                                            for lo in range(0, R, self.B)]
+        children = np.random.default_rng(2).spawn(1)[0].spawn(len(blocks))
+        for block, child in zip(blocks, children):
+            want = child.binomial(10, null.pair_probabilities(), size=block.shape)
+            assert np.array_equal(block, want)
 
-    @pytest.mark.parametrize("M", [300, 2 * B, 2 * B + 1])
-    def test_power_curve_does_not_depend_on_cpus(self, rng_factory, cpus, M):
-        null = ErdosRenyi(self.V, 0.5)
-        alts = [
-            ErdosRenyi(self.V, 0.53),
-            ModifiedErdosRenyi(self.V, 0.5, 0.8, frozenset({(0, 1), (5, 9)})),
-        ]
-
-        def curve():
-            return power_curve(
-                null, alts, n=10, M=M, R_quantile=M, rng=rng_factory(5),
-                baseline_bonferroni=True,
-            )
-
-        cpus(1)
-        a = curve()
-        cpus(3)
-        assert curve() == a
-
-    @pytest.mark.parametrize("count, pools", [(1, []), (3, [3]), (8, [4])])
-    def test_independent_edge_blocks_take_a_thread_per_cpu(
-        self, cpus, monkeypatch, count, pools
-    ):
-        # R = 4B draws four blocks, so four calls; one CPU opens no pool.
-        opened = []
-
-        class Recording(inference.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", Recording)
-        cpus(count)
-        streams = np.random.default_rng(3).spawn(1)
-        _map_blocks(np.copy, [ErdosRenyi(self.V, 0.5)], 2, 4 * self.B, streams)
-        assert opened == pools
-
-    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
-        assert inference._usable_cpus() >= 1
-        monkeypatch.delattr(inference.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(inference.os, "cpu_count", lambda: 5)
-        assert inference._usable_cpus() == 5
-        monkeypatch.setattr(inference.os, "cpu_count", lambda: None)
-        assert inference._usable_cpus() == 1
+    # Each level of a modified ER model reads its uniforms as an F-ordered
+    # column selection.
+    @pytest.mark.parametrize("M", [B, B + 1, 300])
+    def test_modified_er_blocks_are_numpys_draws_on_their_streams(self, M):
+        alt = ModifiedErdosRenyi(self.V, 0.5, 0.8, frozenset({(0, 1), (5, 9)}))
+        streams = np.random.default_rng(5).spawn(1)
+        (blocks,) = _map_blocks(np.copy, [alt], 10, M, streams)
+        children = np.random.default_rng(5).spawn(1)[0].spawn(len(blocks))
+        assert len(blocks) == -(-M // self.B)
+        for block, child in zip(blocks, children):
+            want = child.binomial(10, alt.pair_probabilities(), size=block.shape)
+            assert np.array_equal(block, want)
 
     def test_critical_value_is_the_order_statistic_of_the_blocks(self, rng_factory):
         # Block b draws its (size x E) counts from the b-th spawned stream.
@@ -426,9 +385,8 @@ class TestInversionTablesPerCall:
     """Each (n, p) inversion table is built once per call, not per block."""
 
     @pytest.fixture
-    def built(self, monkeypatch, cpus):
-        """The (n, p) of every table built, with four pool threads switching
-        often: more threads than this machine's two cores."""
+    def built(self, monkeypatch):
+        """The (n, p) of every table built."""
         calls = []
         build = models._inversion_table
 
@@ -437,13 +395,7 @@ class TestInversionTablesPerCall:
             return build(n, p)
 
         monkeypatch.setattr(models, "_inversion_table", counted)
-        cpus(4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            yield calls
-        finally:
-            sys.setswitchinterval(interval)
+        return calls
 
     def test_one_sample_test_builds_its_table_once(self, built, rng_factory):
         # 2 000 replicates at v=40 take 24 blocks.
@@ -535,41 +487,18 @@ class TestPackedErgmCalls:
             assert len(blocks) == len(alone)
             assert all(np.array_equal(a, b) for a, b in zip(blocks, alone))
 
-    def test_blocks_with_an_ergm_never_open_a_pool(self, cpus, monkeypatch):
-        # Lockstep steps hold the GIL, so ERGM blocks run serially, and so
-        # do the independent-edge blocks called with them.
-        def refuse(max_workers):
-            raise AssertionError(f"opened a pool of {max_workers}")
-
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", refuse)
-        cpus(3)
-        alts = [self.ergm(-0.12), ErdosRenyi(self.V, 0.51), self.ergm(0.1)]
-        streams = np.random.default_rng(34).spawn(len(alts))
-        packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
-        assert [len(blocks) for blocks in packed] == [3, 3, 3]
-
-    def test_enumerable_alternatives_run_alone_on_a_pool(self, cpus, monkeypatch):
+    def test_enumerable_alternatives_run_alone(self, monkeypatch):
         # Up to ENUMERATION_MAX_V vertices an ERGM draws exact graphs, so its
-        # blocks hold no chain floor, share no call and may take the pool.
+        # blocks hold no chain floor and share no call.
         def refuse(groups, n):
             raise AssertionError("ran a lockstep call")
 
-        opened = []
-
-        class Recording(inference.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers)
-
         monkeypatch.setattr(inference, "_mh_lockstep_edge_counts", refuse)
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", Recording)
-        cpus(3)
         alts = [Ergm(6, EDGE_TRIANGLE, (0.0, t), self.MCMC) for t in (-0.2, 0.2)]
         # v=6 has E=15, so a block holds 65536 // 15 = 4369 samples.
         assert _block_size(alts[0]) == BLOCK_CELLS // 15 == 4369
         streams = np.random.default_rng(35).spawn(2)
         packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
-        assert opened == [2]
         streams = np.random.default_rng(35).spawn(2)
         for alt, stream, blocks in zip(alts, streams, packed):
             assert len(blocks) == 1
@@ -844,15 +773,6 @@ class TestPowerCurve:
         alt = ModifiedErdosRenyi(5, 0.5, 0.9, frozenset({(0, 1), (2, 3)}))
         (point,) = power_curve(null, [alt], n=20, M=100, R_quantile=100, rng=rng)
         assert point.parameter == 0.9
-
-    def test_cpu_count_does_not_change_curve(self, rng_factory, cpus):
-        null = ErdosRenyi(5, 0.5)
-        alts = [ErdosRenyi(5, 0.6), ErdosRenyi(5, 0.75)]
-        cpus(1)
-        a = power_curve(null, alts, n=12, M=120, R_quantile=150, rng=rng_factory(17))
-        cpus(3)
-        b = power_curve(null, alts, n=12, M=120, R_quantile=150, rng=rng_factory(17))
-        assert a == b
 
     def test_same_seed_reproduces_curve(self, rng_factory):
         null = ErdosRenyi(4, 0.5)

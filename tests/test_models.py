@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphtest import (
@@ -255,6 +255,79 @@ class TestBinomialTables:
         assert same_draws(ErdosRenyi(5, p), n, 40, 3)
         want = np.random.default_rng(3).binomial(n, p, size=(40, 10))
         assert want.max() > keep
+
+    @given(binomial_levels(), st.integers(1, 100), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_guided_counts_are_searchsorteds(self, level, keep, seed):
+        # Random uniforms, every threshold and its two float neighbours, and
+        # both ends of the uniforms' range, looked up in a table cut after
+        # ``keep`` thresholds (whole where it has fewer), as a C-ordered
+        # block and as an F-ordered column selection.
+        table = models._inversion_table(*level)
+        assume(table is not None)
+        thresholds = table[0][:keep]
+        sentinel_ended, guide, _ = models._guided(thresholds, table[1])
+        rng = np.random.default_rng(seed)
+        probes = np.concatenate([
+            rng.random(64), thresholds, np.nextafter(thresholds, 0.0),
+            np.nextafter(thresholds, 1.0), [0.0, 1.0 - 2.0**-53],
+        ])
+        u = rng.random((len(probes), 3))
+        u[:, 1] = np.clip(probes, 0.0, 1.0 - 2.0**-53)
+        columns = u[:, [1, 2]]
+        assert columns.flags.f_contiguous and not columns.flags.c_contiguous
+        for block in (u, columns):
+            got = models._table_counts(sentinel_ended, guide, block)
+            assert np.array_equal(got, thresholds.searchsorted(block, side="right"))
+
+    @given(binomial_levels())
+    @settings(max_examples=100, deadline=None)
+    def test_guides_count_the_thresholds_at_or_below_each_bucket(self, level):
+        table = models._inversion_table(*level)
+        assume(table is not None)
+        thresholds, flipped = table
+        sentinel_ended, guide, kept = models._guided(thresholds, flipped)
+        assert kept == flipped
+        assert sentinel_ended.tolist() == thresholds.tolist() + [2.0]
+        # b / 4096 is exact in binary floating point.
+        edges = np.arange(models._GUIDE_BUCKETS) / models._GUIDE_BUCKETS
+        want = (thresholds[None, :] <= edges[:, None]).sum(axis=1)
+        assert np.array_equal(guide, want)
+
+    @pytest.mark.parametrize("layout", [
+        lambda u: u,
+        lambda u: u[:, [1, 4, 5]],
+        lambda u: u[::3, 2:],
+        lambda u: u[5],
+        lambda u: u.reshape(5, 6, 7),
+    ], ids=["c-block", "f-columns", "strided", "row", "three-d"])
+    def test_guided_counts_keep_the_shape_and_leave_the_uniforms(self, layout):
+        thresholds, flipped = models._inversion_table(50, 0.3)
+        sentinel_ended, guide, _ = models._guided(thresholds, flipped)
+        block = layout(np.random.default_rng(6).random((30, 7)))
+        before = block.copy()
+        got = models._table_counts(sentinel_ended, guide, block)
+        assert got.shape == block.shape
+        assert np.array_equal(got, thresholds.searchsorted(block, side="right"))
+        assert np.array_equal(block, before)
+
+    @pytest.mark.parametrize("n, p", [
+        (30, 0.001), (1000, 0.03), (300, 0.1), (20, 1 - 1e-9),
+    ])
+    def test_uniforms_in_crowded_buckets_count_as_searchsorteds(self, n, p):
+        # The upper tail's thresholds of a skewed level share buckets near 1,
+        # so a uniform there steps up several times past its guide entry.
+        thresholds, flipped = models._inversion_table(n, p)
+        sentinel_ended, guide, _ = models._guided(thresholds, flipped)
+        inside = thresholds[thresholds < 1.0]
+        u = np.concatenate([
+            1.0 - np.random.default_rng(4).random(4096) * 2.0**-10,
+            inside, np.nextafter(inside, 0.0),
+        ])
+        got = models._table_counts(sentinel_ended, guide, u)
+        assert np.array_equal(got, thresholds.searchsorted(u, side="right"))
+        buckets = (u * models._GUIDE_BUCKETS).astype(np.intp)
+        assert (got - guide[buckets]).max() >= 2
 
     @given(binomial_levels())
     @settings(max_examples=100, deadline=None)

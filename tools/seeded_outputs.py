@@ -63,6 +63,9 @@ COMMANDS = [
     "sample --model er --v 6 --p 0.5 --n 20 --seed 25 --out ergm-a.txt",
     "test --sample ergm-a.txt --null ergm --stats edge-triangle --theta1 0 "
     "--theta2=-0.1 --replications 200 --seed 7 --out ergm.csv",
+    # Exact v=6 ERGM draws over three blocks of at most 4 369 replicates.
+    "test --sample ergm-a.txt --null ergm --stats edge-triangle --theta1 0 "
+    "--theta2=-0.1 --replications 10000 --seed 37 --out ergm-r10k.csv",
     "test --sample a.txt --sample2 b.txt --permutations 500 --strict-ties "
     "--smoothing --seed 26",
     # Every alternative of power, and the other statistic of density-sweep.

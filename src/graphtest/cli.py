@@ -22,13 +22,16 @@ The flags whose use depends on the mode of a run (the choice of ``--model``,
 ``--null`` or ``--alt``, and one- or two-sample ``test``) are listed once, in
 ``_READS``, with their defaults. A flag the run does not read is a usage
 error, as is a missing flag it needs; the manifest records an unread flag as
-null. ``_READS`` is by mode, not by size: ``test --null ergm`` and ``power
---alt ergm`` accept ``--burn-in`` and ``--thinning`` at every v, though on
-at most ``ENUMERATION_MAX_V`` vertices their draws are exact, the schedule
-has no effect, and the manifest records both as null.
+null. Every ERGM draw is exact (independent draws from the model's law, by
+enumeration or by coupling from the past, after Propp & Wilson 1996 and
+Häggström & Nelander 1998; see ``models``), so no run reads a sampler
+schedule: runs that draw an ERGM still accept ``--burn-in`` and
+``--thinning``, so that existing command lines keep working, and every
+manifest records both as null.
 
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 refused
-configuration (for example exact enumeration above the size cap, or a
+configuration (for example exact enumeration above the size cap, an ERGM
+whose coupling from the past does not meet within its sweep cap, or a
 request too large for memory).
 """
 
@@ -73,9 +76,7 @@ from .models import (
     EDGE_TWO_STAR,
     Ergm,
     ErdosRenyi,
-    McmcConfig,
     ModifiedErdosRenyi,
-    _chain_drawn,
     edge_density_sweep,
     select_modified_pairs,
 )
@@ -90,6 +91,9 @@ from .timeseries import (
 
 _STATS_FLAGS = {"edge-triangle": EDGE_TRIANGLE, "edge-2-star": EDGE_TWO_STAR}
 
+# Flags that ERGM runs accept and no run reads (see the module docstring).
+_SCHEDULE = ("burn_in", "thinning")
+
 # The flags a run reads, by mode: a choice of --model, --null or --alt,
 # test's one- or two-sample mode, or power, which reads --replications
 # whatever --alt is. Each flag maps to its default, or to None where every
@@ -98,10 +102,7 @@ _STATS_FLAGS = {"edge-triangle": EDGE_TRIANGLE, "edge-2-star": EDGE_TWO_STAR}
 _READS = {
     "er": {"p": None},
     "modified-er": {"p0": None, "p": None, "q": None},
-    "ergm": {
-        "stats": None, "theta1": None, "theta2": None,
-        "burn_in": McmcConfig.burn_in, "thinning": McmcConfig.thinning,
-    },
+    "ergm": {"stats": None, "theta1": None, "theta2": None, **dict.fromkeys(_SCHEDULE)},
     "one-sample": {"null": None, "replications": 10000},
     "two-sample": {"permutations": 1000, "strict_ties": False, "smoothing": False},
     "power": {"replications": 2000},
@@ -149,7 +150,8 @@ def _modes(args) -> tuple[str, list[str]]:
 def _resolve_flags(args) -> None:
     """Fill in the defaults of the flags of _READS that this run reads; then
     a usage error for each read flag its subcommand declares that is still
-    unset, and for each flag the run was given and does not read."""
+    unset, and for each flag the run was given and does not read. The
+    _SCHEDULE flags are never required, and are cleared once accepted."""
     label, modes = _modes(args)
     reads = {name: d for mode in modes for name, d in _READS[mode].items()}
     for name, default in reads.items():
@@ -159,7 +161,8 @@ def _resolve_flags(args) -> None:
     def flags(names) -> str:
         return ", ".join(f"--{name.replace('_', '-')}" for name in names)
 
-    missing = [name for name in reads if name in args and getattr(args, name) is None]
+    missing = [name for name in reads if name in args and name not in _SCHEDULE
+               and getattr(args, name) is None]
     if missing:
         raise ValueError(f"{label} requires {flags(missing)}")
     unread = [
@@ -169,6 +172,9 @@ def _resolve_flags(args) -> None:
     ]
     if unread:
         raise ValueError(f"{label} does not read {flags(unread)}")
+    for name in _SCHEDULE:
+        if name in args:
+            setattr(args, name, None)
 
 
 def _models(kind: str, v: int, args, rng: np.random.Generator, values, p0=None):
@@ -182,17 +188,7 @@ def _models(kind: str, v: int, args, rng: np.random.Generator, values, p0=None):
         pairs = select_modified_pairs(v, args.q, rng)
         return [ModifiedErdosRenyi(v, p0, p, pairs) for p in values]
     # The flags' choices leave only ergm.
-    mcmc = McmcConfig(burn_in=args.burn_in, thinning=args.thinning)
-    stats = _STATS_FLAGS[args.stats]
-    return [Ergm(v, stats, (args.theta1, t2), mcmc) for t2 in values]
-
-
-def _unread_schedule(models) -> dict:
-    """Manifest entries for ``test`` and ``power``: --burn-in and --thinning
-    as null unless some model is drawn by MH chains."""
-    if any(_chain_drawn(model) for model in models):
-        return {}
-    return dict.fromkeys(("burn_in", "thinning"))
+    return [Ergm(v, _STATS_FLAGS[args.stats], (args.theta1, t2)) for t2 in values]
 
 
 def _table(names, rows) -> list[str]:
@@ -229,7 +225,7 @@ def cmd_test(args, rng) -> _Output:
         value = args.theta2 if args.null == "ergm" else args.p
         (null,) = _models(args.null, s.v, args, rng, [value])
         result = one_sample_test(s, null, alpha=args.alpha, R=args.replications, rng=rng)
-        extra = _unread_schedule([null])
+        extra = {}
     result = replace(result, seed=args.seed)
 
     report = [f"method: {result.method}"]
@@ -260,7 +256,7 @@ def cmd_power(args, rng) -> _Output:
     )
     names = ["param", "power_w"] + (["power_bc"] if args.baseline else [])
     rows = [(p.parameter, p.power, p.power_baseline)[: len(names)] for p in points]
-    extra = _unread_schedule(alternatives)
+    extra = {}
     if args.alt == "modified-er":
         extra["modified_pairs"] = sorted(alternatives[0].modified_pairs)
     return _Output(format_power_csv(points), _table(names, rows), extra=extra)
@@ -373,8 +369,9 @@ def _add_model_flags(p, flag: str, choices, required: bool = False) -> None:
 def _add_ergm_flags(p) -> None:
     p.add_argument("--stats", choices=sorted(_STATS_FLAGS))
     p.add_argument("--theta1", type=float, help="edge parameter")
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--thinning", type=int)
+    unread = "accepted and not read: every ERGM draw is exact"
+    p.add_argument("--burn-in", type=int, help=unread)
+    p.add_argument("--thinning", type=int, help=unread)
 
 
 def _add_sweep_flag(p, values: str) -> None:
@@ -445,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     _add_ergm_flags(p)
     _add_sweep_flag(p, "theta2 grid values")
-    p.add_argument("--draws", type=int, default=200, help="chain draws per point")
+    p.add_argument("--draws", type=int, default=200, help="draws per point")
     _add_common_flags(p, cmd_density_sweep)
 
     p = sub.add_parser("build-graphs", help="graphs from a multichannel recording")

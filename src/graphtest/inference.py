@@ -15,18 +15,17 @@ by ``statistic.GapKernel``, so ties are real ties and results cannot drift
 with float summation order.
 
 Monte Carlo replicates are drawn in blocks of about ``BLOCK_CELLS`` count
-cells. A block of a chain-drawn ERGM (one above ``models.ENUMERATION_MAX_V``
-vertices; smaller ones are drawn exactly) holds at least
-``models.MH_MIN_CHAINS`` chains, because its lockstep chains gain over one
-scalar chain only when there are many. Each block takes one generator
-spawned off the caller's generator and draws its whole (B x E) count array
-with the model's ``edge_count_batches``; the chain-drawn blocks of a power
-curve's alternatives may share one lockstep call, which gives every block
-the counts it would draw alone. An independent-edge block draws the counts
-of ``rng.binomial``, by one uniform per count looked up in the guided
-inversion table of its probability level, or by ``rng.binomial`` itself for
-a level NumPy draws by BTPE, for p = 0 and for a uniform past the table's
-end (see ``models``). The tables are built once per sample size and
+cells. Each block takes one generator spawned off the caller's generator
+and draws its whole (B x E) count array with the model's
+``edge_count_batches``. An ERGM block holds exact, independent graphs: from
+the enumerated law up to ``models.ENUMERATION_MAX_V`` vertices, and above it
+by monotone or anti-monotone coupling from the past (Propp & Wilson 1996,
+*Random Structures & Algorithms* 9; Häggström & Nelander 1998, *Statistica
+Neerlandica* 52(3); see ``models``). An independent-edge block
+draws the counts of ``rng.binomial``, by one uniform per count looked up in
+the guided inversion table of its probability level, or by ``rng.binomial``
+itself for a level NumPy draws by BTPE, for p = 0 and for a uniform past the
+table's end (see ``models``). The tables are built once per sample size and
 probability for the whole call, before any block runs: a power curve's null
 and alternatives share them. The blocks are fixed by R and the model alone,
 and every block runs in order on the calling thread, so no result can
@@ -34,9 +33,8 @@ depend on the number of CPUs. The guide tables made the lookup cheap enough
 that serial blocks beat the thread pool that ran them before: a v=10 ER
 test of 10 000 replicates took 9.7-11.2 ms with serial guided lookups
 against 14.2-15.7 ms with binary search on a 2-thread pool (medians of 20
-in-process runs, 2-core x86_64). Lockstep ERGM steps hold the GIL, so a
-pool never helped them. Serial calls also keep peak memory to one block or
-one lockstep call.
+in-process runs, 2-core x86_64). Serial blocks also keep peak memory to
+one block.
 Permutations are drawn from the caller's generator in blocks of rows, which
 consumes it exactly as one draw of all R rows would.
 """
@@ -58,14 +56,10 @@ from .graphs import (
     BLOCK_CELLS, EdgeMarginals, GraphSample, _check_same_v, _decimal, num_pairs,
 )
 from .models import (
-    MH_MAX_GROUPS,
-    MH_MIN_CHAINS,
     ModelSpec,
     _IndependentEdges,
-    _chain_drawn,
     _check_probability,
     _check_sample_size,
-    _mh_lockstep_edge_counts,
 )
 from .statistic import (
     GapKernel,
@@ -144,10 +138,8 @@ def _resolve_marginals(
 
 
 def _block_size(model: ModelSpec) -> int:
-    """Replicates per block: max(1, BLOCK_CELLS // E), at least MH_MIN_CHAINS
-    for a chain-drawn ERGM."""
-    B = max(1, BLOCK_CELLS // num_pairs(model.v))
-    return max(B, MH_MIN_CHAINS) if _chain_drawn(model) else B
+    """Replicates per block: max(1, BLOCK_CELLS // E)."""
+    return max(1, BLOCK_CELLS // num_pairs(model.v))
 
 
 def _map_blocks(
@@ -163,14 +155,11 @@ def _map_blocks(
     A block of a model holds ``_block_size(model)`` samples (the last may
     hold fewer), and its (size x E) counts come from
     ``model.edge_count_batches`` on a stream of its own spawned off that
-    model's rng. Blocks of chain-drawn ERGMs that share v, stats and MCMC
-    schedule are packed, in block order, into lockstep calls of at most one
-    block's chains and ``MH_MAX_GROUPS`` column groups; each block keeps its
-    stream and draw layout there, so its counts are the same as alone, and
-    packing only shares the fixed cost of a lockstep step. The calls run
-    in order on the calling thread, and results come back per model in
-    block order. The inversion tables of the independent-edge models are
-    added to ``tables`` (a new dict when None) before any call runs.
+    model's rng. The blocks run on the calling thread round by round: the
+    first block of every model, then the second, and so on. Results come
+    back per model in block order. The inversion tables of the
+    independent-edge models are added to ``tables`` (a new dict when None)
+    before any block runs.
     """
     tables = {} if tables is None else tables
     draws = [
@@ -178,40 +167,21 @@ def _map_blocks(
         if isinstance(model, _IndependentEdges) else model.edge_count_batches
         for model in models
     ]
-    # A piece is (model index, block index, block size, stream).
+    # Per model, its blocks as (size, stream).
     blocks = []
-    for k, (model, rng) in enumerate(zip(models, rngs)):
+    for model, rng in zip(models, rngs):
         B = _block_size(model)
         sizes = [min(B, R - lo) for lo in range(0, R, B)]
-        blocks.append([(k, b, size, child) for b, (size, child)
-                       in enumerate(zip(sizes, rng.spawn(len(sizes))))])
-    calls: list[list[tuple]] = []
-    open_calls: dict[tuple, list[tuple]] = {}
-    for piece in (p for row in zip_longest(*blocks) for p in row if p is not None):
-        model = models[piece[0]]
-        if not _chain_drawn(model):
-            calls.append([piece])
-            continue
-        shared = (model.v, model.stats, model.mcmc)
-        call = open_calls.get(shared)
-        if (call is None or len(call) == MH_MAX_GROUPS
-                or sum(p[2] for p in call) + piece[2] > _block_size(model)):
-            call = open_calls[shared] = []
-            calls.append(call)
-        call.append(piece)
-
-    out = [[None] * len(pieces) for pieces in blocks]
-    for call in calls:
-        if len(call) == 1:
-            k, _, size, child = call[0]
-            parts = [draws[k](n, size, child)]
-        else:
-            counts = _mh_lockstep_edge_counts(
-                [(models[k], size, child) for k, _, size, child in call], n
-            )
-            parts = np.split(counts, np.cumsum([p[2] for p in call])[:-1])
-        for (k, b, _, _), part in zip(call, parts):
-            out[k][b] = fn(part)
+        blocks.append(list(zip(sizes, rng.spawn(len(sizes)))))
+    out = [[] for _ in models]
+    for row in zip_longest(*blocks):
+        for draw, results, block in zip(draws, out, row):
+            if block is not None:
+                # ``counts`` lives until the next block is drawn. Freeing
+                # each block's counts before the next draw made the 24-block
+                # v=40 ER null ~30% slower (2-core x86_64, in-process medians).
+                counts = draw(n, *block)
+                results.append(fn(counts))
     return out
 
 
@@ -461,9 +431,6 @@ def power_curve(
     ``baseline_bonferroni`` the same samples are also run through the
     per-edge binomial baseline, filling ``power_baseline``.
 
-    Chain-drawn ERGM alternatives that share a statistic and an MCMC schedule
-    share lockstep calls (see ``_map_blocks``): each keeps its own streams and
-    draws, so every point is the same as when its alternative runs alone.
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")

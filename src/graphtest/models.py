@@ -7,10 +7,9 @@ Three families are provided:
   p0; the subset is chosen once and shared by the whole sample.
 * ``Ergm``: exponential family over graphs with weight exp(t1*n_e + t2*n_x)
   where n_x counts triangles or two-stars. Exact enumeration is available up
-  to ENUMERATION_MAX_V vertices; beyond that a single-edge-flip
-  Metropolis-Hastings chain draws approximate samples. Both ERGMs are
-  exchangeable in their vertices, so their exact edge marginals are one
-  value for every pair: the enumerated edge density.
+  to ENUMERATION_MAX_V vertices, and every draw is exact at every v (see
+  below). Both ERGMs are exchangeable in their vertices, so their exact edge
+  marginals are one value for every pair: the enumerated edge density.
 
 Every model draws the per-pair edge counts of R independent samples at once
 with ``edge_count_batches``. An independent-edge model draws the counts of
@@ -25,23 +24,25 @@ n * min(p, 1 - p) > 30, which NumPy draws by BTPE; a pair with p = 0, for
 which NumPy reads nothing; and a block where a uniform lands at or past its
 table's last threshold, where NumPy would restart on a fresh uniform. A
 caller that draws many blocks builds each (n, p) table once and passes the
-tables to every block (``_binomial_tables``). An ``Ergm`` up to
-ENUMERATION_MAX_V vertices draws whole graphs from its enumerated law (see
-``_exact_edge_counts``); the model keeps its enumeration once
-``ergm_enumerate`` has made it, so its
-marginals and its draws share one. A larger ``Ergm`` is chain-drawn: it runs
-one chain per sample, and all R chains advance together: each proposal step
-is about a dozen NumPy calls over the R chains, whose graphs are held as
-uint64 neighbour bitmasks. A flip is accepted when its uniform falls below a
-threshold table built once with ``math.exp``, so every chain makes exactly
-the decisions of the scalar sampler ``ergm_mh_sample`` given the same draws.
-Both samplers take their draws and their burn-in and thinning schedule from
-``_mh_sweeps``, which documents the draw layout. A step costs the same NumPy
-calls however many chains take it, so the engine pays off only for many
-chains: Monte Carlo blocks of chain-drawn ERGM replicates hold at least
-``MH_MIN_CHAINS`` of them, and blocks of models that share v, statistics and
-schedule can run as column groups of one call, each on its own draws and
-with its own theta. ``Ergm.sample`` always runs the chain, at every v.
+tables to every block (``_binomial_tables``).
+
+An ``Ergm`` draws independent graphs from its exact law, in ``sample`` and in
+``edge_count_batches`` alike. Up to ENUMERATION_MAX_V vertices they are the
+codes of ``rng.choice`` over the enumerated law (``_exact_indicators``); the
+model keeps its enumeration once ``ergm_enumerate`` has made it, so its
+marginals and its draws share one. Above it they come from coupling from
+the past (``_cftp_indicators``; Propp & Wilson 1996, *Random Structures &
+Algorithms* 9): two bounding chains, from the complete and from the empty
+graph, take heat-bath updates on shared uniforms from ever further in the
+past until they meet, and the graph they meet in is an exact draw. For
+theta2 >= 0 the update is monotone; for theta2 < 0 each bounding chain reads
+the other (anti-monotone coupling, Häggström & Nelander 1998, *Statistica
+Neerlandica* 52(3)). The draws of a call advance together as the columns of
+uint64 neighbour masks, one NumPy operation per round of disjoint pairs. A
+model whose chains have not met from CFTP_MAX_SWEEPS sweeps back is refused
+with ``ConfigurationError``. The scalar Metropolis-Hastings sampler
+``ergm_mh_sample`` remains for library callers; nothing in the package draws
+from it.
 
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -61,7 +62,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import EnumerationRefusedError
+from .errors import ConfigurationError, EnumerationRefusedError
 from .graphs import (
     BLOCK_CELLS,
     EdgeMarginals,
@@ -100,20 +101,11 @@ EDGE_TWO_STAR = "edge_two_star"
 # Exact enumeration visits 2^E graphs; v=6 means 2^15 = 32768.
 ENUMERATION_MAX_V = 6
 
-# The lockstep engine prepares flip indices for about this many chain steps
-# at a time, which bounds its working memory beyond the draws and counts.
-MH_GROUP_CELLS = 1 << 14
-
-# A lockstep step costs a fixed ~15-20 us of NumPy calls at 64 chains, and
-# a scalar step ~0.4-1 us (2-core x86_64, v = 10..100), so Monte Carlo
-# blocks of ERGM replicates hold at least this many chains; 64 measured
-# 1.7-3.7x faster per chain step than the scalar chain at v = 10, 66 and 100.
-MH_MIN_CHAINS = 64
-
-# A lockstep call holds at most this many column groups. Each group draws
-# its own chunks of up to BLOCK_CELLS cells (see ``_mh_sweeps``), so this
-# bounds a call's draws at MH_MAX_GROUPS chunks.
-MH_MAX_GROUPS = 8
+# Coupling from the past first starts its bounding chains this many sweeps
+# back and doubles the distance until they meet. A model whose chains have
+# not met from CFTP_MAX_SWEEPS sweeps back is refused.
+CFTP_START_SWEEPS = 8
+CFTP_MAX_SWEEPS = 1 << 12
 
 
 # NumPy's ``Generator.binomial`` draws Binomial(n, p) by inversion when
@@ -410,7 +402,6 @@ class Ergm:
     v: int
     stats: str
     theta: tuple[float, float]
-    mcmc: McmcConfig = field(default=McmcConfig(), compare=False)
 
     def __post_init__(self):
         _check_min_vertices(self.v)
@@ -423,22 +414,39 @@ class Ergm:
             raise ValueError(f"theta must be two finite reals, got {self.theta}")
 
     def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
-        return ergm_mh_sample(self, n, self.mcmc, rng)
+        """n independent exact draws (see ``_draws``)."""
+        _check_sample_size(n)
+        bits = np.concatenate(list(self._draws(n, rng)))
+        return GraphSample.from_indicator_matrix(self.v, bits)
 
     def edge_count_batches(
         self, n: int, R: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-pair edge counts of R samples of size n (R x E).
-
-        Up to ENUMERATION_MAX_V vertices the graphs are independent exact
-        draws from the enumerated law (``_exact_edge_counts``), and the MCMC
-        schedule is not read. Beyond it each sample is one MH chain, and the
-        R chains run in lockstep; see ``_mh_lockstep_edge_counts``.
-        """
-        if _chain_drawn(self):
-            return _mh_lockstep_edge_counts([(self, R, rng)], n)
+        """Per-pair edge counts of R samples of size n (R x E): the edges of
+        draws r*n .. r*n + n - 1 of ``_draws(R * n, rng)`` summed into row r."""
         _check_sample_size(n)
-        return _exact_edge_counts(ergm_enumerate(self), n, R, rng)
+        E = num_pairs(self.v)
+        counts = np.zeros((R, E), dtype=np.int64)
+        rows, lo = max(1, BLOCK_CELLS // E), 0
+        for chunk in self._draws(R * n, rng):
+            # Summed as int64 a block of rows at a time.
+            for bits in np.split(chunk, range(rows, len(chunk), rows)):
+                hi = lo + len(bits)
+                # The replicates these rows reach, and where each starts in them.
+                first, last = lo // n, (hi - 1) // n
+                starts = np.maximum(np.arange(first, last + 1) * n, lo) - lo
+                counts[first:last + 1] += np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+                lo = hi
+        return counts
+
+    def _draws(self, D: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """D independent exact graphs, as consecutive chunks of (rows x E)
+        uint8 edge indicators: enumerated up to ENUMERATION_MAX_V vertices
+        (``_exact_indicators``), coupled from the past above it
+        (``_cftp_indicators``)."""
+        if self.v > ENUMERATION_MAX_V:
+            return _cftp_indicators(self, D, rng)
+        return _exact_indicators(ergm_enumerate(self), D, rng)
 
     def exact_marginals(self) -> EdgeMarginals:
         """Every pair's marginal: the enumerated edge density.
@@ -461,24 +469,32 @@ class Ergm:
         reached through ``ergm_enumerate``, which refuses large v."""
         return _enumerate(self.v, self.stats, self.theta)
 
+    @cached_property
+    def _heat_bath(self) -> np.ndarray:
+        """P[c] = sigma(theta1 + theta2 * c), the probability that a heat-bath
+        update sets a pair whose endpoints have c common neighbours
+        (triangles) or c other incident edges (two-stars), for every
+        reachable c, computed with ``math.exp``."""
+        t1, t2 = self.theta
+        top = self.v - 2 if self.stats == EDGE_TRIANGLE else 2 * (self.v - 2)
+        table = []
+        for x in (t1 + t2 * c for c in range(top + 1)):
+            table.append(1 / (1 + math.exp(-x)) if x >= 0 else math.exp(x) / (1 + math.exp(x)))
+        return np.array(table)
+
     def describe(self) -> dict:
+        # Every draw is exact, so no run reads a sampler schedule.
         return {
             "model": "ergm",
             "v": self.v,
             "stats": self.stats,
             "theta": list(self.theta),
-            "burn_in": self.mcmc.burn_in,
-            "thinning": self.mcmc.thinning,
+            "burn_in": None,
+            "thinning": None,
         }
 
 
 ModelSpec = Union[ErdosRenyi, ModifiedErdosRenyi, Ergm]
-
-
-def _chain_drawn(model: ModelSpec) -> bool:
-    """Whether ``model.edge_count_batches`` runs Metropolis-Hastings chains:
-    an ``Ergm`` too large to enumerate."""
-    return isinstance(model, Ergm) and model.v > ENUMERATION_MAX_V
 
 
 def select_modified_pairs(
@@ -604,33 +620,138 @@ def _enumerate(v: int, stats: str, theta: tuple[float, float]) -> ExactDistribut
     return ExactDistribution(v, weights / weights.sum())
 
 
-def _exact_edge_counts(
-    dist: ExactDistribution, n: int, R: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-pair edge counts of R samples of n independent draws from ``dist``.
+def _exact_indicators(
+    dist: ExactDistribution, D: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """D independent draws from ``dist`` as (rows x E) uint8 edge indicators.
 
-    The graphs' codes are those of ``rng.choice(len(p), size=(R, n), p=p)``
-    for p = ``dist.probabilities``, and the stream is left as that call
-    leaves it: they are drawn row by row in ``rng.choice`` calls of at most
-    BLOCK_CELLS codes, and ``rng.choice`` reads one uniform per code. Each
-    code is unpacked into its E edge bits, and the bits of replicate r's n
-    graphs, draws r*n .. r*n + n - 1, are summed into row r (R x E, int64).
+    The graphs' codes are those of ``rng.choice(len(p), size=D, p=p)`` for
+    p = ``dist.probabilities``, and the stream is left as that call leaves
+    it: they are drawn in ``rng.choice`` calls of at most BLOCK_CELLS codes,
+    one chunk each, and ``rng.choice`` reads one uniform per code. Bit a of
+    a code is canonical pair a.
     """
     E = num_pairs(dist.v)
     p = dist.probabilities
-    counts = np.zeros((R, E), dtype=np.int64)
-    total = R * n
-    for lo in range(0, total, BLOCK_CELLS):
-        hi = min(lo + BLOCK_CELLS, total)
-        codes = rng.choice(len(p), size=hi - lo, p=p)
+    for lo in range(0, D, BLOCK_CELLS):
+        codes = rng.choice(len(p), size=min(BLOCK_CELLS, D - lo), p=p)
         # Little-endian bytes of each code, bit a of the code first.
         code_bytes = codes.astype("<u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(code_bytes, axis=1, count=E, bitorder="little")
-        # The replicates this chunk reaches, and where each starts in it.
-        first, last = lo // n, (hi - 1) // n
-        starts = np.maximum(np.arange(first, last + 1) * n, lo) - lo
-        counts[first:last + 1] += np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
-    return counts
+        yield np.unpackbits(code_bytes, axis=1, count=E, bitorder="little")
+
+
+def _matching_rounds(v: int) -> list[list[tuple[int, int]]]:
+    """The canonical pairs in rounds of pairwise disjoint pairs, by the circle
+    method: v - 1 rounds of v/2 pairs for even v, v rounds of (v-1)/2 pairs
+    for odd v (vertex v is then a bye)."""
+    m = v + v % 2
+    rounds = []
+    for r in range(m - 1):
+        pairs = [(r, m - 1)] + [((r + s) % (m - 1), (r - s) % (m - 1))
+                                for s in range(1, m // 2)]
+        rounds.append(sorted((min(p), max(p)) for p in pairs if max(p) < v))
+    return rounds
+
+
+def _cftp_indicators(
+    spec: Ergm, D: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """D independent exact draws from ``spec`` by coupling from the past, as
+    (rows x E) uint8 edge indicators, one chunk per column group.
+
+    A draw is a column. An upper chain starts from the complete graph and a
+    lower one from the empty graph, T sweeps in the past. A sweep updates
+    every pair once, round by round of ``_matching_rounds``: a pair is set
+    iff its uniform u < P[c] of ``Ergm._heat_bath``. Disjoint pairs do not
+    change each other's c, so a round updates its pairs at once. For
+    theta2 >= 0, P rises with c and each chain reads its own c, which keeps
+    lower <= upper; for theta2 < 0 each chain reads the other's c, which
+    keeps that order too, and every chain started between the two stays
+    between them. Where they are equal at time 0, that graph is the draw.
+    Otherwise T doubles from CFTP_START_SWEEPS, and the new epoch of the
+    past runs first, then the epochs already drawn, on the same uniforms.
+    Past CFTP_MAX_SWEEPS the model is refused with ``ConfigurationError``.
+
+    Columns run in groups of at most BLOCK_CELLS // (v * W) draws, W being
+    ceil(v / 64) uint64 words per neighbour mask. Each group takes a
+    SeedSequence spawned off ``rng``'s, and each of its epochs a child of
+    that. On every replay an epoch draws its uniforms again as one row per
+    pair update, in scan order, and one column per draw of the whole group,
+    in chunks of rounds; a column reads its own, so its uniforms do not
+    depend on which other columns have met.
+    """
+    v, W = spec.v, -(-spec.v // 64)
+    G = max(1, BLOCK_CELLS // (v * W))
+    P = spec._heat_bath
+    rising = spec.theta[1] >= 0
+    one = np.uint64(1)
+
+    def bits(ends) -> np.ndarray:
+        # (k, W, 1, 1): the bit of each end in its word of a neighbour mask.
+        ends = np.asarray(ends)
+        out = np.zeros((len(ends), W, 1, 1), dtype=np.uint64)
+        out[np.arange(len(ends)), ends // 64, 0, 0] = one << (ends % 64).astype(np.uint64)
+        return out
+
+    rounds = []
+    for pairs in _matching_rounds(v):
+        I, J = (np.array(ends) for ends in zip(*pairs))
+        rounds.append((I, J, bits(I), bits(J)))
+    k = len(rounds[0][0])
+    adjacency = ~np.eye(v, 64 * W, dtype=bool)
+    adjacency[:, v:] = False
+    complete = np.packbits(adjacency, axis=1, bitorder="little").view("<u8")
+    # Pair (i, j) of the canonical order is column starts[i] + j - i - 1.
+    starts = np.cumsum([0] + list(range(v - 1, 0, -1)))
+
+    def run(X, seq, sweeps, active, size):
+        gen = np.random.default_rng(seq)
+        steps = sweeps * len(rounds)
+        chunk = max(1, BLOCK_CELLS // (k * size))
+        for lo in range(0, steps, chunk):
+            u = gen.random((min(chunk, steps - lo) * k, size))
+            if len(active) < size:
+                u = u[:, active]
+            for t, row in enumerate(range(0, len(u), k), lo):
+                I, J, bit_i, bit_j = rounds[t % len(rounds)]
+                XI, XJ = X[I], X[J]
+                XI &= ~bit_j
+                XJ &= ~bit_i
+                if spec.stats == EDGE_TRIANGLE:
+                    c = np.bitwise_count(XI & XJ)
+                else:
+                    c = np.bitwise_count(XI) + np.bitwise_count(XJ)
+                c = c[:, 0] if W == 1 else c.sum(axis=1)
+                put = (u[row:row + k, None] < P.take(c if rising else c[:, ::-1]))[:, None]
+                XI |= put * bit_j
+                XJ |= put * bit_i
+                X[I], X[J] = XI, XJ
+
+    for lo, seq in zip(range(0, D, G), rng.bit_generator.seed_seq.spawn(-(-D // G))):
+        size = min(G, D - lo)
+        out = np.empty((size, num_pairs(v)), dtype=np.uint8)
+        active, epochs, T = np.arange(size), [], CFTP_START_SWEEPS
+        while len(active):
+            if T > CFTP_MAX_SWEEPS:
+                raise ConfigurationError(
+                    f"coupling from the past found no exact draw within "
+                    f"{CFTP_MAX_SWEEPS} sweeps for the {spec.stats} ERGM on "
+                    f"v={v} vertices at theta={spec.theta}"
+                )
+            epochs += seq.spawn(1)
+            # X[x, w, 0 or 1, column]: word w of vertex x's neighbour mask in
+            # the upper or the lower chain.
+            X = np.zeros((v, W, 2, len(active)), dtype=np.uint64)
+            X[:, :, 0] = complete[:, :, None]
+            for e in reversed(range(len(epochs))):
+                run(X, epochs[e], CFTP_START_SWEEPS << max(e - 1, 0), active, size)
+            met = (X[:, :, 0] == X[:, :, 1]).all(axis=(0, 1))
+            for i in range(v - 1):
+                words = np.ascontiguousarray(X[i, :, 1][:, met].T, dtype="<u8")
+                row = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+                out[active[met], starts[i]:starts[i + 1]] = row[:, i + 1:v]
+            active, T = active[~met], 2 * T
+        yield out
 
 
 def _mh_thresholds(spec: Ergm) -> list[list[float]]:
@@ -645,15 +766,12 @@ def _mh_thresholds(spec: Ergm) -> list[list[float]]:
     Where every reachable delta is 0 (theta = (0, 0), or theta1 = 0 at
     v = 2), every entry is 0.5 instead: a chain that accepted every flip
     would flip exactly E pairs a sweep and so never change the parity of
-    its edge count. The lazy chain keeps the uniform target. Tables are at
-    least two columns wide, because the lockstep engine weighs ``present``
-    by the width less 2 for two-stars; the second column at v = 2 is never
-    read.
+    its edge count. The lazy chain keeps the uniform target.
     """
     t1, t2 = spec.theta
     top = spec.v - 2 if spec.stats == EDGE_TRIANGLE else 2 * (spec.v - 2)
-    deltas = [t1 + t2 * c for c in range(max(top, 1) + 1)]
-    if not any(deltas[:top + 1]):
+    deltas = [t1 + t2 * c for c in range(top + 1)]
+    if not any(deltas):
         return [[0.5] * len(deltas)] * 2
 
     def threshold(delta: float) -> float:
@@ -663,31 +781,25 @@ def _mh_thresholds(spec: Ergm) -> list[list[float]]:
 
 
 def _mh_sweeps(
-    E: int, R: int, n: int, mcmc: McmcConfig, rng: np.random.Generator
+    E: int, n: int, mcmc: McmcConfig, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
-    """Proposal draws of R chains, one sweep at a time: (slots, uniforms, keep).
+    """Proposal draws of one chain, a sweep at a time: (slots, uniforms, keep).
 
-    Each chain starts from the empty graph and makes burn_in + n * thinning
+    The chain starts from the empty graph and makes burn_in + n * thinning
     sweeps of E proposals; ``keep`` marks the sweeps that end with a retained
-    draw, every ``thinning``-th one after ``burn_in``. Step s of chain c
-    flips canonical pair ``slots[s, c]`` when ``uniforms[s, c]`` falls below
-    its acceptance threshold; both arrays are (E x R).
-
-    Draw layout: sweeps are drawn in chunks of
-    k = max(1, BLOCK_CELLS // (E*R)), each chunk one
-    ``rng.integers(0, E, (k*E, R))`` of slots followed by one
-    ``rng.random((k*E, R))`` of uniforms, read row by row. With R = 1 that is
-    one chain's order, so ``ergm_mh_sample`` and a one-chain lockstep run see
-    the same draws. Slots and uniforms alternate per chunk, so the draws a
-    chain sees depend on R and on the chunk size.
+    draw, every ``thinning``-th one after ``burn_in``. Step s flips canonical
+    pair ``slots[s]`` when ``uniforms[s]`` falls below its acceptance
+    threshold. Sweeps are drawn in chunks of k = max(1, BLOCK_CELLS // E),
+    each chunk one ``rng.integers(0, E, k*E)`` of slots followed by one
+    ``rng.random(k*E)`` of uniforms.
     """
     total_sweeps = mcmc.burn_in + n * mcmc.thinning
-    chunk_sweeps = max(1, BLOCK_CELLS // (E * R))
+    chunk_sweeps = max(1, BLOCK_CELLS // E)
     sweep = 0
     while sweep < total_sweeps:
         todo = min(chunk_sweeps, total_sweeps - sweep)
-        slots = rng.integers(0, E, size=(todo * E, R))
-        unif = rng.random((todo * E, R))
+        slots = rng.integers(0, E, size=todo * E)
+        unif = rng.random(todo * E)
         for lo in range(0, todo * E, E):
             sweep += 1
             kept = (sweep - mcmc.burn_in) % mcmc.thinning == 0
@@ -713,7 +825,7 @@ def ergm_mh_sample(
     _check_sample_size(n)
     v = spec.v
     add, remove = _mh_thresholds(spec)
-    sweeps = _mh_sweeps(num_pairs(v), 1, n, mcmc, rng)
+    sweeps = _mh_sweeps(num_pairs(v), n, mcmc, rng)
     # Per slot a: its endpoints and the bits that pair sets in the edge
     # bitset and in each endpoint's neighbour mask.
     steps = [
@@ -725,7 +837,7 @@ def ergm_mh_sample(
     if spec.stats == EDGE_TRIANGLE:
         adj = [0] * v
         for slots, unif, keep in sweeps:
-            for a, u in zip(slots.ravel().tolist(), unif.ravel().tolist()):
+            for a, u in zip(slots.tolist(), unif.tolist()):
                 i, j, edge, bit_j, bit_i = steps[a]
                 common = (adj[i] & adj[j]).bit_count()
                 if u < (remove[common] if bits & edge else add[common]):
@@ -737,7 +849,7 @@ def ergm_mh_sample(
     else:
         deg = [0] * v
         for slots, unif, keep in sweeps:
-            for a, u in zip(slots.ravel().tolist(), unif.ravel().tolist()):
+            for a, u in zip(slots.tolist(), unif.tolist()):
                 i, j, edge, _, _ = steps[a]
                 if bits & edge:
                     if u < remove[deg[i] + deg[j] - 2]:
@@ -751,126 +863,6 @@ def ergm_mh_sample(
             if keep:
                 retained.append(Graph(v, bits))
     return GraphSample(retained)
-
-
-def _mh_lockstep_edge_counts(
-    groups: Sequence[tuple[Ergm, int, np.random.Generator]], n: int
-) -> np.ndarray:
-    """Per-pair edge counts of n draws from each chain of every column group.
-
-    Group (spec, R, rng) runs R chains of ``spec`` on the draws of
-    ``_mh_sweeps(E, R, n, spec.mcmc, rng)``: the chains of ``ergm_mh_sample``,
-    as if the group ran alone. The groups' chains are columns side by side
-    and take their proposal steps together as NumPy operations, and their
-    count rows come out in group order, (sum of R x E). All groups share v,
-    the statistics and the MCMC schedule; theta may differ, and each column
-    reads its own group's thresholds. With one group of one chain the counts
-    are those of ``ergm_mh_sample``.
-
-    A chain's graph is held as neighbour bitmasks of ceil(v/64) uint64 words
-    per vertex; the flip of pair (i, j) toggles bit j of mask i and bit i of
-    mask j. Common neighbours and degrees are popcounts of those masks. Each
-    step costs a fixed number of NumPy calls whatever the number of chains,
-    so the engine pays off only with many chains (see ``MH_MIN_CHAINS``).
-    """
-    _check_sample_size(n)
-    spec = groups[0][0]
-    for other, _, _ in groups:
-        if (other.v, other.stats, other.mcmc) != (spec.v, spec.stats, spec.mcmc):
-            raise ValueError(
-                "lockstep groups must share v, stats and the MCMC schedule"
-            )
-    v, E = spec.v, num_pairs(spec.v)
-    sizes = [size for _, size, _ in groups]
-    R = sum(sizes)
-    W = -(-v // 64)
-    pair_i, pair_j = np.array(canonical_pairs(v), dtype=np.intp).T
-    triangles = spec.stats == EDGE_TRIANGLE
-    # Group g's T[present, change] flattened at offset g * 2 * stride, read at
-    # key = present * present_weight + change (+ the offset), in the
-    # narrowest unsigned type that holds every key.
-    tables = [np.array(_mh_thresholds(other)) for other, _, _ in groups]
-    stride = tables[0].shape[1]
-    T = np.concatenate([table.ravel() for table in tables])
-    key_type = np.min_scalar_type(T.size - 1).type
-    # Two-stars: change = deg_i + deg_j - 2*present.
-    present_weight = key_type(stride if triangles else stride - 2)
-    offsets = None
-    if len(groups) > 1:
-        offsets = np.repeat(np.arange(len(groups)) * 2 * stride, sizes)
-        offsets = offsets.astype(key_type)
-
-    # Word w of vertex x's mask in chain c is flat[w*R*v + c*v + x].
-    flat = np.zeros(W * R * v, dtype=np.uint64)
-    # The words a step reads, less the chain's offset c*v, by proposal slot:
-    # rows 0 and 1 hold the pair's bit in the masks of i and of j; with more
-    # than one word per vertex they are followed by every word of i, then
-    # every word of j. Row k of slot a is word_table[k*E + a].
-    word_rows = [(pair_j // 64) * (R * v) + pair_i, (pair_i // 64) * (R * v) + pair_j]
-    if W > 1:
-        word_rows += [w * (R * v) + pair_i for w in range(W)]
-        word_rows += [w * (R * v) + pair_j for w in range(W)]
-    word_table = np.concatenate(word_rows)
-    shifts = np.concatenate((pair_j % 64, pair_i % 64)).astype(np.uint64)
-    bit_table = np.uint64(1) << shifts
-    row_starts = (np.arange(len(word_rows), dtype=np.intp) * E)[:, None]
-    chain_rows = np.arange(R, dtype=np.intp) * v
-    counts = np.zeros((R, E), dtype=np.int64)
-    key = np.empty(R, dtype=key_type)
-    threshold = np.empty(R)
-    accept = np.empty(R, dtype=bool)
-    flips = np.empty((2, R), dtype=np.uint64)
-
-    sweeps = [_mh_sweeps(E, size, n, spec.mcmc, rng) for _, size, rng in groups]
-    # Flip indices are prepared for this many steps at a time.
-    group = max(1, MH_GROUP_CELLS // R)
-    # Not zip(*sweeps): zip keeps its first result tuple, and with it the
-    # first chunk of draws, alive while later chunks are drawn.
-    for slots, unif, keep in sweeps[0]:
-        if len(sweeps) > 1:
-            rest = [next(other) for other in sweeps[1:]]
-            slots = np.hstack([slots, *(drawn[0] for drawn in rest)])
-            unif = np.hstack([unif, *(drawn[1] for drawn in rest)])
-        for lo in range(0, E, group):
-            index = slots[lo:lo + group, None, :] + row_starts
-            words = word_table.take(index)
-            words += chain_rows
-            bits = bit_table.take(index[:, :2])
-            held_words = words if W == 1 else words[:, :2]
-            for word, held_word, bit, u in zip(
-                words, held_words, bits, unif[lo:lo + group]
-            ):
-                masks = flat.take(word)
-                ends = masks if W == 1 else masks[2:]
-                np.bitwise_count(masks[0] & bit[0], out=key)
-                key *= present_weight
-                if triangles:
-                    for common in np.bitwise_count(ends[:W] & ends[W:]):
-                        key += common
-                else:
-                    for degree in np.bitwise_count(ends):
-                        key += degree
-                if offsets is not None:
-                    key += offsets
-                # ``take`` with uint8 indices and a flip through ``where=``
-                # both measured slower than an intp copy and a multiply.
-                np.less(u, T.take(key.astype(np.intp), out=threshold), out=accept)
-                held = masks if W == 1 else masks[:2]
-                held ^= np.multiply(bit, accept, out=flips)
-                flat[held_word] = held
-        if keep:
-            counts += _edge_indicators(flat.reshape(W, R * v), v, pair_i, pair_j)
-    return counts
-
-
-def _edge_indicators(
-    masks: np.ndarray, v: int, pair_i: np.ndarray, pair_j: np.ndarray
-) -> np.ndarray:
-    """(R x E) uint8 edge indicators of chains held as neighbour bitmasks."""
-    # Row c*v + x: vertex x's mask words in chain c, as little-endian bytes.
-    words = np.ascontiguousarray(masks.T, dtype="<u8")
-    adjacency = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return adjacency.reshape(-1, v, adjacency.shape[1])[:, pair_i, pair_j]
 
 
 @dataclass(frozen=True)
@@ -888,13 +880,12 @@ def edge_density_sweep(
     n: int,
     rng: np.random.Generator,
 ) -> list[DensityPoint]:
-    """Mean edge density over n chain draws for each model in the grid.
+    """Mean edge density over n exact draws for each model in the grid.
 
-    Every grid point runs its spec's own schedule ``spec.mcmc`` on its own
-    generator stream derived from ``rng``, so points can be evaluated in
-    any order. A density below 0.02 or above 0.98 triggers a degeneracy
-    warning: the chain is concentrating on near-empty or near-complete
-    graphs.
+    Every grid point draws ``spec.sample(n, ...)`` on its own generator
+    stream spawned off ``rng``, so points can be evaluated in any order. A
+    density below 0.02 or above 0.98 triggers a degeneracy warning: the
+    model concentrates on near-empty or near-complete graphs.
     """
     if not specs:
         raise ValueError("parameter grid must be nonempty")

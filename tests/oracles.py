@@ -265,58 +265,105 @@ def order_statistic_interval(
     return lo, hi
 
 
-def lockstep_mh_counts(
+def heat_bath_probability(theta, c: int) -> float:
+    """sigma(theta1 + theta2 * c), the chance that a heat-bath update sets a
+    pair with c common neighbours (triangles) or c other incident edges
+    (two-stars)."""
+    x = theta[0] + theta[1] * c
+    return 1 / (1 + math.exp(-x)) if x >= 0 else math.exp(x) / (1 + math.exp(x))
+
+
+def cftp_column(
     v: int,
     triangles: bool,
     theta,
-    burn_in: int,
-    thinning: int,
-    n: int,
-    R: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-pair edge counts of n draws from each of R single-edge-flip MH chains.
+    rounds,
+    seq: np.random.SeedSequence,
+    size: int,
+    column: int,
+    start: int = 8,
+    cap: int = 4096,
+) -> list[int] | None:
+    """Column ``column`` of a group of ``size`` draws by coupling from the
+    past, run alone: its edge indicators, or None if the chains do not meet
+    from ``cap`` sweeps back.
 
-    The draws come in chunks of k = max(1, 2^16 // (E*R)) sweeps: one
-    (k*E x R) array of proposal slots, then one of uniforms. Chain c makes
-    its t-th proposal of a chunk from row t of column c. Every chain starts
-    empty, keeps its graph as neighbour sets, and accepts a flip when the
-    change delta in theta1*edges + theta2*(triangles or two-stars) has
-    delta >= 0 or u < exp(delta). A draw is kept every ``thinning`` sweeps
-    after ``burn_in`` sweeps.
+    A sweep updates the pairs of ``rounds`` in order, one at a time. An
+    upper chain starts from the complete graph and a lower one from the
+    empty graph, T sweeps back. A pair is set when its uniform u is below
+    ``heat_bath_probability`` at the c of the same chain for theta2 >= 0,
+    and of the other chain for theta2 < 0. Epoch e of the past is the e-th
+    child of ``seq``, runs start * 2**(e-1) sweeps (start sweeps for e = 0),
+    and draws its uniforms in chunks of max(1, 2**16 // (k * size)) rounds
+    of k pairs: one ``random((rounds * k, size))`` each, of which this
+    column reads its own. T doubles from ``start`` until the chains meet.
     """
     pairs = list(combinations(range(v), 2))
-    E = len(pairs)
-    t1, t2 = theta
-    nbrs = [[set() for _ in range(v)] for _ in range(R)]
-    counts = np.zeros((R, E), dtype=np.int64)
-    total = burn_in + n * thinning
-    k = max(1, 65536 // (E * R))
-    sweep = 0
-    while sweep < total:
-        todo = min(k, total - sweep)
-        slots = rng.integers(0, E, size=(todo * E, R))
-        unif = rng.random((todo * E, R))
-        for s in range(todo):
-            for t in range(s * E, (s + 1) * E):
-                for c in range(R):
-                    i, j = pairs[slots[t, c]]
-                    nb = nbrs[c]
-                    present = j in nb[i]
-                    if triangles:
-                        change = len(nb[i] & nb[j])
-                    else:
-                        change = len(nb[i] - {j}) + len(nb[j] - {i})
-                    delta = -t1 - t2 * change if present else t1 + t2 * change
-                    if delta >= 0 or unif[t, c] < math.exp(delta):
-                        nb[i].symmetric_difference_update({j})
-                        nb[j].symmetric_difference_update({i})
-            sweep += 1
-            if sweep > burn_in and (sweep - burn_in) % thinning == 0:
-                for c in range(R):
-                    for a, (i, j) in enumerate(pairs):
-                        counts[c, a] += j in nbrs[c][i]
-    return counts
+    k = len(rounds[0])
+
+    def c_of(nbrs, i, j):
+        if triangles:
+            return len(nbrs[i] & nbrs[j])
+        return len(nbrs[i] - {j}) + len(nbrs[j] - {i})
+
+    epochs = []
+    T = start
+    while T <= cap:
+        # The next child of seq, made without advancing seq's own count.
+        epochs.append(np.random.SeedSequence(
+            seq.entropy, spawn_key=seq.spawn_key + (len(epochs),), pool_size=seq.pool_size
+        ))
+        # Each chain's graph as the neighbour set of every vertex.
+        upper = [set(range(v)) - {x} for x in range(v)]
+        lower = [set() for _ in range(v)]
+        for e in reversed(range(len(epochs))):
+            gen = np.random.default_rng(epochs[e])
+            steps = (start << max(e - 1, 0)) * len(rounds)
+            chunk = max(1, 65536 // (k * size))
+            u = np.concatenate([
+                gen.random((min(chunk, steps - lo) * k, size))[:, column]
+                for lo in range(0, steps, chunk)
+            ]).tolist()
+            for t in range(steps):
+                for (i, j), x in zip(rounds[t % len(rounds)], u[t * k:(t + 1) * k]):
+                    cu, cl = c_of(upper, i, j), c_of(lower, i, j)
+                    if theta[1] < 0:
+                        cu, cl = cl, cu
+                    for nbrs, c in ((upper, cu), (lower, cl)):
+                        if x < heat_bath_probability(theta, c):
+                            nbrs[i].add(j)
+                            nbrs[j].add(i)
+                        else:
+                            nbrs[i].discard(j)
+                            nbrs[j].discard(i)
+        if upper == lower:
+            return [int(j in lower[i]) for i, j in pairs]
+        T *= 2
+    return None
+
+
+def enumerated_ergm_law(v: int, triangles: bool, theta) -> np.ndarray:
+    """Probabilities of all 2^E edge bitsets under the ERGM, bit a of a code
+    being pair a of ``combinations(range(v), 2)``: weights
+    exp(theta1 * edges + theta2 * (triangles or two-stars)), normalised."""
+    pairs = list(combinations(range(v), 2))
+    index = {pair: a for a, pair in enumerate(pairs)}
+    codes = np.arange(1 << len(pairs), dtype=np.int64)
+
+    def edge(a):
+        return (codes >> a) & 1
+
+    n_e = sum(edge(a) for a in range(len(pairs)))
+    if triangles:
+        n_x = sum(edge(index[i, j]) & edge(index[j, k]) & edge(index[i, k])
+                  for i, j, k in combinations(range(v), 3))
+    else:
+        degrees = [sum(edge(index[min(x, y), max(x, y)]) for y in range(v) if y != x)
+                   for x in range(v)]
+        n_x = sum(d * (d - 1) // 2 for d in degrees)
+    log_w = theta[0] * n_e + theta[1] * n_x
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
 
 
 def choice_edge_counts(

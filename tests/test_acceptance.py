@@ -313,20 +313,20 @@ def test_06_ergm_enumeration_and_sampler_agree():
     )
     ok_tv = tv < 0.02
 
-    # Larger graphs where enumeration is impossible: report the chain's edge
-    # density at two attractive-triangle parameter points. Qualitative only;
-    # these regions are near-degenerate and convention-sensitive.
-    anchor_mcmc = McmcConfig(burn_in=300, thinning=5)
+    # Larger graphs where enumeration is impossible: report the edge density
+    # of exact draws at two attractive-triangle parameter points.
+    # Qualitative only; these regions are near-degenerate and
+    # convention-sensitive.
     anchor_specs = [
-        Ergm(8, EDGE_TRIANGLE, (-1.0, 0.63), anchor_mcmc),
-        Ergm(12, EDGE_TRIANGLE, (-1.0, 0.38), anchor_mcmc),
+        Ergm(8, EDGE_TRIANGLE, (-1.0, 0.63)),
+        Ergm(12, EDGE_TRIANGLE, (-1.0, 0.38)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         anchors = edge_density_sweep(anchor_specs, 300, rng)
     for spec, point in zip(anchor_specs, anchors):
         print(
-            f"[INFO] chain edge density at v={spec.v}, "
+            f"[INFO] exact edge density at v={spec.v}, "
             f"theta=({point.theta1}, {point.theta2}): {point.density:.3f} "
             f"over {point.draws} draws"
         )

@@ -13,8 +13,10 @@ import pytest
 
 import graphtest
 from graphtest import (
-    Graph, GraphSample, McmcConfig, WindowSpec, read_graph_sample, write_graph_sample,
+    EDGE_TRIANGLE, ConfigurationError, Ergm, Graph, GraphSample, WindowSpec,
+    read_graph_sample, write_graph_sample,
 )
+import graphtest.models as models
 from graphtest.cli import _build_parser, main
 
 from oracles import (
@@ -764,31 +766,61 @@ def test_manifest_records_the_flags_a_run_does_not_read_as_null(tmp_path):
     assert "threads" not in params
 
 
-# Up to ENUMERATION_MAX_V vertices an ERGM null or alternative is drawn
-# exactly, so the schedule it accepts is not read and is recorded as null.
-@pytest.mark.parametrize("command, v, recorded", [
-    ("test --sample {sample} --null ergm --theta2 0.1 --replications 100", 4, None),
+# Every ERGM draw is exact, by enumeration up to 6 vertices and by coupling
+# from the past above, so the schedule a run accepts is not read and is
+# recorded as null, given or not; sample's model entry says the same.
+@pytest.mark.parametrize("command, v", [
+    ("test --sample {sample} --null ergm --theta2 0.1 --replications 100", 4),
     ("power --v {v} --n 2 --alt ergm --sweep 0.1 --replications 100 "
-     "--quantile-replications 100", 4, None),
+     "--quantile-replications 100", 4),
     ("power --v {v} --n 2 --alt ergm --sweep 0.1 --replications 100 "
-     "--quantile-replications 100", 7, 3),
+     "--quantile-replications 100", 7),
+    ("sample --model ergm --v {v} --n 3 --theta2 0.1", 4),
+    ("sample --model ergm --v {v} --n 3 --theta2 0.1", 7),
+    ("density-sweep --v {v} --sweep 0.1 --draws 5", 4),
+    ("density-sweep --v {v} --sweep 0.1 --draws 5", 7),
 ])
-def test_manifest_records_the_schedule_only_where_chains_run(
-    command, v, recorded, tmp_path
+@pytest.mark.parametrize("schedule", [["--burn-in", "3", "--thinning", "3"], []])
+def test_manifest_records_the_schedule_as_null_for_every_ergm_run(
+    command, v, schedule, tmp_path
 ):
     sample, manifest = tmp_path / "s.txt", tmp_path / "run.json"
     write_complete_sample(sample, v=v, n=3)
     assert run(
         *shlex.split(command.format(sample=sample, v=v)),
-        "--stats", "edge-triangle", "--theta1", "0",
-        "--burn-in", "3", "--thinning", "3", "--seed", "1", "--manifest", str(manifest),
+        "--stats", "edge-triangle", "--theta1", "0", *schedule,
+        "--seed", "1", "--manifest", str(manifest),
     ) == 0
     params = json.loads(manifest.read_text())["parameters"]
-    assert (params["burn_in"], params["thinning"]) == (recorded, recorded)
+    assert (params["burn_in"], params["thinning"]) == (None, None)
+    if command.startswith("sample"):
+        model = params["model"]
+        assert (model["burn_in"], model["thinning"]) == (None, None)
+
+
+def test_an_ergm_whose_chains_do_not_meet_is_refused(monkeypatch, tmp_path, capsys):
+    # At v=8, theta = (-1, 0.63), about half of the draws need more than 8
+    # sweeps of coupling from the past.
+    monkeypatch.setattr(models, "CFTP_MAX_SWEEPS", 8)
+    spec = Ergm(8, EDGE_TRIANGLE, (-1.0, 0.63))
+    with pytest.raises(ConfigurationError) as refused:
+        spec.edge_count_batches(5, 40, np.random.default_rng(1))
+    out = tmp_path / "power.csv"
+    assert run(
+        "power", "--v", "8", "--n", "5", "--alt", "ergm", "--stats", "edge-triangle",
+        "--theta1", "-1.0", "--sweep", "0.63", "--replications", "100",
+        "--quantile-replications", "100", "--seed", "1", "--out", str(out),
+    ) == 4
+    err = capsys.readouterr().err
+    assert not out.exists()
+    for message in (str(refused.value), err):
+        assert "v=8" in message
+        assert "theta=(-1.0, 0.63)" in message
+        assert "within 8 sweeps" in message
 
 
 def test_default_runs_record_the_library_defaults(tmp_path):
-    # McmcConfig's schedule and WindowSpec's window, each with one source.
+    # The schedule is unread, and WindowSpec's window has one source.
     channels = tmp_path / "channels.csv"
     rows = np.random.default_rng(0).standard_normal((400, 3)).tolist()
     channels.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
@@ -803,7 +835,7 @@ def test_default_runs_record_the_library_defaults(tmp_path):
     ) == 0
     s, b = (json.loads(path.read_text())["parameters"] for path in (sweep, build))
     assert (s["burn_in"], s["thinning"], b["width_ms"], b["step_ms"]) == (
-        McmcConfig.burn_in, McmcConfig.thinning, WindowSpec.width_ms, WindowSpec.step_ms
+        None, None, WindowSpec.width_ms, WindowSpec.step_ms
     )
 
 

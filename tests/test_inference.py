@@ -15,9 +15,9 @@ from graphtest import (
     ErdosRenyi,
     Ergm,
     EDGE_TRIANGLE,
+    EDGE_TWO_STAR,
     Graph,
     GraphSample,
-    McmcConfig,
     ModifiedErdosRenyi,
     PowerPoint,
     TestResult,
@@ -40,7 +40,6 @@ from graphtest.inference import (
     _calibrate_null,
     _map_blocks,
 )
-from graphtest.models import MH_MAX_GROUPS, MH_MIN_CHAINS
 
 from oracles import (
     all_at_once_permutation_p,
@@ -109,7 +108,7 @@ class TestNullQuantile:
             null_quantile_mc(null, 10, 1.0, 100, rng)
 
     def test_ergm_beyond_enumeration_needs_supplied_marginals(self, rng):
-        null = Ergm(7, EDGE_TRIANGLE, (0.0, 0.0), McmcConfig(10, 1))
+        null = Ergm(7, EDGE_TRIANGLE, (0.0, 0.0))
         with pytest.raises(ConfigurationError):
             null_quantile_mc(null, 3, 0.05, 100, rng)
         crit = null_quantile_mc(
@@ -346,22 +345,22 @@ class TestReplicateBlocks:
         got = null_quantile_mc(null, n, alpha, R, rng_factory(7))
         assert got == float(expected)
 
-    def test_ergm_blocks_hold_at_least_the_minimum_chain_count(self):
+    def test_ergm_blocks_are_sized_like_every_other_models(self):
         assert _block_size(ErdosRenyi(66, 0.5)) == 65536 // 2145 == 30
-        assert _block_size(Ergm(66, EDGE_TRIANGLE, (0.0, 0.1))) == MH_MIN_CHAINS
+        assert _block_size(Ergm(66, EDGE_TRIANGLE, (0.0, 0.1))) == 30
         assert _block_size(Ergm(self.V, EDGE_TRIANGLE, (0.0, 0.1))) == self.B
 
     def test_ergm_critical_value_is_the_order_statistic_of_its_blocks(
         self, rng_factory
     ):
-        # v=50 has E=1225, so BLOCK_CELLS alone would give blocks of 53.
+        # v=50 has E=1225, so blocks hold 53 replicates.
         v, n, R, alpha = 50, 2, 100, 0.1
-        null = Ergm(v, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(burn_in=1, thinning=1))
+        null = Ergm(v, EDGE_TRIANGLE, (0.0, 0.1))
         marginals = EdgeMarginals.constant(v, 0.5)
         children = rng_factory(7).spawn(2)
         counts = np.vstack([
             null.edge_count_batches(n, size, child)
-            for size, child in zip((MH_MIN_CHAINS, R - MH_MIN_CHAINS), children)
+            for size, child in zip((53, R - 53), children)
         ])
         stats = sorted(
             fraction_one_sample(row, n, marginals.fractions) for row in counts
@@ -412,18 +411,15 @@ class TestInversionTablesPerCall:
         assert sorted(built) == [(20, p) for p in sweep]
 
 
-class TestPackedErgmCalls:
-    """ERGM alternatives of one ``power_curve`` share lockstep calls."""
+class TestErgmAlternatives:
+    """The ERGM alternatives of one ``power_curve`` each draw their own blocks."""
 
-    # v=50 has E=1225, so an ERGM block holds MH_MIN_CHAINS = 64 chains and
-    # M=130 makes three blocks per alternative: 64, 64 and 2 chains.
-    # Thinning 2 keeps the two draws of a chain nearly independent, so the
-    # powers stay below 1 and differ between the alternatives.
+    # v=50 has E=1225, so an ERGM block holds 53 replicates and M=130 makes
+    # three blocks per alternative: 53, 53 and 24.
     V, N, M, R_QUANTILE = 50, 2, 130, 100
-    MCMC = McmcConfig(burn_in=0, thinning=2)
 
-    def ergm(self, theta1, mcmc=MCMC):
-        return Ergm(self.V, EDGE_TRIANGLE, (theta1, 0.0), mcmc)
+    def ergm(self, theta1):
+        return Ergm(self.V, EDGE_TRIANGLE, (theta1, 0.0))
 
     def own_blocks(self, alt, stream):
         """The alternative's counts, drawn one block at a time on its own streams."""
@@ -451,60 +447,52 @@ class TestPackedErgmCalls:
             ))
         return points
 
-    def power(self, alts, seed, baseline=False):
-        return power_curve(
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_power_is_that_of_each_alternatives_own_blocks(self, baseline):
+        alts = [self.ergm(-0.25), ErdosRenyi(self.V, 0.53), self.ergm(0.2)]
+        assert _block_size(alts[0]) == 53
+        points = power_curve(
             ErdosRenyi(self.V, 0.5), alts, n=self.N, M=self.M,
-            R_quantile=self.R_QUANTILE, rng=np.random.default_rng(seed),
+            R_quantile=self.R_QUANTILE, rng=np.random.default_rng(31),
             baseline_bonferroni=baseline,
         )
-
-    @pytest.mark.parametrize("thetas", [(-0.12, 0.1), (-0.12, 0.0, 0.1)])
-    @pytest.mark.parametrize("baseline", [False, True])
-    def test_power_is_that_of_each_alternatives_own_blocks(self, thetas, baseline):
-        alts = [self.ergm(t) for t in thetas]
-        assert _block_size(alts[0]) == MH_MIN_CHAINS == 64
-        points = self.power(alts, 31, baseline)
         assert points == self.expected_points(alts, 31, baseline)
-        # The alternatives are told apart, so a swapped piece would show.
+        # The alternatives are told apart, so a swapped block would show.
         assert len({p.power for p in points}) == len(points)
 
     def test_mixed_alternatives_match_running_each_alone(self):
-        slow = McmcConfig(burn_in=1, thinning=2)
         alts = [
             self.ergm(-0.12),
-            self.ergm(0.1, slow),
             ErdosRenyi(self.V, 0.51),
+            Ergm(self.V, EDGE_TWO_STAR, (-0.5, 0.004)),
             self.ergm(0.0),
-            self.ergm(-0.05, slow),
+            ErdosRenyi(self.V, 0.53),
         ]
-        assert self.power(alts, 32, True) == self.expected_points(alts, 32, True)
-        # The same holds for every block's counts.
         streams = np.random.default_rng(33).spawn(len(alts))
-        packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
+        mapped = _map_blocks(np.copy, alts, self.N, self.M, streams)
         streams = np.random.default_rng(33).spawn(len(alts))
-        for alt, stream, blocks in zip(alts, streams, packed):
+        for alt, stream, blocks in zip(alts, streams, mapped):
             alone = self.own_blocks(alt, stream)
-            assert len(blocks) == len(alone)
+            assert len(blocks) == len(alone) == 3
             assert all(np.array_equal(a, b) for a, b in zip(blocks, alone))
 
     def test_enumerable_alternatives_run_alone(self, monkeypatch):
-        # Up to ENUMERATION_MAX_V vertices an ERGM draws exact graphs, so its
-        # blocks hold no chain floor and share no call.
-        def refuse(groups, n):
-            raise AssertionError("ran a lockstep call")
+        # Up to ENUMERATION_MAX_V vertices an ERGM draws enumerated graphs,
+        # never coupled ones, in blocks sized like any other model's.
+        def refuse(spec, D, rng):
+            raise AssertionError("coupled from the past")
 
-        monkeypatch.setattr(inference, "_mh_lockstep_edge_counts", refuse)
-        alts = [Ergm(6, EDGE_TRIANGLE, (0.0, t), self.MCMC) for t in (-0.2, 0.2)]
+        monkeypatch.setattr(models, "_cftp_indicators", refuse)
+        alts = [Ergm(6, EDGE_TRIANGLE, (0.0, t)) for t in (-0.2, 0.2)]
         # v=6 has E=15, so a block holds 65536 // 15 = 4369 samples.
         assert _block_size(alts[0]) == BLOCK_CELLS // 15 == 4369
         streams = np.random.default_rng(35).spawn(2)
-        packed = _map_blocks(np.copy, alts, self.N, self.M, streams)
+        mapped = _map_blocks(np.copy, alts, self.N, self.M, streams)
         streams = np.random.default_rng(35).spawn(2)
-        for alt, stream, blocks in zip(alts, streams, packed):
+        for alt, stream, blocks in zip(alts, streams, mapped):
             assert len(blocks) == 1
             (child,) = stream.spawn(1)
-            alone = alt.edge_count_batches(self.N, self.M, child)
-            assert np.array_equal(blocks[0], alone)
+            assert np.array_equal(blocks[0], alt.edge_count_batches(self.N, self.M, child))
 
 
 class TestMemoryBound:
@@ -535,34 +523,17 @@ class TestMemoryBound:
         )
         assert peak < self.LIMIT
 
-    def test_many_ergm_alternatives_pack_into_bounded_calls(self, monkeypatch):
-        # v=10: an ERGM block holds 65536 // 45 = 1456 chains, so M = 1457
-        # gives each of the 20 alternatives a full block and a 1-chain tail.
-        v, B = 10, 1456
-        assert _block_size(Ergm(v, EDGE_TRIANGLE, (0.0, 0.0))) == B
-        packed = []
-
-        def recording(groups, n):
-            packed.append([size for _, size, _ in groups])
-            return engine(groups, n)
-
-        engine = inference._mh_lockstep_edge_counts
-        monkeypatch.setattr(inference, "_mh_lockstep_edge_counts", recording)
-        alts = [
-            Ergm(v, EDGE_TRIANGLE, (0.01 * k, 0.0), McmcConfig(burn_in=1, thinning=1))
-            for k in range(20)
-        ]
-        # The full blocks run alone, and the run peaks at about 5 MB. Packed
-        # without the one-block limit, eight full blocks would share a call
-        # (~38 MB).
+    def test_ergm_power_curve(self):
+        # v=10: an ERGM block holds 65536 // 45 = 1456 replicates, 29 120
+        # draws at n = 20, which couple from the past in five groups of at
+        # most 6 553. The run peaks at about 6 MB.
+        alts = [Ergm(10, EDGE_TRIANGLE, (0.0, t)) for t in (-0.2, 0.2)]
         peak = self.traced_peak(lambda: power_curve(
-            ErdosRenyi(v, 0.5), alts, n=1, M=B + 1, R_quantile=100,
+            ErdosRenyi(10, 0.5), alts, n=20, M=1456, R_quantile=100,
             rng=np.random.default_rng(3),
         ))
         assert peak < 8 * 2**20
-        # The tails share calls of at most MH_MAX_GROUPS groups.
-        assert packed == [[1] * 8, [1] * 8, [1] * 4]
-        assert MH_MAX_GROUPS == 8
+
 
 class TestBinomialPValue:
     def test_symmetric_fair_coin_values(self):

@@ -1,8 +1,10 @@
 """Null and alternative graph models: exact forms, samplers, enumeration."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -33,18 +35,20 @@ from graphtest import (
 )
 import graphtest.models as models
 from graphtest.graphs import BLOCK_CELLS
+from graphtest.errors import ConfigurationError
 from graphtest.models import (
-    MH_GROUP_CELLS,
+    _cftp_indicators,
     _enumeration_counts,
-    _mh_lockstep_edge_counts,
+    _matching_rounds,
 )
 from graphtest.statistic import one_sample_kernel
 
 from oracles import (
     binomial_inversion_thresholds,
+    cftp_column,
     choice_edge_counts,
+    enumerated_ergm_law,
     enumerated_pair_marginals,
-    lockstep_mh_counts,
     naive_edge_count,
     naive_triangle_count,
     naive_two_star_count,
@@ -125,7 +129,7 @@ class TestErdosRenyi:
     @pytest.mark.parametrize("model", [
         ErdosRenyi(5, 0.5),
         ModifiedErdosRenyi(5, 0.5, 0.9, frozenset({(0, 1)})),
-        # Exact draws, then chains.
+        # Enumerated draws, then draws coupled from the past.
         Ergm(4, EDGE_TRIANGLE, (0.0, 0.1)),
         Ergm(7, EDGE_TRIANGLE, (0.0, 0.1)),
     ])
@@ -539,21 +543,23 @@ class TestMcmcSampler:
     # Every flip has delta 0 at theta = (0, 0), and at theta1 = 0 on two
     # vertices. A chain that accepted every such flip would flip E pairs a
     # sweep, so with even thinning every draw would have the parity of the
-    # first.
+    # first. Coupling from the past, called directly since ``Ergm`` draws by
+    # enumeration on so few vertices, must reach the same uniform law: there
+    # both bounding chains set a pair on the same uniform and meet in a sweep.
     @pytest.mark.parametrize("v, stats, theta", [
         (2, EDGE_TWO_STAR, (0.0, 0.7)),
         (3, EDGE_TRIANGLE, (0.0, 0.0)),
         (3, EDGE_TWO_STAR, (0.0, 0.0)),
     ])
-    @pytest.mark.parametrize("lockstep", [False, True])
-    def test_uniform_target_total_variation(self, v, stats, theta, lockstep):
-        spec = Ergm(v, stats, theta, McmcConfig(burn_in=20, thinning=2))
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_uniform_target_total_variation(self, v, stats, theta, coupled):
+        spec = Ergm(v, stats, theta)
         rng = np.random.default_rng(12)
-        if lockstep:
-            # One draw from each of 8000 chains: its counts are its edges.
-            rows = _mh_lockstep_edge_counts([(spec, 8000, rng)], 1)
+        if coupled:
+            rows = np.vstack(list(_cftp_indicators(spec, 8000, rng)))
         else:
-            rows = spec.sample(8000, rng).indicator_matrix()
+            rows = ergm_mh_sample(spec, 8000, McmcConfig(burn_in=20, thinning=2), rng)
+            rows = rows.indicator_matrix()
         bits = rows.astype(np.int64) @ (1 << np.arange(num_pairs(v)))
         freqs = np.bincount(bits, minlength=2 ** num_pairs(v)) / 8000
         tv = 0.5 * np.abs(freqs - ergm_enumerate(spec).probabilities).sum()
@@ -591,133 +597,6 @@ class TestMcmcSampler:
         with pytest.raises(ValueError):
             McmcConfig(thinning=0)
 
-    def test_model_default_config_used_by_sample(self, rng):
-        spec = Ergm(4, EDGE_TRIANGLE, (0.0, 0.0), McmcConfig(burn_in=10, thinning=1))
-        assert len(spec.sample(25, rng)) == 25
-
-
-class TestLockstepChains:
-    """``_mh_lockstep_edge_counts`` runs R chains together; check each one.
-
-    The engine is called directly, because ``Ergm.edge_count_batches`` draws
-    exactly, with no chain, up to ENUMERATION_MAX_V vertices.
-    """
-
-    THETAS = [(0.3, 0.25), (-0.4, -0.5), (0.2, -800.0)]
-
-    def check_against_oracle(self, v, stats, theta, schedule, n, R, seed):
-        spec = Ergm(v, stats, theta, McmcConfig(*schedule))
-        rng = np.random.default_rng(seed)
-        counts = _mh_lockstep_edge_counts([(spec, R, rng)], n)
-        oracle_rng = np.random.default_rng(seed)
-        expected = lockstep_mh_counts(
-            v, stats == EDGE_TRIANGLE, theta, *schedule, n, R, oracle_rng
-        )
-        assert counts.shape == (R, num_pairs(v))
-        assert np.array_equal(counts, expected)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        return counts
-
-    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
-    @pytest.mark.parametrize("theta", THETAS)
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_chunk_matches_oracle(self, stats, theta, seed):
-        self.check_against_oracle(6, stats, theta, (7, 2), 5, 7, seed)
-
-    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
-    @pytest.mark.parametrize("theta", THETAS)
-    def test_several_chunks_match_oracle(self, stats, theta):
-        # E*R = 28*300 puts 65536 // 8400 = 7 sweeps in a chunk; the 5 + 3*3
-        # sweeps take two chunks.
-        self.check_against_oracle(8, stats, theta, (5, 3), 3, 300, 11)
-
-    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
-    def test_several_index_groups_per_sweep_match_oracle(self, stats):
-        # Flip indices are prepared 16384 // 300 = 54 steps at a time, so each
-        # sweep of E=190 steps takes four groups, the last one short.
-        assert MH_GROUP_CELLS // 300 == 54
-        self.check_against_oracle(20, stats, (0.1, -0.2), (1, 1), 1, 300, 4)
-
-    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
-    def test_two_words_per_vertex_match_oracle(self, stats):
-        # v=66 holds each neighbour mask in two uint64 words.
-        counts = self.check_against_oracle(66, stats, (0.5, -0.05), (2, 1), 2, 3, 5)
-        assert counts.sum() > 0
-
-    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
-    @pytest.mark.parametrize("v", [2, 5, 10, 66])
-    @pytest.mark.parametrize("theta", [(0.2, -0.1), (0.0, 0.0)])
-    def test_single_chain_is_the_scalar_sampler(self, stats, v, theta):
-        spec = Ergm(v, stats, theta, McmcConfig(3, 2))
-        a, b = np.random.default_rng(8), np.random.default_rng(8)
-        counts = _mh_lockstep_edge_counts([(spec, 1, a)], 4)
-        assert np.array_equal(counts[0], spec.sample(4, b).edge_counts)
-        assert a.bit_generator.state == b.bit_generator.state
-
-    def test_two_star_keys_past_255_match_oracle(self):
-        # v=66 two-stars: a removal's key is 129 + deg_i + deg_j - 2, past 255
-        # once both degrees near 64, so the key needs more than 8 bits.
-        counts = self.check_against_oracle(
-            66, EDGE_TWO_STAR, (4.0, 0.01), (6, 1), 1, 2, 7
-        )
-        assert counts.mean() > 0.98
-
-    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
-    def test_groups_of_one_call_are_their_own_chains(self, stats):
-        # v=8, E=28: a group of 3 chains draws 65536 // 84 = 780 sweeps per
-        # chunk and a group of 40 only 58, so the 62 sweeps take one chunk
-        # in the first group and two in the second.
-        schedule, n = (60, 1), 2
-        specs = [
-            Ergm(8, stats, (0.3, -0.2), McmcConfig(*schedule)),
-            Ergm(8, stats, (-0.5, 0.25), McmcConfig(*schedule)),
-        ]
-        sizes, seeds = (3, 40), (21, 22)
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        counts = _mh_lockstep_edge_counts(list(zip(specs, sizes, rngs)), n)
-        assert counts.shape == (sum(sizes), num_pairs(8))
-        rows = np.split(counts, [sizes[0]])
-        for spec, size, seed, got, rng in zip(specs, sizes, seeds, rows, rngs):
-            oracle_rng = np.random.default_rng(seed)
-            expected = lockstep_mh_counts(
-                8, stats == EDGE_TRIANGLE, spec.theta, *schedule, n, size, oracle_rng
-            )
-            assert np.array_equal(got, expected)
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-    def test_groups_of_one_call_share_v_stats_and_schedule(self, rng):
-        spec = Ergm(6, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(2, 1))
-        others = [
-            Ergm(7, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(2, 1)),
-            Ergm(6, EDGE_TWO_STAR, (0.0, 0.1), McmcConfig(2, 1)),
-            # Equal as models, because ``Ergm`` equality ignores the schedule.
-            Ergm(6, EDGE_TRIANGLE, (0.0, 0.1), McmcConfig(3, 1)),
-        ]
-        for other in others:
-            with pytest.raises(ValueError, match="share"):
-                _mh_lockstep_edge_counts([(spec, 2, rng), (other, 2, rng)], 1)
-
-    def test_working_memory_is_bounded_by_the_block(self, rng):
-        # v=100, 64 chains: one sweep of draws is 4950*64*16 bytes (5 MB) and
-        # the counts 2.5 MB; per-sweep flip indices alone would take 45 MB.
-        spec = Ergm(100, EDGE_TRIANGLE, (0.0, 0.05), McmcConfig(burn_in=1, thinning=1))
-        tracemalloc.start()
-        try:
-            spec.edge_count_batches(1, 64, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
-
-    def test_chain_draws_match_enumeration(self, rng):
-        # One draw per chain: its edge counts are its graph's indicators.
-        spec = Ergm(4, EDGE_TRIANGLE, (0.5, -0.8), McmcConfig(burn_in=20, thinning=1))
-        exact = ergm_enumerate(spec)
-        counts = _mh_lockstep_edge_counts([(spec, 50000, rng)], 1)
-        codes = counts @ (1 << np.arange(num_pairs(4)))
-        freq = np.bincount(codes, minlength=64) / len(codes)
-        tv = 0.5 * np.abs(freq - exact.probabilities).sum()
-        assert tv < 0.03
 
 
 class TestExactDraws:
@@ -758,14 +637,6 @@ class TestExactDraws:
         spec = Ergm(6, EDGE_TRIANGLE, (0.2, -800.0))
         assert (ergm_enumerate(spec).probabilities == 0).any()
 
-    def test_the_mcmc_schedule_is_not_read(self):
-        a = Ergm(5, EDGE_TWO_STAR, (-1.5, 0.4), McmcConfig(burn_in=0, thinning=1))
-        b = Ergm(5, EDGE_TWO_STAR, (-1.5, 0.4), McmcConfig(burn_in=500, thinning=7))
-        assert np.array_equal(
-            a.edge_count_batches(4, 50, np.random.default_rng(3)),
-            b.edge_count_batches(4, 50, np.random.default_rng(3)),
-        )
-
     def test_marginals_and_draws_share_one_enumeration(self, monkeypatch, rng):
         calls = []
 
@@ -799,77 +670,195 @@ class TestExactDraws:
         assert np.array_equal(again.probabilities, kept)
 
 
-MH_CHECK_GRID = [
+def cftp_bits(spec, D, seed):
+    """D draws of ``_cftp_indicators`` from ``default_rng(seed)``, (D x E)."""
+    return np.concatenate(list(_cftp_indicators(spec, D, np.random.default_rng(seed))))
+
+
+class TestCouplingFromThePast:
+    """``_cftp_indicators`` against a one-column oracle, and its rounds,
+    groups, chunks and cap."""
+
+    THETAS = [(0.3, 0.25), (-0.4, -0.5), (-1.0, 0.63)]
+
+    def check_against_oracle(self, v, stats, theta, D, columns, seed=11):
+        spec = Ergm(v, stats, theta)
+        got = cftp_bits(spec, D, seed)
+        assert got.shape == (D, num_pairs(v)) and got.dtype == np.uint8
+        G = BLOCK_CELLS // (v * -(-v // 64))
+        groups = np.random.default_rng(seed).bit_generator.seed_seq.spawn(-(-D // G))
+        for column in columns:
+            g, c = divmod(column, G)
+            expected = cftp_column(v, stats == EDGE_TRIANGLE, theta, _matching_rounds(v),
+                                   groups[g], min(G, D - g * G), c)
+            assert got[column].tolist() == expected
+        return got
+
+    @pytest.mark.parametrize("stats, theta", [
+        # theta2 = -800 gives every graph with a triangle probability 0. The
+        # two-star model at -800 holds only matchings, and its bounding
+        # chains never meet (see the cap test in test_cli.py).
+        *product((EDGE_TRIANGLE, EDGE_TWO_STAR), THETAS),
+        (EDGE_TRIANGLE, (0.2, -800.0)),
+    ])
+    def test_columns_match_the_oracle(self, stats, theta):
+        self.check_against_oracle(8, stats, theta, 40, range(40))
+
+    def test_replays_double_the_past(self):
+        # At v=8, theta = (-1, 0.63), about half the columns have not met
+        # from 8 sweeps back and a few need 32 or 64.
+        spec = Ergm(8, EDGE_TRIANGLE, (-1.0, 0.63))
+        rounds = _matching_rounds(8)
+        seq = np.random.default_rng(11).bit_generator.seed_seq.spawn(1)[0]
+        met = [cftp_column(8, True, spec.theta, rounds, seq, 40, c, cap=8) is not None
+               for c in range(40)]
+        assert 0 < sum(met) < 40
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    def test_two_words_per_vertex_match_the_oracle(self, stats):
+        # v=65 holds each neighbour mask in two uint64 words.
+        bits = self.check_against_oracle(65, stats, (0.5, -0.02), 2, [1])
+        assert 0 < bits.mean() < 1
+
+    def test_groups_take_their_own_streams(self):
+        # v=7 puts 65536 // 7 = 9362 draws in a group; the last group holds 2.
+        self.check_against_oracle(7, EDGE_TWO_STAR, (-0.4, -0.5), 9364,
+                                  [0, 9361, 9362, 9363])
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 7, 10, 65])
+    def test_rounds_are_matchings_that_cover_every_pair_once(self, v):
+        rounds = _matching_rounds(v)
+        assert len(rounds) == v - 1 + v % 2
+        assert all(len(r) == v // 2 for r in rounds)
+        for pairs in rounds:
+            ends = [x for pair in pairs for x in pair]
+            assert len(set(ends)) == len(ends)
+        assert tuple(sorted(p for r in rounds for p in r)) == canonical_pairs(v)
+
+    def test_sample_and_counts_read_the_same_draws(self):
+        spec = Ergm(9, EDGE_TWO_STAR, (-0.5, 0.1))
+        sample = spec.sample(30, np.random.default_rng(5))
+        counts = spec.edge_count_batches(1, 30, np.random.default_rng(5))
+        assert np.array_equal(sample.indicator_matrix(), counts)
+        counts = spec.edge_count_batches(3, 10, np.random.default_rng(5))
+        assert np.array_equal(sample.indicator_matrix().reshape(10, 3, -1).sum(1), counts)
+
+    def test_the_cap_refuses_a_model_whose_chains_do_not_meet(self, monkeypatch):
+        monkeypatch.setattr(models, "CFTP_MAX_SWEEPS", 16)
+        spec = Ergm(8, EDGE_TRIANGLE, (-1.0, 0.63))
+        with pytest.raises(ConfigurationError, match=r"16 sweeps.*v=8.*\(-1.0, 0.63\)"):
+            spec.edge_count_batches(10, 40, np.random.default_rng(11))
+
+    def test_working_memory_is_bounded_by_the_group(self):
+        # v=100 takes two words a mask, and 327 draws a group; 350 draws
+        # make two groups. The counts take 2 MB, and the arrays of a group's
+        # round of 50 pairs about 3 MB.
+        spec = Ergm(100, EDGE_TRIANGLE, (0.0, 0.02))
+        tracemalloc.start()
+        try:
+            spec.edge_count_batches(7, 50, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    @pytest.mark.parametrize("v", [12, 70])
+    def test_independent_edges_meet_in_the_first_epoch(self, monkeypatch, v, stats):
+        # At theta2 = 0 every update sets its pair with probability
+        # sigma(theta1), whatever the graph, so both bounding chains take
+        # the same step and meet within CFTP_START_SWEEPS; the draws are
+        # then Erdos-Renyi graphs of density sigma(-1) = 0.2689. v=70 holds
+        # each neighbour mask in two words.
+        monkeypatch.setattr(models, "CFTP_MAX_SWEEPS", models.CFTP_START_SWEEPS)
+        spec, p = Ergm(v, stats, (-1.0, 0.0)), 1 / (1 + math.e)
+        counts = spec.edge_count_batches(20, 40, np.random.default_rng(4))
+        # 800 draws: the density's standard error is at most 0.002, and each
+        # pair's count has standard error 12.5.
+        density = counts.sum() / (800 * num_pairs(v))
+        assert density == pytest.approx(p, abs=0.01)
+        assert np.abs(counts.sum(axis=0) - 800 * p).max() < 5.5 * math.sqrt(800 * p * (1 - p))
+
+
+CHECK_THETAS = ((0.0, -0.1), (-1.5, 0.4), (-3.0, 1.5))
+CFTP_CHECK_GRID = [
     (v, stats, theta)
-    for v in (4, 5, 6)
+    for v in (4, 5, 6, 7)
     for stats in (EDGE_TRIANGLE, EDGE_TWO_STAR)
-    for theta in ((0.0, -0.1), (-1.5, 0.4), (-3.0, 1.5))
+    for theta in CHECK_THETAS
 ]
 
-# At v=4 the empty and the complete graph weigh the same under two-star
-# theta = (-3, 1.5). A chain seldom crosses between them in 10 sweeps, so the
-# 10 draws of one replicate sit mostly in one mode, W spreads wider than
-# under independent draws, and the chains' critical value (2.30) is far above
-# the exact one (1.60): only 0.35% of exact replicates exceed it. Thinning
-# 100 brings it back to 1.60.
-MH_BIMODAL = (4, EDGE_TWO_STAR, (-3.0, 1.5))
+
+@functools.lru_cache(maxsize=None)
+def exact_law(v, stats, theta) -> np.ndarray:
+    """The enumerated law: the package's up to ENUMERATION_MAX_V vertices,
+    the oracle's 2^21 codes at v = 7."""
+    if v <= ENUMERATION_MAX_V:
+        return ergm_enumerate(Ergm(v, stats, theta)).probabilities
+    return enumerated_ergm_law(v, stats == EDGE_TRIANGLE, theta)
 
 
-class TestChainsAgainstExactDraws:
-    """The lockstep MH engine at the default schedule against exact draws.
+class TestCouplingAgainstExactDraws:
+    """Draws coupled from the past against exact draws from the enumerated law.
 
-    Each comparison runs one engine call and one exact draw at fixed seeds.
-    If the chains have mixed, both sides draw from one law, so every bound
-    below is the Monte Carlo error of both sides, at Z standard deviations.
+    Each comparison runs ``_cftp_indicators`` and one ``rng.choice`` draw of
+    codes at fixed seeds. Both sides draw from one law, so every bound below
+    is the Monte Carlo error of both sides, at Z standard deviations. At
+    v=4 the empty and the complete graph weigh the same under two-star
+    theta = (-3, 1.5): Metropolis-Hastings chains at the old default schedule
+    seldom crossed between them, and their critical value (2.30) was far
+    above the exact one (1.60).
     """
 
     N = 2000
     Z = 4.5
     ALPHA = 0.05
 
-    @pytest.mark.parametrize("v, stats, theta", MH_CHECK_GRID)
+    @pytest.mark.parametrize("v, stats, theta", CFTP_CHECK_GRID)
     def test_edge_count_histograms_agree(self, v, stats, theta):
-        # One graph from each of N chains, and N exact graphs. Given the m
-        # graphs with k edges on either side, the chains' share a is
-        # hypergeometric with mean m/2 and variance at most m/4 under one
-        # law, so |2a - m| <= Z * sqrt(m).
-        spec = Ergm(v, stats, theta)
-        chains = _mh_lockstep_edge_counts([(spec, self.N, np.random.default_rng(1))], 1)
-        exact = spec.edge_count_batches(1, self.N, np.random.default_rng(2))
+        # N graphs a side. Given the m graphs with k edges on either side,
+        # the coupled share a is hypergeometric with mean m/2 and variance
+        # at most m/4 under one law, so |2a - m| <= Z * sqrt(m).
+        coupled = cftp_bits(Ergm(v, stats, theta), self.N, 1)
+        exact = choice_edge_counts(exact_law(v, stats, theta), v, 1, self.N,
+                                   np.random.default_rng(2))
         bins = num_pairs(v) + 1
-        a = np.bincount(chains.sum(axis=1), minlength=bins)
+        a = np.bincount(coupled.sum(axis=1), minlength=bins)
         m = a + np.bincount(exact.sum(axis=1), minlength=bins)
         assert np.all(np.abs(2 * a - m) <= self.Z * np.sqrt(m))
 
-    @pytest.mark.parametrize("v, stats, theta", [
-        pytest.param(*case, marks=pytest.mark.xfail(
-            strict=True, reason="chains do not mix between two equal modes"
-        )) if case == MH_BIMODAL else case
-        for case in MH_CHECK_GRID
-    ])
+    @pytest.mark.parametrize("v, stats, theta", CFTP_CHECK_GRID)
     def test_critical_values_agree(self, v, stats, theta):
-        # R = N replicates of n = 10 graphs a side. The chains' order
+        # R = N replicates of n = 10 graphs a side. The coupled order
         # statistic crit is exceeded with a probability within about
         # sqrt(alpha(1-alpha)/R) of alpha under the common law, and the
         # exact replicates estimate that probability with an independent
         # error of about as much. On a lattice, the law puts at most alpha
         # strictly above its quantile and at least alpha at or above it.
-        n, R = 10, self.N
-        spec = Ergm(v, stats, theta)
-        kernel = one_sample_kernel(n, spec.exact_marginals())
-        chains = _mh_lockstep_edge_counts([(spec, R, np.random.default_rng(3))], n)
-        chains = kernel(chains)
-        exact = kernel(spec.edge_count_batches(n, R, np.random.default_rng(4)))
-        crit = np.sort(chains)[math.ceil((1 - self.ALPHA) * R) - 1]
+        n, R, E = 10, self.N, num_pairs(v)
+        law = exact_law(v, stats, theta)
+        density = float(law @ np.bitwise_count(np.arange(len(law)))) / E
+        kernel = one_sample_kernel(n, EdgeMarginals.constant(v, min(density, 1.0)))
+        coupled = cftp_bits(Ergm(v, stats, theta), R * n, 3)
+        coupled = kernel(coupled.reshape(R, n, E).sum(axis=1, dtype=np.int64))
+        exact = kernel(choice_edge_counts(law, v, n, R, np.random.default_rng(4)))
+        crit = np.sort(coupled)[math.ceil((1 - self.ALPHA) * R) - 1]
         bound = self.Z * math.sqrt(2 * self.ALPHA * (1 - self.ALPHA) / R)
         assert (exact > crit).mean() - bound <= self.ALPHA
         assert self.ALPHA <= (exact >= crit).mean() + bound
+
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    def test_the_v7_oracle_is_the_enumeration_the_package_would_make(self, stats):
+        n_e, n_x = _enumeration_counts(7, stats)
+        log_w = -1.5 * n_e + 0.4 * n_x
+        w = np.exp(log_w - log_w.max())
+        assert np.allclose(exact_law(7, stats, (-1.5, 0.4)), w / w.sum(), rtol=1e-12, atol=0)
 
 
 class TestEdgeDensitySweep:
     def test_matches_logistic_grid_when_decoupled(self, rng):
         grid = [-2.0, -1.0, 0.0, 1.0]
-        specs = [Ergm(5, EDGE_TRIANGLE, (t1, 0.0), McmcConfig(50, 1)) for t1 in grid]
+        specs = [Ergm(5, EDGE_TRIANGLE, (t1, 0.0)) for t1 in grid]
         points = edge_density_sweep(specs, 2000, rng)
         assert [p.theta1 for p in points] == grid
         for p in points:
@@ -877,13 +866,13 @@ class TestEdgeDensitySweep:
             assert p.draws == 2000
 
     def test_matches_enumeration_density(self, rng):
-        spec = Ergm(4, EDGE_TWO_STAR, (-0.5, 0.15), McmcConfig(100, 1))
+        spec = Ergm(4, EDGE_TWO_STAR, (-0.5, 0.15))
         exact = ergm_enumerate(spec).edge_density()
         (point,) = edge_density_sweep([spec], 4000, rng)
         assert abs(point.density - exact) < 0.03
 
-    def test_warns_on_near_degenerate_chain(self, rng):
-        spec = Ergm(5, EDGE_TRIANGLE, (-6.0, 0.0), McmcConfig(50, 1))
+    def test_warns_on_near_degenerate_model(self, rng):
+        spec = Ergm(5, EDGE_TRIANGLE, (-6.0, 0.0))
         with pytest.warns(UserWarning, match="near-degenerate"):
             edge_density_sweep([spec], 500, rng)
 
@@ -892,11 +881,10 @@ class TestEdgeDensitySweep:
             edge_density_sweep([], 100, rng)
 
     def test_densities_are_the_per_graph_edge_sums(self):
-        mcmc = McmcConfig(20, 2)
-        specs = [Ergm(7, EDGE_TRIANGLE, (-0.5, t2), mcmc) for t2 in (-0.1, 0.0, 0.1)]
+        specs = [Ergm(7, EDGE_TRIANGLE, (-0.5, t2)) for t2 in (-0.1, 0.0, 0.1)]
         points = edge_density_sweep(specs, 60, np.random.default_rng(3))
         children = np.random.default_rng(3).spawn(len(specs))
         for point, spec, child in zip(points, specs, children):
-            sample = ergm_mh_sample(spec, 60, mcmc, child)
+            sample = spec.sample(60, child)
             edges = sum(g.edge_count() for g in sample)
             assert point.density == edges / (60 * num_pairs(7))

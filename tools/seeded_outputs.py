@@ -74,13 +74,26 @@ COMMANDS = [
     "power --v 6 --n 10 --alt ergm --stats edge-triangle --theta1 0 --sweep=-0.2,0.2 "
     "--burn-in 50 --thinning 2 --replications 100 --quantile-replications 200 "
     "--seed 28 --out power-ergm.csv",
-    # v=6 ERGMs are drawn exactly; at v=7 both alternatives are chain-drawn
-    # and share one lockstep call of two 100-chain groups.
+    # v=6 ERGMs are drawn from the enumerated law; at v=7 both alternatives
+    # are coupled from the past.
     "power --v 7 --n 5 --alt ergm --stats edge-triangle --theta1 0 --sweep=-0.2,0.2 "
     "--burn-in 20 --thinning 2 --replications 100 --quantile-replications 200 "
     "--seed 33 --out power-ergm-v7.csv",
     "density-sweep --v 6 --stats edge-2-star --theta1 -0.5 --sweep=-0.1,0.1 "
     "--draws 50 --seed 29 --out density-2star.csv",
+    # The ERGM commands of the benchmark's ergm workload at its smoke sizes,
+    # with the sample, power and density-sweep shapes of its full size: every
+    # draw is coupled from the past, and the schedule flags are accepted
+    # and not read.
+    *(command.format(seed=seed) for seed in (1, 2, 3) for command in (
+        "sample --model ergm --v 10 --n 5 --stats edge-triangle --theta1 -1.0 "
+        "--theta2 0.2 --seed {seed} --out ergm-sample-{seed}.txt",
+        "power --v 10 --n 5 --alt ergm --stats edge-triangle --theta1 0.0 "
+        "--sweep=-0.2,0.2 --replications 100 --quantile-replications 100 "
+        "--burn-in 20 --thinning 1 --seed {seed} --out power-ergm-v10-{seed}.csv",
+        "density-sweep --v 8 --stats edge-2-star --theta1 -0.5 --sweep=-0.1,0.0,0.1 "
+        "--draws 20 --burn-in 20 --thinning 1 --seed {seed} --out density-v8-{seed}.csv",
+    )),
     # The same sample as plain, CRLF and comment-interleaved text: the
     # whole-buffer and the line readers.
     "summary --sample g-lf.txt --k 5",

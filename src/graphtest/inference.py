@@ -35,8 +35,13 @@ test of 10 000 replicates took 9.7-11.2 ms with serial guided lookups
 against 14.2-15.7 ms with binary search on a 2-thread pool (medians of 20
 in-process runs, 2-core x86_64). Serial blocks also keep peak memory to
 one block.
-Permutations are drawn from the caller's generator in blocks of rows, which
-consumes it exactly as one draw of all R rows would.
+Permutations are drawn from the caller's generator in blocks of rows. Each
+row is N 64-bit keys, one generator word each, so the blocks consume the
+stream exactly as one (R x N) draw would. A row's smaller pseudo-sample is
+the graphs of its k smallest keys, found by one ``np.partition``; the low
+bits of every key hold its column, so the keys are distinct and the subset
+does not depend on how NumPy orders ties. Both tie rules are counted from
+the same numerators, in one pass.
 """
 
 from __future__ import annotations
@@ -267,6 +272,61 @@ def one_sample_test(
     )
 
 
+def _pseudo_sample_masks(
+    rng: np.random.Generator, rows: int, N: int, k: int
+) -> np.ndarray:
+    """Boolean (rows x N) masks, each with k ones: the k smallest of N random keys.
+
+    Each key is one 64-bit word of ``rng`` whose low b = (N-1).bit_length()
+    bits are overwritten with its column, so a row's keys are distinct and
+    its k smallest do not depend on how ``np.partition`` orders ties. The
+    row's subset is a uniform k-subset unless two keys share their 64-b
+    random bits at the k-th boundary, which has chance about N * 2^b / 2^64
+    per row (~1e-12 at N = 3 562).
+    """
+    keys = rng.integers(2**64, size=(rows, N), dtype=np.uint64)
+    keys &= np.uint64(2**64 - 2 ** (N - 1).bit_length())
+    keys |= np.arange(N, dtype=np.uint64)
+    return keys <= np.partition(keys, k - 1, axis=1)[:, k - 1, None]
+
+
+def _permutation_counts(
+    s: GraphSample, t: GraphSample, R: int, rng: np.random.Generator
+) -> tuple[TestStatistic, int, int]:
+    """W of ``s`` and ``t``, then how many of R permutations exceed W and reach it.
+
+    The counts of statistics strictly above W and at or above it come from
+    the same permutation numerators, so the two tie rules of
+    ``two_sample_permutation_test`` cost one pass.
+    """
+    stat = two_sample_statistic(s, t)
+    n, m = s.n, t.n
+    N, k = n + m, min(n, m)
+    obs_num = stat.exact.numerator * ((n * m) // stat.exact.denominator)
+
+    pooled = np.vstack((s.indicator_matrix(), t.indicator_matrix()))
+    # Sort the pooled graphs by edge bitset: in little-endian packed bytes the
+    # last byte is the most significant, and lexsort's last key is its first.
+    order = np.lexsort(np.packbits(pooled, axis=1, bitorder="little").T)
+    # Every partial sum of mask @ indicators is an integer <= N, exact in a
+    # float whose significand holds N.
+    dtype = np.float32 if N < 2**24 else np.float64
+    assert N < 2 ** (np.finfo(dtype).nmant + 1)
+    indicators = pooled[order].astype(dtype)
+    # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so their
+    # numerators share the observed denominator n*m.
+    kernel = two_sample_kernel(k, N - k, s.edge_counts + t.edge_counts)
+    B = max(1, BLOCK_CELLS // N)
+    above = at_least = 0
+    for lo in range(0, R, B):
+        # Block by block, the keys consume the stream as one (R x N) draw would.
+        mask = _pseudo_sample_masks(rng, min(B, R - lo), N, k)
+        perm_nums = kernel((mask.astype(dtype) @ indicators).astype(np.int64))
+        above += int((perm_nums > obs_num).sum())
+        at_least += int((perm_nums >= obs_num).sum())
+    return stat, above, at_least
+
+
 def two_sample_permutation_test(
     s: GraphSample,
     t: GraphSample,
@@ -284,7 +344,12 @@ def two_sample_permutation_test(
     the statistic. The p-value is the fraction of rounds at or above the
     observed value (``strict=True`` counts strictly above; ``smoothing=True``
     uses (1+count)/(1+R)). The pooled graphs are put in a canonical order
-    first, so swapping the two input labels changes nothing.
+    first, so swapping the two input labels changes nothing. A round's
+    smaller pseudo-sample is the k = min(n, m) graphs with the smallest of N
+    random 64-bit keys, one generator word per key, with ties broken by the
+    canonical order; the chance that this differs from a uniform k-subset is
+    about N * 2^b / 2^64 per round, b = (N-1).bit_length(), ~1e-12 at
+    N = 3 562.
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
@@ -292,35 +357,8 @@ def two_sample_permutation_test(
     if R < 100:
         raise ValueError(f"need at least 100 permutations, got {R}")
     level = _check_alpha(alpha)
-
-    stat = two_sample_statistic(s, t)
-    n, m = s.n, t.n
-    N = n + m
-    k = min(n, m)
-    obs_num = stat.exact.numerator * ((n * m) // stat.exact.denominator)
-
-    pooled = np.vstack((s.indicator_matrix(), t.indicator_matrix()))
-    # Sort the pooled graphs by edge bitset: in little-endian packed bytes the
-    # last byte is the most significant, and lexsort's last key is its first.
-    order = np.lexsort(np.packbits(pooled, axis=1, bitorder="little").T)
-    # Every partial sum of mask @ indicators is an integer <= N, exact in a
-    # float whose significand holds N.
-    dtype = np.float32 if N < 2**24 else np.float64
-    assert N < 2 ** (np.finfo(dtype).nmant + 1)
-    indicators = pooled[order].astype(dtype)
-    # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so their
-    # numerators share the observed denominator n*m.
-    kernel = two_sample_kernel(k, N - k, s.edge_counts + t.edge_counts)
-    B = max(1, BLOCK_CELLS // N)
-    count = 0
-    for lo in range(0, R, B):
-        # Row by row, these draws consume the stream as one (R x N) call would.
-        order = rng.permuted(np.tile(np.arange(N), (min(B, R - lo), 1)), axis=1)
-        mask = np.zeros(order.shape, dtype=dtype)
-        mask.reshape(-1)[order[:, :k] + N * np.arange(len(order))[:, None]] = 1
-        perm_nums = kernel((mask @ indicators).astype(np.int64))
-        hits = perm_nums > obs_num if strict else perm_nums >= obs_num
-        count += int(hits.sum())
+    stat, above, at_least = _permutation_counts(s, t, R, rng)
+    count = above if strict else at_least
     p_exact = Fraction(1 + count, 1 + R) if smoothing else Fraction(count, R)
     return TestResult(
         method="two_sample_permutation",

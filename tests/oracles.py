@@ -194,20 +194,22 @@ def fraction_two_sample(a, n: int, b, m: int) -> Fraction:
 def all_at_once_permutation_p(
     s: GraphSample,
     t: GraphSample,
-    R: int,
-    rng: np.random.Generator,
+    keys: np.ndarray,
     *,
     strict: bool = False,
     smoothing: bool = False,
 ) -> float:
-    """Permutation p-value with all R permutations drawn by one (R x N) call.
+    """Permutation p-value of the R rows of one (R x N) array of 64-bit keys.
 
-    The pooled graphs are sorted by edge bitset, the first min(n, m) entries
-    of each permuted row form the smaller pseudo-sample, and its per-pair
-    counts come from an int64 (R x N) mask product.
+    The pooled graphs are sorted by edge bitset. Each row is sorted in full,
+    on its keys with the low (N-1).bit_length() bits dropped, by a stable
+    argsort, so equal keys keep that canonical order; the first min(n, m)
+    graphs form the smaller pseudo-sample, and its per-pair counts come from
+    an int64 (R x N) mask product.
     """
     n, m = s.n, t.n
     N, k = n + m, min(n, m)
+    R = keys.shape[0]
     pairs = canonical_pairs(s.v)
     pooled = sorted(list(s) + list(t), key=lambda g: g.bits)
     indicators = np.array(
@@ -216,7 +218,7 @@ def all_at_once_permutation_p(
     a = [sum(int(g.has_edge(i, j)) for g in s) for i, j in pairs]
     b = [sum(int(g.has_edge(i, j)) for g in t) for i, j in pairs]
     obs = int(fraction_two_sample(a, n, b, m) * (n * m))
-    order = rng.permuted(np.tile(np.arange(N), (R, 1)), axis=1)
+    order = np.argsort(keys >> np.uint64((N - 1).bit_length()), axis=1, kind="stable")
     mask = np.zeros((R, N), dtype=np.int64)
     np.put_along_axis(mask, order[:, :k], 1, axis=1)
     small = mask @ indicators

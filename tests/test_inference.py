@@ -39,6 +39,8 @@ from graphtest.inference import (
     _block_size,
     _calibrate_null,
     _map_blocks,
+    _permutation_counts,
+    _pseudo_sample_masks,
 )
 
 from oracles import (
@@ -208,7 +210,7 @@ class TestPermutationTest:
         s = ErdosRenyi(5, 0.4).sample(9, rng_factory(1))
         t = ErdosRenyi(5, 0.55).sample(9, rng_factory(2))
         result = two_sample_permutation_test(
-            s, t, R=100, rng=rng_factory(2), alpha=0.15
+            s, t, R=100, rng=rng_factory(24), alpha=0.15
         )
         assert result.p_value == 0.15
         assert result.reject
@@ -221,6 +223,21 @@ class TestPermutationTest:
             s, t, R=400, rng=rng_factory(30), strict=True
         )
         assert strict.p_value <= inclusive.p_value
+
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_both_tie_rules_read_one_pass_of_counts(self, rng_factory, smoothing):
+        s = ErdosRenyi(4, 0.5).sample(8, rng_factory(21))
+        t = ErdosRenyi(4, 0.5).sample(8, rng_factory(22))
+        stat, above, at_least = _permutation_counts(s, t, 400, rng_factory(30))
+        # v=4 makes ties common, so the two counts differ.
+        assert above < at_least
+        for strict, count in ((False, at_least), (True, above)):
+            result = two_sample_permutation_test(
+                s, t, R=400, rng=rng_factory(30), strict=strict, smoothing=smoothing
+            )
+            assert result.statistic == stat
+            expected = Fraction(1 + count, 401) if smoothing else Fraction(count, 400)
+            assert result.p_value == float(expected)
 
     def test_null_p_values_are_roughly_uniform(self, rng):
         hits = 0
@@ -243,16 +260,58 @@ class TestPermutationTest:
             )
 
 
+def permutation_keys(seed: int, R: int, N: int) -> np.ndarray:
+    """One (R x N) draw of 64-bit keys, one generator word each."""
+    return np.random.default_rng(seed).integers(2**64, size=(R, N), dtype=np.uint64)
+
+
+class EqualWords:
+    """A generator stand-in whose every 64-bit word is ``word``."""
+
+    def __init__(self, word: int):
+        self.word = word
+
+    def integers(self, high, size, dtype):
+        assert high == 2**64 and dtype == np.uint64
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+class TestPseudoSampleDraws:
+    def test_inclusion_and_co_inclusion_rates_are_uniform(self, rng_factory):
+        D, N, k = 60_000, 12, 5
+        masks = _pseudo_sample_masks(rng_factory(41), D, N, k)
+        assert (masks.sum(axis=1) == k).all()
+        p = k / N
+        rates = masks.mean(axis=0)
+        assert np.abs(rates - p).max() < 4 * math.sqrt(p * (1 - p) / D)
+        q = k * (k - 1) / (N * (N - 1))
+        together = (masks.T.astype(np.int64) @ masks) / D
+        off_diagonal = together[~np.eye(N, dtype=bool)]
+        assert np.abs(off_diagonal - q).max() < 4 * math.sqrt(q * (1 - q) / D)
+
+    # 16 columns fill all b = 4 low bits; 17 need b = 5.
+    @pytest.mark.parametrize("N,k", [(12, 5), (16, 8), (17, 1), (17, 8)])
+    @pytest.mark.parametrize("word", [0, 12345, 2**64 - 1])
+    def test_equal_words_select_the_first_k_columns(self, N, k, word):
+        masks = _pseudo_sample_masks(EqualWords(word), 3, N, k)
+        assert np.array_equal(masks, np.tile(np.arange(N) < k, (3, 1)))
+
+
 class TestPermutationBlocks:
     def test_blocked_draws_consume_the_stream_like_one_call(self, rng_factory):
-        R, N, B = 23, 17, 5
-        whole = rng_factory(3).permuted(np.tile(np.arange(N), (R, 1)), axis=1)
+        R, N, B, k = 23, 17, 5, 6
         rng = rng_factory(3)
         blocks = [
-            rng.permuted(np.tile(np.arange(N), (min(B, R - lo), 1)), axis=1)
+            rng.integers(2**64, size=(min(B, R - lo), N), dtype=np.uint64)
             for lo in range(0, R, B)
         ]
-        assert np.array_equal(np.vstack(blocks), whole)
+        assert np.array_equal(np.vstack(blocks), permutation_keys(3, R, N))
+        rng = rng_factory(3)
+        masks = [
+            _pseudo_sample_masks(rng, min(B, R - lo), N, k) for lo in range(0, R, B)
+        ]
+        whole = _pseudo_sample_masks(rng_factory(3), R, N, k)
+        assert np.array_equal(np.vstack(masks), whole)
 
     # n + m = 400 pooled graphs put 65536 // 400 = 163 permutations in a
     # block, so R = 500 spans four blocks; 12 + 15 fits R in one.
@@ -269,7 +328,8 @@ class TestPermutationBlocks:
                 s, t, R=R, rng=rng_factory(seed), strict=strict, smoothing=smoothing
             )
             expected = all_at_once_permutation_p(
-                s, t, R, rng_factory(seed), strict=strict, smoothing=smoothing
+                s, t, permutation_keys(seed, R, n + m), strict=strict,
+                smoothing=smoothing,
             )
             assert result.p_value == expected
 
@@ -289,7 +349,7 @@ class TestPermutationBlocks:
                 s, t, R=400, rng=rng_factory(seed), strict=strict
             )
             expected = all_at_once_permutation_p(
-                s, t, 400, rng_factory(seed), strict=strict
+                s, t, permutation_keys(seed, 400, s.n + t.n), strict=strict
             )
             assert result.p_value == expected
 

@@ -118,6 +118,33 @@ COMMANDS = [
     # not, and channel c3 is constant for 200 samples.
     "build-graphs --input ties.csv --sampling-rate 250 --out ties-graphs.txt",
     "summary --sample ties-graphs.txt --k 30 --out ties-summary.csv",
+    # Permutation tests of null-like samples, whose p-values lie inside
+    # (0, 1) and so pin the permutation draw: one block of 40 pooled graphs
+    # under both tie rules, where v=4 makes ties common, and seven blocks of
+    # at most 163 permutations of 400 pooled graphs.
+    "sample --model er --v 4 --p 0.5 --n 20 --seed 41 --out null-a.txt",
+    "sample --model er --v 4 --p 0.5 --n 20 --seed 42 --out null-b.txt",
+    "test --sample null-a.txt --sample2 null-b.txt --permutations 1000 --seed 43 "
+    "--out perm-null.csv",
+    "test --sample null-a.txt --sample2 null-b.txt --permutations 1000 --strict-ties "
+    "--seed 43 --out perm-null-strict.csv",
+    "sample --model er --v 10 --p 0.5 --n 150 --seed 44 --out null-c.txt",
+    "sample --model er --v 10 --p 0.5 --n 250 --seed 45 --out null-d.txt",
+    "test --sample null-c.txt --sample2 null-d.txt --permutations 1000 --seed 46 "
+    "--out perm-blocks.csv",
+    "test --sample null-c.txt --sample2 null-d.txt --permutations 1000 --strict-ties "
+    "--smoothing --seed 46 --out perm-blocks-strict.csv",
+    # The commands of the benchmark's recording workload at its smoke size,
+    # on recordings of the same shape (see ``write_inputs``).
+    *(command.format(seed=seed) for seed in (1, 2, 3) for command in (
+        "build-graphs --input rest-{seed}.csv --sampling-rate 250.0 "
+        "--out rest-graphs-{seed}.txt",
+        "build-graphs --input task-{seed}.csv --sampling-rate 250.0 "
+        "--out task-graphs-{seed}.txt",
+        "summary --sample rest-graphs-{seed}.txt --k 5 --out rest-summary-{seed}.csv",
+        "test --sample rest-graphs-{seed}.txt --sample2 task-graphs-{seed}.txt "
+        "--permutations 100 --seed {seed} --out rest-task-{seed}.csv",
+    )),
     # A data error (exit 3) and a usage error (exit 2).
     "build-graphs --input bad.csv --sampling-rate 250",
     "summary --sample graphs.txt --k 5 --seed 1",
@@ -150,6 +177,33 @@ def write_inputs(directory: Path) -> None:
     }
     for name, content in files.items():
         (directory / name).write_bytes(content.encode())
+    # Rest and task recordings per seed: 6 channels mix three AR(1) factors
+    # plus white noise, and the task condition moves two channels onto
+    # other factors.
+    fixed = np.random.default_rng(20150424)
+    rest = fixed.standard_normal((6, 3))
+    task = rest.copy()
+    task[fixed.choice(6, size=2, replace=False)] = fixed.standard_normal((2, 3))
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for name, mixing in (("rest", rest), ("task", task)):
+            write_recording(directory / f"{name}-{seed}.csv", rng, mixing, 1000)
+
+
+def write_recording(
+    path: Path, rng: np.random.Generator, mixing: np.ndarray, samples: int
+) -> None:
+    """Channel CSV of AR(1) factors mixed by ``mixing``, plus white noise."""
+    channels, factors = mixing.shape
+    phi = 0.97
+    shocks = rng.standard_normal((samples, factors)) * np.sqrt(1 - phi * phi)
+    latent = np.empty((samples, factors))
+    latent[0] = rng.standard_normal(factors)
+    for step in range(1, samples):
+        latent[step] = phi * latent[step - 1] + shocks[step]
+    values = latent @ mixing.T + 0.6 * rng.standard_normal((samples, channels))
+    header = ",".join(f"ch{c:02d}" for c in range(channels))
+    np.savetxt(path, values, fmt="%.6f", delimiter=",", header=header, comments="")
 
 
 def _sha256(data: bytes) -> str:

@@ -11,19 +11,31 @@ sampling rate. Start and end positions are computed in exact integer
 arithmetic per window and rounded to the nearest sample independently, so a
 non-integer step (the default is 16.66 ms) never accumulates drift.
 
-Windows are processed in blocks. Windows of one length (a width that is not
-a whole number of samples gives two lengths) are gathered into
-(windows x channels x samples) arrays of at most ``BLOCK_CELLS`` cells,
-ranked by ``average_ranks`` and correlated by one batched matrix product.
-Each row is sorted and argsorted once, and ranks 1..L are written through
-the argsort in one scatter. Equal neighbours in the sorted row mark the
-ties, and only their elements are rewritten with their group's mean rank.
-The sorted rows also show a constant channel: its first value equals its
-last. Each block repeats the floating-point operations of ``np.corrcoef`` in
-the same order, so the result is bit-identical to ranking and correlating
-window by window: average ranks are multiples of 1/2 and their mean is
-exactly (L+1)/2, so every covariance sum is a multiple of 1/4 below
-L**3/4, exact in float64 in any summation order while L**3 < 2**53.
+Windows are ranked from per-channel global ranks. Each channel's whole
+series is sorted once, and every sample gets g, the dense rank of its value
+in its channel: equal values (0.0 and -0.0 included) share one g, so inside
+any window, ordering samples by g orders them by value, with the same ties.
+A sample's key is ``(g << b) | position``, with b = (L-1).bit_length() for
+the longest window L. Keys are int32 while (max g + 1) * 2**b <= 2**31, and
+int64 past that. Windows of one length (a width that is not a whole number
+of samples gives two lengths) are gathered into (windows x channels x L) key
+arrays of at most ``BLOCK_CELLS`` cells. Each row is sorted once: the low b
+bits of the sorted keys are its argsort, and ranks 1..L go back through them
+in one scatter. A running count over time of the samples whose value occurs
+more than once in their channel shows which rows can tie: those holding two
+such samples. Only these rows are scanned for equal neighbouring g, and only
+the members of a tie group are rewritten with the group's mean rank. A
+channel constant in a window has no rank variance, so its pairs come out as
+0/0, NaN: those are the window's undefined correlations.
+
+Each block repeats the floating-point operations of ``np.corrcoef`` in the
+same order, for the upper-triangle entries only, so the result is
+bit-identical to ranking and correlating window by window. Average ranks
+are multiples of 1/2 and their mean is exactly (L+1)/2, so every partial sum
+of products of centred ranks is a multiple of 1/4 below L**3/4. That is
+exact in any summation order in float32 while L**3 < 2**24 (L <= 255), and
+in float64 while L**3 < 2**53; longer windows rank and multiply in float64.
+The sums are cast to float64 before they are scaled by 1/(L-1).
 """
 
 from __future__ import annotations
@@ -181,30 +193,72 @@ def average_ranks(x) -> np.ndarray:
     The same values as ``scipy.stats.rankdata(x, axis=-1)``. Ranks are
     multiples of 1/2, exact in float64.
     """
-    return _sort_and_rank(np.asarray(x, dtype=np.float64))[1]
+    arr = np.asarray(x, dtype=np.float64)
+    rows = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
+    keys, b, ties = _shifted_dense_ranks(rows, [0], [rows.shape[1]])
+    return _rank_keys(keys, b, ties[0], np.float64).reshape(arr.shape)
 
 
-def _sort_and_rank(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``arr`` sorted along its last axis, and its average ranks."""
-    L = arr.shape[-1]
-    ordered = np.sort(arr, axis=-1)
+def _key_dtype(top: int, b: int) -> type:
+    """int32 while every key ``(g << b) | position``, g <= top, fits it; else int64."""
+    dtype = np.int32 if (top + 1) << b <= 2**31 else np.int64
+    assert (top + 1) << b <= 2 ** (np.iinfo(dtype).bits - 1)
+    return dtype
+
+
+def _shifted_dense_ranks(x, starts, ends) -> tuple[np.ndarray, int, np.ndarray]:
+    """Dense ranks g along the rows of 2-D ``x``, shifted left by b bits,
+    then b, then which windows of which rows may hold a tie.
+
+    Windows are the column ranges [starts, ends); b = (L - 1).bit_length()
+    for the longest window L leaves room for positions 0 .. L-1. Equal
+    values (0.0 and -0.0 too) share one g, so ordering any part of a row by
+    g orders it by value, with the same ties. A window of a row can tie only
+    if it holds two values that occur more than once in the row; the
+    (windows x rows) ``ties`` marks these, from a running count over each
+    row of such values.
+    """
+    g = np.empty(x.shape, np.int32)
+    repeats = np.zeros((len(x), x.shape[1] + 1), np.int32)
+    for row, dense, count in zip(x, g, repeats):
+        order = np.argsort(row)
+        # Distinct finite floats differ by a nonzero amount; 0.0 - -0.0 is 0.
+        dense[order] = np.cumsum(np.diff(row[order], prepend=row[order[:1]]) != 0)
+        np.cumsum(np.bincount(dense)[dense] > 1, out=count[1:])
+    b = (int(np.max(np.subtract(ends, starts))) - 1).bit_length()
+    g = g.astype(_key_dtype(int(g.max(initial=0)), b), copy=False)
+    g <<= b
+    return g, b, (repeats[:, ends] - repeats[:, starts] >= 2).T
+
+
+def _rank_keys(keys: np.ndarray, b: int, ties: np.ndarray, dtype: type) -> np.ndarray:
+    """Average ranks, as ``dtype``, of (rows x L) ``keys`` holding ``g << b``.
+
+    Adds each key's position, sorts every row in place and writes ranks
+    1..L through the positions, the low b bits, in one scatter. Only the
+    rows where the boolean ``ties`` is set are scanned for equal g; every
+    other row must hold L distinct g.
+    """
+    rows, L = keys.shape
+    keys |= np.arange(L, dtype=keys.dtype)
+    keys.sort(axis=-1)
     # order[r, p]: flat index of the element at sorted position p of row r.
-    order = np.argsort(arr, axis=-1).reshape(math.prod(arr.shape[:-1]), L)
-    order += L * np.arange(len(order))[:, None]
-    ranks = np.empty(arr.size)
-    ranks[order] = np.arange(1.0, L + 1)
-    # Equal neighbours sit at flat sorted positions p and p+1; each run of
-    # consecutive p is one tie group, at positions start .. start+size.
-    j = np.flatnonzero(ordered[..., 1:] == ordered[..., :-1])
-    if j.size:
-        p = j + j // (L - 1)
+    order = np.bitwise_and(keys, (1 << b) - 1, dtype=np.intp)
+    order += L * np.arange(rows)[:, None]
+    ranks = np.empty(keys.size, dtype)
+    ranks[order.reshape(-1)] = np.tile(np.arange(1, L + 1, dtype=dtype), rows)
+    if ties.any():
+        g = keys[ties] >> b
+        # Equal neighbours sit at flat sorted positions p and p+1 of g (a
+        # row's last g is compared with -1); each run of consecutive p is
+        # one tie group, at positions start .. start+size.
+        p = np.flatnonzero(np.diff(g, axis=1, append=-1) == 0)
         runs = np.flatnonzero(np.diff(p, prepend=-2) != 1)
         size = np.diff(runs, append=p.size)
         mean = np.repeat(p[runs] % L + 1 + size / 2, size)
-        order = order.reshape(-1)
-        ranks[order[p]] = mean
-        ranks[order[p + 1]] = mean
-    return ordered, ranks.reshape(arr.shape)
+        order = order[ties].reshape(-1)
+        ranks[order[np.stack((p, p + 1))]] = mean
+    return ranks.reshape(rows, L)
 
 
 def spearman(x, y) -> float:
@@ -230,7 +284,8 @@ def spearman(x, y) -> float:
         raise UndefinedCorrelationError(
             "correlation is undefined for a constant sequence"
         )
-    return float(_block_correlations(np.stack((xa, ya))[None])[0][0, 0, 1])
+    keys, b, ties = _shifted_dense_ranks(np.stack((xa, ya)), [0], [len(xa)])
+    return float(_block_correlations(keys[None], b, ties, [0], [1])[0, 0])
 
 
 class CorrelationSeries:
@@ -280,24 +335,31 @@ class CorrelationSeries:
         return f"CorrelationSeries(v={self.v}, windows={self.n_windows})"
 
 
-def _block_correlations(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank correlation matrices of a (windows x channels x L) block, and
-    which channels are constant in which window.
+def _block_correlations(keys: np.ndarray, b: int, ties: np.ndarray, i, j) -> np.ndarray:
+    """Rank correlations of a (windows x channels x L) block of ``g << b``
+    keys between the channels i and j of each pair, one row per window.
 
-    The operations of ``np.corrcoef`` on the ranks, in its order; see the
-    module docstring for why the result is bit-identical. A constant
-    channel's row and column are NaN.
+    The boolean (windows x channels) ``ties`` marks the rows that may hold
+    equal g (see ``_rank_keys``). Keys are exact while (max g + 1) * 2**b
+    fits their integer type. The result is the operations of
+    ``np.corrcoef`` on the ranks, in its order, on the pairs' entries only:
+    bit-identical while L**3 < 2**24 for the float32 product, and
+    L**3 < 2**53 for the float64 one that longer windows take. A constant
+    channel has no rank variance, and its pairs, 0/0, are NaN; every other
+    pair is finite.
     """
-    L = block.shape[-1]
-    ordered, r = _sort_and_rank(block)
+    W, v, L = keys.shape
+    dtype = np.float32 if L**3 < 2**24 else np.float64
+    r = _rank_keys(keys.reshape(W * v, L), b, ties.reshape(-1), dtype).reshape(W, v, L)
     r -= (L + 1) / 2
-    c = r @ r.transpose(0, 2, 1)
-    c *= 1 / (L - 1)
+    # Cast before scaling: a float32 product would round differently.
+    c = (r @ r.transpose(0, 2, 1)).astype(np.float64) * (1 / (L - 1))
     d = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
+    cov = c[:, i, j]
     with np.errstate(invalid="ignore", divide="ignore"):
-        c /= d[:, :, None]
-        c /= d[:, None, :]
-    return np.clip(c, -1, 1, out=c), ordered[..., 0] == ordered[..., -1]
+        cov /= d[:, i]
+        cov /= d[:, j]
+    return np.clip(cov, -1, 1, out=cov)
 
 
 def correlation_series(m: ChannelMatrix, w: WindowSpec) -> CorrelationSeries:
@@ -309,26 +371,21 @@ def correlation_series(m: ChannelMatrix, w: WindowSpec) -> CorrelationSeries:
     """
     bounds = _window_bounds(m.n_samples, m.sampling_rate, w)
     v = m.n_channels
-    starts = np.array([a for a, _ in bounds])
-    lengths = np.array([b - a for a, b in bounds])
-    upper = np.triu_indices(v, 1)
+    pairs = np.triu_indices(v, 1)
+    starts, ends = np.array(bounds).T
+    lengths = ends - starts
+    keys, b, ties = _shifted_dense_ranks(m.values.T, starts, ends)
     values = np.empty((len(bounds), num_pairs(v)), dtype=np.float64)
-    constant = np.empty((len(bounds), v), dtype=bool)
     # Not np.unique, which imports numpy.ma.
     for L in sorted(set(lengths.tolist())):
-        # windows[a] holds samples a .. a+L-1 of every channel, shape (v, L).
-        windows = sliding_window_view(m.values, L, axis=0)
+        # windows[a] holds the keys of samples a .. a+L-1, shape (v, L).
+        windows = sliding_window_view(keys, L, axis=1).transpose(1, 0, 2)
         rows = np.flatnonzero(lengths == L)
         per_block = max(1, BLOCK_CELLS // (v * L))
-        for lo in range(0, len(rows), per_block):
-            t = rows[lo:lo + per_block]
-            c, constant[t] = _block_correlations(windows[starts[t]])
-            values[t] = c[:, upper[0], upper[1]]
-    undefined = ()
-    if constant.any():
-        mask = constant[:, upper[0]] | constant[:, upper[1]]
-        values[mask] = 0.0
-        undefined = np.argwhere(mask)
+        for t in np.split(rows, range(per_block, len(rows), per_block)):
+            values[t] = _block_correlations(windows[starts[t]], b, ties[t], *pairs)
+    undefined = np.argwhere(np.isnan(values))
+    values[np.isnan(values)] = 0.0
     return CorrelationSeries(m.labels, values, bounds, undefined)
 
 

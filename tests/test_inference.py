@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 from graphtest import (
+    ChannelMatrix,
     ConfigurationError,
     DimensionMismatchError,
     EdgeMarginals,
@@ -21,9 +22,11 @@ from graphtest import (
     ModifiedErdosRenyi,
     PowerPoint,
     TestResult,
+    WindowSpec,
     binom_two_sided_pvalue,
     canonical_pairs,
     bonferroni_edge_test,
+    correlation_series,
     null_quantile_mc,
     num_pairs,
     one_sample_statistic,
@@ -593,6 +596,21 @@ class TestMemoryBound:
             rng=np.random.default_rng(3),
         ))
         assert peak < 8 * 2**20
+
+    def test_correlation_series(self):
+        # 24 channels x 60 000 samples, 14 386 windows. Beyond the 30 MB
+        # (windows x pairs) result, the pipeline holds two int32 arrays of the
+        # recording's shape, 5.5 MB each: the rank keys and the running count
+        # of repeated values. Blocks of at most BLOCK_CELLS cells and the
+        # window bookkeeping must fit in 4 MB more. The run takes ~12 MB.
+        n, v = 60_000, 24
+        values = np.random.default_rng(5).normal(size=(n, v))
+        m = ChannelMatrix([f"c{k}" for k in range(v)], values, 250.0)
+        series = []
+        peak = self.traced_peak(
+            lambda: series.append(correlation_series(m, WindowSpec()))
+        )
+        assert peak - series[0].values.nbytes < 2 * n * v * 4 + 4 * 2**20
 
 
 class TestBinomialPValue:

@@ -28,7 +28,13 @@ from graphtest import (
     summary_graph,
 )
 from graphtest.inference import BLOCK_CELLS
-from graphtest.timeseries import _linear_quartiles, _window_bounds, average_ranks
+from graphtest.timeseries import (
+    _key_dtype,
+    _linear_quartiles,
+    _rank_keys,
+    _window_bounds,
+    average_ranks,
+)
 
 from oracles import (
     FIXTURE_EDGE_WINDOWS,
@@ -292,6 +298,65 @@ class TestBlockedCorrelationsMatchWindowLoop:
     def test_half_sample_geometry(self, rng):
         self.check(rng.normal(size=(400, 5)), 1000.0, width_ms=12.5, step_ms=7.5)
 
+    def test_signed_zeros_inside_one_window(self, rng):
+        """0.0 and -0.0 share one dense rank, so they tie in every window
+        holding both, as they do in rankdata."""
+        values = rng.normal(size=(600, 4))
+        values[200, 1], values[230, 1] = 0.0, -0.0
+        values[400, 3], values[401, 3], values[450, 3] = -0.0, 0.0, -0.0
+        self.check(values, 250.0)
+
+    def test_values_repeated_only_outside_any_one_window(self, rng):
+        """Every channel repeats values, but no value twice inside one
+        window: rows holding repeated samples, whether scanned for ties or
+        not, must rank as if every value were distinct."""
+        values = rng.normal(size=(1200, 5))
+        for k in range(5):
+            values[600:700, k] = values[:100, k]  # 600 samples apart
+        values[1000, 2] = values[1100, 2] = values[300, 2]
+        cs = self.check(values, 250.0)
+        assert not cs.undefined
+        for a, b in cs.windows:
+            block = values[a:b]
+            assert all(len(set(block[:, k].tolist())) == b - a for k in range(5))
+
+    def test_repeats_inside_one_window(self, rng):
+        """Ties of every size, at the ends and in the middle of the sorted
+        rows, in windows of both lengths."""
+        values = rng.normal(size=(1500, 4))
+        values[100:110, 0] = values[105, 0]  # a run of ten equal values
+        values[300:1300:7, 1] = values[300, 1]  # ties with the channel's minimum
+        values[:, 1] = np.maximum(values[:, 1], values[300, 1])
+        values[500:540:3, 2] = values[520, 2]  # equal values among others
+        values[800, 3] = values[820, 3] = values[840, 3]
+        values[900, 3] = values[910, 3]
+        cs = self.check(values, 250.0)
+        assert {b - a for a, b in cs.windows} == {83, 84}
+
+    def test_constant_stretch_across_a_block_boundary(self, rng):
+        """A channel constant through the last windows of one block and the
+        first of the next."""
+        v, L = 6, 83
+        values = np.round(rng.normal(size=(2000, v)), 2)
+        windows = _window_bounds(2000, 250.0, WindowSpec())
+        rows = [w for w, (a, b) in enumerate(windows) if b - a == L]
+        first = rows[BLOCK_CELLS // (v * L)]  # the second block's first window
+        a = windows[first][0]
+        values[a - 40:a + 130, 4] = 0.5
+        cs = self.check(values, 250.0)
+        constant = {w for w, p in cs.undefined if p == canonical_pairs(v).index((0, 4))}
+        assert first in constant and rows[rows.index(first) - 1] in constant
+
+    @pytest.mark.parametrize("width_ms", [255.0, 256.0, 300.0])
+    def test_long_windows(self, rng, width_ms):
+        """Windows of 255 samples rank in float32; from 256 samples on, where
+        L**3 >= 2**24, ranks and products are float64."""
+        values = np.round(rng.normal(size=(1400, 4)), 1)
+        values[600:900, 2] = -1.0
+        cs = self.check(values, 1000.0, width_ms=width_ms, step_ms=40.0)
+        assert {b - a for a, b in cs.windows} == {int(width_ms)}
+        assert cs.undefined
+
     def test_memory_is_bounded_by_the_result(self):
         """32 channels x 25 000 samples: the working set beyond the
         (windows x pairs) result stays small because windows go in blocks."""
@@ -304,6 +369,35 @@ class TestBlockedCorrelationsMatchWindowLoop:
         finally:
             tracemalloc.stop()
         assert peak - cs.values.nbytes < 16 * 2**20
+
+
+class TestRankKeys:
+    def test_key_width_switches_to_int64_at_2_to_the_31(self):
+        """Keys (g << b) | position up to 2**31 - 1 are int32; one more
+        rank level needs int64."""
+        assert (((2**24 - 1) << 7) | 127) == 2**31 - 1
+        assert _key_dtype(2**24 - 1, 7) is np.int32
+        assert _key_dtype(2**24, 7) is np.int64
+        assert _key_dtype(2**31 - 1, 0) is np.int32
+        assert _key_dtype(2**31, 0) is np.int64
+        assert _key_dtype(2**55 - 1, 8) is np.int64
+        with pytest.raises(AssertionError):
+            _key_dtype(2**55, 8)
+
+    def test_int64_keys_rank_like_int32_keys(self, rng):
+        """Dense ranks past int32, shifted past bit 31, give the same ranks."""
+        L, b = 40, 6
+        g = rng.integers(0, 12, size=(50, L))
+        ties = np.ones(50, bool)
+        small = _rank_keys((g << b).astype(np.int32), b, ties, np.float64)
+        large = _rank_keys((g + 2**40) << b, b, ties, np.float64)
+        assert np.array_equal(small, scipy.stats.rankdata(g, axis=-1))
+        assert np.array_equal(large, small)
+
+    def test_rows_left_out_of_the_tie_scan_get_ordinal_ranks(self):
+        keys = np.array([[2, 1, 2], [3, 3, 3]]) << 2
+        ranks = _rank_keys(keys, 2, np.array([False, True]), np.float64)
+        assert ranks.tolist() == [[2.0, 1.0, 3.0], [2.0, 2.0, 2.0]]
 
 
 class TestCorrelationSeries:

@@ -145,6 +145,17 @@ COMMANDS = [
         "test --sample rest-graphs-{seed}.txt --sample2 task-graphs-{seed}.txt "
         "--permutations 100 --seed {seed} --out rest-task-{seed}.csv",
     )),
+    # The commands of the benchmark's mc-calibration workload at its smoke
+    # size, on ER samples of the same shape (see ``write_inputs``).
+    *(command.format(seed=seed) for seed in (1, 2, 3) for command in (
+        "test --sample er-v10-{seed}.txt --null er --p 0.5 --replications 1000 "
+        "--seed {seed} --out test-v10-{seed}.csv",
+        "test --sample er-v40-{seed}.txt --null er --p 0.3 --replications 100 "
+        "--seed {seed} --out test-v40-{seed}.csv",
+        "power --v 10 --n 20 --alt modified-er --q 0.25 --sweep 0.1,0.5,0.9 "
+        "--replications 100 --quantile-replications 1000 --baseline bonferroni "
+        "--seed {seed} --out power-mc-{seed}.csv",
+    )),
     # A data error (exit 3) and a usage error (exit 2).
     "build-graphs --input bad.csv --sampling-rate 250",
     "summary --sample graphs.txt --k 5 --seed 1",
@@ -188,6 +199,12 @@ def write_inputs(directory: Path) -> None:
         rng = np.random.default_rng(seed)
         for name, mixing in (("rest", rest), ("task", task)):
             write_recording(directory / f"{name}-{seed}.csv", rng, mixing, 1000)
+    # One-sample ER inputs per seed: v=10 at p=1/2 and v=40 at p=3/10.
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(100 + seed)
+        for name, v, p, n in (("er-v10", 10, 0.5, 20), ("er-v40", 40, 0.3, 50)):
+            text = format_graph_sample(ErdosRenyi(v, p).sample(n, rng))
+            (directory / f"{name}-{seed}.txt").write_text(text)
 
 
 def write_recording(

@@ -220,12 +220,10 @@ def cmd_test(args, rng) -> _Output:
             strict=args.strict_ties,
             smoothing=args.smoothing,
         )
-        extra = {}
     else:
         value = args.theta2 if args.null == "ergm" else args.p
         (null,) = _models(args.null, s.v, args, rng, [value])
         result = one_sample_test(s, null, alpha=args.alpha, R=args.replications, rng=rng)
-        extra = {}
     result = replace(result, seed=args.seed)
 
     report = [f"method: {result.method}"]
@@ -238,7 +236,7 @@ def cmd_test(args, rng) -> _Output:
     report.append(
         f"reject H0 at alpha={result.alpha:g}: {'yes' if result.reject else 'no'}"
     )
-    return _Output(format_test_csv(result), report, extra=extra)
+    return _Output(format_test_csv(result), report)
 
 
 def cmd_power(args, rng) -> _Output:

@@ -21,13 +21,12 @@ and draws its whole (B x E) count array with the model's
 the enumerated law up to ``models.ENUMERATION_MAX_V`` vertices, and above it
 by monotone or anti-monotone coupling from the past (Propp & Wilson 1996,
 *Random Structures & Algorithms* 9; Häggström & Nelander 1998, *Statistica
-Neerlandica* 52(3); see ``models``). An independent-edge block
-draws the counts of ``rng.binomial``, by one uniform per count looked up in
-the guided inversion table of its probability level, or by ``rng.binomial``
-itself for a level NumPy draws by BTPE, for p = 0 and for a uniform past the
-table's end (see ``models``). The tables are built once per sample size and
-probability for the whole call, before any block runs: a power curve's null
-and alternatives share them. The blocks are fixed by R and the model alone,
+Neerlandica* 52(3); see ``models``). An independent-edge block draws its
+counts by inversion of one ``rng.random((B, E))``, each uniform looked up
+in the guided table of its probability level's binomial CDF (see
+``models``). The tables are built once per sample size and probability for
+the whole call, before any block runs: a power curve's null and
+alternatives share them. The blocks are fixed by R and the model alone,
 and every block runs in order on the calling thread, so no result can
 depend on the number of CPUs. The guide tables made the lookup cheap enough
 that serial blocks beat the thread pool that ran them before: a v=10 ER

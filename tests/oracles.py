@@ -379,48 +379,23 @@ def choice_edge_counts(
     return bits.sum(axis=1)
 
 
-def binomial_inversion_thresholds(n: int, p: float):
-    """(thresholds, flipped) of NumPy's inversion draw of Binomial(n, p) by a
-    full bisection of its scalar walk, or None where NumPy does not draw it by
-    inversion: p = 0 (nothing read) or n * min(p, 1 - p) > 30 (BTPE).
+def binomial_cdf(n: int, p: float) -> list[float]:
+    """P(X <= k) for k = 0..n-1, X ~ Bin(n, p) with the float p read exactly,
+    each rounded once to a float.
 
-    The walk transcribes NumPy's ``random_binomial_inversion``; threshold k
-    is the smallest uniform m / 2**53 from which it passes k, and 1.0 where
-    no uniform does. Past index ``bound`` the walk would restart.
+    With p = a/d as a Fraction and b = d - a, P(X <= k) is the integer sum of
+    the terms math.comb(n, j) a^j b^(n-j), j <= k, over d^n. Term j + 1 is
+    term j times (n - j) a / ((j + 1) b), an exact integer division; for
+    b = 0 every term below j = n is 0.
     """
-    if p == 0.0:
-        return None
-    flipped = p > 0.5
-    if flipped:
-        p = 1.0 - p
-    if p * n > 30.0:
-        return None
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-
-    def walk(u: float) -> int:
-        x, px = 0, qn
-        while u > px:
-            x += 1
-            if x > bound:
-                return x
-            u -= px
-            px = ((n - x + 1) * p * px) / (x * q)
-        return x
-
-    thresholds = []
-    for k in range(bound + 1):
-        lo, hi = -1, 1 << 53
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if walk(mid * 2.0**-53) > k:
-                hi = mid
-            else:
-                lo = mid
-        thresholds.append(hi * 2.0**-53)
-    return thresholds, flipped
+    a, d = Fraction(p).as_integer_ratio()
+    b = d - a
+    total, running, term, cdf = d**n, 0, b**n, []
+    for j in range(n):
+        running += term
+        cdf.append(running / total)
+        term = term * (n - j) * a // ((j + 1) * b or 1)
+    return cdf
 
 
 def bonferroni_reject_row(n: int, p0: Fraction, alpha, E: int) -> list[bool]:

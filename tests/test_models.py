@@ -5,11 +5,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtest import (
@@ -44,7 +43,7 @@ from graphtest.models import (
 from graphtest.statistic import one_sample_kernel
 
 from oracles import (
-    binomial_inversion_thresholds,
+    binomial_cdf,
     cftp_column,
     choice_edge_counts,
     enumerated_ergm_law,
@@ -115,16 +114,13 @@ class TestErdosRenyi:
         assert probs.tolist() == [0.3] * 10
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.97, 1.0])
-    def test_constant_probabilities_draw_as_scalar_and_vector_alike(self, p):
-        # Constant probabilities are drawn with a scalar p; NumPy consumes the
-        # stream for it exactly as for the constant per-pair vector.
-        for model in (ErdosRenyi(9, p), ModifiedErdosRenyi(9, p, p, frozenset({(0, 1)}))):
-            rng = np.random.default_rng(11)
-            counts = model.edge_count_batches(20, 70, rng)
-            for probs in (p, np.full(36, p)):
-                ref = np.random.default_rng(11)
-                assert np.array_equal(counts, ref.binomial(20, probs, size=(70, 36)))
-                assert rng.bit_generator.state == ref.bit_generator.state
+    def test_one_level_draws_alike_as_er_and_as_modified_er(self, p):
+        # A modified ER model whose two levels are equal is an ER model.
+        er, modified = ErdosRenyi(9, p), ModifiedErdosRenyi(9, p, p, frozenset({(0, 1)}))
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        assert np.array_equal(er.edge_count_batches(20, 70, a),
+                              modified.edge_count_batches(20, 70, b))
+        assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("model", [
         ErdosRenyi(5, 0.5),
@@ -204,61 +200,84 @@ def modified_model(p0, p, pairs):
     return ModifiedErdosRenyi(5, p0, p, frozenset(canonical_pairs(5)[:pairs]))
 
 
-def same_draws(model, n, R, seed):
-    """Whether the model's counts, and the generator state after them, are
-    those of ``rng.binomial`` at its pair probabilities."""
+def reads_one_uniform_block(model, n, R, seed):
+    """Whether the model's counts are its levels' thresholds searched for the
+    uniforms of one ``rng.random((R, E))``, and leave the generator where
+    that call leaves it."""
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     counts = model.edge_count_batches(n, R, rng)
-    want = ref.binomial(n, model.pair_probabilities(), size=(R, num_pairs(model.v)))
+    uniforms = ref.random((R, num_pairs(model.v)))
+    want = np.empty(uniforms.shape, dtype=np.intp)
+    for a, p in enumerate(model.pair_probabilities()):
+        thresholds = models._binomial_table(n, p)[0][:-1]
+        want[:, a] = thresholds.searchsorted(uniforms[:, a], side="right")
     return (np.array_equal(counts, want) and counts.dtype == want.dtype
             and rng.bit_generator.state == ref.bit_generator.state)
 
 
+def cdf_of_counts(counts, n):
+    """The empirical CDF of the counts at k = 0..n-1."""
+    return np.cumsum(np.bincount(counts.ravel(), minlength=n + 1))[:-1] / counts.size
+
+
 class TestBinomialTables:
-    """Independent-edge counts drawn by inversion tables are NumPy's."""
+    """Independent-edge counts by inversion of the binomial CDF, through
+    guided tables."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.6, 0.97, 1.0])
+    @pytest.mark.parametrize("n", [1, 7, 50, 300, 1781, 2000])
+    def test_thresholds_are_the_exact_cdf(self, n, p):
+        thresholds, guide = models._binomial_table(n, p)
+        assert len(thresholds) == n + 1 and thresholds[-1] == 2.0
+        assert np.abs(thresholds[:-1] - binomial_cdf(n, p)).max() <= 1e-9
+
+    @given(binomial_levels())
+    @settings(max_examples=100, deadline=None)
+    def test_thresholds_are_the_exact_cdf_at_any_level(self, level):
+        n, p = level
+        thresholds = models._binomial_table(n, p)[0][:-1]
+        assert np.all(np.diff(thresholds) >= 0)
+        assert 0.0 <= thresholds[0] and thresholds[-1] <= 1.0
+        assert np.abs(thresholds - binomial_cdf(n, p)).max() <= 1e-9
 
     @given(binomial_levels(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_er_counts_are_numpys(self, level, seed):
+    def test_er_counts_read_one_uniform_block(self, level, seed):
         n, p = level
-        assert same_draws(ErdosRenyi(5, p), n, 40, seed)
+        assert reads_one_uniform_block(ErdosRenyi(5, p), n, 40, seed)
 
     @given(binomial_levels(), binomial_levels(), st.integers(1, 9),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_two_level_counts_are_numpys(self, level, other, pairs, seed):
+    def test_two_level_counts_read_one_uniform_block(self, level, other, pairs, seed):
         (n, p0), (_, p) = level, other
-        assert same_draws(modified_model(p0, p, pairs), n, 40, seed)
+        assert reads_one_uniform_block(modified_model(p0, p, pairs), n, 40, seed)
 
-    @given(binomial_levels(), binomial_levels(), st.integers(0, 3),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_uniforms_past_a_truncated_table_replay_numpys_call(
-        self, level, other, keep, seed
-    ):
-        # A table cut after threshold ``keep`` sends every uniform at or past
-        # it to the replay, as a restart of NumPy's walk would.
-        def truncated(n, p):
-            table = build(n, p)
-            if table is None:
-                return None
-            thresholds, flipped = table
-            return thresholds[:keep + 1], flipped
+    @pytest.mark.parametrize("n, p, seed", [(100, 0.6, 8), (1781, 0.2, 9)])
+    def test_counts_follow_the_exact_law(self, n, p, seed):
+        # 90 000 counts: by the Dvoretzky-Kiefer-Wolfowitz inequality their
+        # empirical CDF strays past ``band`` with chance below 1e-6.
+        counts = ErdosRenyi(10, p).edge_count_batches(n, 2000, np.random.default_rng(seed))
+        band = math.sqrt(math.log(2 / 1e-6) / (2 * counts.size))
+        assert np.abs(cdf_of_counts(counts, n) - binomial_cdf(n, p)).max() <= band
+        sd = math.sqrt(n * p * (1 - p) / counts.size)
+        assert abs(counts.mean() - n * p) <= 5 * sd
 
-        build = models._inversion_table
-        (n, p0), (_, p) = level, other
-        with mock.patch.object(models, "_inversion_table", truncated):
-            assert same_draws(modified_model(p0, p, 4), n, 40, seed)
-
-    def test_a_truncated_table_takes_the_replay(self, monkeypatch):
-        # Counts above the kept thresholds need uniforms past the cut.
-        n, p, keep = 20, 0.3, 2
-        build = models._inversion_table
-        monkeypatch.setattr(models, "_inversion_table",
-                            lambda n, p: (build(n, p)[0][:keep + 1], False))
-        assert same_draws(ErdosRenyi(5, p), n, 40, 3)
-        want = np.random.default_rng(3).binomial(n, p, size=(40, 10))
-        assert want.max() > keep
+    @pytest.mark.parametrize("model", [
+        ErdosRenyi(6, 0.0),
+        ErdosRenyi(6, 1.0),
+        ModifiedErdosRenyi(6, 0.0, 1.0, frozenset({(0, 1), (2, 5)})),
+        ModifiedErdosRenyi(6, 0.3, 0.0, frozenset({(0, 1), (2, 5)})),
+        ModifiedErdosRenyi(6, 1.0, 0.7, frozenset({(0, 1), (2, 5)})),
+    ], ids=["er-0", "er-1", "0-beside-1", "0-beside-0.3", "1-beside-0.7"])
+    def test_zero_and_one_draw_no_edges_and_every_edge(self, model):
+        n = 30
+        counts = model.edge_count_batches(n, 500, np.random.default_rng(12))
+        probs = model.pair_probabilities()
+        assert np.all(counts[:, probs == 0.0] == 0)
+        assert np.all(counts[:, probs == 1.0] == n)
+        inner = counts[:, (probs > 0.0) & (probs < 1.0)]
+        assert inner.size == 0 or 0 < inner.min() < inner.max() < n
 
     @given(binomial_levels(), st.integers(1, 100), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -267,10 +286,8 @@ class TestBinomialTables:
         # both ends of the uniforms' range, looked up in a table cut after
         # ``keep`` thresholds (whole where it has fewer), as a C-ordered
         # block and as an F-ordered column selection.
-        table = models._inversion_table(*level)
-        assume(table is not None)
-        thresholds = table[0][:keep]
-        sentinel_ended, guide, _ = models._guided(thresholds, table[1])
+        thresholds = models._binomial_table(*level)[0][:-1][:keep]
+        sentinel_ended, guide = models._guided(thresholds)
         rng = np.random.default_rng(seed)
         probes = np.concatenate([
             rng.random(64), thresholds, np.nextafter(thresholds, 0.0),
@@ -287,12 +304,9 @@ class TestBinomialTables:
     @given(binomial_levels())
     @settings(max_examples=100, deadline=None)
     def test_guides_count_the_thresholds_at_or_below_each_bucket(self, level):
-        table = models._inversion_table(*level)
-        assume(table is not None)
-        thresholds, flipped = table
-        sentinel_ended, guide, kept = models._guided(thresholds, flipped)
-        assert kept == flipped
-        assert sentinel_ended.tolist() == thresholds.tolist() + [2.0]
+        sentinel_ended, guide = models._binomial_table(*level)
+        thresholds = sentinel_ended[:-1]
+        assert sentinel_ended[-1] == 2.0
         # b / 4096 is exact in binary floating point.
         edges = np.arange(models._GUIDE_BUCKETS) / models._GUIDE_BUCKETS
         want = (thresholds[None, :] <= edges[:, None]).sum(axis=1)
@@ -306,13 +320,12 @@ class TestBinomialTables:
         lambda u: u.reshape(5, 6, 7),
     ], ids=["c-block", "f-columns", "strided", "row", "three-d"])
     def test_guided_counts_keep_the_shape_and_leave_the_uniforms(self, layout):
-        thresholds, flipped = models._inversion_table(50, 0.3)
-        sentinel_ended, guide, _ = models._guided(thresholds, flipped)
+        sentinel_ended, guide = models._binomial_table(50, 0.3)
         block = layout(np.random.default_rng(6).random((30, 7)))
         before = block.copy()
         got = models._table_counts(sentinel_ended, guide, block)
         assert got.shape == block.shape
-        assert np.array_equal(got, thresholds.searchsorted(block, side="right"))
+        assert np.array_equal(got, sentinel_ended[:-1].searchsorted(block, side="right"))
         assert np.array_equal(block, before)
 
     @pytest.mark.parametrize("n, p", [
@@ -321,8 +334,8 @@ class TestBinomialTables:
     def test_uniforms_in_crowded_buckets_count_as_searchsorteds(self, n, p):
         # The upper tail's thresholds of a skewed level share buckets near 1,
         # so a uniform there steps up several times past its guide entry.
-        thresholds, flipped = models._inversion_table(n, p)
-        sentinel_ended, guide, _ = models._guided(thresholds, flipped)
+        sentinel_ended, guide = models._binomial_table(n, p)
+        thresholds = sentinel_ended[:-1]
         inside = thresholds[thresholds < 1.0]
         u = np.concatenate([
             1.0 - np.random.default_rng(4).random(4096) * 2.0**-10,
@@ -332,29 +345,6 @@ class TestBinomialTables:
         assert np.array_equal(got, thresholds.searchsorted(u, side="right"))
         buckets = (u * models._GUIDE_BUCKETS).astype(np.intp)
         assert (got - guide[buckets]).max() >= 2
-
-    @given(binomial_levels())
-    @settings(max_examples=100, deadline=None)
-    def test_tables_match_a_full_bisection(self, level):
-        n, p = level
-        table = models._inversion_table(n, p)
-        want = binomial_inversion_thresholds(n, p)
-        if want is None:
-            assert table is None
-        else:
-            assert (table[0].tolist(), table[1]) == want
-
-    @pytest.mark.parametrize("n, p", [(50, 0.3), (20, 0.97), (300, 0.1), (7, 1.0)])
-    def test_tables_match_a_full_bisection_at_fixed_levels(self, n, p):
-        thresholds, flipped = models._inversion_table(n, p)
-        assert (thresholds.tolist(), flipped) == binomial_inversion_thresholds(n, p)
-
-    def test_levels_numpy_draws_otherwise_have_no_table(self):
-        # p = 0 reads nothing; means above 30 are drawn by BTPE.
-        assert models._inversion_table(10, 0.0) is None
-        assert models._inversion_table(100, 0.31) is None
-        assert models._inversion_table(100, 0.69) is None
-        assert models._inversion_table(100, 0.3) is not None
 
 
 class TestSelectModifiedPairs:

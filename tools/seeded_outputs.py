@@ -104,9 +104,10 @@ COMMANDS = [
     "test --sample g-commented.txt --sample2 b8.txt --permutations 200 --seed 30",
     # Quoted labels send a recording to the row reader.
     "build-graphs --input channels-quoted.csv --sampling-rate 250 --base 1",
-    # Binomial draws off the inversion tables' common path: p > 1/2, drawn
-    # as n less a draw at 1 - p; n*p > 30 at p0 = 0.5 and p = 0.6, beside an
-    # inversion level at p = 0.1; and p = 0 and p = 1 pairs beside p0 = 0.2.
+    # Binomial tables at the edges of the range: p = 0.97, whose thresholds
+    # crowd near 0; means of 50 and 60 at n = 100 (p0 = 0.5, p = 0.6), beside
+    # a level of mean 10, in tables of 100 thresholds; and p = 0 and p = 1
+    # pairs, whose thresholds are all 1 and all 0, beside p0 = 0.2.
     "test --sample sample.txt --null er --p 0.97 --replications 1000 --seed 34 "
     "--out p097.csv",
     "power --v 8 --n 100 --alt modified-er --q 0.25 --sweep 0.1,0.6 "

@@ -34,11 +34,14 @@ past until they meet, and the graph they meet in is an exact draw. For
 theta2 >= 0 the update is monotone; for theta2 < 0 each bounding chain reads
 the other (anti-monotone coupling, Häggström & Nelander 1998, *Statistica
 Neerlandica* 52(3)). The draws of a call advance together as the columns of
-uint64 neighbour masks, one NumPy operation per round of disjoint pairs. A
-model whose chains have not met from CFTP_MAX_SWEEPS sweeps back is refused
-with ``ConfigurationError``. The scalar Metropolis-Hastings sampler
-``ergm_mh_sample`` remains for library callers; nothing in the package draws
-from it.
+neighbour masks, each in the narrowest unsigned word that holds v bits,
+one NumPy operation per round of disjoint pairs. A model whose chains have
+not met from CFTP_MAX_SWEEPS sweeps back is refused with
+``ConfigurationError``, which names the largest T tried and the draws
+still unmet. The enumerated edge density is summed exactly and rounded
+once, with no BLAS call, so it does not depend on the thread count. The
+scalar Metropolis-Hastings sampler ``ergm_mh_sample`` remains for library
+callers; nothing in the package draws from it.
 
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
@@ -503,10 +506,22 @@ class ExactDistribution:
         return float(self.probabilities[g.bits])
 
     def edge_density(self) -> float:
-        """Expected fraction of pairs joined by an edge."""
+        """Expected fraction of pairs joined by an edge, correctly rounded.
+
+        Each probability is read as base-2^26 digits. The digits of one
+        place, weighted by edge count, sum to an exact integer in any order
+        of addition, so no BLAS call and no thread count enters the result.
+        """
         E = num_pairs(self.v)
-        n_e = np.bitwise_count(np.arange(1 << E)).astype(np.float64)
-        return float(self.probabilities @ n_e) / E
+        n_e = np.bitwise_count(np.arange(1 << E)).astype(np.int64)
+        total, places, rest = 0, 0, self.probabilities
+        while rest.any():
+            rest = rest * 2.0**26
+            digits = np.floor(rest)
+            rest -= digits
+            total = (total << 26) + int(digits.astype(np.int64) @ n_e)
+            places += 1
+        return float(Fraction(total, E << 26 * places))
 
 
 def ergm_enumerate(spec: Ergm) -> ExactDistribution:
@@ -590,37 +605,42 @@ def _cftp_indicators(
     between them. Where they are equal at time 0, that graph is the draw.
     Otherwise T doubles from CFTP_START_SWEEPS, and the new epoch of the
     past runs first, then the epochs already drawn, on the same uniforms.
-    Past CFTP_MAX_SWEEPS the model is refused with ``ConfigurationError``.
+    Past CFTP_MAX_SWEEPS the model is refused with ``ConfigurationError``,
+    which names the largest T tried and how many of the group's draws it
+    left unmet.
 
-    Columns run in groups of at most BLOCK_CELLS // (v * W) draws, W being
-    ceil(v / 64) uint64 words per neighbour mask. Each group takes a
-    SeedSequence spawned off ``rng``'s, and each of its epochs a child of
-    that. On every replay an epoch draws its uniforms again as one row per
-    pair update, in scan order, and one column per draw of the whole group,
-    in chunks of rounds; a column reads its own, so its uniforms do not
-    depend on which other columns have met.
+    A neighbour mask is held in the narrowest unsigned word of B = 8, 16,
+    32 or 64 bits that holds v bits, or in W = ceil(v / 64) uint64 words
+    above 32 vertices. Columns run in groups of at most
+    BLOCK_CELLS // (v * ceil(v / 64)) draws, whatever the word. Each group
+    takes a SeedSequence spawned off ``rng``'s, and each of its epochs a
+    child of that. On every replay an epoch draws its uniforms again as one
+    row per pair update, in scan order, and one column per draw of the
+    whole group, in chunks of rounds; a column reads its own, so its
+    uniforms do not depend on which other columns have met.
     """
-    v, W = spec.v, -(-spec.v // 64)
-    G = max(1, BLOCK_CELLS // (v * W))
+    v = spec.v
+    B = next((b for b in (8, 16, 32) if v <= b), 64)
+    W, word = -(-v // B), np.dtype(f"u{B // 8}")
+    G = max(1, BLOCK_CELLS // (v * -(-v // 64)))
     P = spec._heat_bath
     rising = spec.theta[1] >= 0
-    one = np.uint64(1)
 
-    def bits(ends) -> np.ndarray:
-        # (k, W, 1, 1): the bit of each end in its word of a neighbour mask.
-        ends = np.asarray(ends)
-        out = np.zeros((len(ends), W, 1, 1), dtype=np.uint64)
-        out[np.arange(len(ends)), ends // 64, 0, 0] = one << (ends % 64).astype(np.uint64)
-        return out
+    def masks(rows) -> np.ndarray:
+        # Bit x of a row of B * W flags is bit x % B of word x // B.
+        packed = np.packbits(rows, axis=-1, bitorder="little")
+        return packed.view(word.newbyteorder("<")).astype(word)
 
     rounds = []
     for pairs in _matching_rounds(v):
         I, J = (np.array(ends) for ends in zip(*pairs))
-        rounds.append((I, J, bits(I), bits(J)))
-    k = len(rounds[0][0])
-    adjacency = ~np.eye(v, 64 * W, dtype=bool)
+        # (2, k, W, 1, 1): the bit that each end's mask holds for the other.
+        other = masks(np.eye(B * W, dtype=bool)[[J, I]])[..., None, None]
+        rounds.append((np.concatenate([I, J]), other, ~other))
+    k = len(rounds[0][0]) // 2
+    adjacency = ~np.eye(v, B * W, dtype=bool)
     adjacency[:, v:] = False
-    complete = np.packbits(adjacency, axis=1, bitorder="little").view("<u8")
+    complete = masks(adjacency)
     # Pair (i, j) of the canonical order is column starts[i] + j - i - 1.
     starts = np.cumsum([0] + list(range(v - 1, 0, -1)))
 
@@ -633,19 +653,19 @@ def _cftp_indicators(
             if len(active) < size:
                 u = u[:, active]
             for t, row in enumerate(range(0, len(u), k), lo):
-                I, J, bit_i, bit_j = rounds[t % len(rounds)]
-                XI, XJ = X[I], X[J]
-                XI &= ~bit_j
-                XJ &= ~bit_i
+                IJ, other, keep = rounds[t % len(rounds)]
+                # Both ends of every pair of the round, in one gather.
+                ends = X[IJ]
+                XIJ = ends.reshape(2, k, *ends.shape[1:])
+                XIJ &= keep
                 if spec.stats == EDGE_TRIANGLE:
-                    c = np.bitwise_count(XI & XJ)
+                    c = np.bitwise_count(XIJ[0] & XIJ[1])
                 else:
-                    c = np.bitwise_count(XI) + np.bitwise_count(XJ)
+                    c = np.bitwise_count(XIJ[0]) + np.bitwise_count(XIJ[1])
                 c = c[:, 0] if W == 1 else c.sum(axis=1)
                 put = (u[row:row + k, None] < P.take(c if rising else c[:, ::-1]))[:, None]
-                XI |= put * bit_j
-                XJ |= put * bit_i
-                X[I], X[J] = XI, XJ
+                XIJ |= put * other
+                X[IJ] = ends
 
     for lo, seq in zip(range(0, D, G), rng.bit_generator.seed_seq.spawn(-(-D // G))):
         size = min(G, D - lo)
@@ -655,19 +675,20 @@ def _cftp_indicators(
             if T > CFTP_MAX_SWEEPS:
                 raise ConfigurationError(
                     f"coupling from the past found no exact draw within "
-                    f"{CFTP_MAX_SWEEPS} sweeps for the {spec.stats} ERGM on "
-                    f"v={v} vertices at theta={spec.theta}"
+                    f"{T // 2} sweeps for {len(active)} of a group of {size} "
+                    f"draws, for the {spec.stats} ERGM on v={v} vertices at "
+                    f"theta={spec.theta}"
                 )
             epochs += seq.spawn(1)
             # X[x, w, 0 or 1, column]: word w of vertex x's neighbour mask in
             # the upper or the lower chain.
-            X = np.zeros((v, W, 2, len(active)), dtype=np.uint64)
+            X = np.zeros((v, W, 2, len(active)), dtype=word)
             X[:, :, 0] = complete[:, :, None]
             for e in reversed(range(len(epochs))):
                 run(X, epochs[e], CFTP_START_SWEEPS << max(e - 1, 0), active, size)
             met = (X[:, :, 0] == X[:, :, 1]).all(axis=(0, 1))
             for i in range(v - 1):
-                words = np.ascontiguousarray(X[i, :, 1][:, met].T, dtype="<u8")
+                words = np.ascontiguousarray(X[i, :, 1][:, met].T, dtype=word.newbyteorder("<"))
                 row = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
                 out[active[met], starts[i]:starts[i + 1]] = row[:, i + 1:v]
             active, T = active[~met], 2 * T

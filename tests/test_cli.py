@@ -813,10 +813,13 @@ def test_an_ergm_whose_chains_do_not_meet_is_refused(monkeypatch, tmp_path, caps
     ) == 4
     err = capsys.readouterr().err
     assert not out.exists()
-    for message in (str(refused.value), err):
+    # Each message names the largest T tried and the unmet draws of the
+    # group: the library call's 200 draws, the power alternative's 500.
+    for message, unmet in ((str(refused.value), "109 of a group of 200"),
+                           (err, "229 of a group of 500")):
         assert "v=8" in message
         assert "theta=(-1.0, 0.63)" in message
-        assert "within 8 sweeps" in message
+        assert f"within 8 sweeps for {unmet} draws" in message
 
 
 def test_default_runs_record_the_library_defaults(tmp_path):

@@ -601,7 +601,7 @@ class TestMemoryBound:
     def test_ergm_power_curve(self):
         # v=10: an ERGM block holds 65536 // 45 = 1456 replicates, 29 120
         # draws at n = 20, which couple from the past in five groups of at
-        # most 6 553. The run peaks at about 6 MB.
+        # most 6 553. The run peaks at about 4.5 MiB.
         alts = [Ergm(10, EDGE_TRIANGLE, (0.0, t)) for t in (-0.2, 0.2)]
         peak = self.traced_peak(lambda: power_curve(
             ErdosRenyi(10, 0.5), alts, n=20, M=1456, R_quantile=100,

@@ -2,9 +2,13 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +478,40 @@ class TestErgmEnumeration:
             pairs = enumerated_pair_marginals(ergm_enumerate(spec))
             assert np.abs(pairs - float(p_star)).max() <= 1e-12
 
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    @pytest.mark.parametrize("v", [4, 5, 6])
+    def test_edge_density_is_the_exact_mean_rounded_once(self, v, stats):
+        # Within 1 ulp of the exact mean edge count over E; summed exactly
+        # and rounded once, it is the nearest float to it.
+        edges = [bin(code).count("1") for code in range(1 << num_pairs(v))]
+        for theta in ((0.0, -0.1), (-1.5, 0.4), (1.0, -0.5)):
+            dist = ergm_enumerate(Ergm(v, stats, theta))
+            probabilities = map(Fraction, dist.probabilities.tolist())
+            exact = sum(map(Fraction.__mul__, probabilities, edges)) / num_pairs(v)
+            got = dist.edge_density()
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+            assert got == float(exact)
+
+    def test_edge_density_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a long float dot product between its threads, and
+        # the rounded sum then depends on how many there are.
+        code = (
+            "from graphtest import Ergm, ergm_enumerate; print([ergm_enumerate("
+            "Ergm(v, s, t)).edge_density().hex() for v in (5, 6) for s in "
+            f"{(EDGE_TRIANGLE, EDGE_TWO_STAR)!r} for t in ((0.0, -0.1), "
+            "(-1.5, 0.4), (1.0, -0.5), (0.3, 0.25), (-3.0, 1.5))])"
+        )
+        src = str(Path(models.__file__).resolve().parents[1])
+        densities = [
+            subprocess.run(
+                [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert densities[0] == densities[1]
+
     def test_density_a_hair_above_one_is_clipped(self):
         # Round-off puts this model's enumerated density one ulp above 1.
         spec = Ergm(3, EDGE_TRIANGLE, (40.15222334280308, -2.9604088573157714))
@@ -710,6 +748,17 @@ class TestCouplingFromThePast:
         bits = self.check_against_oracle(65, stats, (0.5, -0.02), 2, [1])
         assert 0 < bits.mean() < 1
 
+    @pytest.mark.parametrize("stats", [EDGE_TRIANGLE, EDGE_TWO_STAR])
+    @pytest.mark.parametrize("v, theta", [
+        # A mask fills a uint16 word at 16 and a uint32 at 32, one uint64 at
+        # 64; 9, 17 and 33 are the first v of each wider word.
+        (9, (-0.4, -0.5)), (16, (0.3, 0.05)), (17, (0.3, -0.05)),
+        (32, (0.5, 0.02)), (33, (0.5, -0.02)), (64, (0.5, -0.02)),
+    ])
+    def test_every_word_width_matches_the_oracle(self, v, stats, theta):
+        bits = self.check_against_oracle(v, stats, theta, 3, [0, 2])
+        assert 0 < bits.mean() < 1
+
     def test_groups_take_their_own_streams(self):
         # v=7 puts 65536 // 7 = 9362 draws in a group; the last group holds 2.
         self.check_against_oracle(7, EDGE_TWO_STAR, (-0.4, -0.5), 9364,
@@ -734,10 +783,17 @@ class TestCouplingFromThePast:
         assert np.array_equal(sample.indicator_matrix().reshape(10, 3, -1).sum(1), counts)
 
     def test_the_cap_refuses_a_model_whose_chains_do_not_meet(self, monkeypatch):
+        # From 16 sweeps back, 2 of these 40 columns are still unmet: the
+        # message names that count and 16, the largest T tried.
         monkeypatch.setattr(models, "CFTP_MAX_SWEEPS", 16)
         spec = Ergm(8, EDGE_TRIANGLE, (-1.0, 0.63))
-        with pytest.raises(ConfigurationError, match=r"16 sweeps.*v=8.*\(-1.0, 0.63\)"):
-            spec.edge_count_batches(10, 40, np.random.default_rng(11))
+        seq = np.random.default_rng(11).bit_generator.seed_seq.spawn(1)[0]
+        unmet = [cftp_column(8, True, spec.theta, _matching_rounds(8), seq, 40, c, cap=16)
+                 for c in range(40)].count(None)
+        assert unmet == 2
+        with pytest.raises(ConfigurationError,
+                           match=r"16 sweeps for 2 of a group of 40 draws.*v=8.*\(-1.0, 0.63\)"):
+            spec.edge_count_batches(4, 10, np.random.default_rng(11))
 
     def test_working_memory_is_bounded_by_the_group(self):
         # v=100 takes two words a mask, and 327 draws a group; 350 draws

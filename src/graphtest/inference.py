@@ -23,17 +23,10 @@ by monotone or anti-monotone coupling from the past (Propp & Wilson 1996,
 *Random Structures & Algorithms* 9; Häggström & Nelander 1998, *Statistica
 Neerlandica* 52(3); see ``models``). An independent-edge block draws its
 counts by inversion of one ``rng.random((B, E))``, each uniform looked up
-in the guided table of its probability level's binomial CDF (see
-``models``). The tables are built once per sample size and probability for
-the whole call, before any block runs: a power curve's null and
-alternatives share them. The blocks are fixed by R and the model alone,
+in the guided table of its probability level's binomial CDF, which
+``models`` builds and keeps. The blocks are fixed by R and the model alone,
 and every block runs in order on the calling thread, so no result can
-depend on the number of CPUs. The guide tables made the lookup cheap enough
-that serial blocks beat the thread pool that ran them before: a v=10 ER
-test of 10 000 replicates took 9.7-11.2 ms with serial guided lookups
-against 14.2-15.7 ms with binary search on a 2-thread pool (medians of 20
-in-process runs, 2-core x86_64). Serial blocks also keep peak memory to
-one block.
+depend on the number of CPUs, and peak memory stays at one block.
 Permutations are drawn from the caller's generator in blocks of rows. Each
 row is N 64-bit keys, one generator word each, so the blocks consume the
 stream exactly as one (R x N) draw would. A row's smaller pseudo-sample is
@@ -49,8 +42,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +53,6 @@ from .graphs import (
 )
 from .models import (
     ModelSpec,
-    _IndependentEdges,
     _check_probability,
     _check_sample_size,
 )
@@ -148,45 +139,28 @@ def _block_size(model: ModelSpec) -> int:
 
 def _map_blocks(
     fn: Callable[[np.ndarray], object],
-    models: Sequence[ModelSpec],
+    model: ModelSpec,
     n: int,
     R: int,
-    rngs: Sequence[np.random.Generator],
-    tables: dict | None = None,
-) -> list[list]:
-    """fn(counts) for each model's consecutive blocks covering R samples of size n.
+    rng: np.random.Generator,
+) -> list:
+    """fn(counts) for each consecutive block of R samples of size n from ``model``.
 
-    A block of a model holds ``_block_size(model)`` samples (the last may
-    hold fewer), and its (size x E) counts come from
-    ``model.edge_count_batches`` on a stream of its own spawned off that
-    model's rng. The blocks run on the calling thread round by round: the
-    first block of every model, then the second, and so on. Results come
-    back per model in block order. The inversion tables of the
-    independent-edge models are added to ``tables`` (a new dict when None)
-    before any block runs.
+    A block holds ``_block_size(model)`` samples (the last may hold fewer),
+    and its (size x E) counts come from ``model.edge_count_batches`` on a
+    stream of its own spawned off ``rng``. The blocks run in order on the
+    calling thread, and their results come back in block order.
     """
-    tables = {} if tables is None else tables
-    draws = [
-        partial(model.edge_count_batches, tables=model._binomial_tables(n, tables))
-        if isinstance(model, _IndependentEdges) else model.edge_count_batches
-        for model in models
-    ]
-    # Per model, its blocks as (size, stream).
-    blocks = []
-    for model, rng in zip(models, rngs):
-        B = _block_size(model)
-        sizes = [min(B, R - lo) for lo in range(0, R, B)]
-        blocks.append(list(zip(sizes, rng.spawn(len(sizes)))))
-    out = [[] for _ in models]
-    for row in zip_longest(*blocks):
-        for draw, results, block in zip(draws, out, row):
-            if block is not None:
-                # ``counts`` lives until the next block is drawn. Freeing
-                # each block's counts before the next draw made the 24-block
-                # v=40 ER null ~30% slower (2-core x86_64, in-process medians).
-                counts = draw(n, *block)
-                results.append(fn(counts))
-    return out
+    B = _block_size(model)
+    sizes = [min(B, R - lo) for lo in range(0, R, B)]
+    results = []
+    for size, stream in zip(sizes, rng.spawn(len(sizes))):
+        # ``counts`` lives until the next block is drawn. Freeing each
+        # block's counts before the next draw made the 24-block v=40 ER
+        # null ~30% slower (2-core x86_64, in-process medians).
+        counts = model.edge_count_batches(n, size, stream)
+        results.append(fn(counts))
+    return results
 
 
 def _calibrate_null(
@@ -196,14 +170,12 @@ def _calibrate_null(
     R: int,
     rng: np.random.Generator,
     marginals: EdgeMarginals | None,
-    tables: dict | None = None,
 ) -> tuple[EdgeMarginals, str, GapKernel, int]:
     """Monte Carlo critical value of the one-sample statistic under ``null``.
 
     Checks R, n and alpha, then returns the null's marginals and their source
     ("exact" or "supplied"), the statistic's kernel for samples of size n,
     and the numerator of order statistic ceil((1-alpha)*R) of R null draws.
-    ``tables`` is passed to ``_map_blocks``.
     """
     if R < 100:
         raise ValueError(f"need at least 100 replications, got {R}")
@@ -211,7 +183,7 @@ def _calibrate_null(
     level = _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
-    values = np.concatenate(_map_blocks(kernel, [null], n, R, [rng], tables)[0])
+    values = np.concatenate(_map_blocks(kernel, null, n, R, rng))
     k = math.ceil((1 - level) * R)
     k = min(max(k, 1), R) - 1
     return marg, source, kernel, int(np.partition(values, k)[k])
@@ -307,8 +279,8 @@ def _permutation_counts(
     # Sort the pooled graphs by edge bitset: in little-endian packed bytes the
     # last byte is the most significant, and lexsort's last key is its first.
     order = np.lexsort(np.packbits(pooled, axis=1, bitorder="little").T)
-    # Every partial sum of mask @ indicators is an integer <= N, exact in a
-    # float whose significand holds N.
+    # Every intermediate sum of mask @ indicators is an integer <= N, exact in
+    # a float whose significand holds N.
     dtype = np.float32 if N < 2**24 else np.float64
     assert N < 2 ** (np.finfo(dtype).nmant + 1)
     indicators = pooled[order].astype(dtype)
@@ -479,10 +451,8 @@ def power_curve(
         raise ValueError(f"need at least 100 replications per point, got {M}")
 
     streams = rng.spawn(1 + len(alternatives))
-    # The null and the alternatives share one set of inversion tables.
-    tables: dict = {}
     marg, _, kernel, crit = _calibrate_null(
-        null, n, alpha, R_quantile, streams[0], None, tables
+        null, n, alpha, R_quantile, streams[0], None
     )
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))
@@ -494,12 +464,10 @@ def power_curve(
         return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
 
     points = []
-    outcomes = _map_blocks(block, alternatives, n, M, streams[1:], tables)
-    for alt, alt_outcomes in zip(alternatives, outcomes):
-        w_power = sum(w for w, _ in alt_outcomes) / M
-        bc_power = (
-            sum(b for _, b in alt_outcomes) / M if baseline_bonferroni else None
-        )
+    for alt, stream in zip(alternatives, streams[1:]):
+        outcomes = _map_blocks(block, alt, n, M, stream)
+        w_power = sum(w for w, _ in outcomes) / M
+        bc_power = sum(b for _, b in outcomes) / M if baseline_bonferroni else None
         points.append(
             PowerPoint(
                 parameter=alt.sweep_parameter,

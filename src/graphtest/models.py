@@ -18,9 +18,9 @@ probability level's columns look theirs up in the level's table of CDF
 thresholds T_k = P(X <= k) (``_binomial_table``) through a guide of 4 096
 buckets (``_guided``; Chen & Asau 1974, *AIIE Transactions* 6(2)). One
 table path serves every (n, p), p = 0 and p = 1 included. The 24 blocks of
-a v = 40, n = 50, R = 2 000 ER null draw in ~0.015 s (2-core x86_64). A
-caller that draws many blocks builds each (n, p) table once and passes the
-tables to every block (``_binomial_tables``).
+a v = 40, n = 50, R = 2 000 ER null draw in ~0.015 s (2-core x86_64). The
+64 tables used last are kept for the process, so the blocks of a call, and
+later calls at the same (n, p), build no table again.
 
 An ``Ergm`` draws independent graphs from its exact law, in ``sample`` and in
 ``edge_count_batches`` alike. Up to ENUMERATION_MAX_V vertices they are the
@@ -55,7 +55,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
@@ -142,35 +142,17 @@ class _IndependentEdges:
         return GraphSample.from_indicator_matrix(self.v, draws)
 
     def edge_count_batches(
-        self,
-        n: int,
-        R: int,
-        rng: np.random.Generator,
-        tables: dict | None = None,
+        self, n: int, R: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Per-pair edge counts for R independent samples of size n (R x E).
 
         Edges are independent, so the counts are independent Binomial(n, p_a)
         draws; the result is distributed exactly as counting edges over R
         samples of n graphs each. They are drawn by inversion of one
-        ``rng.random((R, E))`` (``_binomial_counts``). ``tables`` holds the
-        inversion tables of this model's levels at n, made by
-        ``_binomial_tables``; without it they are built for this call.
+        ``rng.random((R, E))`` (``_binomial_counts``).
         """
         _check_sample_size(n)
-        if tables is None:
-            tables = self._binomial_tables(n, {})
-        return _binomial_counts(n, self.pair_probabilities(), R, rng, tables)
-
-    def _binomial_tables(self, n: int, tables: dict) -> dict:
-        """Add the guided inversion table of each of this model's levels at
-        sample size n (``_binomial_table``) to ``tables``, keyed (n, p),
-        unless it is there already, and return ``tables``. Models drawn in
-        one call share one dict, so each (n, p) table is built once."""
-        for p in set(self.pair_probabilities().tolist()):
-            if (n, p) not in tables:
-                tables[n, p] = _binomial_table(n, p)
-        return tables
+        return _binomial_counts(n, self.pair_probabilities(), R, rng)
 
     def exact_marginals(self) -> EdgeMarginals:
         """Each pair's probability as the decimal it is written as."""
@@ -181,10 +163,14 @@ class _IndependentEdges:
         return self.p
 
 
+@lru_cache(maxsize=64)
 def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """The guided inversion table (``_guided``) of Binomial(n, p). Its
     thresholds are T_k = P(X <= k) for k = 0..n-1, so a uniform u draws the
     number of thresholds at or below it: the smallest k with u < T_k, or n.
+    Tables are cached and shared by every caller, so both arrays are
+    read-only. One holds (n + 1) float64 and _GUIDE_BUCKETS intp, about
+    32 KB + 8n bytes.
 
     The pmf is computed in log space, with log C(n, k) as a running sum of
     log((n - j + 1) / j) and 0 * log 0 read as 0, and its running sum is
@@ -198,7 +184,10 @@ def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_pmf += np.where(k > 0, k * np.log(p), 0.0)
         log_pmf += np.where(k < n, (n - k) * np.log1p(-p), 0.0)
-    return _guided(np.minimum(np.cumsum(np.exp(log_pmf[:-1])), 1.0))
+    table = _guided(np.minimum(np.cumsum(np.exp(log_pmf[:-1])), 1.0))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _guided(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,21 +219,21 @@ def _table_counts(
 
 
 def _binomial_counts(
-    n: int, probs: np.ndarray, R: int, rng: np.random.Generator, tables: dict
+    n: int, probs: np.ndarray, R: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(R x E) independent Binomial(n, probs) counts by inversion of one
     ``rng.random((R, E))``: each level's columns look their uniforms up in
-    its table, ``tables[n, p]`` (``_table_counts``)."""
+    its table, ``_binomial_table(n, p)`` (``_table_counts``)."""
     uniforms = rng.random((R, len(probs)))
     levels = set(probs.tolist())
     # Gathering and scattering the columns of a one-level block doubled the
     # time of an ER null at v = 40, n = 50 (2-core x86_64).
     if len(levels) == 1:
-        return _table_counts(*tables[n, levels.pop()], uniforms)
+        return _table_counts(*_binomial_table(n, levels.pop()), uniforms)
     counts = np.empty(uniforms.shape, dtype=np.intp)
     for p in levels:
         cols = np.flatnonzero(probs == p)
-        counts[:, cols] = _table_counts(*tables[n, p], uniforms[:, cols])
+        counts[:, cols] = _table_counts(*_binomial_table(n, p), uniforms[:, cols])
     return counts
 
 

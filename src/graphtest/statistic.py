@@ -71,9 +71,9 @@ class GapKernel:
     The terms are the one form of the gap (see the module docstring); called
     on a block of count rows, the kernel returns each row's closed-form
     numerator sum_a |t_a|. Counts lie in [0, max_count] and every target in
-    [0, scale*max_count], so |t_a| <= scale*max_count. Terms are int64 when
-    scale*max_count*E < 2^62; otherwise they are Python integers in an object
-    array.
+    [0, scale*max_count], so |t_a| <= scale*max_count and the numerator is
+    at most scale*max_count*E. Terms are int64 when that bound is < 2^63;
+    otherwise they are Python integers in an object array.
     """
 
     def __init__(
@@ -81,7 +81,7 @@ class GapKernel:
     ):
         self.scale = scale
         self.denominator = denominator
-        self.fast = scale * max_count * len(targets) < 2**62
+        self.fast = scale * max_count * len(targets) < 2**63
         self.targets = np.array(targets, dtype=np.int64 if self.fast else object)
 
     def terms(self, counts) -> np.ndarray:

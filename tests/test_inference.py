@@ -16,7 +16,6 @@ from graphtest import (
     ErdosRenyi,
     Ergm,
     EDGE_TRIANGLE,
-    EDGE_TWO_STAR,
     Graph,
     GraphSample,
     ModifiedErdosRenyi,
@@ -379,11 +378,10 @@ class TestReplicateBlocks:
     @pytest.mark.parametrize("p", [0.3, 0.7])
     def test_er_blocks_invert_one_uniform_block_of_their_streams(self, R, p):
         null = ErdosRenyi(self.V, p)
-        streams = np.random.default_rng(2).spawn(1)
-        (blocks,) = _map_blocks(np.copy, [null], 10, R, streams)
+        blocks = _map_blocks(np.copy, null, 10, R, np.random.default_rng(2))
         assert [len(b) for b in blocks] == [min(self.B, R - lo)
                                             for lo in range(0, R, self.B)]
-        children = np.random.default_rng(2).spawn(1)[0].spawn(len(blocks))
+        children = np.random.default_rng(2).spawn(len(blocks))
         for block, child in zip(blocks, children):
             want = self.inverted(null, 10, child.random(block.shape))
             assert np.array_equal(block, want)
@@ -393,9 +391,8 @@ class TestReplicateBlocks:
     @pytest.mark.parametrize("M", [B, B + 1, 300])
     def test_modified_er_blocks_invert_one_uniform_block_of_their_streams(self, M):
         alt = ModifiedErdosRenyi(self.V, 0.5, 0.8, frozenset({(0, 1), (5, 9)}))
-        streams = np.random.default_rng(5).spawn(1)
-        (blocks,) = _map_blocks(np.copy, [alt], 10, M, streams)
-        children = np.random.default_rng(5).spawn(1)[0].spawn(len(blocks))
+        blocks = _map_blocks(np.copy, alt, 10, M, np.random.default_rng(5))
+        children = np.random.default_rng(5).spawn(len(blocks))
         assert len(blocks) == -(-M // self.B)
         for block, child in zip(blocks, children):
             want = self.inverted(alt, 10, child.random(block.shape))
@@ -455,35 +452,57 @@ class TestReplicateBlocks:
             assert lo <= scaled <= hi, f"seed {seed}: {scaled} not in [{lo}, {hi}]"
 
 
-class TestInversionTablesPerCall:
-    """Each (n, p) inversion table is built once per call, not per block."""
+class TestInversionTableCache:
+    """Each (n, p) inversion table is built once, then shared by every block
+    and every later call that reads it."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        """The (n, p) of every table built."""
-        calls = []
-        build = models._binomial_table
+    def built(self):
+        """The number of tables built since the cache was emptied."""
+        models._binomial_table.cache_clear()
+        return lambda: models._binomial_table.cache_info().misses
 
-        def counted(n, p):
-            calls.append((n, p))
-            return build(n, p)
-
-        monkeypatch.setattr(models, "_binomial_table", counted)
-        return calls
+    @staticmethod
+    def power_sweep(sweep, rng):
+        pairs = frozenset(canonical_pairs(10)[:11])
+        alts = [ModifiedErdosRenyi(10, 0.5, p, pairs) for p in sweep]
+        power_curve(ErdosRenyi(10, 0.5), alts, n=20, M=2000, R_quantile=2000,
+                    rng=rng, baseline_bonferroni=True)
 
     def test_one_sample_test_builds_its_table_once(self, built, rng_factory):
         # 2 000 replicates at v=40 take 24 blocks.
         s = ErdosRenyi(40, 0.3).sample(50, rng_factory(1))
         one_sample_test(s, ErdosRenyi(40, 0.3), R=2000, rng=rng_factory(2))
-        assert built == [(50, 0.3)]
+        assert built() == 1
+        models._binomial_table(50, 0.3)
+        assert built() == 1
 
     def test_power_curve_builds_each_level_once(self, built, rng_factory):
-        pairs = frozenset(canonical_pairs(10)[:11])
         sweep = [0.1, 0.3, 0.5, 0.7, 0.9]
-        alts = [ModifiedErdosRenyi(10, 0.5, p, pairs) for p in sweep]
-        power_curve(ErdosRenyi(10, 0.5), alts, n=20, M=2000, R_quantile=2000,
-                    rng=rng_factory(3), baseline_bonferroni=True)
-        assert sorted(built) == [(20, p) for p in sweep]
+        self.power_sweep(sweep, rng_factory(3))
+        assert built() == len(sweep)
+        for p in sweep:
+            models._binomial_table(20, p)
+        assert built() == len(sweep)
+
+    def test_power_curve_after_a_test_at_its_levels_builds_no_table(
+        self, built, rng_factory
+    ):
+        s = ErdosRenyi(10, 0.5).sample(20, rng_factory(1))
+        one_sample_test(s, ErdosRenyi(10, 0.5), R=2000, rng=rng_factory(2))
+        assert built() == 1
+        # The null, and every alternative's p0, read the test's table.
+        self.power_sweep([0.1, 0.9], rng_factory(3))
+        assert built() == 3
+        self.power_sweep([0.1, 0.5, 0.9], rng_factory(4))
+        assert built() == 3
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["thresholds", "guide"])
+    def test_cached_tables_are_read_only(self, built, part):
+        table = models._binomial_table(20, 0.3)[part]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+        assert not models._binomial_table(20, 0.3)[part].flags.writeable
 
 
 class TestErgmAlternatives:
@@ -535,22 +554,6 @@ class TestErgmAlternatives:
         # The alternatives are told apart, so a swapped block would show.
         assert len({p.power for p in points}) == len(points)
 
-    def test_mixed_alternatives_match_running_each_alone(self):
-        alts = [
-            self.ergm(-0.12),
-            ErdosRenyi(self.V, 0.51),
-            Ergm(self.V, EDGE_TWO_STAR, (-0.5, 0.004)),
-            self.ergm(0.0),
-            ErdosRenyi(self.V, 0.53),
-        ]
-        streams = np.random.default_rng(33).spawn(len(alts))
-        mapped = _map_blocks(np.copy, alts, self.N, self.M, streams)
-        streams = np.random.default_rng(33).spawn(len(alts))
-        for alt, stream, blocks in zip(alts, streams, mapped):
-            alone = self.own_blocks(alt, stream)
-            assert len(blocks) == len(alone) == 3
-            assert all(np.array_equal(a, b) for a, b in zip(blocks, alone))
-
     def test_enumerable_alternatives_run_alone(self, monkeypatch):
         # Up to ENUMERATION_MAX_V vertices an ERGM draws enumerated graphs,
         # never coupled ones, in blocks sized like any other model's.
@@ -561,13 +564,11 @@ class TestErgmAlternatives:
         alts = [Ergm(6, EDGE_TRIANGLE, (0.0, t)) for t in (-0.2, 0.2)]
         # v=6 has E=15, so a block holds 65536 // 15 = 4369 samples.
         assert _block_size(alts[0]) == BLOCK_CELLS // 15 == 4369
-        streams = np.random.default_rng(35).spawn(2)
-        mapped = _map_blocks(np.copy, alts, self.N, self.M, streams)
-        streams = np.random.default_rng(35).spawn(2)
-        for alt, stream, blocks in zip(alts, streams, mapped):
-            assert len(blocks) == 1
-            (child,) = stream.spawn(1)
-            assert np.array_equal(blocks[0], alt.edge_count_batches(self.N, self.M, child))
+        for alt, seed in zip(alts, (35, 36)):
+            (block,) = _map_blocks(np.copy, alt, self.N, self.M,
+                                   np.random.default_rng(seed))
+            (child,) = np.random.default_rng(seed).spawn(1)
+            assert np.array_equal(block, alt.edge_count_batches(self.N, self.M, child))
 
 
 class TestMemoryBound:

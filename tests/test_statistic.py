@@ -219,16 +219,19 @@ class TestGapKernel:
             )
         return kernel
 
-    # int64 holds the numerators while den*n*E < 2^62: the binary floats
-    # 0.3 and 0.1 have den 2^54 and 2^55, so n*E >= 256 forces Python integers.
+    # int64 holds the numerators while den*n*E < 2^63: the binary float 0.3
+    # has den 2^54, so at v = 4 (E = 6) n = 85 is the last size on int64
+    # and n = 86 the first on Python integers. The mixed floats share den
+    # 2^55 (0.1's), and 2^55 * 45 * 6 > 2^63.
     @pytest.mark.parametrize(
         "marginals,n,fast",
         [
             (EdgeMarginals(4, [Fraction(k, 12) for k in (0, 1, 5, 6, 11, 12)]), 5, True),
-            (EdgeMarginals.constant(4, 0.3), 45, False),
+            (EdgeMarginals.constant(4, 0.3), 85, True),
+            (EdgeMarginals.constant(4, 0.3), 86, False),
             (EdgeMarginals(4, [0.1, 0.3, 0.7, 1 / 3, 0.5, 0.9]), 45, False),
         ],
-        ids=["den12", "float0.3", "mixed-floats"],
+        ids=["den12", "float0.3-int64", "float0.3", "mixed-floats"],
     )
     def test_one_sample_matches_literal_maximization(self, rng, marginals, n, fast):
         samples = [random_sample(rng, 4, n) for _ in range(6)]

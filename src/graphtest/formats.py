@@ -340,6 +340,10 @@ def read_channel_csv(path, sampling_rate: float) -> ChannelMatrix:
 
 
 def _fmt(x) -> str:
+    # A NumPy scalar's repr names its type (np.float64(0.3)) and a NumPy
+    # bool is no bool, so each is written as the Python value it holds.
+    if isinstance(x, np.generic):
+        x = x.item()
     if x is None:
         return ""
     if isinstance(x, bool):

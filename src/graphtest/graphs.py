@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 
-# Whole-array work (Monte Carlo replicates, Metropolis-Hastings proposals,
-# correlation windows) runs in blocks of about this many cells.
+# Whole-array work (Monte Carlo replicates, ERGM draws, correlation windows)
+# runs in blocks of about this many cells.
 BLOCK_CELLS = 1 << 16
 
 

@@ -39,9 +39,9 @@ one NumPy operation per round of disjoint pairs. A model whose chains have
 not met from CFTP_MAX_SWEEPS sweeps back is refused with
 ``ConfigurationError``, which names the largest T tried and the draws
 still unmet. The enumerated edge density is summed exactly and rounded
-once, with no BLAS call, so it does not depend on the thread count. The
-scalar Metropolis-Hastings sampler ``ergm_mh_sample`` remains for library
-callers; nothing in the package draws from it.
+once, with no BLAS call, so it does not depend on the thread count.
+``ergm_mh_sample`` is ``Ergm.sample`` under its old name: it takes a
+``McmcConfig`` and does not read it.
 
 Triangles and two-stars are counted over unordered vertex triples (each
 triangle once, each two-star once per center and unordered neighbor pair).
@@ -295,7 +295,8 @@ class ModifiedErdosRenyi(_IndependentEdges):
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Metropolis-Hastings schedule; one sweep proposes E single-edge flips."""
+    """A burn-in and thinning schedule, checked and not read: every ERGM draw
+    is exact, so ``ergm_mh_sample`` accepts one and ignores it."""
 
     burn_in: int = 200
     thinning: int = 10
@@ -684,115 +685,16 @@ def _cftp_indicators(
         yield out
 
 
-def _mh_thresholds(spec: Ergm) -> list[list[float]]:
-    """Acceptance thresholds T[present][change] of a single-edge flip.
-
-    ``present`` is 1 when the flip removes an edge, and ``change`` is the
-    number of triangles (common neighbours) or two-stars (other endpoint
-    degrees) the edge takes part in. A flip is accepted when its uniform u
-    satisfies u < T: entries are exp(delta) of the log-ratio delta, computed
-    with ``math.exp``, and 2.0 where delta >= 0, so those flips always pass.
-
-    Where every reachable delta is 0 (theta = (0, 0), or theta1 = 0 at
-    v = 2), every entry is 0.5 instead: a chain that accepted every flip
-    would flip exactly E pairs a sweep and so never change the parity of
-    its edge count. The lazy chain keeps the uniform target.
-    """
-    t1, t2 = spec.theta
-    top = spec.v - 2 if spec.stats == EDGE_TRIANGLE else 2 * (spec.v - 2)
-    deltas = [t1 + t2 * c for c in range(top + 1)]
-    if not any(deltas):
-        return [[0.5] * len(deltas)] * 2
-
-    def threshold(delta: float) -> float:
-        return 2.0 if delta >= 0 else math.exp(delta)
-
-    return [[threshold(d) for d in deltas], [threshold(-d) for d in deltas]]
-
-
-def _mh_sweeps(
-    E: int, n: int, mcmc: McmcConfig, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
-    """Proposal draws of one chain, a sweep at a time: (slots, uniforms, keep).
-
-    The chain starts from the empty graph and makes burn_in + n * thinning
-    sweeps of E proposals; ``keep`` marks the sweeps that end with a retained
-    draw, every ``thinning``-th one after ``burn_in``. Step s flips canonical
-    pair ``slots[s]`` when ``uniforms[s]`` falls below its acceptance
-    threshold. Sweeps are drawn in chunks of k = max(1, BLOCK_CELLS // E),
-    each chunk one ``rng.integers(0, E, k*E)`` of slots followed by one
-    ``rng.random(k*E)`` of uniforms.
-    """
-    total_sweeps = mcmc.burn_in + n * mcmc.thinning
-    chunk_sweeps = max(1, BLOCK_CELLS // E)
-    sweep = 0
-    while sweep < total_sweeps:
-        todo = min(chunk_sweeps, total_sweeps - sweep)
-        slots = rng.integers(0, E, size=todo * E)
-        unif = rng.random(todo * E)
-        for lo in range(0, todo * E, E):
-            sweep += 1
-            kept = (sweep - mcmc.burn_in) % mcmc.thinning == 0
-            yield slots[lo:lo + E], unif[lo:lo + E], sweep > mcmc.burn_in and kept
-
-
 def ergm_mh_sample(
     spec: Ergm,
     n: int,
     mcmc: McmcConfig,
     rng: np.random.Generator,
 ) -> GraphSample:
-    """n draws from a single-edge-flip Metropolis-Hastings chain.
-
-    The proposal flips one uniformly chosen canonical pair, so acceptance is
-    min(1, exp(theta . dS)), or 1/2 where every flip has theta . dS = 0 (see
-    ``_mh_thresholds``), with dS computed incrementally: the edge count
-    changes by one and the triangle (two-star) count by the number of common
-    neighbors of the endpoints (the sum of their other degrees). The chain
-    starts from the empty graph; one draw is retained every ``thinning``
-    sweeps after ``burn_in`` sweeps, one sweep being E proposals.
-    """
-    _check_sample_size(n)
-    v = spec.v
-    add, remove = _mh_thresholds(spec)
-    sweeps = _mh_sweeps(num_pairs(v), n, mcmc, rng)
-    # Per slot a: its endpoints and the bits that pair sets in the edge
-    # bitset and in each endpoint's neighbour mask.
-    steps = [
-        (i, j, 1 << a, 1 << j, 1 << i) for a, (i, j) in enumerate(canonical_pairs(v))
-    ]
-
-    bits = 0
-    retained: list[Graph] = []
-    if spec.stats == EDGE_TRIANGLE:
-        adj = [0] * v
-        for slots, unif, keep in sweeps:
-            for a, u in zip(slots.tolist(), unif.tolist()):
-                i, j, edge, bit_j, bit_i = steps[a]
-                common = (adj[i] & adj[j]).bit_count()
-                if u < (remove[common] if bits & edge else add[common]):
-                    bits ^= edge
-                    adj[i] ^= bit_j
-                    adj[j] ^= bit_i
-            if keep:
-                retained.append(Graph(v, bits))
-    else:
-        deg = [0] * v
-        for slots, unif, keep in sweeps:
-            for a, u in zip(slots.tolist(), unif.tolist()):
-                i, j, edge, _, _ = steps[a]
-                if bits & edge:
-                    if u < remove[deg[i] + deg[j] - 2]:
-                        bits ^= edge
-                        deg[i] -= 1
-                        deg[j] -= 1
-                elif u < add[deg[i] + deg[j]]:
-                    bits ^= edge
-                    deg[i] += 1
-                    deg[j] += 1
-            if keep:
-                retained.append(Graph(v, bits))
-    return GraphSample(retained)
+    """n exact draws from ``spec``: ``spec.sample(n, rng)``, the same graphs
+    from the same stream. ``mcmc`` is accepted and not read. A model that
+    ``Ergm.sample`` refuses raises ``ConfigurationError`` here too."""
+    return spec.sample(n, rng)
 
 
 @dataclass(frozen=True)

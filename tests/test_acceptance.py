@@ -31,7 +31,6 @@ from graphtest import (
     EdgeMarginals,
     ErdosRenyi,
     Ergm,
-    McmcConfig,
     ModifiedErdosRenyi,
     ThresholdSpec,
     WindowSpec,
@@ -39,7 +38,6 @@ from graphtest import (
     correlation_series,
     edge_density_sweep,
     ergm_enumerate,
-    ergm_mh_sample,
     extremal_graphs,
     format_graph_sample,
     mean_graph,
@@ -286,27 +284,21 @@ def test_06_ergm_enumeration_and_sampler_agree():
             )
     ok_logistic = worst_logistic <= 1e-12
 
-    # Chain marginals against enumeration at v=5.
+    # Marginals of exact draws against enumeration at v=5.
     spec5 = Ergm(5, EDGE_TRIANGLE, (0.5, -0.3))
     exact5 = np.array(
         [float(f) for f in spec5.exact_marginals().fractions]
     )
     draws = 20000
-    chain5 = ergm_mh_sample(
-        spec5, draws, McmcConfig(burn_in=200, thinning=5), rng
-    )
-    emp5 = np.asarray(chain5.edge_counts, dtype=float) / draws
+    emp5 = np.asarray(spec5.sample(draws, rng).edge_counts, dtype=float) / draws
     sup_err = float(np.max(np.abs(emp5 - exact5)))
     ok_marginals = sup_err < 0.02
 
-    # Long-run distribution against enumeration at v=4, total variation.
+    # Distribution of exact draws against enumeration at v=4, total variation.
     spec4 = Ergm(4, EDGE_TRIANGLE, (0.5, -0.8))
     dist4 = ergm_enumerate(spec4)
     long_draws = 100000
-    chain4 = ergm_mh_sample(
-        spec4, long_draws, McmcConfig(burn_in=200, thinning=2), rng
-    )
-    freq = Counter(g.bits for g in chain4)
+    freq = Counter(g.bits for g in spec4.sample(long_draws, rng))
     tv = 0.5 * sum(
         abs(freq.get(code, 0) / long_draws - float(dist4.probabilities[code]))
         for code in range(len(dist4.probabilities))
@@ -333,7 +325,7 @@ def test_06_ergm_enumeration_and_sampler_agree():
 
     elapsed = time.perf_counter() - start
     _report(
-        "ergm enumeration and chain sampler agree",
+        "ergm enumeration and exact draws agree",
         ok_logistic and ok_marginals and ok_tv and elapsed < 300.0,
         f"decoupled marginal error {worst_logistic:.2e} (tol 1e-12); "
         f"v=5 marginal sup error {sup_err:.4f} (tol 0.02, {draws} draws); "

@@ -11,6 +11,7 @@ import pytest
 import graphtest.formats as formats
 from graphtest import (
     DataFormatError,
+    ErdosRenyi,
     Graph,
     GraphSample,
     PowerPoint,
@@ -18,6 +19,7 @@ from graphtest import (
     TestResult,
     format_graph_sample,
     num_pairs,
+    power_curve,
     read_channel_csv,
     read_graph_sample,
     write_graph_sample,
@@ -843,6 +845,19 @@ class TestResultCsv:
         assert float(row[1]) == 1 / 3
         assert float(row[2]) == 2 / 3
 
+    def test_numpy_scalars_are_written_as_python_values(self):
+        stat = TestStatistic(2.5, Fraction(5, 2), "one_sample", (20, None))
+        result = TestResult(
+            method="one_sample_mc",
+            statistic=stat,
+            alpha=np.float64(0.05),
+            reject=np.bool_(True),
+            critical_value=np.float64(1.75),
+            replications=np.int64(1000),
+        )
+        row = format_test_csv(result).splitlines()[1]
+        assert row == "one_sample_mc,2.5,1.75,,true,0.05,1000,"
+
 
 class TestCurveCsvs:
     def test_power_rows(self):
@@ -854,6 +869,17 @@ class TestCurveCsvs:
         assert lines[0] == "param,power_w,power_bc,replications"
         assert lines[1] == "0.3,0.5,0.4,1000"
         assert lines[2] == "0.5,0.05,,1000"
+
+    def test_power_rows_of_a_numpy_sweep(self):
+        # np.linspace gives each model a NumPy float p, which the point
+        # carries as its parameter.
+        points = power_curve(
+            ErdosRenyi(6, 0.5),
+            [ErdosRenyi(6, p) for p in np.linspace(0.3, 0.7, 3)],
+            10, 100, R_quantile=200, rng=np.random.default_rng(1),
+        )
+        params = [line.split(",")[0] for line in format_power_csv(points).splitlines()[1:]]
+        assert params == ["0.3", "0.5", "0.7"]
 
     def test_density_rows(self):
         points = [DensityPoint(-1.0, 0.63, 0.61, 200)]

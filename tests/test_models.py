@@ -561,19 +561,43 @@ class TestExactDistributionType:
             ergm_enumerate(Ergm(4, EDGE_TRIANGLE, (1e308, -1e308)))
 
 
-class TestMcmcSampler:
+class TestErgmMhSampleIsExact:
+    """``ergm_mh_sample`` is ``Ergm.sample`` under its old name: the same
+    exact draws from the same stream, its schedule checked and not read."""
+
+    @pytest.mark.parametrize("v, stats, theta", [
+        # Enumerated draws at v=5, coupled draws at v=7.
+        (5, EDGE_TRIANGLE, (0.5, -0.3)),
+        (7, EDGE_TWO_STAR, (-0.4, -0.5)),
+        (7, EDGE_TRIANGLE, (-1.0, 0.63)),
+    ])
+    def test_draws_are_those_of_spec_sample(self, v, stats, theta):
+        spec = Ergm(v, stats, theta)
+        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+        a = ergm_mh_sample(spec, 300, McmcConfig(burn_in=7, thinning=3), rng_a)
+        b = spec.sample(300, rng_b)
+        assert a.indicator_matrix().tobytes() == b.indicator_matrix().tobytes()
+        assert rng_a.random() == rng_b.random()
+
+    def test_a_refused_model_raises_configuration_error(self, monkeypatch):
+        # From 16 sweeps back, 2 of these 40 draws are still unmet (see
+        # TestCouplingFromThePast's cap test).
+        monkeypatch.setattr(models, "CFTP_MAX_SWEEPS", 16)
+        spec = Ergm(8, EDGE_TRIANGLE, (-1.0, 0.63))
+        with pytest.raises(ConfigurationError, match=r"16 sweeps for 2 of a group of 40"):
+            ergm_mh_sample(spec, 40, McmcConfig(), np.random.default_rng(11))
+
     def test_uniform_target_frequencies(self, rng):
         spec = Ergm(4, EDGE_TRIANGLE, (0.0, 0.0))
         s = ergm_mh_sample(spec, 4000, McmcConfig(burn_in=50, thinning=1), rng)
         freqs = s.edge_counts / 4000
         assert np.all(np.abs(freqs - 0.5) < 0.04)
 
-    # Every flip has delta 0 at theta = (0, 0), and at theta1 = 0 on two
-    # vertices. A chain that accepted every such flip would flip E pairs a
-    # sweep, so with even thinning every draw would have the parity of the
-    # first. Coupling from the past, called directly since ``Ergm`` draws by
-    # enumeration on so few vertices, must reach the same uniform law: there
-    # both bounding chains set a pair on the same uniform and meet in a sweep.
+    # Every graph weighs the same at theta = (0, 0), and at theta1 = 0 on two
+    # vertices. ``ergm_mh_sample`` draws by enumeration on so few vertices;
+    # coupling from the past, called directly, must reach the same uniform
+    # law: there both bounding chains set a pair on the same uniform and
+    # meet in a sweep.
     @pytest.mark.parametrize("v, stats, theta", [
         (2, EDGE_TWO_STAR, (0.0, 0.7)),
         (3, EDGE_TRIANGLE, (0.0, 0.0)),
@@ -609,13 +633,6 @@ class TestMcmcSampler:
         density = sum(g.edge_count() for g in s) / (3000 * 10)
         assert abs(density - logistic(-1.0)) < 0.03
 
-    def test_same_seed_reproduces_chain(self):
-        spec = Ergm(5, EDGE_TRIANGLE, (0.2, 0.1))
-        cfg = McmcConfig(burn_in=20, thinning=3)
-        a = ergm_mh_sample(spec, 50, cfg, np.random.default_rng(7))
-        b = ergm_mh_sample(spec, 50, cfg, np.random.default_rng(7))
-        assert a == b
-
     def test_sample_size_and_config_validation(self, rng):
         spec = Ergm(4, EDGE_TRIANGLE, (0.0, 0.0))
         with pytest.raises(ValueError):
@@ -624,7 +641,6 @@ class TestMcmcSampler:
             McmcConfig(burn_in=-1)
         with pytest.raises(ValueError):
             McmcConfig(thinning=0)
-
 
 
 class TestExactDraws:

@@ -5,6 +5,9 @@ paper's method, the CLI, an acceptance test, a test oracle or the benchmark.
 """
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +67,18 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    """``perfbench/spans.py`` wraps package functions it looks up by name,
+    such as ``models.ergm_mh_sample`` and ``Graph.indicator_row``, so a
+    deleted or renamed one fails here as well as in the benchmark's run."""
+    src = str(Path(graphtest.__file__).resolve().parents[1])
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = "import spans; spans.install(spans.Tracer())"
+    # -B: the run writes no bytecode cache into perfbench/.
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        cwd=perfbench, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr

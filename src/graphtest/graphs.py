@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,9 +36,22 @@ __all__ = [
 ]
 
 
-# Whole-array work (Monte Carlo replicates, ERGM draws, correlation windows)
-# runs in blocks of about this many cells.
+# Whole-array work (Monte Carlo replicates, ERGM draws, permutations,
+# correlation windows) runs in blocks of about this many cells (``_blocks``).
 BLOCK_CELLS = 1 << 16
+
+
+def _blocks(total: int, width: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) that cover range(total), each of
+    max(1, BLOCK_CELLS // width) items but the last: items of ``width``
+    cells in blocks of about BLOCK_CELLS cells. A caller that draws reads
+    its generator in block order, as one whole-array draw would, so the
+    block size bounds memory and decides no result. The one exception is
+    coupling from the past (``models._cftp_indicators``), whose draws
+    depend on their group by design."""
+    step = max(1, BLOCK_CELLS // width)
+    for lo in range(0, total, step):
+        yield lo, min(lo + step, total)
 
 
 def num_pairs(v: int) -> int:

@@ -15,18 +15,23 @@ by ``statistic.GapKernel``, so ties are real ties and results cannot drift
 with float summation order.
 
 Monte Carlo replicates are drawn in blocks of about ``BLOCK_CELLS`` count
-cells. Each block takes one generator spawned off the caller's generator
-and draws its whole (B x E) count array with the model's
-``edge_count_batches``. An ERGM block holds exact, independent graphs: from
-the enumerated law up to ``models.ENUMERATION_MAX_V`` vertices, and above it
-by monotone or anti-monotone coupling from the past (Propp & Wilson 1996,
+cells (``graphs._blocks``). Every block draws its whole (B x E) count array
+with the model's ``edge_count_batches`` from the caller's generator, in
+block order. An ERGM block holds exact, independent graphs: from the
+enumerated law up to ``models.ENUMERATION_MAX_V`` vertices, and above it by
+monotone or anti-monotone coupling from the past (Propp & Wilson 1996,
 *Random Structures & Algorithms* 9; Häggström & Nelander 1998, *Statistica
 Neerlandica* 52(3); see ``models``). An independent-edge block draws its
 counts by inversion of one ``rng.random((B, E))``, each uniform looked up
 in the guided table of its probability level's binomial CDF, which
-``models`` builds and keeps. The blocks are fixed by R and the model alone,
-and every block runs in order on the calling thread, so no result can
-depend on the number of CPUs, and peak memory stays at one block.
+``models`` builds and keeps. Blocked uniforms and enumerated draws read the
+stream as one (R x E) draw would, so the block size decides no result of
+an independent-edge or enumerated-ERGM model; coupled ERGM draws (v above
+``models.ENUMERATION_MAX_V``) depend on their group size by design. Every
+block runs in order on the calling thread, so no result can depend on the
+number of CPUs, and peak memory stays at one block. ``power_curve``
+calibrates its null and then runs each alternative, in order, on the one
+generator it is given.
 Permutations are drawn from the caller's generator in blocks of rows. Each
 row is N 64-bit keys, one generator word each, so the blocks consume the
 stream exactly as one (R x N) draw would. A row's smaller pseudo-sample is
@@ -49,13 +54,9 @@ import numpy as np
 
 from .errors import ConfigurationError, EnumerationRefusedError
 from .graphs import (
-    BLOCK_CELLS, EdgeMarginals, GraphSample, _check_same_v, _decimal, num_pairs,
+    EdgeMarginals, GraphSample, _blocks, _check_same_v, _decimal, num_pairs,
 )
-from .models import (
-    ModelSpec,
-    _check_probability,
-    _check_sample_size,
-)
+from .models import ENUMERATION_MAX_V, ModelSpec, _check_probability, _check_sample_size
 from .statistic import (
     GapKernel,
     TestStatistic,
@@ -127,14 +128,10 @@ def _resolve_marginals(
         return null.exact_marginals(), "exact"
     except EnumerationRefusedError as e:
         raise ConfigurationError(
-            f"null model has no computable marginals ({e}); "
-            "pass an explicit marginals estimate"
+            f"null model has no computable marginals ({e}). From the command line an "
+            f"ERGM null needs v <= {ENUMERATION_MAX_V}; the library's one_sample_test "
+            "and null_quantile_mc accept supplied marginals (marginals=)"
         ) from e
-
-
-def _block_size(model: ModelSpec) -> int:
-    """Replicates per block: max(1, BLOCK_CELLS // E)."""
-    return max(1, BLOCK_CELLS // num_pairs(model.v))
 
 
 def _map_blocks(
@@ -146,19 +143,17 @@ def _map_blocks(
 ) -> list:
     """fn(counts) for each consecutive block of R samples of size n from ``model``.
 
-    A block holds ``_block_size(model)`` samples (the last may hold fewer),
-    and its (size x E) counts come from ``model.edge_count_batches`` on a
-    stream of its own spawned off ``rng``. The blocks run in order on the
-    calling thread, and their results come back in block order.
+    The blocks are those of ``_blocks(R, E)``, and each block's (size x E)
+    counts come from ``model.edge_count_batches`` on ``rng`` itself, so the
+    blocks read the stream in order. They run on the calling thread, and
+    their results come back in block order.
     """
-    B = _block_size(model)
-    sizes = [min(B, R - lo) for lo in range(0, R, B)]
     results = []
-    for size, stream in zip(sizes, rng.spawn(len(sizes))):
+    for lo, hi in _blocks(R, num_pairs(model.v)):
         # ``counts`` lives until the next block is drawn. Freeing each
         # block's counts before the next draw made the 24-block v=40 ER
         # null ~30% slower (2-core x86_64, in-process medians).
-        counts = model.edge_count_batches(n, size, stream)
+        counts = model.edge_count_batches(n, hi - lo, rng)
         results.append(fn(counts))
     return results
 
@@ -184,8 +179,8 @@ def _calibrate_null(
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
     values = np.concatenate(_map_blocks(kernel, null, n, R, rng))
-    k = math.ceil((1 - level) * R)
-    k = min(max(k, 1), R) - 1
+    # For alpha in (0, 1), ceil((1 - alpha) * R) lies in [1, R].
+    k = math.ceil((1 - level) * R) - 1
     return marg, source, kernel, int(np.partition(values, k)[k])
 
 
@@ -287,11 +282,10 @@ def _permutation_counts(
     # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so their
     # numerators share the observed denominator n*m.
     kernel = two_sample_kernel(k, N - k, s.edge_counts + t.edge_counts)
-    B = max(1, BLOCK_CELLS // N)
     above = at_least = 0
-    for lo in range(0, R, B):
+    for lo, hi in _blocks(R, N):
         # Block by block, the keys consume the stream as one (R x N) draw would.
-        mask = _pseudo_sample_masks(rng, min(B, R - lo), N, k)
+        mask = _pseudo_sample_masks(rng, hi - lo, N, k)
         perm_nums = kernel((mask.astype(dtype) @ indicators).astype(np.int64))
         above += int((perm_nums > obs_num).sum())
         at_least += int((perm_nums >= obs_num).sum())
@@ -436,10 +430,10 @@ def power_curve(
 
     One Monte Carlo critical value is drawn from the null, then each
     alternative contributes M fresh samples of size n; its power is the
-    fraction whose statistic exceeds the critical value. With
+    fraction whose statistic exceeds the critical value. The calibration
+    and then each alternative, in order, draw from ``rng`` itself. With
     ``baseline_bonferroni`` the same samples are also run through the
     per-edge binomial baseline, filling ``power_baseline``.
-
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
@@ -450,10 +444,7 @@ def power_curve(
     if M < 100:
         raise ValueError(f"need at least 100 replications per point, got {M}")
 
-    streams = rng.spawn(1 + len(alternatives))
-    marg, _, kernel, crit = _calibrate_null(
-        null, n, alpha, R_quantile, streams[0], None
-    )
+    marg, _, kernel, crit = _calibrate_null(null, n, alpha, R_quantile, rng, None)
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))
 
@@ -464,8 +455,8 @@ def power_curve(
         return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
 
     points = []
-    for alt, stream in zip(alternatives, streams[1:]):
-        outcomes = _map_blocks(block, alt, n, M, stream)
+    for alt in alternatives:
+        outcomes = _map_blocks(block, alt, n, M, rng)
         w_power = sum(w for w, _ in outcomes) / M
         bc_power = sum(b for _, b in outcomes) / M if baseline_bonferroni else None
         points.append(

@@ -22,6 +22,14 @@ a v = 40, n = 50, R = 2 000 ER null draw in ~0.015 s (2-core x86_64). The
 64 tables used last are kept for the process, so the blocks of a call, and
 later calls at the same (n, p), build no table again.
 
+Loops over whole arrays (the rows of ``_IndependentEdges.sample``, the
+enumerated draws and the summed rows of an ``Ergm``, and the groups and
+uniform chunks of coupling from the past) split their work with
+``graphs._blocks`` and read the caller's generator in order. A blocked
+independent-edge or enumerated-ERGM draw is therefore the draw of one
+whole-array call, whatever ``BLOCK_CELLS`` is. Coupled ERGM draws depend on
+their group size by design: each group spawns its own SeedSequence.
+
 An ``Ergm`` draws independent graphs from its exact law, in ``sample`` and in
 ``edge_count_batches`` alike. Up to ENUMERATION_MAX_V vertices they are the
 codes of ``rng.choice`` over the enumerated law (``_exact_indicators``); the
@@ -63,10 +71,10 @@ import numpy as np
 
 from .errors import ConfigurationError, EnumerationRefusedError
 from .graphs import (
-    BLOCK_CELLS,
     EdgeMarginals,
     Graph,
     GraphSample,
+    _blocks,
     _check_min_vertices,
     _check_same_v,
     _decimal,
@@ -137,8 +145,15 @@ class _IndependentEdges:
         return self._levels(float)
 
     def sample(self, n: int, rng: np.random.Generator) -> GraphSample:
+        """n graphs, graph r set at pair a iff uniform (r, a) of one
+        ``rng.random((n, E))`` lies below p_a. The uniforms are drawn and
+        compared a block of rows at a time (``_blocks``), into one bool
+        (n x E) matrix."""
         _check_sample_size(n)
-        draws = rng.random((n, num_pairs(self.v))) < self.pair_probabilities()
+        probs = self.pair_probabilities()
+        draws = np.empty((n, len(probs)), dtype=bool)
+        for lo, hi in _blocks(n, len(probs)):
+            np.less(rng.random((hi - lo, len(probs))), probs, out=draws[lo:hi])
         return GraphSample.from_indicator_matrix(self.v, draws)
 
     def edge_count_batches(
@@ -340,11 +355,11 @@ class Ergm:
         _check_sample_size(n)
         E = num_pairs(self.v)
         counts = np.zeros((R, E), dtype=np.int64)
-        rows, lo = max(1, BLOCK_CELLS // E), 0
+        lo = 0
         for chunk in self._draws(R * n, rng):
             # Summed as int64 a block of rows at a time.
-            for bits in np.split(chunk, range(rows, len(chunk), rows)):
-                hi = lo + len(bits)
+            for a, b in _blocks(len(chunk), E):
+                bits, hi = chunk[a:b], lo + b - a
                 # The replicates these rows reach, and where each starts in them.
                 first, last = lo // n, (hi - 1) // n
                 starts = np.maximum(np.arange(first, last + 1) * n, lo) - lo
@@ -552,14 +567,14 @@ def _exact_indicators(
 
     The graphs' codes are those of ``rng.choice(len(p), size=D, p=p)`` for
     p = ``dist.probabilities``, and the stream is left as that call leaves
-    it: they are drawn in ``rng.choice`` calls of at most BLOCK_CELLS codes,
-    one chunk each, and ``rng.choice`` reads one uniform per code. Bit a of
-    a code is canonical pair a.
+    it: they are drawn in ``rng.choice`` calls of at most BLOCK_CELLS codes
+    (``_blocks`` of width 1), one chunk each, and ``rng.choice`` reads one
+    uniform per code. Bit a of a code is canonical pair a.
     """
     E = num_pairs(dist.v)
     p = dist.probabilities
-    for lo in range(0, D, BLOCK_CELLS):
-        codes = rng.choice(len(p), size=min(BLOCK_CELLS, D - lo), p=p)
+    for lo, hi in _blocks(D, 1):
+        codes = rng.choice(len(p), size=hi - lo, p=p)
         # Little-endian bytes of each code, bit a of the code first.
         code_bytes = codes.astype("<u8").view(np.uint8).reshape(-1, 8)
         yield np.unpackbits(code_bytes, axis=1, count=E, bitorder="little")
@@ -601,10 +616,13 @@ def _cftp_indicators(
 
     A neighbour mask is held in the narrowest unsigned word of B = 8, 16,
     32 or 64 bits that holds v bits, or in W = ceil(v / 64) uint64 words
-    above 32 vertices. Columns run in groups of at most
-    BLOCK_CELLS // (v * ceil(v / 64)) draws, whatever the word. Each group
-    takes a SeedSequence spawned off ``rng``'s, and each of its epochs a
-    child of that. On every replay an epoch draws its uniforms again as one
+    above 32 vertices. Columns run in the groups of
+    ``_blocks(D, v * ceil(v / 64))``, at most BLOCK_CELLS // (v * ceil(v / 64))
+    draws, whatever the word. Each group takes a SeedSequence spawned off
+    ``rng``'s, and each of its epochs a child of that. These spawns are the
+    one place where the block size decides draws: the group size fixes
+    which columns share a group's uniforms, so coupled draws depend on it by
+    design. On every replay an epoch draws its uniforms again as one
     row per pair update, in scan order, and one column per draw of the
     whole group, in chunks of rounds; a column reads its own, so its
     uniforms do not depend on which other columns have met.
@@ -612,7 +630,6 @@ def _cftp_indicators(
     v = spec.v
     B = next((b for b in (8, 16, 32) if v <= b), 64)
     W, word = -(-v // B), np.dtype(f"u{B // 8}")
-    G = max(1, BLOCK_CELLS // (v * -(-v // 64)))
     P = spec._heat_bath
     rising = spec.theta[1] >= 0
 
@@ -636,10 +653,8 @@ def _cftp_indicators(
 
     def run(X, seq, sweeps, active, size):
         gen = np.random.default_rng(seq)
-        steps = sweeps * len(rounds)
-        chunk = max(1, BLOCK_CELLS // (k * size))
-        for lo in range(0, steps, chunk):
-            u = gen.random((min(chunk, steps - lo) * k, size))
+        for lo, hi in _blocks(sweeps * len(rounds), k * size):
+            u = gen.random(((hi - lo) * k, size))
             if len(active) < size:
                 u = u[:, active]
             for t, row in enumerate(range(0, len(u), k), lo):
@@ -657,8 +672,11 @@ def _cftp_indicators(
                 XIJ |= put * other
                 X[IJ] = ends
 
-    for lo, seq in zip(range(0, D, G), rng.bit_generator.seed_seq.spawn(-(-D // G))):
-        size = min(G, D - lo)
+    root = rng.bit_generator.seed_seq
+    for lo, hi in _blocks(D, v * -(-v // 64)):
+        # One spawn a group gives the SeedSequences of one spawn for all.
+        (seq,) = root.spawn(1)
+        size = hi - lo
         out = np.empty((size, num_pairs(v)), dtype=np.uint8)
         active, epochs, T = np.arange(size), [], CFTP_START_SWEEPS
         while len(active):
@@ -714,18 +732,18 @@ def edge_density_sweep(
 ) -> list[DensityPoint]:
     """Mean edge density over n exact draws for each model in the grid.
 
-    Every grid point draws ``spec.sample(n, ...)`` on its own generator
-    stream spawned off ``rng``, so points can be evaluated in any order. A
-    density below 0.02 or above 0.98 triggers a degeneracy warning: the
-    model concentrates on near-empty or near-complete graphs.
+    The grid points draw from ``rng`` itself, in order: each sums the edge
+    counts of ``spec.edge_count_batches(n, 1, rng)``, the same draws as
+    ``spec.sample(n, rng)`` without holding the graphs, so memory does not
+    grow with n. A density below 0.02 or above 0.98 triggers a degeneracy
+    warning: the model concentrates on near-empty or near-complete graphs.
     """
     if not specs:
         raise ValueError("parameter grid must be nonempty")
-    children = rng.spawn(len(specs))
     out = []
-    for spec, child in zip(specs, children):
-        sample = spec.sample(n, child)
-        density = int(sample.edge_counts.sum()) / (sample.n * num_pairs(spec.v))
+    for spec in specs:
+        edges = int(spec.edge_count_batches(n, 1, rng).sum())
+        density = edges / (n * num_pairs(spec.v))
         if density < 0.02 or density > 0.98:
             warnings.warn(
                 f"near-degenerate model at theta={spec.theta}: "

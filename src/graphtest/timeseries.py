@@ -53,7 +53,7 @@ from .errors import (
     InsufficientSampleError,
     UndefinedCorrelationError,
 )
-from .graphs import BLOCK_CELLS, Graph, GraphSample, canonical_pairs, num_pairs, pair_index
+from .graphs import Graph, GraphSample, _blocks, canonical_pairs, num_pairs, pair_index
 
 __all__ = [
     "ChannelMatrix",
@@ -381,8 +381,8 @@ def correlation_series(m: ChannelMatrix, w: WindowSpec) -> CorrelationSeries:
         # windows[a] holds the keys of samples a .. a+L-1, shape (v, L).
         windows = sliding_window_view(keys, L, axis=1).transpose(1, 0, 2)
         rows = np.flatnonzero(lengths == L)
-        per_block = max(1, BLOCK_CELLS // (v * L))
-        for t in np.split(rows, range(per_block, len(rows), per_block)):
+        for lo, hi in _blocks(len(rows), v * L):
+            t = rows[lo:hi]
             values[t] = _block_correlations(windows[starts[t]], b, ties[t], *pairs)
     undefined = np.argwhere(np.isnan(values))
     values[np.isnan(values)] = 0.0

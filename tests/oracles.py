@@ -228,6 +228,36 @@ def all_at_once_permutation_p(
     return float(Fraction(1 + count, 1 + R) if smoothing else Fraction(count, R))
 
 
+def exact_permutation_p(
+    s: GraphSample, t: GraphSample, strict: bool, cap: int = 13_000
+) -> Fraction:
+    """Exact permutation p-value: the share of all C(N, k) k-subsets of the
+    pooled graphs, k = min(n, m), whose split scores at or above (strictly
+    above, with ``strict``) the observed statistic.
+
+    Each split is scored by its integer numerator sum |(N-k) a - k b| over
+    the pairs, a and b the per-pair counts of the k graphs and of the rest;
+    the observed one is sum |m a - n b| for the counts of s and t. Refuses
+    more than ``cap`` subsets.
+    """
+    n, m = s.n, t.n
+    N, k = n + m, min(n, m)
+    if math.comb(N, k) > cap:
+        raise ValueError(f"C({N}, {k}) = {math.comb(N, k)} subsets exceed the cap {cap}")
+    pairs = canonical_pairs(s.v)
+    pooled = np.array(
+        [[int(g.has_edge(i, j)) for i, j in pairs] for g in list(s) + list(t)],
+        dtype=np.int64,
+    )
+    total = pooled.sum(axis=0)
+    obs = int(np.abs(m * pooled[:n].sum(axis=0) - n * pooled[n:].sum(axis=0)).sum())
+    subsets = np.array(list(combinations(range(N), k)))
+    small = pooled[subsets].sum(axis=1)
+    nums = np.abs((N - k) * small - k * (total - small)).sum(axis=1)
+    count = int((nums > obs).sum() if strict else (nums >= obs).sum())
+    return Fraction(count, len(subsets))
+
+
 def er_half_scaled_null(n: int, E: int) -> Counter:
     """Exact law of the sum of E i.i.d. |2X - n|, X ~ Bin(n, 1/2).
 

@@ -13,9 +13,10 @@ import pytest
 
 import graphtest
 from graphtest import (
-    EDGE_TRIANGLE, ConfigurationError, Ergm, Graph, GraphSample, WindowSpec,
-    read_graph_sample, write_graph_sample,
+    EDGE_TRIANGLE, ConfigurationError, ErdosRenyi, Ergm, Graph, GraphSample,
+    WindowSpec, num_pairs, read_graph_sample, write_graph_sample,
 )
+import graphtest.graphs as graphs
 import graphtest.models as models
 from graphtest.cli import _build_parser, main
 
@@ -281,6 +282,25 @@ class TestTestCommand:
         )
         assert code == 4
         assert "marginals" in capsys.readouterr().err
+
+    def test_the_refusal_names_what_a_command_line_can_do(self, tmp_path, capsys):
+        # The library takes supplied marginals above 6 vertices; no flag does.
+        sample, out = tmp_path / "s7.txt", tmp_path / "t.csv"
+        assert run(
+            "sample", "--model", "er", "--v", "7", "--p", "0.5", "--n", "10",
+            "--seed", "1", "--out", str(sample),
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "test", "--sample", str(sample), "--null", "ergm",
+            "--stats", "edge-triangle", "--theta1", "0", "--theta2", "0.1",
+            "--replications", "200", "--seed", "1", "--out", str(out),
+        ) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "refusing v=7 > 6" in captured.err
+        assert "From the command line an ERGM null needs v <= 6" in captured.err
+        assert "accept supplied marginals (marginals=)" in captured.err
 
     def test_ergm_null_csv_does_not_depend_on_vertex_labels(self, tmp_path):
         """A sample and its vertex-relabelled copy give the same CSV bytes.
@@ -813,10 +833,17 @@ def test_an_ergm_whose_chains_do_not_meet_is_refused(monkeypatch, tmp_path, caps
     ) == 4
     err = capsys.readouterr().err
     assert not out.exists()
+    # The power run calibrates its ER null on the seed's generator, one
+    # uniform a count, then draws the alternative's 500 graphs from it.
+    rng = np.random.default_rng(1)
+    rng.random((100, num_pairs(8)))
+    with pytest.raises(ConfigurationError) as replayed:
+        spec.edge_count_batches(5, 100, rng)
+    assert err == f"error: {replayed.value}\n"
     # Each message names the largest T tried and the unmet draws of the
     # group: the library call's 200 draws, the power alternative's 500.
     for message, unmet in ((str(refused.value), "109 of a group of 200"),
-                           (err, "229 of a group of 500")):
+                           (err, "235 of a group of 500")):
         assert "v=8" in message
         assert "theta=(-1.0, 0.63)" in message
         assert f"within 8 sweeps for {unmet} draws" in message
@@ -895,3 +922,74 @@ class TestTopLevel:
             run(*argv, "--seed", "1", "--threads", "2")
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+class TestBlockSize:
+    """``graphs.BLOCK_CELLS`` bounds memory and decides no result: at 2^10
+    cells, every command below splits its work into many more blocks than at
+    the default 2^16, and prints and writes the same bytes."""
+
+    ERGM = "--stats edge-triangle --theta1 0"
+    COMMANDS = [
+        # Blocks of 22 and 1 replicates at 2^10, against 1 456 and 84.
+        "test --sample {inputs}/er-v10.txt --null er --p 0.5 --replications 10000 "
+        "--seed 1 --out test-v10.csv",
+        "test --sample {inputs}/er-v40.txt --null er --p 0.3 --replications 2000 "
+        "--seed 2 --out test-v40.csv",
+        "power --v 10 --n 20 --alt modified-er --q 0.25 --sweep 0.1,0.5,0.9 "
+        "--replications 500 --quantile-replications 1000 --baseline bonferroni "
+        "--seed 3 --out power.csv",
+        # Enumerated ERGM draws: 68 replicates and 1 024 codes a block.
+        "test --sample {inputs}/ergm-v6.txt --null ergm " + ERGM + " --theta2=-0.1 "
+        "--replications 1000 --seed 4 --out test-ergm.csv",
+        "power --v 6 --n 10 --alt ergm " + ERGM + " --sweep=-0.2,0.2 "
+        "--replications 200 --quantile-replications 200 --seed 5 --out power-ergm.csv",
+        "density-sweep --v 6 " + ERGM + " --sweep=-0.2,0.0,0.2 --draws 3000 "
+        "--seed 6 --out density.csv",
+        "sample --model ergm --v 6 " + ERGM + " --theta2 0.1 --n 3000 --seed 7 "
+        "--out ergm-sample.txt",
+        # Rows of an ER sample one at a time at 2^10, against 84.
+        "sample --model er --v 40 --p 0.3 --n 200 --seed 8 --out er-sample.txt",
+        # 12 permutations of 80 pooled graphs a block, against 819.
+        "test --sample {inputs}/er-v8.txt --sample2 {inputs}/er-v8-b.txt "
+        "--permutations 1000 --seed 9 --out perm.csv",
+        # 2 windows of 6 channels x 83 or 84 samples a block, against 131
+        # or 130.
+        "build-graphs --input {inputs}/rec.csv --sampling-rate 250 --out graphs.txt",
+    ]
+
+    @staticmethod
+    def write_inputs(inputs):
+        rng = np.random.default_rng(0)
+        for name, model, n in (
+            ("er-v10", ErdosRenyi(10, 0.5), 20), ("er-v40", ErdosRenyi(40, 0.3), 50),
+            ("ergm-v6", Ergm(6, EDGE_TRIANGLE, (0.0, -0.1)), 20),
+            ("er-v8", ErdosRenyi(8, 0.5), 40), ("er-v8-b", ErdosRenyi(8, 0.55), 40),
+        ):
+            write_graph_sample(inputs / f"{name}.txt", model.sample(n, rng))
+        # Two decimals give tied values in many windows.
+        values = np.round(rng.standard_normal((3000, 6)), 2)
+        rows = ["a,b,c,d,e,f"] + [",".join(map(repr, row)) for row in values.tolist()]
+        (inputs / "rec.csv").write_text("\n".join(rows) + "\n")
+
+    def outputs(self, inputs, directory, monkeypatch, capsys):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        got = []
+        for command in self.COMMANDS:
+            argv = shlex.split(command.format(inputs=inputs))
+            assert run(*argv) == 0, command
+            out = argv[argv.index("--out") + 1]
+            got.append((command, capsys.readouterr().out, Path(out).read_bytes()))
+        return got
+
+    def test_the_block_size_decides_no_result(self, tmp_path, monkeypatch, capsys):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        self.write_inputs(inputs)
+        assert graphs.BLOCK_CELLS == 2**16
+        default = self.outputs(inputs, tmp_path / "default", monkeypatch, capsys)
+        monkeypatch.setattr(graphs, "BLOCK_CELLS", 2**10)
+        small = self.outputs(inputs, tmp_path / "small", monkeypatch, capsys)
+        changed = [c for c, *rest in default if (c, *rest) not in small]
+        assert not changed, "\n".join(changed)

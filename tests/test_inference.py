@@ -35,10 +35,9 @@ from graphtest import (
 )
 import graphtest.inference as inference
 import graphtest.models as models
+from graphtest.graphs import BLOCK_CELLS, _blocks
 from graphtest.inference import (
-    BLOCK_CELLS,
     _bc_reject_table,
-    _block_size,
     _calibrate_null,
     _map_blocks,
     _permutation_counts,
@@ -49,6 +48,7 @@ from oracles import (
     all_at_once_permutation_p,
     bonferroni_reject_row,
     er_half_scaled_null,
+    exact_permutation_p,
     fraction_one_sample,
     order_statistic_interval,
 )
@@ -87,8 +87,7 @@ class TestNullQuantile:
         # marginals (a+1)/47 spread the statistic so the two draws differ.
         null, n, R = ErdosRenyi(10, 0.5), 10, 1000
         marginals = EdgeMarginals(10, [Fraction(a + 1, 47) for a in range(45)])
-        (child,) = rng_factory(3).spawn(1)
-        counts = null.edge_count_batches(n, R, child)
+        counts = null.edge_count_batches(n, R, rng_factory(3))
         stats = sorted(
             fraction_one_sample(row, n, marginals.fractions) for row in counts
         )
@@ -241,6 +240,42 @@ class TestPermutationTest:
             expected = Fraction(1 + count, 401) if smoothing else Fraction(count, 400)
             assert result.p_value == float(expected)
 
+    # (v, n, m): C(12, 6) = 924, C(14, 5) = 2 002 and C(16, 8) = 12 870
+    # splits of the pooled graphs.
+    @pytest.mark.parametrize("v, n, m", [(4, 6, 6), (5, 5, 9), (6, 8, 8)])
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_mean_p_value_is_the_exact_permutation_p(self, v, n, m, strict, smoothing):
+        # Over S seeds at R permutations, the mean of count/R has standard
+        # error sqrt(p(1-p)/(R S)) about p = p_exact; the smoothed
+        # (1 + count)/(1 + R) has mean (1 + R p)/(1 + R) and standard error
+        # R/(1 + R) times that.
+        S, R = 200, 200
+        rng = np.random.default_rng(1000 * v + n)
+        s, t = ErdosRenyi(v, 0.5).sample(n, rng), ErdosRenyi(v, 0.5).sample(m, rng)
+        p = exact_permutation_p(s, t, strict)
+        assert 0.05 < p < 0.95
+        mean = sum(
+            Fraction(two_sample_permutation_test(
+                s, t, R=R, rng=np.random.default_rng(seed), strict=strict,
+                smoothing=smoothing,
+            ).p_value)
+            for seed in range(S)
+        ) / S
+        se = math.sqrt(p * (1 - p) / (R * S))
+        target = p
+        if smoothing:
+            target, se = (1 + R * p) / (1 + R), se * R / (1 + R)
+        assert abs(float(mean - target)) <= 4 * se
+
+    def test_the_exact_law_counts_ties_by_the_rule(self):
+        # v=4 makes ties common, so the two rules differ.
+        rng = np.random.default_rng(4006)
+        s, t = ErdosRenyi(4, 0.5).sample(6, rng), ErdosRenyi(4, 0.5).sample(6, rng)
+        assert exact_permutation_p(s, t, True) < exact_permutation_p(s, t, False)
+        with pytest.raises(ValueError, match="cap"):
+            exact_permutation_p(s, t, False, cap=923)
+
     def test_null_p_values_are_roughly_uniform(self, rng):
         hits = 0
         for _ in range(200):
@@ -357,12 +392,18 @@ class TestPermutationBlocks:
 
 
 class TestReplicateBlocks:
+    """Replicate blocks read the caller's generator in order, so they hold
+    the counts of one whole-array draw."""
+
     # v=40 has E=780 pairs, so a block holds 65536 // 780 = 84 replicates.
     V = 40
     B = 84
 
     def test_block_size(self):
         assert max(1, BLOCK_CELLS // num_pairs(self.V)) == self.B
+        assert list(_blocks(200, num_pairs(self.V))) == [(0, 84), (84, 168), (168, 200)]
+        assert list(_blocks(3, BLOCK_CELLS + 1)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(_blocks(0, 5)) == []
 
     @staticmethod
     def inverted(model, n, uniforms):
@@ -372,64 +413,71 @@ class TestReplicateBlocks:
         return np.column_stack([thresholds[p].searchsorted(uniforms[:, a], side="right")
                                 for a, p in enumerate(probs)])
 
+    def check_blocks_invert_one_uniform_draw(self, model, R, seed):
+        rng, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        blocks = _map_blocks(np.copy, model, 10, R, rng)
+        assert [len(b) for b in blocks] == [min(self.B, R - lo)
+                                            for lo in range(0, R, self.B)]
+        want = self.inverted(model, 10, whole.random((R, num_pairs(self.V))))
+        assert np.array_equal(np.vstack(blocks), want)
+        assert rng.bit_generator.state == whole.bit_generator.state
+
     # Whole blocks only, then a last block of one replicate, then a part
     # block, at p on both sides of 1/2.
     @pytest.mark.parametrize("R", [B, B + 1, 300])
     @pytest.mark.parametrize("p", [0.3, 0.7])
-    def test_er_blocks_invert_one_uniform_block_of_their_streams(self, R, p):
-        null = ErdosRenyi(self.V, p)
-        blocks = _map_blocks(np.copy, null, 10, R, np.random.default_rng(2))
-        assert [len(b) for b in blocks] == [min(self.B, R - lo)
-                                            for lo in range(0, R, self.B)]
-        children = np.random.default_rng(2).spawn(len(blocks))
-        for block, child in zip(blocks, children):
-            want = self.inverted(null, 10, child.random(block.shape))
-            assert np.array_equal(block, want)
+    def test_er_blocks_invert_one_uniform_draw_of_the_stream(self, R, p):
+        self.check_blocks_invert_one_uniform_draw(ErdosRenyi(self.V, p), R, 2)
 
     # Each level of a modified ER model reads its uniforms as an F-ordered
     # column selection.
     @pytest.mark.parametrize("M", [B, B + 1, 300])
-    def test_modified_er_blocks_invert_one_uniform_block_of_their_streams(self, M):
+    def test_modified_er_blocks_invert_one_uniform_draw_of_the_stream(self, M):
         alt = ModifiedErdosRenyi(self.V, 0.5, 0.8, frozenset({(0, 1), (5, 9)}))
-        blocks = _map_blocks(np.copy, alt, 10, M, np.random.default_rng(5))
-        children = np.random.default_rng(5).spawn(len(blocks))
-        assert len(blocks) == -(-M // self.B)
-        for block, child in zip(blocks, children):
-            want = self.inverted(alt, 10, child.random(block.shape))
-            assert np.array_equal(block, want)
+        self.check_blocks_invert_one_uniform_draw(alt, M, 5)
 
-    def test_critical_value_is_the_order_statistic_of_the_blocks(self, rng_factory):
-        # Block b draws its (size x E) counts from the b-th spawned stream.
-        null = ErdosRenyi(self.V, 0.5)
-        n, R, alpha = 10, 200, 0.1
-        children = rng_factory(7).spawn(3)
-        counts = np.vstack([
-            null.edge_count_batches(n, size, child)
-            for size, child in zip((self.B, self.B, R - 2 * self.B), children)
-        ])
+    # 200 replicates take three blocks. At R = 100, alpha = 1e-9 picks the
+    # largest draw (k = R) and alpha = 0.999999 the smallest (k = 1).
+    @pytest.mark.parametrize("alpha, R, k", [
+        (0.1, 200, 180), (1e-9, 100, 100), (0.999999, 100, 1),
+    ])
+    def test_critical_value_is_the_order_statistic_of_one_draw(
+        self, rng_factory, alpha, R, k
+    ):
+        null, n = ErdosRenyi(self.V, 0.5), 10
+        counts = null.edge_count_batches(n, R, rng_factory(7))
         marginals = null.exact_marginals().fractions
         stats = sorted(fraction_one_sample(row, n, marginals) for row in counts)
-        expected = stats[math.ceil((1 - Fraction(alpha)) * R) - 1]
+        assert math.ceil((1 - Fraction(str(alpha))) * R) == k
         got = null_quantile_mc(null, n, alpha, R, rng_factory(7))
-        assert got == float(expected)
+        assert got == float(stats[k - 1])
 
-    def test_ergm_blocks_are_sized_like_every_other_models(self):
-        assert _block_size(ErdosRenyi(66, 0.5)) == 65536 // 2145 == 30
-        assert _block_size(Ergm(66, EDGE_TRIANGLE, (0.0, 0.1))) == 30
-        assert _block_size(Ergm(self.V, EDGE_TRIANGLE, (0.0, 0.1))) == self.B
+    @pytest.mark.parametrize("model", [
+        ErdosRenyi(66, 0.5), Ergm(66, EDGE_TRIANGLE, (0.0, 0.1)),
+    ])
+    def test_ergm_blocks_are_sized_like_every_other_models(self, monkeypatch, model):
+        # v=66 has E=2145 pairs, so a block holds 65536 // 2145 = 30 samples.
+        sizes = []
+
+        def counts(self, n, R, rng):
+            sizes.append(R)
+            return np.zeros((R, num_pairs(self.v)), dtype=np.int64)
+
+        monkeypatch.setattr(type(model), "edge_count_batches", counts)
+        _map_blocks(len, model, 2, 100, np.random.default_rng(0))
+        assert sizes == [30, 30, 30, 10]
 
     def test_ergm_critical_value_is_the_order_statistic_of_its_blocks(
         self, rng_factory
     ):
-        # v=50 has E=1225, so blocks hold 53 replicates.
+        # v=50 has E=1225, so blocks hold 53 replicates. Coupled draws depend
+        # on their group, so the blocks are replayed as two calls on one
+        # stream, not as one call.
         v, n, R, alpha = 50, 2, 100, 0.1
         null = Ergm(v, EDGE_TRIANGLE, (0.0, 0.1))
         marginals = EdgeMarginals.constant(v, 0.5)
-        children = rng_factory(7).spawn(2)
-        counts = np.vstack([
-            null.edge_count_batches(n, size, child)
-            for size, child in zip((53, R - 53), children)
-        ])
+        rng = rng_factory(7)
+        counts = np.vstack([null.edge_count_batches(n, size, rng) for size in (53, R - 53)])
         stats = sorted(
             fraction_one_sample(row, n, marginals.fractions) for row in counts
         )
@@ -506,7 +554,8 @@ class TestInversionTableCache:
 
 
 class TestErgmAlternatives:
-    """The ERGM alternatives of one ``power_curve`` each draw their own blocks."""
+    """The ERGM alternatives of one ``power_curve`` draw their blocks from its
+    generator, in order, after the null's calibration."""
 
     # v=50 has E=1225, so an ERGM block holds 53 replicates and M=130 makes
     # three blocks per alternative: 53, 53 and 24.
@@ -515,26 +564,21 @@ class TestErgmAlternatives:
     def ergm(self, theta1):
         return Ergm(self.V, EDGE_TRIANGLE, (theta1, 0.0))
 
-    def own_blocks(self, alt, stream):
-        """The alternative's counts, drawn one block at a time on its own streams."""
-        B = _block_size(alt)
-        sizes = [min(B, self.M - lo) for lo in range(0, self.M, B)]
-        return [
-            alt.edge_count_batches(self.N, size, child)
-            for size, child in zip(sizes, stream.spawn(len(sizes)))
-        ]
+    def blocks(self, alt, rng):
+        """The alternative's counts, drawn one block at a time from ``rng``."""
+        return [alt.edge_count_batches(self.N, size, rng) for size in (53, 53, 24)]
 
     def expected_points(self, alts, seed, baseline):
-        streams = np.random.default_rng(seed).spawn(1 + len(alts))
+        rng = np.random.default_rng(seed)
         _, _, kernel, crit = _calibrate_null(
-            ErdosRenyi(self.V, 0.5), self.N, 0.05, self.R_QUANTILE, streams[0], None
+            ErdosRenyi(self.V, 0.5), self.N, 0.05, self.R_QUANTILE, rng, None
         )
         reject = np.array(
             bonferroni_reject_row(self.N, Fraction(1, 2), 0.05, num_pairs(self.V))
         )
         points = []
-        for alt, stream in zip(alts, streams[1:]):
-            counts = np.vstack(self.own_blocks(alt, stream))
+        for alt in alts:
+            counts = np.vstack(self.blocks(alt, rng))
             bc = reject[counts].any(axis=1).sum() / self.M if baseline else None
             points.append(PowerPoint(
                 alt.sweep_parameter, (kernel(counts) > crit).sum() / self.M, self.M, bc
@@ -542,9 +586,8 @@ class TestErgmAlternatives:
         return points
 
     @pytest.mark.parametrize("baseline", [False, True])
-    def test_power_is_that_of_each_alternatives_own_blocks(self, baseline):
+    def test_power_is_that_of_the_alternatives_blocks_in_order(self, baseline):
         alts = [self.ergm(-0.25), ErdosRenyi(self.V, 0.53), self.ergm(0.2)]
-        assert _block_size(alts[0]) == 53
         points = power_curve(
             ErdosRenyi(self.V, 0.5), alts, n=self.N, M=self.M,
             R_quantile=self.R_QUANTILE, rng=np.random.default_rng(31),
@@ -563,12 +606,12 @@ class TestErgmAlternatives:
         monkeypatch.setattr(models, "_cftp_indicators", refuse)
         alts = [Ergm(6, EDGE_TRIANGLE, (0.0, t)) for t in (-0.2, 0.2)]
         # v=6 has E=15, so a block holds 65536 // 15 = 4369 samples.
-        assert _block_size(alts[0]) == BLOCK_CELLS // 15 == 4369
+        assert list(_blocks(self.M, 15)) == [(0, self.M)]
         for alt, seed in zip(alts, (35, 36)):
             (block,) = _map_blocks(np.copy, alt, self.N, self.M,
                                    np.random.default_rng(seed))
-            (child,) = np.random.default_rng(seed).spawn(1)
-            assert np.array_equal(block, alt.edge_count_batches(self.N, self.M, child))
+            whole = alt.edge_count_batches(self.N, self.M, np.random.default_rng(seed))
+            assert np.array_equal(block, whole)
 
 
 class TestMemoryBound:

@@ -83,6 +83,30 @@ class TestErdosRenyi:
         b = ErdosRenyi(6, 0.4).sample(10, np.random.default_rng(99))
         assert a == b
 
+    @pytest.mark.parametrize("model", [
+        ErdosRenyi(40, 0.3),
+        ModifiedErdosRenyi(40, 0.3, 0.8, frozenset({(0, 1), (5, 9)})),
+    ])
+    def test_blocked_rows_are_one_uniform_draw(self, model):
+        # v=40 puts 65536 // 780 = 84 rows in a block, so 200 rows take three.
+        rng, whole = np.random.default_rng(8), np.random.default_rng(8)
+        sample = model.sample(200, rng)
+        want = whole.random((200, num_pairs(40))) < model.pair_probabilities()
+        assert np.array_equal(sample.indicator_matrix(), want)
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+    def test_sample_memory_is_about_two_bytes_a_cell(self):
+        # One bool (n x E) matrix, the uint8 copy the sample keeps, and one
+        # block of uniforms: about 2.05 bytes a cell.
+        n, model = 20_000, ErdosRenyi(40, 0.3)
+        tracemalloc.start()
+        try:
+            model.sample(n, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * num_pairs(40)
+
     def test_edge_frequencies_concentrate(self, rng):
         s = ErdosRenyi(10, 0.3).sample(4000, rng)
         freqs = s.edge_counts / 4000
@@ -942,11 +966,28 @@ class TestEdgeDensitySweep:
         with pytest.raises(ValueError):
             edge_density_sweep([], 100, rng)
 
+    def test_memory_does_not_grow_with_the_draws(self):
+        # The counts of a point are summed as they are drawn: coupled from
+        # the past at v=10 in groups of 6 553 draws, so the peak is one
+        # group's (about 3 MB) whatever the number of draws.
+        def peak(draws):
+            spec = Ergm(10, EDGE_TRIANGLE, (-0.5, 0.1))
+            tracemalloc.start()
+            try:
+                edge_density_sweep([spec], draws, np.random.default_rng(1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)
+        assert peak(200_000) <= 1.1 * peak(20_000)
+
     def test_densities_are_the_per_graph_edge_sums(self):
         specs = [Ergm(7, EDGE_TRIANGLE, (-0.5, t2)) for t2 in (-0.1, 0.0, 0.1)]
         points = edge_density_sweep(specs, 60, np.random.default_rng(3))
-        children = np.random.default_rng(3).spawn(len(specs))
-        for point, spec, child in zip(points, specs, children):
-            sample = spec.sample(60, child)
+        # The grid points read one generator in order.
+        rng = np.random.default_rng(3)
+        for point, spec in zip(points, specs):
+            sample = spec.sample(60, rng)
             edges = sum(g.edge_count() for g in sample)
             assert point.density == edges / (60 * num_pairs(7))

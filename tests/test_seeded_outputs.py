@@ -17,8 +17,16 @@ spec.loader.exec_module(seeded_outputs)
 def test_outputs_match_the_ledger(tmp_path):
     expected = json.loads(seeded_outputs.LEDGER.read_text())
     assert [e["command"] for e in expected] == seeded_outputs.COMMANDS
-    for got, want in zip(seeded_outputs.ledger(tmp_path), expected):
-        assert got == want, "rerun tools/seeded_outputs.py if this change is meant"
+    # Every changed command is listed, so one run shows a whole rewrite.
+    changed = [
+        want["command"]
+        for got, want in zip(seeded_outputs.ledger(tmp_path), expected)
+        if got != want
+    ]
+    assert not changed, (
+        f"{len(changed)} changed; rerun tools/seeded_outputs.py if these "
+        "changes are meant:\n" + "\n".join(changed)
+    )
 
 
 def test_the_list_holds_every_readme_command():

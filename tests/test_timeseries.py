@@ -27,7 +27,7 @@ from graphtest import (
     spearman,
     summary_graph,
 )
-from graphtest.inference import BLOCK_CELLS
+from graphtest.graphs import BLOCK_CELLS
 from graphtest.timeseries import (
     _key_dtype,
     _linear_quartiles,

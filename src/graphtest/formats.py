@@ -143,7 +143,7 @@ def _sample_from_edges(
     # Fewer set cells than rows means some row repeats an edge.
     if np.count_nonzero(mask) != len(edges):
         return None
-    return GraphSample.from_indicator_matrix(v, mask.reshape(n, E))
+    return GraphSample._adopt(v, mask.reshape(n, E))
 
 
 def _header_values(header: str) -> tuple[int, int, int]:
@@ -236,7 +236,7 @@ def _sample_by_line(text: str, path: str) -> GraphSample:
             _set_edge(mask, line, v, n, base)
     except ValueError as e:
         raise DataFormatError(str(e), path=path, line=lineno) from None
-    return GraphSample.from_indicator_matrix(v, mask.reshape(n, num_pairs(v)))
+    return GraphSample._adopt(v, mask.reshape(n, num_pairs(v)))
 
 
 def read_graph_sample(path) -> GraphSample:

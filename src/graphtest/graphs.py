@@ -234,8 +234,17 @@ class GraphSample:
 
     @classmethod
     def from_indicator_matrix(cls, v: int, mask) -> "GraphSample":
-        """Inverse of indicator_matrix: one graph per row of an (n x E) 0/1 matrix."""
-        matrix = np.array(mask, dtype=bool).view(np.uint8)
+        """Inverse of indicator_matrix: one graph per row of an (n x E) 0/1
+        matrix. The sample keeps its own copy, so later changes to ``mask``
+        do not reach it."""
+        return cls._adopt(v, np.array(mask, dtype=bool))
+
+    @classmethod
+    def _adopt(cls, v: int, matrix: np.ndarray) -> "GraphSample":
+        """The sample of a fresh (n x E) bool or 0/1 uint8 matrix, which it
+        keeps without a copy and makes read-only: for the package's own
+        builders, which do not touch the matrix again."""
+        matrix = matrix.view(np.uint8)
         if matrix.ndim != 2 or matrix.shape[1] != num_pairs(v):
             raise DimensionMismatchError(
                 f"expected an (n x {num_pairs(v)}) indicator matrix for v={v}, "

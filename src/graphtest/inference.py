@@ -12,15 +12,22 @@ All comparisons that decide rejection are carried out in exact integer or
 rational arithmetic: Monte Carlo and permutation replicates of the statistic
 are integer numerators over a common denominator, computed a block at a time
 by ``statistic.GapKernel``, so ties are real ties and results cannot drift
-with float summation order.
+with float summation order. Both kinds of replicate land in one null law,
+``_NullLaw``: the R numerators, sorted. Its ``critical(level)`` is the
+one-sample critical value, order statistic ceil((1-level)*R), and its
+``tail(numerator, strict)`` the permutation count at or above the observed
+numerator, or strictly above it with ``strict``. The p-value reads
+that count as count/R, or as (1+count)/(1+R) with smoothing (Phipson &
+Smyth 2010, *Stat. Appl. Genet. Mol. Biol.* 9(1)).
 
 Monte Carlo replicates are drawn in blocks of about ``BLOCK_CELLS`` count
-cells (``graphs._blocks``). Every block draws its whole (B x E) count array
-with the model's ``edge_count_batches`` from the caller's generator, in
-block order. An ERGM block holds exact, independent graphs: from the
-enumerated law up to ``models.ENUMERATION_MAX_V`` vertices, and above it by
-monotone or anti-monotone coupling from the past (Propp & Wilson 1996,
-*Random Structures & Algorithms* 9; Häggström & Nelander 1998, *Statistica
+cells (``graphs._blocks``) by the generator ``_count_blocks``. Every block
+draws its whole (B x E) count array with the model's
+``edge_count_batches`` from the caller's generator, in block order. An
+ERGM block holds exact, independent graphs: from the enumerated law up to
+``models.ENUMERATION_MAX_V`` vertices, and above it by monotone or
+anti-monotone coupling from the past (Propp & Wilson 1996, *Random
+Structures & Algorithms* 9; Häggström & Nelander 1998, *Statistica
 Neerlandica* 52(3); see ``models``). An independent-edge block draws its
 counts by inversion of one ``rng.random((B, E))``, each uniform looked up
 in the guided table of its probability level's binomial CDF, which
@@ -29,16 +36,15 @@ stream as one (R x E) draw would, so the block size decides no result of
 an independent-edge or enumerated-ERGM model; coupled ERGM draws (v above
 ``models.ENUMERATION_MAX_V``) depend on their group size by design. Every
 block runs in order on the calling thread, so no result can depend on the
-number of CPUs, and peak memory stays at one block. ``power_curve``
-calibrates its null and then runs each alternative, in order, on the one
-generator it is given.
+number of CPUs, and peak memory stays at one block and the R numerators.
+``power_curve`` calibrates its null and then sums each alternative's
+rejections over its blocks, in order, on the one generator it is given.
 Permutations are drawn from the caller's generator in blocks of rows. Each
 row is N 64-bit keys, one generator word each, so the blocks consume the
 stream exactly as one (R x N) draw would. A row's smaller pseudo-sample is
 the graphs of its k smallest keys, found by one ``np.partition``; the low
 bits of every key hold its column, so the keys are distinct and the subset
-does not depend on how NumPy orders ties. Both tie rules are counted from
-the same numerators, in one pass.
+does not depend on how NumPy orders ties.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -134,28 +140,39 @@ def _resolve_marginals(
         ) from e
 
 
-def _map_blocks(
-    fn: Callable[[np.ndarray], object],
-    model: ModelSpec,
-    n: int,
-    R: int,
-    rng: np.random.Generator,
-) -> list:
-    """fn(counts) for each consecutive block of R samples of size n from ``model``.
+class _NullLaw:
+    """The empirical null law of R replicate numerators of one ``GapKernel``,
+    held sorted. Numerators are int64 or, on the kernel's object path, Python
+    integers; both sort and compare exactly."""
 
-    The blocks are those of ``_blocks(R, E)``, and each block's (size x E)
-    counts come from ``model.edge_count_batches`` on ``rng`` itself, so the
-    blocks read the stream in order. They run on the calling thread, and
-    their results come back in block order.
-    """
-    results = []
+    def __init__(self, kernel: GapKernel, blocks: Sequence[np.ndarray]):
+        self.kernel = kernel
+        self.numerators = np.sort(np.concatenate(blocks))
+
+    def critical(self, level: Fraction) -> int:
+        """The numerator of order statistic ceil((1-level)*R); for level in
+        (0, 1) that index lies in [1, R]."""
+        return int(self.numerators[math.ceil((1 - level) * len(self.numerators)) - 1])
+
+    def tail(self, numerator, strict: bool) -> int:
+        """How many numerators lie above ``numerator``, or at or above it
+        unless ``strict``."""
+        side = "right" if strict else "left"
+        return len(self.numerators) - int(np.searchsorted(self.numerators, numerator, side))
+
+
+def _count_blocks(
+    model: ModelSpec, n: int, R: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The (size x E) counts of each consecutive block of R samples of size
+    n from ``model``, drawn by ``model.edge_count_batches`` on ``rng``
+    itself, so the blocks of ``_blocks(R, E)`` read the stream in order."""
     for lo, hi in _blocks(R, num_pairs(model.v)):
         # ``counts`` lives until the next block is drawn. Freeing each
         # block's counts before the next draw made the 24-block v=40 ER
         # null ~30% slower (2-core x86_64, in-process medians).
         counts = model.edge_count_batches(n, hi - lo, rng)
-        results.append(fn(counts))
-    return results
+        yield counts
 
 
 def _calibrate_null(
@@ -178,10 +195,8 @@ def _calibrate_null(
     level = _check_alpha(alpha)
     marg, source = _resolve_marginals(null, marginals)
     kernel = one_sample_kernel(n, marg)
-    values = np.concatenate(_map_blocks(kernel, null, n, R, rng))
-    # For alpha in (0, 1), ceil((1 - alpha) * R) lies in [1, R].
-    k = math.ceil((1 - level) * R) - 1
-    return marg, source, kernel, int(np.partition(values, k)[k])
+    law = _NullLaw(kernel, [kernel(counts) for counts in _count_blocks(null, n, R, rng)])
+    return marg, source, kernel, law.critical(level)
 
 
 def null_quantile_mc(
@@ -256,20 +271,12 @@ def _pseudo_sample_masks(
     return keys <= np.partition(keys, k - 1, axis=1)[:, k - 1, None]
 
 
-def _permutation_counts(
+def _permutation_law(
     s: GraphSample, t: GraphSample, R: int, rng: np.random.Generator
-) -> tuple[TestStatistic, int, int]:
-    """W of ``s`` and ``t``, then how many of R permutations exceed W and reach it.
-
-    The counts of statistics strictly above W and at or above it come from
-    the same permutation numerators, so the two tie rules of
-    ``two_sample_permutation_test`` cost one pass.
-    """
+) -> tuple[TestStatistic, _NullLaw]:
+    """W of ``s`` and ``t``, and the law of its numerator over R permutations."""
     stat = two_sample_statistic(s, t)
-    n, m = s.n, t.n
-    N, k = n + m, min(n, m)
-    obs_num = stat.exact.numerator * ((n * m) // stat.exact.denominator)
-
+    N, k = s.n + t.n, min(s.n, t.n)
     pooled = np.vstack((s.indicator_matrix(), t.indicator_matrix()))
     # Sort the pooled graphs by edge bitset: in little-endian packed bytes the
     # last byte is the most significant, and lexsort's last key is its first.
@@ -282,14 +289,12 @@ def _permutation_counts(
     # Pseudo-samples have sizes (k, N-k) = (n, m) as a multiset, so their
     # numerators share the observed denominator n*m.
     kernel = two_sample_kernel(k, N - k, s.edge_counts + t.edge_counts)
-    above = at_least = 0
+    blocks = []
     for lo, hi in _blocks(R, N):
         # Block by block, the keys consume the stream as one (R x N) draw would.
         mask = _pseudo_sample_masks(rng, hi - lo, N, k)
-        perm_nums = kernel((mask.astype(dtype) @ indicators).astype(np.int64))
-        above += int((perm_nums > obs_num).sum())
-        at_least += int((perm_nums >= obs_num).sum())
-    return stat, above, at_least
+        blocks.append(kernel((mask.astype(dtype) @ indicators).astype(np.int64)))
+    return stat, _NullLaw(kernel, blocks)
 
 
 def two_sample_permutation_test(
@@ -322,8 +327,8 @@ def two_sample_permutation_test(
     if R < 100:
         raise ValueError(f"need at least 100 permutations, got {R}")
     level = _check_alpha(alpha)
-    stat, above, at_least = _permutation_counts(s, t, R, rng)
-    count = above if strict else at_least
+    stat, law = _permutation_law(s, t, R, rng)
+    count = law.tail(int(stat.exact * law.kernel.denominator), strict)
     p_exact = Fraction(1 + count, 1 + R) if smoothing else Fraction(count, R)
     return TestResult(
         method="two_sample_permutation",
@@ -448,23 +453,19 @@ def power_curve(
     bc_table = _bc_reject_table(n, marg, alpha) if baseline_bonferroni else None
     pair_idx = np.arange(num_pairs(null.v))
 
-    def block(counts: np.ndarray) -> tuple[int, int]:
-        w_rejects = int((kernel(counts) > crit).sum())
-        if bc_table is None:
-            return w_rejects, 0
-        return w_rejects, int(bc_table[pair_idx, counts].any(axis=1).sum())
-
     points = []
     for alt in alternatives:
-        outcomes = _map_blocks(block, alt, n, M, rng)
-        w_power = sum(w for w, _ in outcomes) / M
-        bc_power = sum(b for _, b in outcomes) / M if baseline_bonferroni else None
+        w_rejects = bc_rejects = 0
+        for counts in _count_blocks(alt, n, M, rng):
+            w_rejects += int((kernel(counts) > crit).sum())
+            if bc_table is not None:
+                bc_rejects += int(bc_table[pair_idx, counts].any(axis=1).sum())
         points.append(
             PowerPoint(
                 parameter=alt.sweep_parameter,
-                power=w_power,
+                power=w_rejects / M,
                 replications=M,
-                power_baseline=bc_power,
+                power_baseline=bc_rejects / M if baseline_bonferroni else None,
             )
         )
     return points

@@ -154,7 +154,7 @@ class _IndependentEdges:
         draws = np.empty((n, len(probs)), dtype=bool)
         for lo, hi in _blocks(n, len(probs)):
             np.less(rng.random((hi - lo, len(probs))), probs, out=draws[lo:hi])
-        return GraphSample.from_indicator_matrix(self.v, draws)
+        return GraphSample._adopt(self.v, draws)
 
     def edge_count_batches(
         self, n: int, R: int, rng: np.random.Generator
@@ -345,7 +345,7 @@ class Ergm:
         """n independent exact draws (see ``_draws``)."""
         _check_sample_size(n)
         bits = np.concatenate(list(self._draws(n, rng)))
-        return GraphSample.from_indicator_matrix(self.v, bits)
+        return GraphSample._adopt(self.v, bits)
 
     def edge_count_batches(
         self, n: int, R: int, rng: np.random.Generator

@@ -473,7 +473,7 @@ def build_graphs(cs: CorrelationSeries, th: ThresholdSpec) -> GraphSample:
     upper = np.maximum(th.c, th.q3)
     lower = np.minimum(-th.c, th.q1)
     mask = (cs.values >= upper) | (cs.values <= lower)
-    return GraphSample.from_indicator_matrix(cs.v, mask)
+    return GraphSample._adopt(cs.v, mask)
 
 
 @dataclass(frozen=True)

@@ -228,12 +228,11 @@ def all_at_once_permutation_p(
     return float(Fraction(1 + count, 1 + R) if smoothing else Fraction(count, R))
 
 
-def exact_permutation_p(
-    s: GraphSample, t: GraphSample, strict: bool, cap: int = 13_000
-) -> Fraction:
-    """Exact permutation p-value: the share of all C(N, k) k-subsets of the
-    pooled graphs, k = min(n, m), whose split scores at or above (strictly
-    above, with ``strict``) the observed statistic.
+def permutation_numerators(
+    s: GraphSample, t: GraphSample, cap: int = 13_000
+) -> tuple[int, np.ndarray]:
+    """The observed numerator and those of all C(N, k) k-subsets of the
+    pooled graphs, k = min(n, m), in ``combinations`` order.
 
     Each split is scored by its integer numerator sum |(N-k) a - k b| over
     the pairs, a and b the per-pair counts of the k graphs and of the rest;
@@ -253,9 +252,46 @@ def exact_permutation_p(
     obs = int(np.abs(m * pooled[:n].sum(axis=0) - n * pooled[n:].sum(axis=0)).sum())
     subsets = np.array(list(combinations(range(N), k)))
     small = pooled[subsets].sum(axis=1)
-    nums = np.abs((N - k) * small - k * (total - small)).sum(axis=1)
+    return obs, np.abs((N - k) * small - k * (total - small)).sum(axis=1)
+
+
+def exact_permutation_p(
+    s: GraphSample, t: GraphSample, strict: bool, cap: int = 13_000
+) -> Fraction:
+    """Exact permutation p-value: the share of all k-subsets whose split
+    scores at or above (strictly above, with ``strict``) the observed
+    statistic (see ``permutation_numerators``)."""
+    obs, nums = permutation_numerators(s, t, cap)
     count = int((nums > obs).sum() if strict else (nums >= obs).sum())
-    return Fraction(count, len(subsets))
+    return Fraction(count, len(nums))
+
+
+def exact_permutation_level(
+    s: GraphSample, t: GraphSample, R: int, alpha: Fraction, strict: bool,
+    smoothing: bool,
+) -> Fraction:
+    """Exact conditional level of the Monte Carlo permutation test on the
+    pooled graphs of s and t: the mean, over every k-subset S taken as the
+    observed split, of P(the rule rejects at ``alpha``), where the count of
+    R permutations at or above (strictly above) S's numerator is
+    Binomial(R, p_S) and p_S is S's exact permutation p-value.
+
+    The binomial sums run in integers: with C subsets and p_S = c/C,
+    P(count = x) = comb(R, x) c^x (C - c)^(R - x) / C^R.
+    """
+    _, nums = permutation_numerators(s, t)
+    C = len(nums)
+    rejecting = [
+        x for x in range(R + 1)
+        if (Fraction(1 + x, 1 + R) if smoothing else Fraction(x, R)) <= alpha
+    ]
+    total = 0
+    for num, subsets in Counter(nums.tolist()).items():
+        c = int((nums > num).sum() if strict else (nums >= num).sum())
+        total += subsets * sum(
+            math.comb(R, x) * c**x * (C - c) ** (R - x) for x in rejecting
+        )
+    return Fraction(total, C * C**R)
 
 
 def er_half_scaled_null(n: int, E: int) -> Counter:

@@ -53,7 +53,7 @@ from graphtest import (
     two_sample_statistic,
 )
 from graphtest.cli import main as cli_main
-from graphtest.inference import _permutation_counts
+from graphtest.inference import _permutation_law
 
 from oracles import (
     FIXTURE_LABELS,
@@ -370,9 +370,9 @@ def test_08_permutation_p_values_are_uniform():
         # between resampled and observed statistics carry ~0.036 probability
         # here, so the inclusive p-value is conservative by half that atom
         # and only its tie-centered average can be uniform two-sidedly.
-        _, above, at_least = _permutation_counts(
-            s, t, R, np.random.default_rng(seeds[r])
-        )
+        stat, law = _permutation_law(s, t, R, np.random.default_rng(seeds[r]))
+        observed = int(stat.exact * law.kernel.denominator)
+        above, at_least = law.tail(observed, True), law.tail(observed, False)
         p_inc[r] = at_least / R
         p_mid[r] = 0.5 * (above + at_least) / R
     ks = scipy.stats.kstest(p_mid, "uniform").statistic

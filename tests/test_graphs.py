@@ -260,11 +260,19 @@ class TestGraphSample:
                 matrix[0, 0] = 1 - matrix[0, 0]
             with pytest.raises(ValueError):
                 matrix[:] = 0
-        # The caller's mask stays the caller's: changing it changes no sample.
+
+    # The package's own builders hand their fresh matrices over without a
+    # copy; a caller's matrix is copied, whatever its dtype.
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_changing_the_callers_matrix_leaves_the_sample_unchanged(self, rng, dtype):
+        mask = (rng.random((6, 10)) < 0.5).astype(dtype)
         s = GraphSample.from_indicator_matrix(5, mask)
         before = s.indicator_matrix().copy()
-        mask[:] = ~mask
+        assert not np.shares_memory(s.indicator_matrix(), mask)
+        mask[...] = mask == 0
+        assert mask.flags.writeable
         assert np.array_equal(s.indicator_matrix(), before)
+        assert s == GraphSample.from_indicator_matrix(5, before)
 
     def test_from_indicator_matrix_checks_shape(self):
         with pytest.raises(DimensionMismatchError):

@@ -37,17 +37,20 @@ import graphtest.inference as inference
 import graphtest.models as models
 from graphtest.graphs import BLOCK_CELLS, _blocks
 from graphtest.inference import (
+    _NullLaw,
     _bc_reject_table,
     _calibrate_null,
-    _map_blocks,
-    _permutation_counts,
+    _count_blocks,
+    _permutation_law,
     _pseudo_sample_masks,
 )
+from graphtest.statistic import one_sample_kernel
 
 from oracles import (
     all_at_once_permutation_p,
     bonferroni_reject_row,
     er_half_scaled_null,
+    exact_permutation_level,
     exact_permutation_p,
     fraction_one_sample,
     order_statistic_interval,
@@ -226,10 +229,12 @@ class TestPermutationTest:
         assert strict.p_value <= inclusive.p_value
 
     @pytest.mark.parametrize("smoothing", [False, True])
-    def test_both_tie_rules_read_one_pass_of_counts(self, rng_factory, smoothing):
+    def test_both_tie_rules_read_one_law(self, rng_factory, smoothing):
         s = ErdosRenyi(4, 0.5).sample(8, rng_factory(21))
         t = ErdosRenyi(4, 0.5).sample(8, rng_factory(22))
-        stat, above, at_least = _permutation_counts(s, t, 400, rng_factory(30))
+        stat, law = _permutation_law(s, t, 400, rng_factory(30))
+        observed = int(stat.exact * law.kernel.denominator)
+        above, at_least = law.tail(observed, True), law.tail(observed, False)
         # v=4 makes ties common, so the two counts differ.
         assert above < at_least
         for strict, count in ((False, at_least), (True, above)):
@@ -275,6 +280,17 @@ class TestPermutationTest:
         assert exact_permutation_p(s, t, True) < exact_permutation_p(s, t, False)
         with pytest.raises(ValueError, match="cap"):
             exact_permutation_p(s, t, False, cap=923)
+
+    # The samples of test_mean_p_value_is_the_exact_permutation_p.
+    @pytest.mark.parametrize("v, n, m", [(4, 6, 6), (5, 5, 9), (6, 8, 8)])
+    def test_the_smoothed_inclusive_rule_keeps_its_exact_level(self, v, n, m):
+        # Phipson & Smyth (2010): with (1 + count)/(1 + R) and ties counted,
+        # the level over every split of the pooled graphs is at most alpha.
+        rng = np.random.default_rng(1000 * v + n)
+        s, t = ErdosRenyi(v, 0.5).sample(n, rng), ErdosRenyi(v, 0.5).sample(m, rng)
+        level = exact_permutation_level(s, t, 200, Fraction(1, 20), strict=False,
+                                        smoothing=True)
+        assert 0 < level <= Fraction(1, 20)
 
     def test_null_p_values_are_roughly_uniform(self, rng):
         hits = 0
@@ -391,6 +407,61 @@ class TestPermutationBlocks:
             assert result.p_value == expected
 
 
+class TestNullLaw:
+    """``_NullLaw`` answers the one-sample critical value and the
+    permutation counts from its sorted numerators."""
+
+    LEVELS = [Fraction(1, 20), Fraction(1, 10), Fraction(1, 2), Fraction(999_999, 10**6),
+              Fraction(1, 10**9)]
+
+    def check_against_a_sorted_list(self, law, numerators):
+        ordered = sorted(numerators)
+        R = len(ordered)
+        for x in [ordered[0] - 1, *sorted(set(ordered)), ordered[-1] + 1]:
+            assert law.tail(x, True) == sum(y > x for y in ordered)
+            assert law.tail(x, False) == sum(y >= x for y in ordered)
+        for level in self.LEVELS:
+            assert law.critical(level) == ordered[math.ceil((1 - level) * R) - 1]
+
+    def test_int64_numerators_with_ties(self, rng_factory):
+        kernel = one_sample_kernel(3, EdgeMarginals.constant(4, Fraction(1, 2)))
+        counts = rng_factory(5).integers(0, 4, size=(137, 6))
+        blocks = [kernel(counts[:50]), kernel(counts[50:])]
+        assert blocks[0].dtype == np.int64
+        numerators = np.concatenate(blocks).tolist()
+        assert len(set(numerators)) < len(numerators) / 4
+        self.check_against_a_sorted_list(_NullLaw(kernel, blocks), numerators)
+
+    def test_big_integer_numerators(self, rng_factory):
+        # A denominator of 3^50 > 2^63 puts the kernel on Python integers.
+        probs = [Fraction(k, 3**50) for k in (1, 3**49, 2 * 3**49, 5, 7, 3**50 - 1)]
+        kernel = one_sample_kernel(3, EdgeMarginals(4, probs))
+        assert not kernel.fast
+        counts = rng_factory(6).integers(0, 4, size=(120, 6))
+        blocks = [kernel(counts[:70]), kernel(counts[70:])]
+        assert blocks[0].dtype == object
+        numerators = np.concatenate(blocks).tolist()
+        assert max(numerators) > 2**63
+        assert len(set(numerators)) < len(numerators) / 2
+        self.check_against_a_sorted_list(_NullLaw(kernel, blocks), numerators)
+
+    # 9 + 13 pooled graphs on 4 vertices: many permutations tie with W.
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_tail_gives_the_all_at_once_p_value(self, rng_factory, strict, smoothing):
+        R = 300
+        for seed in range(4):
+            rng = rng_factory(400 + seed)
+            s, t = ErdosRenyi(4, 0.5).sample(9, rng), ErdosRenyi(4, 0.5).sample(13, rng)
+            stat, law = _permutation_law(s, t, R, rng_factory(seed))
+            count = law.tail(int(stat.exact * law.kernel.denominator), strict)
+            p = Fraction(1 + count, 1 + R) if smoothing else Fraction(count, R)
+            assert float(p) == all_at_once_permutation_p(
+                s, t, permutation_keys(seed, R, s.n + t.n), strict=strict,
+                smoothing=smoothing,
+            )
+
+
 class TestReplicateBlocks:
     """Replicate blocks read the caller's generator in order, so they hold
     the counts of one whole-array draw."""
@@ -415,7 +486,7 @@ class TestReplicateBlocks:
 
     def check_blocks_invert_one_uniform_draw(self, model, R, seed):
         rng, whole = np.random.default_rng(seed), np.random.default_rng(seed)
-        blocks = _map_blocks(np.copy, model, 10, R, rng)
+        blocks = list(_count_blocks(model, 10, R, rng))
         assert [len(b) for b in blocks] == [min(self.B, R - lo)
                                             for lo in range(0, R, self.B)]
         want = self.inverted(model, 10, whole.random((R, num_pairs(self.V))))
@@ -464,7 +535,7 @@ class TestReplicateBlocks:
             return np.zeros((R, num_pairs(self.v)), dtype=np.int64)
 
         monkeypatch.setattr(type(model), "edge_count_batches", counts)
-        _map_blocks(len, model, 2, 100, np.random.default_rng(0))
+        list(_count_blocks(model, 2, 100, np.random.default_rng(0)))
         assert sizes == [30, 30, 30, 10]
 
     def test_ergm_critical_value_is_the_order_statistic_of_its_blocks(
@@ -608,8 +679,7 @@ class TestErgmAlternatives:
         # v=6 has E=15, so a block holds 65536 // 15 = 4369 samples.
         assert list(_blocks(self.M, 15)) == [(0, self.M)]
         for alt, seed in zip(alts, (35, 36)):
-            (block,) = _map_blocks(np.copy, alt, self.N, self.M,
-                                   np.random.default_rng(seed))
+            (block,) = _count_blocks(alt, self.N, self.M, np.random.default_rng(seed))
             whole = alt.edge_count_batches(self.N, self.M, np.random.default_rng(seed))
             assert np.array_equal(block, whole)
 

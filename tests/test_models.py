@@ -95,9 +95,9 @@ class TestErdosRenyi:
         assert np.array_equal(sample.indicator_matrix(), want)
         assert rng.bit_generator.state == whole.bit_generator.state
 
-    def test_sample_memory_is_about_two_bytes_a_cell(self):
-        # One bool (n x E) matrix, the uint8 copy the sample keeps, and one
-        # block of uniforms: about 2.05 bytes a cell.
+    def test_sample_memory_is_about_one_byte_a_cell(self):
+        # One bool (n x E) matrix, which the sample keeps as it is, and one
+        # block of uniforms: about 1.05 bytes a cell.
         n, model = 20_000, ErdosRenyi(40, 0.3)
         tracemalloc.start()
         try:
@@ -105,7 +105,7 @@ class TestErdosRenyi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * n * num_pairs(40)
+        assert peak <= 1.5 * n * num_pairs(40)
 
     def test_edge_frequencies_concentrate(self, rng):
         s = ErdosRenyi(10, 0.3).sample(4000, rng)

@@ -121,14 +121,19 @@ COMMANDS = [
     "summary --sample ties-graphs.txt --k 30 --out ties-summary.csv",
     # Permutation tests of null-like samples, whose p-values lie inside
     # (0, 1) and so pin the permutation draw: one block of 40 pooled graphs
-    # under both tie rules, where v=4 makes ties common, and seven blocks of
-    # at most 163 permutations of 400 pooled graphs.
+    # under all four rules (both tie rules, each with and without
+    # smoothing), where v=4 makes ties common, and seven blocks of at most
+    # 163 permutations of 400 pooled graphs.
     "sample --model er --v 4 --p 0.5 --n 20 --seed 41 --out null-a.txt",
     "sample --model er --v 4 --p 0.5 --n 20 --seed 42 --out null-b.txt",
     "test --sample null-a.txt --sample2 null-b.txt --permutations 1000 --seed 43 "
     "--out perm-null.csv",
     "test --sample null-a.txt --sample2 null-b.txt --permutations 1000 --strict-ties "
     "--seed 43 --out perm-null-strict.csv",
+    "test --sample null-a.txt --sample2 null-b.txt --permutations 1000 --smoothing "
+    "--seed 43 --out perm-null-smoothed.csv",
+    "test --sample null-a.txt --sample2 null-b.txt --permutations 1000 --strict-ties "
+    "--smoothing --seed 43 --out perm-null-strict-smoothed.csv",
     "sample --model er --v 10 --p 0.5 --n 150 --seed 44 --out null-c.txt",
     "sample --model er --v 10 --p 0.5 --n 250 --seed 45 --out null-d.txt",
     "test --sample null-c.txt --sample2 null-d.txt --permutations 1000 --seed 46 "

@@ -206,30 +206,40 @@ def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _guided(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(thresholds + [2.0], guide) for ``_table_counts``: guide[b] is the
-    number of thresholds at or below b / _GUIDE_BUCKETS, and the sentinel
-    2.0 lies past every uniform. A guide table after Chen & Asau (1974),
-    *AIIE Transactions* 6(2)."""
-    buckets = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
-    guide = thresholds.searchsorted(buckets, side="right")
-    return np.append(thresholds, 2.0), guide
+    """(thresholds + [2.0], guide) for ``_table_counts``, after Chen & Asau
+    (1974), *AIIE Transactions* 6(2). Let g be the number of thresholds at
+    or below b / _GUIDE_BUCKETS. Bucket b is settled when no threshold lies
+    strictly inside (b, b + 1) / _GUIDE_BUCKETS: every uniform in it draws
+    g, and guide[b] = g. Otherwise guide[b] = -1 - g. The sentinel 2.0 lies
+    past every uniform."""
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    guide = thresholds.searchsorted(edges[:-1], side="right")
+    unsettled = thresholds.searchsorted(edges[1:], side="left") > guide
+    return np.append(thresholds, 2.0), np.where(unsettled, ~guide, guide)
 
 
 def _table_counts(
     thresholds: np.ndarray, guide: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """``thresholds[:-1].searchsorted(u, side="right")`` for a table of
-    ``_guided``, in the shape of u: each count starts at the guide entry of
-    its uniform's bucket and steps up while the next threshold is at or
-    below the uniform. The steps are taken on a flat C-ordered copy of u (a
-    column selection ``uniforms[:, cols]`` is F-ordered), which is reshaped
-    to u's shape only at the end."""
+    ``_guided``, in the shape of u: each count is its uniform's guide entry.
+    Only a count from an unsettled bucket, entry -1 - g, starts at g and
+    steps up while the next threshold is at or below the uniform. The steps
+    are taken on a flat C-ordered copy of u (a column selection
+    ``uniforms[:, cols]`` is F-ordered), which is reshaped to u's shape
+    only at the end."""
     flat = np.ravel(u)
-    counts = guide[(flat * _GUIDE_BUCKETS).astype(np.intp)]
-    step = np.flatnonzero(thresholds[counts] <= flat)
+    # Each uniform's bucket is cast straight into intp. A float64 product
+    # beside it made glibc hand each block's memory back to the system, and
+    # the next block paid a page fault per 4 KiB: 2 895 faults and ~5 of
+    # 18 ms in a v = 40, n = 50, R = 2 000 ER-null test (2-core x86_64).
+    buckets = np.empty(flat.shape, dtype=np.intp)
+    counts = guide[np.multiply(flat, _GUIDE_BUCKETS, out=buckets, casting="unsafe")]
+    step = np.flatnonzero(counts < 0)
+    counts[step] = ~counts[step]
     while step.size:
-        counts[step] += 1
         step = step[thresholds[counts[step]] <= flat[step]]
+        counts[step] += 1
     return counts.reshape(u.shape)
 
 

@@ -74,6 +74,12 @@ class GapKernel:
     [0, scale*max_count], so |t_a| <= scale*max_count and the numerator is
     at most scale*max_count*E. Terms are int64 when that bound is < 2^63;
     otherwise they are Python integers in an object array.
+
+    An int64 kernel whose pairs share one target (every one-sample kernel of
+    an ER or ERGM null) holds its term row, row[c] = |target - scale*c| for
+    c = 0..max_count, and is called as ``row[counts].sum(axis=1)``: one
+    lookup per count. Every other kernel, ``row`` None, sums the absolute
+    terms. Both give the same integers.
     """
 
     def __init__(
@@ -83,6 +89,9 @@ class GapKernel:
         self.denominator = denominator
         self.fast = scale * max_count * len(targets) < 2**63
         self.targets = np.array(targets, dtype=np.int64 if self.fast else object)
+        self.row = None
+        if self.fast and len(set(self.targets.tolist())) == 1:
+            self.row = np.abs(self.targets[0] - scale * np.arange(max_count + 1))
 
     def terms(self, counts) -> np.ndarray:
         """Signed terms of integer counts whose last axis runs over the pairs."""
@@ -91,6 +100,8 @@ class GapKernel:
 
     def __call__(self, counts: np.ndarray) -> np.ndarray:
         """Numerators of a (B x E) integer count block, int64 or object, length B."""
+        if self.row is not None:
+            return self.row[counts].sum(axis=1)
         return np.abs(self.terms(counts)).sum(axis=1)
 
     def fraction(self, numerator) -> Fraction:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphtest import (
@@ -338,7 +338,25 @@ class TestBinomialTables:
         # b / 4096 is exact in binary floating point.
         edges = np.arange(models._GUIDE_BUCKETS) / models._GUIDE_BUCKETS
         want = (thresholds[None, :] <= edges[:, None]).sum(axis=1)
-        assert np.array_equal(guide, want)
+        assert np.array_equal(np.where(guide < 0, -1 - guide, guide), want)
+
+    @given(binomial_levels())
+    @example((1, 0.5))
+    @example((2, 0.5))
+    @example((4, 0.25))
+    @settings(max_examples=100, deadline=None)
+    def test_buckets_are_flagged_iff_a_threshold_lies_strictly_inside(self, level):
+        # Binomial(1, 1/2) and Binomial(2, 1/2) have every threshold on a
+        # bucket edge (2048/4096; 1024/4096 and 3072/4096), so no bucket of
+        # theirs is flagged.
+        sentinel_ended, guide = models._binomial_table(*level)
+        thresholds = sentinel_ended[:-1]
+        edges = np.arange(models._GUIDE_BUCKETS + 1) / models._GUIDE_BUCKETS
+        inside = ((thresholds[None, :] > edges[:-1, None])
+                  & (thresholds[None, :] < edges[1:, None])).any(axis=1)
+        assert np.array_equal(guide < 0, inside)
+        if level in ((1, 0.5), (2, 0.5)):
+            assert not inside.any()
 
     @pytest.mark.parametrize("layout", [
         lambda u: u,
@@ -372,7 +390,8 @@ class TestBinomialTables:
         got = models._table_counts(sentinel_ended, guide, u)
         assert np.array_equal(got, thresholds.searchsorted(u, side="right"))
         buckets = (u * models._GUIDE_BUCKETS).astype(np.intp)
-        assert (got - guide[buckets]).max() >= 2
+        starts = np.where(guide < 0, -1 - guide, guide)
+        assert (got - starts[buckets]).max() >= 2
 
 
 class TestSelectModifiedPairs:

@@ -31,7 +31,7 @@ from graphtest import (
     two_sample_brute_force,
     two_sample_statistic,
 )
-from graphtest.statistic import one_sample_kernel, two_sample_kernel
+from graphtest.statistic import GapKernel, one_sample_kernel, two_sample_kernel
 
 from oracles import (
     exact_expected_distance,
@@ -280,6 +280,41 @@ class TestGapKernel:
         kernel = two_sample_kernel(n, m, totals)
         for a, num in zip(counts, kernel(counts)):
             assert kernel.fraction(num) == fraction_two_sample(a, n, totals - a, m)
+
+
+    @given(
+        st.sampled_from([1, 7, 2**20, 2**61]),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_term_row_matches_the_signed_terms(self, scale, max_count, E, shared, seed):
+        # Random count blocks with an all-0 and an all-max_count row, one
+        # target or one per pair, on the int64 and (scale 2^61) the object path.
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(0, max_count + 1, size=1 if shared else E) * scale
+        targets = [int(t) for t in np.resize(targets, E)]
+        kernel = GapKernel(scale, targets, max_count, 1)
+        counts = rng.integers(0, max_count + 1, size=(6, E))
+        counts[0], counts[1] = 0, max_count
+        one_target = len(set(targets)) == 1
+        assert (kernel.row is not None) == (kernel.fast and one_target)
+        got = kernel(counts)
+        assert np.array_equal(got, np.abs(kernel.terms(counts)).sum(axis=1))
+        assert [int(g) for g in got] == [
+            sum(abs(t - scale * int(c)) for t, c in zip(targets, row)) for row in counts
+        ]
+
+    def test_term_row_only_for_one_int64_target(self):
+        er = one_sample_kernel(20, EdgeMarginals.constant(5, 0.3))
+        assert er.fast and er.row is not None and len(er.row) == 21
+        assert one_sample_kernel(86, EdgeMarginals.constant(4, 0.3)).row is None
+        mixed = EdgeMarginals(4, [Fraction(k, 12) for k in (0, 1, 5, 6, 11, 12)])
+        assert one_sample_kernel(5, mixed).row is None
+        assert two_sample_kernel(3, 5, [1, 2, 2, 4, 0, 8]).row is None
+        assert two_sample_kernel(3, 5, [4] * 6).row is not None
 
 
 class TestExtremalGraphs:

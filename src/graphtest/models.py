@@ -13,14 +13,16 @@ Three families are provided:
 
 Every model draws the per-pair edge counts of R independent samples at once
 with ``edge_count_batches``. An independent-edge model draws its counts by
-inversion: one ``rng.random((R, E))`` holds a uniform per count, and each
-probability level's columns look theirs up in the level's table of CDF
-thresholds T_k = P(X <= k) (``_binomial_table``) through a guide of 4 096
-buckets (``_guided``; Chen & Asau 1974, *AIIE Transactions* 6(2)). One
-table path serves every (n, p), p = 0 and p = 1 included. The 24 blocks of
-a v = 40, n = 50, R = 2 000 ER null draw in ~0.015 s (2-core x86_64). The
-64 tables used last are kept for the process, so the blocks of a call, and
-later calls at the same (n, p), build no table again.
+inversion: one ``rng.random((R, E))`` holds a uniform per count. Each
+probability level has a table of CDF thresholds T_k = P(X <= k)
+(``_binomial_table``) with a guide of 4 096 buckets (``_guided``; Chen &
+Asau 1974, *AIIE Transactions* 6(2)). The block's levels lay their tables
+end to end, so every column of the block reads its own level's table in one
+pass (``_table_counts``). One table path serves every (n, p), p = 0 and
+p = 1 included. The 24 blocks of a v = 40, n = 50, R = 2 000 ER null draw
+in ~0.015 s (2-core x86_64). The 64 tables used last are kept for the
+process, so the blocks of a call, and later calls at the same (n, p), build
+no table again.
 
 Loops over whole arrays (the rows of ``_IndependentEdges.sample``, the
 enumerated draws and the summed rows of an ``Ergm``, and the groups and
@@ -164,10 +166,15 @@ class _IndependentEdges:
         Edges are independent, so the counts are independent Binomial(n, p_a)
         draws; the result is distributed exactly as counting edges over R
         samples of n graphs each. They are drawn by inversion of one
-        ``rng.random((R, E))`` (``_binomial_counts``).
+        ``rng.random((R, E))``: every column of the block reads its own
+        level's table, ``_binomial_table(n, p_a)``, in one pass
+        (``_table_counts``).
         """
         _check_sample_size(n)
-        return _binomial_counts(n, self.pair_probabilities(), R, rng)
+        probs = self.pair_probabilities()
+        levels = sorted(set(probs.tolist()))
+        tables = [_binomial_table(n, p) for p in levels]
+        return _table_counts(tables, np.searchsorted(levels, probs), rng.random((R, len(probs))))
 
     def exact_marginals(self) -> EdgeMarginals:
         """Each pair's probability as the decimal it is written as."""
@@ -219,47 +226,40 @@ def _guided(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _table_counts(
-    thresholds: np.ndarray, guide: np.ndarray, u: np.ndarray
+    tables: Sequence[tuple[np.ndarray, np.ndarray]], level: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """``thresholds[:-1].searchsorted(u, side="right")`` for a table of
-    ``_guided``, in the shape of u: each count is its uniform's guide entry.
-    Only a count from an unsettled bucket, entry -1 - g, starts at g and
-    steps up while the next threshold is at or below the uniform. The steps
-    are taken on a flat C-ordered copy of u (a column selection
-    ``uniforms[:, cols]`` is F-ordered), which is reshaped to u's shape
-    only at the end."""
+    """Each uniform x of u's column j (its last axis) as
+    ``thresholds[:-1].searchsorted(x, side="right")`` in its level's table
+    of ``_guided``, ``tables[level[j]]``, in the shape of u. The tables are
+    laid end to end, so every column reads its own level's table in one
+    pass: its bucket is offset to its level's guide, and each count is its
+    uniform's guide entry. Only a count from an unsettled bucket, entry
+    -1 - g, starts at g and steps up while the next threshold is at or
+    below the uniform; its level's sentinel 2.0 stops it."""
+    thresholds = np.concatenate([t for t, _ in tables])
+    guide = np.concatenate([g for _, g in tables])
     flat = np.ravel(u)
     # Each uniform's bucket is cast straight into intp. A float64 product
     # beside it made glibc hand each block's memory back to the system, and
     # the next block paid a page fault per 4 KiB: 2 895 faults and ~5 of
     # 18 ms in a v = 40, n = 50, R = 2 000 ER-null test (2-core x86_64).
-    buckets = np.empty(flat.shape, dtype=np.intp)
-    counts = guide[np.multiply(flat, _GUIDE_BUCKETS, out=buckets, casting="unsafe")]
-    step = np.flatnonzero(counts < 0)
-    counts[step] = ~counts[step]
+    buckets = np.empty(u.shape, dtype=np.intp)
+    np.multiply(u, _GUIDE_BUCKETS, out=buckets, casting="unsafe")
+    # A one-level block skips the offsets: adding them is a pass over the
+    # block, 30-40 us at v = 10 and v = 40 (2-core x86_64).
+    if len(tables) > 1:
+        buckets += level * _GUIDE_BUCKETS
+    counts = guide.take(buckets).ravel()
+    unsettled = step = np.flatnonzero(counts < 0)
+    # The steps run on indices into the stacked thresholds: each unsettled
+    # count starts from its level's first one.
+    first = np.cumsum([0] + [len(t) for t, _ in tables[:-1]])[level[step % len(level)]]
+    counts[step] = ~counts[step] + first
     while step.size:
         step = step[thresholds[counts[step]] <= flat[step]]
         counts[step] += 1
+    counts[unsettled] -= first
     return counts.reshape(u.shape)
-
-
-def _binomial_counts(
-    n: int, probs: np.ndarray, R: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(R x E) independent Binomial(n, probs) counts by inversion of one
-    ``rng.random((R, E))``: each level's columns look their uniforms up in
-    its table, ``_binomial_table(n, p)`` (``_table_counts``)."""
-    uniforms = rng.random((R, len(probs)))
-    levels = set(probs.tolist())
-    # Gathering and scattering the columns of a one-level block doubled the
-    # time of an ER null at v = 40, n = 50 (2-core x86_64).
-    if len(levels) == 1:
-        return _table_counts(*_binomial_table(n, levels.pop()), uniforms)
-    counts = np.empty(uniforms.shape, dtype=np.intp)
-    for p in levels:
-        cols = np.flatnonzero(probs == p)
-        counts[:, cols] = _table_counts(*_binomial_table(n, p), uniforms[:, cols])
-    return counts
 
 
 @dataclass(frozen=True)

@@ -500,8 +500,7 @@ class TestReplicateBlocks:
     def test_er_blocks_invert_one_uniform_draw_of_the_stream(self, R, p):
         self.check_blocks_invert_one_uniform_draw(ErdosRenyi(self.V, p), R, 2)
 
-    # Each level of a modified ER model reads its uniforms as an F-ordered
-    # column selection.
+    # Each column of a modified ER block reads its own level's table.
     @pytest.mark.parametrize("M", [B, B + 1, 300])
     def test_modified_er_blocks_invert_one_uniform_draw_of_the_stream(self, M):
         alt = ModifiedErdosRenyi(self.V, 0.5, 0.8, frozenset({(0, 1), (5, 9)}))
@@ -848,11 +847,12 @@ class TestBonferroniEdgeTest:
     @pytest.mark.parametrize("n, alpha", [(12, 0.05), (25, 0.3)])
     def test_reject_table_matches_per_pair_formula(self, n, alpha):
         marg = EdgeMarginals(5, MIXED_MARGINALS)
-        table = _bc_reject_table(n, marg, alpha)
+        rows, offset = _bc_reject_table(n, marg, alpha)
         expected = [bonferroni_reject_row(n, p0, alpha, 10) for p0 in marg.fractions]
-        assert table.dtype == bool
-        assert table.tolist() == expected
-        assert table.any() and not table.all()
+        assert rows.dtype == bool
+        assert len(rows) == len(set(marg.fractions)) * (n + 1)
+        assert [rows[o:o + n + 1].tolist() for o in offset.tolist()] == expected
+        assert rows.any() and not rows.all()
 
     @pytest.mark.parametrize("n, alpha", [(12, 0.05), (25, 0.3)])
     def test_reject_matches_per_pair_formula(self, rng, n, alpha):
@@ -920,6 +920,24 @@ class TestPowerCurve:
         assert point.replications == 300
         assert 0.08 < point.power < 0.32
         assert point.power_baseline <= 0.32
+
+    def test_baseline_reads_each_pairs_null_level(self):
+        # A two-level null: each pair's counts read its own level's row.
+        pairs = frozenset(canonical_pairs(5)[:4])
+        null = ModifiedErdosRenyi(5, 0.5, 0.1, pairs)
+        alt = ModifiedErdosRenyi(5, 0.5, 0.3, pairs)
+        n, M, R_quantile = 20, 400, 200
+        (point,) = power_curve(null, [alt], n=n, M=M, R_quantile=R_quantile,
+                               rng=np.random.default_rng(8), baseline_bonferroni=True)
+        rng = np.random.default_rng(8)
+        _calibrate_null(null, n, 0.05, R_quantile, rng, None)
+        (counts,) = _count_blocks(alt, n, M, rng)
+        rows = [bonferroni_reject_row(n, p0, Fraction("0.05"), 10)
+                for p0 in null.exact_marginals().fractions]
+        rejects = sum(any(row[c] for row, c in zip(rows, sample))
+                      for sample in counts.tolist())
+        assert point.power_baseline == rejects / M
+        assert 0 < rejects < M
 
     def test_power_grows_with_separation(self, rng):
         null = ErdosRenyi(6, 0.5)

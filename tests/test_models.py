@@ -243,6 +243,11 @@ def reads_one_uniform_block(model, n, R, seed):
             and rng.bit_generator.state == ref.bit_generator.state)
 
 
+def one_level_counts(table, u):
+    """``models._table_counts`` with every column of u reading ``table``."""
+    return models._table_counts([table], np.zeros(u.shape[-1], dtype=np.intp), u)
+
+
 def cdf_of_counts(counts, n):
     """The empirical CDF of the counts at k = 0..n-1."""
     return np.cumsum(np.bincount(counts.ravel(), minlength=n + 1))[:-1] / counts.size
@@ -326,8 +331,33 @@ class TestBinomialTables:
         columns = u[:, [1, 2]]
         assert columns.flags.f_contiguous and not columns.flags.c_contiguous
         for block in (u, columns):
-            got = models._table_counts(sentinel_ended, guide, block)
+            got = one_level_counts((sentinel_ended, guide), block)
             assert np.array_equal(got, thresholds.searchsorted(block, side="right"))
+
+    @given(st.lists(binomial_levels(), min_size=2, max_size=3),
+           st.integers(0, 2**32 - 1))
+    @example([(20, 0.5), (30, 0.001)], 0)
+    @example([(1000, 0.03), (300, 0.1), (20, 1 - 1e-9)], 1)
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_levels_count_as_searchsorteds_in_their_own_level(self, levels, seed):
+        # Every level's columns read uniforms in the top bucket, where most
+        # levels crowd their upper tail, and random ones. A count that
+        # stepped past its level's sentinel would read the next level's
+        # thresholds; a column without its offset, the first level's table.
+        tables = [models._binomial_table(*level) for level in levels]
+        top = 1.0 - 1.0 / models._GUIDE_BUCKETS
+        inside = np.concatenate([t[(t >= top) & (t < 1.0)] for t, _ in tables])
+        rng = np.random.default_rng(seed)
+        probes = np.concatenate([
+            rng.random(64), top + rng.random(64) / models._GUIDE_BUCKETS, inside,
+            np.nextafter(inside, 0.0), np.nextafter(inside, 1.0), [top],
+        ])
+        u = np.repeat(np.clip(probes, 0.0, 1.0 - 2.0**-53)[:, None], 2 * len(levels), 1)
+        level = np.arange(u.shape[1]) % len(levels)
+        got = models._table_counts(tables, level, u)
+        for j, k in enumerate(level.tolist()):
+            want = tables[k][0][:-1].searchsorted(u[:, j], side="right")
+            assert np.array_equal(got[:, j], want)
 
     @given(binomial_levels())
     @settings(max_examples=100, deadline=None)
@@ -369,7 +399,7 @@ class TestBinomialTables:
         sentinel_ended, guide = models._binomial_table(50, 0.3)
         block = layout(np.random.default_rng(6).random((30, 7)))
         before = block.copy()
-        got = models._table_counts(sentinel_ended, guide, block)
+        got = one_level_counts((sentinel_ended, guide), block)
         assert got.shape == block.shape
         assert np.array_equal(got, sentinel_ended[:-1].searchsorted(block, side="right"))
         assert np.array_equal(block, before)
@@ -387,7 +417,7 @@ class TestBinomialTables:
             1.0 - np.random.default_rng(4).random(4096) * 2.0**-10,
             inside, np.nextafter(inside, 0.0),
         ])
-        got = models._table_counts(sentinel_ended, guide, u)
+        got = one_level_counts((sentinel_ended, guide), u)
         assert np.array_equal(got, thresholds.searchsorted(u, side="right"))
         buckets = (u * models._GUIDE_BUCKETS).astype(np.intp)
         starts = np.where(guide < 0, -1 - guide, guide)
